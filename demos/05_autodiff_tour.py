@@ -1,7 +1,7 @@
 """A short tour of the numpy autodiff core under the toolkit.
 
 Shows the tape, gradient checking against central differences, the
-recurrent cells, and the custom dynamic-programming losses (CTC and
+recurrent layers, and the custom dynamic-programming losses (CTC and
 segmental) with their hand-written backward passes.
 
 Run:  python demos/05_autodiff_tour.py
@@ -28,13 +28,13 @@ theta = Tensor(rng.standard_normal(5))
 err = ad.grad_check(lambda: ad.scale(ad.sum_(ad.mul(theta, theta)), 0.5), [theta])
 print(f"   quadratic:       max rel err {err:.2e}")
 
-p = nn.LstmParams.create("cell", 4, 3, rng)
-xx = Tensor(rng.standard_normal((2, 4)))
-h0 = Tensor(np.zeros((2, 3)))
-c0 = Tensor(np.zeros((2, 3)))
+p = nn.LstmParams.create("layer", 4, 3, rng)
+xx = Tensor(rng.standard_normal((2, 5, 4)))
+mask = np.array([[1.0, 1, 1, 1, 1], [1, 1, 1, 0, 0]])  # second sequence padded
 err = ad.grad_check(
-    lambda: ad.sum_(ad.mul(*nn.lstm_cell(xx, h0, c0, p))), [xx] + [q.tensor for q in p.parameters()])
-print(f"   LSTM cell:       max rel err {err:.2e}")
+    lambda: ad.sum_(ad.mul(nn.run_recurrent_layer(p, xx, mask), nn.run_recurrent_layer(p, xx, mask, reverse=True))),
+    [xx] + [q.tensor for q in p.parameters()])
+print(f"   LSTM layer:      max rel err {err:.2e}")
 
 print("\n== the CTC loss marginalizes over blank-interleaved paths")
 logits = Tensor(rng.standard_normal((5, 3)))  # 2 words + blank

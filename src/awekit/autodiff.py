@@ -123,10 +123,6 @@ def _record(out: Tensor, inputs, bwd) -> Tensor:
     return out
 
 
-def as_tensor(x) -> Tensor:
-    return x if isinstance(x, Tensor) else Tensor(x)
-
-
 def constant(values) -> Tensor:
     """A leaf tensor (no recording; gradients may still accumulate into it)."""
     return Tensor(values)

@@ -18,7 +18,7 @@ import json
 import sys
 
 from . import corpus as cp
-from . import pipelines, recognition, synth
+from . import nn, pipelines, recognition, search, synth
 from .config import ConfigError, ExperimentConfig
 
 EXIT_CONFIG = 2
@@ -173,7 +173,8 @@ def main(argv=None) -> int:
     except ConfigError as e:
         print(f"configuration error: {e}", file=sys.stderr)
         return EXIT_CONFIG
-    except (pipelines.DataError, cp.CorpusError, FileNotFoundError) as e:
+    except (pipelines.DataError, cp.CorpusError, nn.CheckpointError, search.SearchError,
+            FileNotFoundError) as e:
         print(f"data error: {e}", file=sys.stderr)
         return EXIT_DATA
     except (FloatingPointError, ZeroDivisionError, OverflowError) as e:

@@ -22,7 +22,7 @@ class ConfigError(Exception):
 DEFAULTS = {
     "data": {
         "train": "", "train_align": "", "dev": "", "dev_align": "",
-        "lexicon": "", "feature_table": "", "queries": "", "query_align": "",
+        "lexicon": "", "feature_table": "",
     },
     "encoder": {
         "cell": "lstm", "layers": "2", "hidden": "128", "dropout": "0.0",

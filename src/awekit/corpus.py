@@ -424,11 +424,6 @@ def extract_segments(fm: FrameMatrix, al: WordAlignment, min_frames: int, max_fr
     ]
 
 
-def seconds_to_frames(seconds: float, frames_per_second: float) -> int:
-    """Duration-filter helper for configs expressed in seconds."""
-    return int(round(seconds * frames_per_second))
-
-
 def merge_spans(al: WordAlignment, rng: np.random.Generator) -> SpanAlignment:
     """Randomly merge adjacent entries into multi-word spans.
 

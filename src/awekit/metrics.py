@@ -20,13 +20,6 @@ class MetricError(Exception):
     pass
 
 
-class ScoredPairSet(NamedTuple):
-    """Distances plus same/different flags for a set of pairs."""
-
-    distances: np.ndarray
-    is_same: np.ndarray
-
-
 # ---------------------------------------------------------------------------
 # Average precision and the discrimination proxies
 

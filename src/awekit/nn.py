@@ -1,11 +1,12 @@
-"""Recurrent cells, parameters, optimizers, schedulers, and checkpoints.
+"""Recurrent layers, parameters, optimizers, schedulers, and checkpoints.
 
-The LSTM cell follows the six gate/state updates (input, forget, output
+The LSTM follows the six gate/state updates (input, forget, output
 gates; candidate cell; cell memory c_t = i*c~ + f*c_{t-1}; hidden
-h_t = o*tanh(c_t)); the GRU cell follows the four updates with
+h_t = o*tanh(c_t)); the GRU follows the four updates with
 h_t = u*h_prev + (1-u)*h~. Weights are stored split into input and
 recurrent blocks so whole-sequence input contributions can be computed
-with one matmul before the time loop.
+with one matmul before the time loop. ``run_recurrent_layer`` records that
+time loop as a single tape node with a hand-written backward pass.
 """
 
 from __future__ import annotations
@@ -62,7 +63,7 @@ def normal_init(rng: np.random.Generator, shape) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Recurrent cells
+# Recurrent layers
 
 
 @dataclass
@@ -117,41 +118,6 @@ class GruParams:
         return [self.w_x_ru, self.w_h_ru, self.b_ru, self.w_x_c, self.w_h_c, self.b_c]
 
 
-def _lstm_from_gates(gates_x: Tensor, h_prev: Tensor, c_prev: Tensor, p: LstmParams):
-    h = p.hidden
-    z = ad.add(gates_x, ad.matmul(h_prev, p.w_h.tensor))
-    i = ad.sigmoid(ad.getitem(z, (slice(None), slice(0, h))))
-    f = ad.sigmoid(ad.getitem(z, (slice(None), slice(h, 2 * h))))
-    c_tilde = ad.tanh(ad.getitem(z, (slice(None), slice(2 * h, 3 * h))))
-    o = ad.sigmoid(ad.getitem(z, (slice(None), slice(3 * h, 4 * h))))
-    c = ad.add(ad.mul(i, c_tilde), ad.mul(f, c_prev))
-    h_t = ad.mul(o, ad.tanh(c))
-    return h_t, c
-
-
-def lstm_cell(x: Tensor, h_prev: Tensor, c_prev: Tensor, p: LstmParams):
-    """One LSTM step on a (B, D) input; returns (h_t, c_t), each (B, H)."""
-    gates_x = ad.affine(x, p.w_x.tensor, p.b.tensor)
-    return _lstm_from_gates(gates_x, h_prev, c_prev, p)
-
-
-def _gru_from_gates(gates_x: Tensor, cand_x: Tensor, h_prev: Tensor, p: GruParams):
-    h = p.hidden
-    ru = ad.sigmoid(ad.add(gates_x, ad.matmul(h_prev, p.w_h_ru.tensor)))
-    r = ad.getitem(ru, (slice(None), slice(0, h)))
-    u = ad.getitem(ru, (slice(None), slice(h, 2 * h)))
-    h_tilde = ad.tanh(ad.add(cand_x, ad.matmul(ad.mul(r, h_prev), p.w_h_c.tensor)))
-    one_minus_u = ad.add(ad.scale(u, -1.0), 1.0)
-    return ad.add(ad.mul(u, h_prev), ad.mul(one_minus_u, h_tilde))
-
-
-def gru_cell(x: Tensor, h_prev: Tensor, p: GruParams) -> Tensor:
-    """One GRU step on a (B, D) input; returns h_t of shape (B, H)."""
-    gates_x = ad.affine(x, p.w_x_ru.tensor, p.b_ru.tensor)
-    cand_x = ad.affine(x, p.w_x_c.tensor, p.b_c.tensor)
-    return _gru_from_gates(gates_x, cand_x, h_prev, p)
-
-
 def run_recurrent_layer(params, x: Tensor, mask: np.ndarray, reverse: bool = False) -> Tensor:
     """Run one direction of a recurrent layer over a padded batch.
 
@@ -172,22 +138,116 @@ def run_recurrent_layer(params, x: Tensor, mask: np.ndarray, reverse: bool = Fal
         gates_all = ad.reshape(ad.affine(flat, params.w_x_ru.tensor, params.b_ru.tensor), (B, T, 2 * H))
         cand_all = ad.reshape(ad.affine(flat, params.w_x_c.tensor, params.b_c.tensor), (B, T, H))
 
-    h = ad.constant(np.zeros((B, H)))
-    c = ad.constant(np.zeros((B, H)))
     steps = range(T - 1, -1, -1) if reverse else range(T)
-    outputs: list[Tensor | None] = [None] * T
+    if is_lstm:
+        return _lstm_layer(gates_all, params, mask, steps)
+    return _gru_layer(gates_all, cand_all, params, mask, steps)
+
+
+# The two layer functions below record a whole recurrence as one tape node
+# instead of ~15-19 nodes per step. Each element goes through the same
+# floating-point operations, in the same order, as in the cells composed
+# from autodiff primitives (one ``masked_blend`` and ``mul_const`` per step,
+# then ``stack``) that tests/test_nn.py keeps as the oracle; only purely
+# elementwise work is batched differently. The backward accumulates into the
+# recurrent weights and the input-gate gradients in the order that chain's
+# tape would, so values and gradients match it bit for bit.
+
+
+def _step_masks(mask: np.ndarray):
+    """The (B, T) mask as float64, and one minus it (state carried over)."""
+    on = np.asarray(mask, dtype=np.float64)
+    return on, 1.0 - on
+
+
+def _lstm_layer(gates_all: Tensor, p: LstmParams, mask: np.ndarray, steps: range) -> Tensor:
+    """The LSTM recurrence over precomputed (B, T, 4H) input gates."""
+    gv, wv, H = gates_all.values, p.w_h.values, p.hidden
+    B, T, _ = gv.shape
+    out = np.zeros((B, T, H))
+    h, c = np.zeros((B, H)), np.zeros((B, H))
+    on, off = _step_masks(mask)
+    saved = []
     for t in steps:
-        m = mask[:, t : t + 1]
-        gx = ad.getitem(gates_all, (slice(None), t))
-        if is_lstm:
-            h_new, c_new = _lstm_from_gates(gx, h, c, params)
-            c = ad.masked_blend(c_new, c, m)
-        else:
-            cx = ad.getitem(cand_all, (slice(None), t))
-            h_new = _gru_from_gates(gx, cx, h, params)
-        h = ad.masked_blend(h_new, h, m)
-        outputs[t] = ad.mul_const(h, m)
-    return ad.stack(outputs, axis=1)
+        m, m_off = on[:, t : t + 1], off[:, t : t + 1]
+        z = gv[:, t] + h @ wv
+        s = 1.0 / (1.0 + np.exp(-z))  # elementwise, so the i, f and o blocks are as if apart
+        i, f, o = s[:, :H], s[:, H : 2 * H], s[:, 3 * H :]
+        ct = np.tanh(z[:, 2 * H : 3 * H])
+        c_new = i * ct + f * c
+        tc = np.tanh(c_new)
+        saved.append((t, m, m_off, h, c, i, f, ct, o, tc))
+        c = c_new * m + c * m_off
+        h = (o * tc) * m + h * m_off
+        np.multiply(h, m, out=out[:, t])
+    result = Tensor(out)
+
+    def bwd(g):
+        if gates_all.grad is None:
+            gates_all.grad = np.zeros_like(gv)
+        gh = gc = None  # gradients reaching the state carried out of the step
+        for t, m, m_off, h_prev, c_prev, i, f, ct, o, tc in reversed(saved):
+            g_h = g[:, t] * m if gh is None else gh + g[:, t] * m
+            g_new = g_h * m
+            g_c = g_new * o * (1.0 - tc * tc)
+            if gc is None:
+                gc = g_c * f
+            else:
+                g_c = gc * m + g_c
+                gc = gc * m_off + g_c * f
+            dz = np.concatenate([g_c * ct * i * (1.0 - i), g_c * c_prev * f * (1.0 - f),
+                                 g_c * i * (1.0 - ct * ct), g_new * tc * o * (1.0 - o)], axis=1)
+            gh = g_h * m_off + dz @ wv.T
+            p.w_h.tensor.accumulate_grad(h_prev.T @ dz)
+            gates_all.grad[:, t] += dz
+        return (None, None)
+
+    return ad._record(result, (gates_all, p.w_h.tensor), bwd)
+
+
+def _gru_layer(gates_all: Tensor, cand_all: Tensor, p: GruParams, mask: np.ndarray, steps: range) -> Tensor:
+    """The GRU recurrence over precomputed (B, T, 2H) gate and (B, T, H)
+    candidate inputs."""
+    gv, cv, w_ru, w_c, H = gates_all.values, cand_all.values, p.w_h_ru.values, p.w_h_c.values, p.hidden
+    B, T, _ = gv.shape
+    out = np.zeros((B, T, H))
+    h = np.zeros((B, H))
+    on, off = _step_masks(mask)
+    saved = []
+    for t in steps:
+        m, m_off = on[:, t : t + 1], off[:, t : t + 1]
+        ru = 1.0 / (1.0 + np.exp(-(gv[:, t] + h @ w_ru)))
+        rh = ru[:, :H] * h
+        h_tilde = np.tanh(cv[:, t] + rh @ w_c)
+        one_minus_u = 1.0 - ru[:, H:]
+        saved.append((t, m, m_off, h, ru, rh, h_tilde, one_minus_u))
+        h = (ru[:, H:] * h + one_minus_u * h_tilde) * m + h * m_off
+        np.multiply(h, m, out=out[:, t])
+    result = Tensor(out)
+
+    def bwd(g):
+        for x in (gates_all, cand_all):
+            if x.grad is None:
+                x.grad = np.zeros_like(x.values)
+        gh = None  # gradient reaching the state carried out of the step
+        for t, m, m_off, h_prev, ru, rh, h_tilde, one_minus_u in reversed(saved):
+            r, u = ru[:, :H], ru[:, H:]
+            g_h = g[:, t] * m if gh is None else gh + g[:, t] * m
+            g_new = g_h * m
+            gh = g_h * m_off + g_new * u
+            g_u = g_new * h_prev - g_new * h_tilde
+            g_cand = g_new * one_minus_u * (1.0 - h_tilde * h_tilde)
+            g_rh = g_cand @ w_c.T
+            p.w_h_c.tensor.accumulate_grad(rh.T @ g_cand)
+            gh = gh + g_rh * r
+            g_gates = np.concatenate([g_rh * h_prev, g_u], axis=1) * ru * (1.0 - ru)
+            gh = gh + g_gates @ w_ru.T
+            p.w_h_ru.tensor.accumulate_grad(h_prev.T @ g_gates)
+            cand_all.grad[:, t] += g_cand
+            gates_all.grad[:, t] += g_gates
+        return (None, None, None, None)
+
+    return ad._record(result, (gates_all, cand_all, p.w_h_ru.tensor, p.w_h_c.tensor), bwd)
 
 
 # ---------------------------------------------------------------------------
@@ -365,24 +425,29 @@ def load_checkpoint(path) -> dict[str, np.ndarray]:
         data = f.read()
     if data[:4] != CHECKPOINT_MAGIC:
         raise CheckpointError("bad magic")
-    version, count = struct.unpack_from("<II", data, 4)
-    if version != CHECKPOINT_VERSION:
-        raise CheckpointError(f"unsupported version {version}")
-    off = 12
-    out: dict[str, np.ndarray] = {}
-    for _ in range(count):
-        (nlen,) = struct.unpack_from("<H", data, off)
-        off += 2
-        name = data[off : off + nlen].decode("utf-8")
-        off += nlen
-        (ndim,) = struct.unpack_from("<I", data, off)
-        off += 4
-        shape = struct.unpack_from(f"<{ndim}I", data, off)
-        off += 4 * ndim
-        n = int(np.prod(shape)) if ndim else 1
-        arr = np.frombuffer(data, dtype="<f4", count=n, offset=off).reshape(shape)
-        off += 4 * n
-        out[name] = arr.astype(np.float64)
+    # every read past the end of a truncated file raises struct.error or
+    # ValueError (short name, short payload)
+    try:
+        version, count = struct.unpack_from("<II", data, 4)
+        if version != CHECKPOINT_VERSION:
+            raise CheckpointError(f"unsupported version {version}")
+        off = 12
+        out: dict[str, np.ndarray] = {}
+        for _ in range(count):
+            (nlen,) = struct.unpack_from("<H", data, off)
+            off += 2
+            name = data[off : off + nlen].decode("utf-8")
+            off += nlen
+            (ndim,) = struct.unpack_from("<I", data, off)
+            off += 4
+            shape = struct.unpack_from(f"<{ndim}I", data, off)
+            off += 4 * ndim
+            n = int(np.prod(shape)) if ndim else 1
+            arr = np.frombuffer(data, dtype="<f4", count=n, offset=off).reshape(shape)
+            off += 4 * n
+            out[name] = arr.astype(np.float64)
+    except (struct.error, ValueError) as e:
+        raise CheckpointError(f"truncated or corrupt checkpoint: {e}") from e
     if off != len(data):
         raise CheckpointError("trailing bytes in checkpoint")
     return out

@@ -29,13 +29,11 @@ class ObjectiveError(Exception):
 
 @dataclass(frozen=True)
 class SamplingConfig:
-    """Negative-sampling policy: k negatives per item, selection strategy,
-    and how many extra vocabulary labels to mix into the batch vocabulary
-    from outside the batch."""
+    """Negative-sampling policy: k negatives per item and the selection
+    strategy."""
 
     k: int = 10
     strategy: str = "hard"  # hard | semi-hard | uniform | confusion
-    extras: int = 0
 
     def __post_init__(self):
         if self.k < 1:

@@ -2,6 +2,18 @@
 evaluation, DTW baselines, index build / query-by-example search,
 recognizer training (CTC and segmental), decoding, and embedding export.
 
+Training and evaluation embed a split the same way. ``embed_split``
+returns ``(embeddings, labels)`` for a split under any objective
+(classifier posteriors, contextual spans pooled inside utterances, or
+isolated segments), and ``dev_ap`` scores it: ``train_embed`` selects its
+best epoch by that AP and ``eval_ap`` reports it for the checkpoint.
+Isolated segments go through ``embed_frames`` (also used by
+``export_embeddings``) and spans inside one utterance through
+``embed_spans`` (also used by the index build). ``Objective`` holds the
+[objective] section, read once per run, with its k schedule and the
+multi-view batch loss; ``train_embed`` and joint recognizer training
+take their loss settings from it.
+
 Every pipeline is deterministic given (config, seed, inputs): random
 streams derive from the master seed per component, batch formation is
 independent of the thread count, and parallel maps preserve order.
@@ -18,14 +30,12 @@ import numpy as np
 
 from . import autodiff as ad
 from . import corpus as cp
-from . import ctc as ctc_mod
 from . import dtw as dtw_mod
 from . import encoders as enc
 from . import metrics as mx
 from . import nn
 from . import objectives as obj
 from . import search as srch
-from . import segmental as segm
 from .autodiff import Tape, Tensor
 from .config import SCHEMA_VERSION, ConfigError, ExperimentConfig, component_rng
 
@@ -83,6 +93,11 @@ def collect_segments(fms, alignments, min_frames, max_frames):
         for seg in cp.extract_segments(fm, alignments[fm.utterance_id], min_frames, max_frames):
             out.append((fm, seg))
     return out
+
+
+def _segment_frames(pairs) -> list:
+    """Frame slices of (FrameMatrix, SegmentRef) pairs."""
+    return [fm.frames[s.start : s.end] for fm, s in pairs]
 
 
 def _length_bucketed_batches(n_items, lengths, batch_size, rng):
@@ -164,6 +179,16 @@ def build_optimizer(cfg: ExperimentConfig):
     raise ConfigError(f"unknown optimizer {kind!r}")
 
 
+def build_scheduler(cfg: ExperimentConfig, lr: float, mode: str) -> nn.PlateauScheduler:
+    return nn.PlateauScheduler(
+        lr=lr,
+        patience=cfg.getint("scheduler", "patience"),
+        factor=cfg.getfloat("scheduler", "factor"),
+        min_lr=cfg.getfloat("scheduler", "min_lr"),
+        mode=mode,
+    )
+
+
 def _snapshot(params):
     return [p.values.copy() for p in params]
 
@@ -173,10 +198,14 @@ def _restore(params, snap):
         p.values[...] = v
 
 
+def _dump_json(path, value):
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(value, fh, indent=1, sort_keys=True)
+
+
 def save_model(path, params, meta: dict):
     nn.save_checkpoint(path, params)
-    with open(str(path) + ".json", "w", encoding="utf-8") as f:
-        json.dump(meta, f, indent=1, sort_keys=True)
+    _dump_json(str(path) + ".json", meta)
 
 
 def load_model_meta(path) -> dict:
@@ -184,52 +213,148 @@ def load_model_meta(path) -> dict:
         return json.load(f)
 
 
+def _load_if_exists(cfg: ExperimentConfig, key: str, load):
+    """``load`` the [data] file ``key`` of a checkpoint's config; None when
+    it is unset or not on this machine."""
+    path = cfg.get("data", key)
+    return load(path) if path and os.path.exists(path) else None
+
+
+def rebuild_encoders(meta: dict, written_labels):
+    """(config, acoustic encoder, written encoder, lexicon) described by
+    a checkpoint's metadata, before its weights are assigned. The written
+    encoder is built over ``written_labels``, or is None when they are."""
+    cfg = ExperimentConfig(meta["config"])
+    rng = component_rng(cfg.seed, "init")
+    f = build_acoustic_encoder(cfg, meta["input_dim"], rng)
+    lexicon = _load_if_exists(cfg, "lexicon", cp.load_lexicon)
+    g = None
+    if written_labels is not None:
+        ds = Dataset([], {}, [], {}, lexicon, _load_if_exists(cfg, "feature_table", cp.load_feature_table))
+        g = build_written_encoder(cfg, ds, written_labels, f, rng)
+    return cfg, f, g, lexicon
+
+
+def rebuild_embed_model(checkpoint: str):
+    """Reconstruct encoders from a checkpoint and its sidecar metadata."""
+    meta = load_model_meta(checkpoint)
+    written = meta["train_labels"] if meta["objective"] == "multiview" else None
+    cfg, f, g, _ = rebuild_encoders(meta, written)
+    params = f.parameters() + (g.parameters() if g is not None else [])
+    nn.assign_from_checkpoint(params, nn.load_checkpoint(checkpoint))
+    return f, g, meta, cfg
+
+
 # ---------------------------------------------------------------------------
-# Embedding evaluation helpers
+# The training objective
 
 
-def embed_dev_segments(f: enc.AcousticEncoder, segments, threads: int, batch: int = 64) -> np.ndarray:
-    """Embed (fm, seg) pairs without recording; batched and thread-mapped."""
-    chunks = [segments[i : i + batch] for i in range(0, len(segments), batch)]
+class Objective:
+    """The [objective] section of a run, read once, with its k schedule
+    and the multi-view batch loss."""
 
-    def run(chunk):
-        frames = [fm.frames[s.start : s.end] for fm, s in chunk]
-        return f.embed_segments_isolated(frames).values
+    def __init__(self, cfg: ExperimentConfig):
+        self.kind = cfg.get("objective", "kind")
+        self.contextual = cfg.getbool("objective", "contextual")
+        self.spans = cfg.getbool("objective", "spans")
+        self.margin = cfg.getfloat("objective", "margin")
+        self.k = cfg.getint("objective", "k")
+        self.k_end = cfg.getint("objective", "k_end")
+        self.strategy = cfg.get("objective", "strategy")
+        self.terms = tuple(cfg.getints("objective", "terms"))
+        self.sqrt_variant = cfg.getbool("objective", "sqrt_variant")
+        self.extras = cfg.getint("objective", "extras")
+        self.confusion_threshold = cfg.getfloat("objective", "confusion_threshold")
 
+    def k_at(self, batches_done: int) -> int:
+        """Negatives per item after ``batches_done`` batches: with k_end > 0,
+        k drops by one per batch down to k_end."""
+        if self.k_end <= 0:
+            return self.k
+        return max(self.k_end, self.k - batches_done)
+
+    def multiview_loss(self, acoustic: Tensor, labels, g, lexicon, full_vocab, k: int, rng) -> Tensor:
+        """Contrastive multi-view loss of a batch, averaged over its
+        segments. The batch vocabulary adds ``extras`` words of
+        ``full_vocab``; with [objective] spans, a label is a space-joined
+        word sequence whose written view encodes the concatenated symbols."""
+        vocab_words = obj.batch_vocabulary(labels, full_vocab, self.extras, rng)
+        if self.spans:
+            seqs = [sum((g.resolve(w, lexicon) for w in v.split(" ")), ()) for v in vocab_words]
+            word_embs = g.embed_sequences(seqs)
+        else:
+            word_embs = g.embed_words(vocab_words, lexicon)
+        batch = obj.MultiViewBatch(acoustic, labels, vocab_words, word_embs)
+        sampling = obj.SamplingConfig(k=k, strategy=self.strategy)
+        loss = obj.multiview_loss(batch, self.margin, sampling, terms=self.terms,
+                                  sqrt_variant=self.sqrt_variant, rng=rng)
+        return ad.scale(loss, 1.0 / max(1, len(labels)))
+
+
+# ---------------------------------------------------------------------------
+# Embedding a split
+
+
+def embed_frames(f: enc.AcousticEncoder, frames, threads: int) -> np.ndarray:
+    """Embed isolated frame arrays without recording: (n, d).
+
+    Chunks of 64 in input order are mapped over the threads; the chunking
+    fixes the batch make-up, so the result does not depend on the thread
+    count."""
+    chunks = [frames[i : i + 64] for i in range(0, len(frames), 64)]
     if not chunks:
         return np.zeros((0, f.config.embed_dim))
-    return np.concatenate(parallel_map(run, chunks, threads), axis=0)
+    embs = parallel_map(lambda chunk: f.embed_segments_isolated(chunk).values, chunks, threads)
+    return np.concatenate(embs, axis=0)
 
 
-def embed_dev_contextual(f: enc.AcousticEncoder, fms, alignments, min_frames, max_frames,
-                         threads: int) -> tuple[np.ndarray, list]:
-    """Contextual embeddings of every admissible aligned word segment."""
-
-    def run(fm):
-        al = alignments[fm.utterance_id]
-        segs = cp.extract_segments(fm, al, min_frames, max_frames)
-        if not segs:
-            return np.zeros((0, f.config.embed_dim)), []
-        x, mask, _ = enc.pad_and_mask([fm.frames], f.config.subsample)
-        out, _ = f.encode_padded(Tensor(x), mask)
-        items = [(0, f.map_start(s.start), f.map_end(s.end)) for s in segs]
-        pooled = f.pool_batch(out, items)
-        return f.project(pooled).values, [s.label for s in segs]
-
-    results = parallel_map(run, list(fms), threads)
-    embs = [r[0] for r in results if len(r[1])]
-    labels = [lab for r in results for lab in r[1]]
-    if not embs:
-        return np.zeros((0, f.config.embed_dim)), []
-    return np.concatenate(embs, axis=0), labels
+def embed_spans(f: enc.AcousticEncoder, fm: cp.FrameMatrix, spans) -> np.ndarray:
+    """Encode one utterance, then pool and project each (start, end) span
+    of its input frames: (len(spans), d)."""
+    if not spans:
+        return np.zeros((0, f.config.embed_dim))
+    x, mask, _ = enc.pad_and_mask([fm.frames], f.config.subsample)
+    out, _ = f.encode_padded(Tensor(x), mask)
+    items = [(0, f.map_start(s), f.map_end(e)) for s, e in spans]
+    return f.project(f.pool_batch(out, items)).values
 
 
-def classifier_embeddings(f: enc.AcousticEncoder, segments, threads: int) -> np.ndarray:
-    """Softmax posteriors used as embeddings for classifier models."""
-    logits = embed_dev_segments(f, segments, threads)
-    z = logits - logits.max(axis=1, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=1, keepdims=True)
+def embed_split(f: enc.AcousticEncoder, objective: Objective, fms, alignments, min_frames: int,
+                max_frames: int, threads: int) -> tuple[np.ndarray, list]:
+    """(embeddings, labels) of every aligned word segment of a split whose
+    length is in [min_frames, max_frames].
+
+    Classifier models embed isolated segments as softmax posteriors;
+    contextual models pool each segment inside its encoded utterance;
+    all others encode each segment on its own."""
+    if objective.contextual and objective.kind != "classifier":
+        def run(fm):
+            segs = cp.extract_segments(fm, alignments[fm.utterance_id], min_frames, max_frames)
+            return embed_spans(f, fm, [(s.start, s.end) for s in segs]), [s.label for s in segs]
+
+        results = parallel_map(run, list(fms), threads)
+        embs = np.concatenate([np.zeros((0, f.config.embed_dim))] + [e for e, _ in results])
+        return embs, [lab for _, labels in results for lab in labels]
+    segments = collect_segments(fms, alignments, min_frames, max_frames)
+    embs = embed_frames(f, _segment_frames(segments), threads)
+    if objective.kind == "classifier":
+        z = embs - embs.max(axis=1, keepdims=True)
+        e = np.exp(z)
+        embs = e / e.sum(axis=1, keepdims=True)
+    return embs, [s.label for _, s in segments]
+
+
+def dev_ap(f: enc.AcousticEncoder, g, objective: Objective, ds: Dataset, min_frames: int,
+           max_frames: int, threads: int) -> dict:
+    """Acoustic AP of the dev split and, with a written encoder ``g``,
+    cross-view AP against the written embeddings of its labels."""
+    embs, labels = embed_split(f, objective, ds.dev, ds.dev_align, min_frames, max_frames, threads)
+    out = {"acoustic_ap": mx.acoustic_ap(embs, labels), "num_segments": len(labels)}
+    if g is not None:
+        uniq = sorted(set(labels))
+        wemb = g.embed_words(uniq, ds.lexicon).values
+        out["cross_view_ap"] = mx.cross_view_ap(embs, labels, wemb, uniq)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -242,14 +367,12 @@ def train_embed(cfg: ExperimentConfig, outdir: str) -> dict:
     ds = load_dataset(cfg)
     min_f = cfg.getint("training", "min_frames")
     max_f = cfg.getint("training", "max_frames")
-    kind = cfg.get("objective", "kind")
-    contextual = cfg.getbool("objective", "contextual")
-    spans = cfg.getbool("objective", "spans")
+    objective = Objective(cfg)
+    kind = objective.kind
     use_augment = cfg.getbool("training", "spec_augment")
 
     train_segments = collect_segments(ds.train, ds.train_align, min_f, max_f)
-    dev_segments = collect_segments(ds.dev, ds.dev_align, min_f, max_f)
-    if not train_segments or not dev_segments:
+    if not train_segments or not collect_segments(ds.dev, ds.dev_align, min_f, max_f):
         raise DataError("no admissible segments; check the frame-length window")
     train_labels = sorted({s.label for _, s in train_segments})
 
@@ -270,67 +393,52 @@ def train_embed(cfg: ExperimentConfig, outdir: str) -> dict:
         raise ConfigError(f"unknown objective kind {kind!r}")
 
     optimizer = build_optimizer(cfg)
-    rule = cfg.get("scheduler", "rule")
-    scheduler = nn.PlateauScheduler(
-        lr=optimizer.lr,
-        patience=cfg.getint("scheduler", "patience"),
-        factor=cfg.getfloat("scheduler", "factor"),
-        min_lr=cfg.getfloat("scheduler", "min_lr"),
-        mode="max",
-    )
+    scheduler = build_scheduler(cfg, optimizer.lr, "max")
     loss_rule = nn.LossPlateauHeuristic(optimizer.lr, cfg.getfloat("scheduler", "factor")) \
-        if rule == "loss-heuristic" else None
+        if cfg.get("scheduler", "rule") == "loss-heuristic" else None
 
-    shuffle_rng = component_rng(seed, "shuffle")
-    sample_rng = component_rng(seed, "sampling")
-    dropout_rng = component_rng(seed, "dropout")
-    augment_rng = component_rng(seed, "augment")
-    span_rng = component_rng(seed, "spans")
-
-    margin = cfg.getfloat("objective", "margin")
-    k_start = cfg.getint("objective", "k")
-    k_end = cfg.getint("objective", "k_end")
-    strategy = cfg.get("objective", "strategy")
-    terms = tuple(cfg.getints("objective", "terms"))
-    sqrt_variant = cfg.getbool("objective", "sqrt_variant")
-    extras = cfg.getint("objective", "extras")
+    rngs = {name: component_rng(seed, name)
+            for name in ("shuffle", "sampling", "dropout", "augment", "spans")}
     batch_size = cfg.getint("training", "batch_size")
     epochs = cfg.getint("training", "epochs")
     label_index = {w: i for i, w in enumerate(train_labels)}
-    confusion = obj.ConfusionMatrix(len(train_labels), cfg.getfloat("objective", "confusion_threshold")) \
-        if (kind == "triplet" and strategy == "confusion") else None
+    confusion = obj.ConfusionMatrix(len(train_labels), objective.confusion_threshold) \
+        if (kind == "triplet" and objective.strategy == "confusion") else None
     by_label: dict = {}
     for idx, (_, s) in enumerate(train_segments):
         by_label.setdefault(s.label, []).append(idx)
 
-    def current_k(batches_done):
-        if k_end <= 0:
-            return k_start
-        return max(k_end, k_start - batches_done)
-
-    def eval_dev():
-        if kind == "classifier":
-            dev_embs = classifier_embeddings(f, dev_segments, cfg.threads)
-        elif contextual:
-            dev_embs, labels = embed_dev_contextual(f, ds.dev, ds.dev_align, min_f, max_f, cfg.threads)
-            dev_labels = labels
-            acoustic = mx.acoustic_ap(dev_embs, dev_labels)
-            xv = None
-            if g is not None:
-                uniq = sorted(set(dev_labels))
-                wemb = g.embed_words(uniq, ds.lexicon).values
-                xv = mx.cross_view_ap(dev_embs, dev_labels, wemb, uniq)
-            return acoustic, xv
+    def batch_loss(batch_ids, k):
+        if kind == "triplet":
+            return _triplet_batch_loss(objective, f, train_segments, batch_ids, by_label, label_index,
+                                       confusion, rngs)
+        if kind == "multiview" and objective.contextual:
+            fms = [ds.train[i] for i in batch_ids]
+            aligns = [ds.train_align[fm.utterance_id] for fm in fms]
+            if use_augment:
+                fms = [cp.spec_augment(fm, al, rngs["augment"]) for fm, al in zip(fms, aligns)]
+            x, mask, _ = enc.pad_and_mask([fm.frames for fm in fms], f.config.subsample)
+            out, _ = f.encode_padded(Tensor(x), mask, train=True, rng=rngs["dropout"])
+            items, labels = [], []
+            for row, al in enumerate(aligns):
+                entries = al.entries
+                if objective.spans:
+                    entries = [(s, e, " ".join(vs)) for s, e, vs in cp.merge_spans(al, rngs["spans"]).entries]
+                for s, e, lab in entries:
+                    if min_f <= e - s <= max_f:
+                        items.append((row, f.map_start(s), f.map_end(e)))
+                        labels.append(lab)
+            if not items:
+                return ad.constant(0.0)
+            acoustic = f.project(f.pool_batch(out, items))
         else:
-            dev_embs = embed_dev_segments(f, dev_segments, cfg.threads)
-        dev_labels = [s.label for _, s in dev_segments]
-        acoustic = mx.acoustic_ap(dev_embs, dev_labels)
-        xv = None
-        if g is not None:
-            uniq = sorted(set(dev_labels))
-            wemb = g.embed_words(uniq, ds.lexicon).values
-            xv = mx.cross_view_ap(dev_embs, dev_labels, wemb, uniq)
-        return acoustic, xv
+            frames = _segment_frames(train_segments[i] for i in batch_ids)
+            acoustic = f.embed_segments_isolated(frames, train=True, rng=rngs["dropout"])
+            labels = [train_segments[i][1].label for i in batch_ids]
+        if kind == "classifier":
+            ids = [label_index[v] for v in labels]
+            return ad.scale(obj.cross_entropy_batch(acoustic, ids), 1.0 / len(batch_ids))
+        return objective.multiview_loss(acoustic, labels, g, ds.lexicon, train_labels, k, rngs["sampling"])
 
     log_path = os.path.join(outdir, "train_log.jsonl")
     log_file = open(log_path, "w", encoding="utf-8")
@@ -342,35 +450,14 @@ def train_embed(cfg: ExperimentConfig, outdir: str) -> dict:
     for epoch in range(epochs):
         epoch_loss = 0.0
         n_batches = 0
-        if contextual:
-            order = _length_bucketed_batches(
-                len(ds.train), [fm.num_frames for fm in ds.train], batch_size, shuffle_rng
-            )
+        if objective.contextual:
+            lengths = [fm.num_frames for fm in ds.train]
         else:
-            order = _length_bucketed_batches(
-                len(train_segments), [s.length for _, s in train_segments], batch_size, shuffle_rng
-            )
-        for batch_ids in order:
+            lengths = [s.length for _, s in train_segments]
+        for batch_ids in _length_bucketed_batches(len(lengths), lengths, batch_size, rngs["shuffle"]):
             nn.zero_grads(params)
             with Tape() as tape:
-                if kind == "multiview":
-                    loss = _multiview_batch_loss(
-                        cfg, f, g, ds, train_segments, batch_ids, contextual, spans,
-                        use_augment, margin, current_k(batches_done), k_end, strategy, terms,
-                        sqrt_variant, extras, train_labels, sample_rng, dropout_rng,
-                        augment_rng, span_rng, min_f, max_f,
-                    )
-                elif kind == "classifier":
-                    frames = [train_segments[i][0].frames[train_segments[i][1].start:train_segments[i][1].end]
-                              for i in batch_ids]
-                    logits = f.embed_segments_isolated(frames, train=True, rng=dropout_rng)
-                    ids = [label_index[train_segments[i][1].label] for i in batch_ids]
-                    loss = ad.scale(obj.cross_entropy_batch(logits, ids), 1.0 / len(batch_ids))
-                else:  # triplet
-                    loss = _triplet_batch_loss(
-                        cfg, f, train_segments, batch_ids, by_label, margin, k_start,
-                        strategy, confusion, label_index, sample_rng, dropout_rng,
-                    )
+                loss = batch_loss(batch_ids, objective.k_at(batches_done))
             tape.backward(loss)
             optimizer.step(params)
             epoch_loss += float(loss.values)
@@ -378,8 +465,9 @@ def train_embed(cfg: ExperimentConfig, outdir: str) -> dict:
             batches_done += 1
         mean_loss = epoch_loss / max(1, n_batches)
 
-        acoustic, xv = eval_dev()
-        metric = xv if (kind == "multiview" and xv is not None) else acoustic
+        ap = dev_ap(f, g, objective, ds, min_f, max_f, cfg.threads)
+        acoustic, xv = ap["acoustic_ap"], ap.get("cross_view_ap")
+        metric = acoustic if xv is None else xv
         decision = scheduler.update(metric)
         if loss_rule is not None:
             optimizer.lr = loss_rule.update(mean_loss)
@@ -420,63 +508,16 @@ def train_embed(cfg: ExperimentConfig, outdir: str) -> dict:
         "config": cfg.resolved(),
         "version": SCHEMA_VERSION,
     }
-    with open(os.path.join(outdir, "train_report.json"), "w", encoding="utf-8") as fh:
-        json.dump(report, fh, indent=1, sort_keys=True)
+    _dump_json(os.path.join(outdir, "train_report.json"), report)
     return report
 
 
-def _multiview_batch_loss(cfg, f, g, ds, train_segments, batch_ids, contextual, spans,
-                          use_augment, margin, k, k_end, strategy, terms, sqrt_variant,
-                          extras, full_vocab, sample_rng, dropout_rng, augment_rng,
-                          span_rng, min_f, max_f):
-    if contextual:
-        fms = [ds.train[i] for i in batch_ids]
-        aligns = [ds.train_align[fm.utterance_id] for fm in fms]
-        if use_augment:
-            fms = [cp.spec_augment(fm, al, augment_rng) for fm, al in zip(fms, aligns)]
-        x, mask, _ = enc.pad_and_mask([fm.frames for fm in fms], f.config.subsample)
-        out, _ = f.encode_padded(Tensor(x), mask, train=True, rng=dropout_rng)
-        items, labels = [], []
-        for row, (fm, al) in enumerate(zip(fms, aligns)):
-            if spans:
-                sp = cp.merge_spans(al, span_rng)
-                entries = [(s, e, " ".join(vs)) for s, e, vs in sp.entries]
-            else:
-                entries = list(al.entries)
-            for s, e, lab in entries:
-                if not min_f <= e - s <= max_f:
-                    continue
-                items.append((row, f.map_start(s), f.map_end(e)))
-                labels.append(lab)
-        if not items:
-            return ad.constant(0.0)
-        acoustic = f.project(f.pool_batch(out, items))
-    else:
-        frames = [train_segments[i][0].frames[train_segments[i][1].start:train_segments[i][1].end]
-                  for i in batch_ids]
-        labels = [train_segments[i][1].label for i in batch_ids]
-        acoustic = f.embed_segments_isolated(frames, train=True, rng=dropout_rng)
-    vocab_words = obj.batch_vocabulary(labels, full_vocab, extras, sample_rng)
-    if spans:
-        # span labels are word sequences; the written view encodes the
-        # concatenated symbol sequence of the span
-        seqs = [sum((g.resolve(w, ds.lexicon) for w in v.split(" ")), ()) for v in vocab_words]
-        word_embs = g.embed_sequences(seqs)
-    else:
-        word_embs = g.embed_words(vocab_words, ds.lexicon)
-    batch = obj.MultiViewBatch(acoustic, labels, vocab_words, word_embs)
-    sampling = obj.SamplingConfig(k=k, strategy=strategy, extras=extras)
-    loss = obj.multiview_loss(batch, margin, sampling, terms=terms,
-                              sqrt_variant=sqrt_variant, rng=sample_rng)
-    return ad.scale(loss, 1.0 / max(1, len(labels)))
-
-
-def _triplet_batch_loss(cfg, f, train_segments, batch_ids, by_label, margin, k,
-                        strategy, confusion, label_index, sample_rng, dropout_rng):
+def _triplet_batch_loss(objective, f, train_segments, batch_ids, by_label, label_index, confusion, rngs):
     """Siamese triplets: anchors paired with a same-word segment and a
     sampled different-word segment (uniform, confusion-PMF, or the most
     offending of k uniform candidates). Each pair also contributes its
     mirrored triplet."""
+    sample_rng = rngs["sampling"]
     all_labels = list(by_label)
     triplets = []  # (anchor_idx, same_idx, [negative idxs])
     seg_ids = set()
@@ -488,14 +529,14 @@ def _triplet_batch_loss(cfg, f, train_segments, batch_ids, by_label, margin, k,
         j = i
         while j == i:
             j = pool[int(sample_rng.integers(0, len(pool)))]
-        if strategy == "offending":
+        if objective.strategy == "offending":
             negs = []
-            for _ in range(k):
+            for _ in range(objective.k):
                 lab = label
                 while lab == label:
                     lab = all_labels[int(sample_rng.integers(0, len(all_labels)))]
                 negs.append(by_label[lab][int(sample_rng.integers(0, len(by_label[lab])))])
-        elif strategy == "confusion":
+        elif objective.strategy == "confusion":
             lab_idx = confusion.sample_different(label_index[label], sample_rng)
             lab = all_labels[lab_idx] if all_labels[lab_idx] != label else None
             if lab is None:
@@ -512,9 +553,9 @@ def _triplet_batch_loss(cfg, f, train_segments, batch_ids, by_label, margin, k,
         return ad.constant(0.0)
     seg_ids = sorted(seg_ids)
     row = {s: r for r, s in enumerate(seg_ids)}
-    frames = [train_segments[s][0].frames[train_segments[s][1].start:train_segments[s][1].end]
-              for s in seg_ids]
-    embs = f.embed_segments_isolated(frames, train=True, rng=dropout_rng)
+    frames = _segment_frames(train_segments[s] for s in seg_ids)
+    embs = f.embed_segments_isolated(frames, train=True, rng=rngs["dropout"])
+    margin = objective.margin
     losses = []
     for a, s, negs in triplets:
         ea = ad.getitem(embs, row[a])
@@ -541,58 +582,13 @@ def _triplet_batch_loss(cfg, f, train_segments, batch_ids, by_label, margin, k,
 # Evaluation pipelines
 
 
-def rebuild_embed_model(checkpoint: str):
-    """Reconstruct encoders from a checkpoint and its sidecar metadata."""
-    meta = load_model_meta(checkpoint)
-    cfg = ExperimentConfig(meta["config"])
-    rng = component_rng(cfg.seed, "init")
-    f = build_acoustic_encoder(cfg, meta["input_dim"], rng)
-    params = f.parameters()
-    g = None
-    if meta["objective"] == "multiview":
-        ds = Dataset([], {}, [], {}, _load_optional_lexicon(cfg), _load_optional_table(cfg))
-        g = build_written_encoder(cfg, ds, meta["train_labels"], f, rng)
-        params = params + g.parameters()
-    nn.assign_from_checkpoint(params, nn.load_checkpoint(checkpoint))
-    return f, g, meta, cfg
-
-
-def _load_optional_lexicon(cfg):
-    path = cfg.get("data", "lexicon")
-    return cp.load_lexicon(path) if path and os.path.exists(path) else None
-
-
-def _load_optional_table(cfg):
-    path = cfg.get("data", "feature_table")
-    return cp.load_feature_table(path) if path and os.path.exists(path) else None
-
-
 def eval_ap(cfg: ExperimentConfig, checkpoint: str, out_path: str) -> dict:
     """Acoustic (and, for multi-view models, cross-view) AP on the dev set."""
-    f, g, meta, _ = rebuild_embed_model(checkpoint)
+    f, g, _, train_cfg = rebuild_embed_model(checkpoint)
     ds = load_dataset(cfg)
-    min_f = cfg.getint("training", "min_frames")
-    max_f = cfg.getint("training", "max_frames")
-    dev_segments = collect_segments(ds.dev, ds.dev_align, min_f, max_f)
-    contextual = ExperimentConfig(meta["config"]).getbool("objective", "contextual")
-    if meta["objective"] == "classifier":
-        embs = classifier_embeddings(f, dev_segments, cfg.threads)
-        labels = [s.label for _, s in dev_segments]
-    elif contextual:
-        embs, labels = embed_dev_contextual(f, ds.dev, ds.dev_align, min_f, max_f, cfg.threads)
-    else:
-        embs = embed_dev_segments(f, dev_segments, cfg.threads)
-        labels = [s.label for _, s in dev_segments]
-    report = {
-        "acoustic_ap": mx.acoustic_ap(embs, labels),
-        "num_segments": len(labels),
-        "config": cfg.resolved(),
-        "version": SCHEMA_VERSION,
-    }
-    if g is not None:
-        uniq = sorted(set(labels))
-        wemb = g.embed_words(uniq, ds.lexicon).values
-        report["cross_view_ap"] = mx.cross_view_ap(embs, labels, wemb, uniq)
+    report = dev_ap(f, g, Objective(train_cfg), ds, cfg.getint("training", "min_frames"),
+                    cfg.getint("training", "max_frames"), cfg.threads)
+    report.update({"config": cfg.resolved(), "version": SCHEMA_VERSION})
     _write_report(out_path, report)
     return report
 
@@ -605,7 +601,7 @@ def dtw_ap(cfg: ExperimentConfig, out_path: str) -> dict:
     min_f = cfg.getint("training", "min_frames")
     max_f = cfg.getint("training", "max_frames")
     dev_segments = collect_segments(ds.dev, ds.dev_align, min_f, max_f)
-    frames = [fm.frames[s.start : s.end] for fm, s in dev_segments]
+    frames = _segment_frames(dev_segments)
     labels = [s.label for _, s in dev_segments]
     n = len(frames)
     pairs = [(frames[i], frames[j]) for i in range(n) for j in range(i + 1, n)]
@@ -631,8 +627,7 @@ def dtw_ap(cfg: ExperimentConfig, out_path: str) -> dict:
 
 def _write_report(out_path, report: dict):
     os.makedirs(os.path.dirname(os.path.abspath(out_path)) or ".", exist_ok=True)
-    with open(out_path, "w", encoding="utf-8") as fh:
-        json.dump(report, fh, indent=1, sort_keys=True)
+    _dump_json(out_path, report)
     tsv = os.path.splitext(out_path)[0] + ".tsv"
     with open(tsv, "w", encoding="utf-8") as fh:
         fh.write("key\tvalue\n")
@@ -655,30 +650,18 @@ def _window_config(cfg: ExperimentConfig) -> srch.WindowConfig:
     return srch.WindowConfig(**kwargs)
 
 
-def _embed_windows(f: enc.AcousticEncoder, fm: cp.FrameMatrix, wcfg: srch.WindowConfig):
-    windows = srch.generate_windows(fm.num_frames, wcfg)
-    if not windows:
-        return [], np.zeros((0, f.config.embed_dim))
-    x, mask, _ = enc.pad_and_mask([fm.frames], f.config.subsample)
-    out, _ = f.encode_padded(Tensor(x), mask)
-    items = [(0, f.map_start(s), f.map_end(s + size)) for s, size in windows]
-    pooled = f.pool_batch(out, items)
-    return windows, f.project(pooled).values
-
-
 def build_search_index(cfg: ExperimentConfig, checkpoint: str, archive_path: str, out_path: str) -> dict:
     f, _, _, _ = rebuild_embed_model(checkpoint)
     fms = cp.load_feature_archive(archive_path)
     wcfg = _window_config(cfg)
-    results = parallel_map(lambda fm: _embed_windows(f, fm, wcfg), fms, cfg.threads)
-    refs, embs = [], []
-    for fm, (windows, emb) in zip(fms, results):
-        for (start, size), row in zip(windows, emb):
-            refs.append(srch.SegmentKey(fm.utterance_id, start, size))
-            embs.append(row)
+    windows = [srch.generate_windows(fm.num_frames, wcfg) for fm in fms]
+    embs = parallel_map(lambda job: embed_spans(f, job[0], [(s, s + size) for s, size in job[1]]),
+                        list(zip(fms, windows)), cfg.threads)
+    refs = [srch.SegmentKey(fm.utterance_id, start, size)
+            for fm, wins in zip(fms, windows) for start, size in wins]
     if not refs:
         raise DataError("no windows generated; utterances shorter than the smallest window?")
-    index = srch.build_index(np.asarray(embs), refs,
+    index = srch.build_index(np.concatenate(embs, axis=0), refs,
                              bits=cfg.getint("search", "bits"),
                              permutations=cfg.getint("search", "permutations"),
                              seed=cfg.seed)
@@ -710,9 +693,6 @@ def query_search_index(cfg: ExperimentConfig, checkpoint: str, index_path: str,
     q_align = cp.load_alignments(query_align_path)
     utt_ids = sorted({r.utterance_id for r in index.refs})
     utt_pos = {u: i for i, u in enumerate(utt_ids)}
-    by_utt: dict = {u: [] for u in utt_ids}
-    for entry, ref in enumerate(index.refs):
-        by_utt[ref.utterance_id].append(entry)
 
     def score_query(q_fm):
         q_emb = f.embed_segments_isolated([q_fm.frames]).values[0]

@@ -30,16 +30,22 @@ from .config import SCHEMA_VERSION, ConfigError, ExperimentConfig, component_rng
 from .pipelines import (
     DataError,
     Dataset,
+    Objective,
+    _dump_json,
     _length_bucketed_batches,
     _restore,
     _snapshot,
     _write_report,
     build_acoustic_encoder,
     build_optimizer,
+    build_scheduler,
     build_written_encoder,
+    embed_frames,
     load_dataset,
     load_model_meta,
     parallel_map,
+    rebuild_embed_model,
+    rebuild_encoders,
     save_model,
 )
 
@@ -161,14 +167,9 @@ def _rescale_projection(model, ds: Dataset, sample: int = 64):
         al = ds.train_align[fm.utterance_id]
         if not al.entries:
             continue
-        out, lengths = _encode_batch(model, [fm], train=False, rng=None)
+        out, _ = _encode_batch(model, [fm], train=False, rng=None)
         items = [(0, model.f.map_start(s), model.f.map_end(e)) for s, e, _ in al.entries]
-        if model.kind == "ctc":
-            B, T, W = out.values.shape
-            proj = ad.reshape(model.f.project(ad.reshape(out, (B * T, W))), (B, T, -1))
-            embs = np.stack([proj.values[r, s:e].mean(axis=0) for r, s, e in items])
-        else:
-            embs = model.f.project(model.f.pool_batch(out, items)).values
+        embs = _span_embeddings(model, out, items).values
         norms.extend(np.linalg.norm(embs, axis=1).tolist())
     mean_norm = float(np.mean(norms)) if norms else 1.0
     if mean_norm > 0:
@@ -185,6 +186,17 @@ def _encode_batch(model, fms, train, rng):
     out, out_mask = model.f.encode_padded(Tensor(x), mask, train=train, rng=rng)
     lengths = out_mask.sum(axis=1).astype(int)
     return out, lengths
+
+
+def _span_embeddings(model, out: Tensor, items) -> Tensor:
+    """Embeddings of (row, start, end) output-frame spans: CTC models
+    project every frame and mean-pool the span; segmental models pool the
+    span with the configured mode, then project."""
+    if model.kind != "ctc":
+        return model.f.project(model.f.pool_batch(out, items))
+    B, T, W = out.values.shape
+    proj = ad.reshape(model.f.project(ad.reshape(out, (B * T, W))), (B, T, -1))
+    return ad.stack([ad.mean(ad.getitem(proj, (r, slice(s, e))), axis=0) for r, s, e in items], axis=0)
 
 
 def _ctc_frame_logits(model, out: Tensor):
@@ -260,35 +272,16 @@ def _word_segment_items(model, fms, alignments, min_f, max_f):
     return items, labels
 
 
-def joint_embedding_loss(model, cfg, out, fms, alignments, sample_rng):
-    """Contrastive multi-view loss over the batch's word segments.
-
-    CTC models pool mean projected frame outputs over each word span;
-    segmental models use the segment embedding function directly (pool +
-    project with the configured mode)."""
-    min_f = max(1, cfg.getint("training", "min_frames"))
-    max_f = cfg.getint("training", "max_frames")
-    items, labels = _word_segment_items(model, fms, alignments, min_f, max_f)
+def joint_embedding_loss(model, objective: Objective, out, fms, alignments, window, sample_rng):
+    """Contrastive multi-view loss over the batch's word segments whose
+    length is in ``window`` = (min, max) frames, with the objective's
+    fixed k (the k_end schedule of embedding training is not applied)."""
+    items, labels = _word_segment_items(model, fms, alignments, *window)
     if not items:
         return None
-    if model.kind == "ctc":
-        B, T, W = out.values.shape
-        proj = ad.reshape(model.f.project(ad.reshape(out, (B * T, W))), (B, T, -1))
-        pooled = [ad.mean(ad.getitem(proj, (r, slice(s, e))), axis=0) for r, s, e in items]
-        acoustic = ad.stack(pooled, axis=0)
-    else:
-        acoustic = model.f.project(model.f.pool_batch(out, items))
     full_vocab = [v for v in model.vocab.labels if v != model.vocab.unk_token]
-    vocab_words = obj.batch_vocabulary(labels, full_vocab, cfg.getint("objective", "extras"), sample_rng)
-    word_embs = model.g.embed_words(vocab_words, model.lexicon)
-    batch = obj.MultiViewBatch(acoustic, labels, vocab_words, word_embs)
-    sampling = obj.SamplingConfig(k=cfg.getint("objective", "k"),
-                                  strategy=cfg.get("objective", "strategy"))
-    loss = obj.multiview_loss(batch, cfg.getfloat("objective", "margin"), sampling,
-                              terms=tuple(cfg.getints("objective", "terms")),
-                              sqrt_variant=cfg.getbool("objective", "sqrt_variant"),
-                              rng=sample_rng)
-    return ad.scale(loss, 1.0 / max(1, len(labels)))
+    return objective.multiview_loss(_span_embeddings(model, out, items), labels, model.g, model.lexicon,
+                                    full_vocab, objective.k, sample_rng)
 
 
 def regularizer_loss(model, fms, alignments, live: bool):
@@ -353,13 +346,7 @@ def train_asr(cfg: ExperimentConfig, outdir: str) -> dict:
         cfg = _merge_encoder_config(cfg, load_model_meta(cfg.get("recognizer", "init_checkpoint")))
     params = model.parameters()
     optimizer = build_optimizer(cfg)
-    scheduler = nn.PlateauScheduler(
-        lr=optimizer.lr,
-        patience=cfg.getint("scheduler", "patience"),
-        factor=cfg.getfloat("scheduler", "factor"),
-        min_lr=cfg.getfloat("scheduler", "min_lr"),
-        mode="min",
-    )
+    scheduler = build_scheduler(cfg, optimizer.lr, "min")
     shuffle_rng = component_rng(cfg.seed, "shuffle")
     dropout_rng = component_rng(cfg.seed, "dropout")
     sample_rng = component_rng(cfg.seed, "sampling")
@@ -369,6 +356,8 @@ def train_asr(cfg: ExperimentConfig, outdir: str) -> dict:
     scheme = cfg.get("recognizer", "scheme")
     batch_size = cfg.getint("training", "batch_size")
     s_max = cfg.getint("recognizer", "s_max")
+    objective = Objective(cfg)
+    window = (max(1, cfg.getint("training", "min_frames")), cfg.getint("training", "max_frames"))
 
     frozen_snapshot = model.pl.w.values.copy() if model.pl.mode == "static" else None
 
@@ -395,7 +384,8 @@ def train_asr(cfg: ExperimentConfig, outdir: str) -> dict:
                 asr = ad.scale(asr, 1.0 / max(1, n_tok))
                 emb_loss = reg_loss = None
                 if mode == "joint" and lam_emb > 0:
-                    emb_loss = joint_embedding_loss(model, cfg, out, fms, ds.train_align, sample_rng)
+                    emb_loss = joint_embedding_loss(model, objective, out, fms, ds.train_align, window,
+                                                    sample_rng)
                 if mode in ("pretrain", "joint") and lam_reg > 0 and model.pl.mode == "static" \
                         and not model.pl.w.frozen:
                     reg_loss = regularizer_loss(model, fms, ds.train_align, live=(mode == "joint"))
@@ -440,26 +430,15 @@ def train_asr(cfg: ExperimentConfig, outdir: str) -> dict:
     save_model(ckpt, params, meta)
     report = {"checkpoint": ckpt, "best_wer": best_wer, "epochs_run": len(history),
               "history": history, "config": cfg.resolved(), "version": SCHEMA_VERSION}
-    with open(os.path.join(outdir, "train_report.json"), "w", encoding="utf-8") as fh:
-        json.dump(report, fh, indent=1, sort_keys=True)
+    _dump_json(os.path.join(outdir, "train_report.json"), report)
     return report
 
 
 def rebuild_recognizer(checkpoint: str):
     meta = load_model_meta(checkpoint)
-    cfg = ExperimentConfig(meta["config"])
     vocab_words = [w for w in meta["vocab"] if w != meta["unk"]]
     vocab = cp.Vocabulary(vocab_words, unk_token=meta["unk"])
-    rng = component_rng(cfg.seed, "init")
-    f = build_acoustic_encoder(cfg, meta["input_dim"], rng)
-    lexicon = None
-    lex_path = cfg.get("data", "lexicon")
-    if lex_path and os.path.exists(lex_path):
-        lexicon = cp.load_lexicon(lex_path)
-    g = None
-    if meta["has_written"]:
-        ds = Dataset([], {}, [], {}, lexicon, _table_if_exists(cfg))
-        g = build_written_encoder(cfg, ds, vocab_words, f, rng)
+    cfg, f, g, lexicon = rebuild_encoders(meta, vocab_words if meta["has_written"] else None)
     if cfg.get("recognizer", "lexicon_mode") == "dynamic" and g is not None:
         pl = enc.PredictionLayer.from_written_encoder(
             vocab, g, lexicon, mode="dynamic", rng=component_rng(cfg.seed, "pred-init"))
@@ -477,11 +456,6 @@ def rebuild_recognizer(checkpoint: str):
     if cfg.getbool("recognizer", "freeze") and pl.mode == "static":
         pl.freeze()
     return model, meta, cfg
-
-
-def _table_if_exists(cfg):
-    path = cfg.get("data", "feature_table")
-    return cp.load_feature_table(path) if path and os.path.exists(path) else None
 
 
 def decode_archive(cfg: ExperimentConfig, checkpoint: str, archive_path: str, out_path: str,
@@ -512,7 +486,8 @@ def decode_archive(cfg: ExperimentConfig, checkpoint: str, archive_path: str, ou
         fh.write("# utterance_id\thypothesis\n")
         for fm, words in zip(fms, hyps):
             fh.write(f"{fm.utterance_id}\t{' '.join(words)}\n")
-    report = {"num_utterances": len(fms), "transcripts": trans_path,
+    # relative to the report, so reports of runs into different directories agree
+    report = {"num_utterances": len(fms), "transcripts": os.path.basename(trans_path),
               "config": cfg.resolved(), "version": SCHEMA_VERSION}
     if align_path:
         align = cp.load_alignments(align_path)
@@ -536,9 +511,7 @@ def export_embeddings(checkpoint: str, archive_path: str, out_path: str,
                       align_path: str | None = None, threads: int = 1) -> dict:
     """Dump (id, label, vector) rows for aligned segments (or whole
     utterances when no alignment is given)."""
-    from .pipelines import rebuild_embed_model
-
-    f, _, meta, _ = rebuild_embed_model(checkpoint)
+    f, _, _, _ = rebuild_embed_model(checkpoint)
     fms = cp.load_feature_archive(archive_path)
     align = cp.load_alignments(align_path) if align_path else None
     items = []
@@ -549,13 +522,7 @@ def export_embeddings(checkpoint: str, archive_path: str, out_path: str,
             for s, e, lab in align[fm.utterance_id].entries:
                 items.append((f"{fm.utterance_id}:{s}-{e}", lab, fm.frames[s:e]))
     d = f.config.embed_dim
-
-    def run(chunk):
-        return f.embed_segments_isolated([fr for _, _, fr in chunk]).values
-
-    chunks = [items[i : i + 64] for i in range(0, len(items), 64)]
-    embs = parallel_map(run, chunks, threads)
-    flat = np.concatenate(embs, axis=0) if embs else np.zeros((0, d))
+    flat = embed_frames(f, [fr for _, _, fr in items], threads)
     with open(out_path, "w", encoding="utf-8") as fh:
         fh.write("id\tlabel\t" + "\t".join(f"v{i}" for i in range(d)) + "\n")
         for (uid, lab, _), row in zip(items, flat):

@@ -262,32 +262,37 @@ def load_index(path) -> PermutedSignatureIndex:
         data = f.read()
     if data[:4] != INDEX_MAGIC:
         raise SearchError("not an index file")
-    version, b, P, seed, N, d = struct.unpack_from("<IIIqII", data, 4)
-    if version != INDEX_VERSION:
-        raise SearchError(f"unsupported index version {version}")
-    off = 4 + struct.calcsize("<IIIqII")
-    refs = []
-    for _ in range(N):
-        (nlen,) = struct.unpack_from("<H", data, off)
-        off += 2
-        uid = data[off : off + nlen].decode("utf-8")
-        off += nlen
-        start, size = struct.unpack_from("<II", data, off)
-        off += 8
-        refs.append(SegmentKey(uid, start, size))
-    row_bytes = (b + 7) // 8
-    packed = np.frombuffer(data, dtype=np.uint8, count=N * row_bytes, offset=off).reshape(N, row_bytes)
-    sigs = np.unpackbits(packed, axis=1)[:, :b]
-    off += N * row_bytes
-    perms = np.frombuffer(data, dtype="<u4", count=P * b, offset=off).reshape(P, b).astype(np.intp)
-    off += 4 * P * b
-    sorted_orders = []
-    for _ in range(P):
-        order = np.frombuffer(data, dtype="<u4", count=N, offset=off).astype(np.intp)
-        off += 4 * N
-        sorted_orders.append(order)
-    emb = np.frombuffer(data, dtype="<f4", count=N * d, offset=off).reshape(N, d).astype(np.float64)
-    off += 4 * N * d
+    # every read past the end of a truncated file raises struct.error or
+    # ValueError (short id, short array)
+    try:
+        version, b, P, seed, N, d = struct.unpack_from("<IIIqII", data, 4)
+        if version != INDEX_VERSION:
+            raise SearchError(f"unsupported index version {version}")
+        off = 4 + struct.calcsize("<IIIqII")
+        refs = []
+        for _ in range(N):
+            (nlen,) = struct.unpack_from("<H", data, off)
+            off += 2
+            uid = data[off : off + nlen].decode("utf-8")
+            off += nlen
+            start, size = struct.unpack_from("<II", data, off)
+            off += 8
+            refs.append(SegmentKey(uid, start, size))
+        row_bytes = (b + 7) // 8
+        packed = np.frombuffer(data, dtype=np.uint8, count=N * row_bytes, offset=off).reshape(N, row_bytes)
+        sigs = np.unpackbits(packed, axis=1)[:, :b]
+        off += N * row_bytes
+        perms = np.frombuffer(data, dtype="<u4", count=P * b, offset=off).reshape(P, b).astype(np.intp)
+        off += 4 * P * b
+        sorted_orders = []
+        for _ in range(P):
+            order = np.frombuffer(data, dtype="<u4", count=N, offset=off).astype(np.intp)
+            off += 4 * N
+            sorted_orders.append(order)
+        emb = np.frombuffer(data, dtype="<f4", count=N * d, offset=off).reshape(N, d).astype(np.float64)
+        off += 4 * N * d
+    except (struct.error, ValueError) as e:
+        raise SearchError(f"truncated or corrupt index file: {e}") from e
     if off != len(data):
         raise SearchError("trailing bytes in index file")
     planes = HyperplaneSet.create(b, d, seed)

@@ -58,16 +58,6 @@ class ScoreTensor:
         return out
 
 
-def segment_index_grid(T: int, S: int) -> np.ndarray:
-    index = np.full((T, S), -1, dtype=np.intp)
-    row = 0
-    for s in range(1, min(S, T) + 1):
-        n = T - s + 1
-        index[:n, s - 1] = np.arange(row, row + n)
-        row += n
-    return index
-
-
 def score_segments(encoder, frame_outputs: Tensor, prediction_layer, max_len: int,
                    label_subset=None) -> ScoreTensor:
     """u_{t,s,v} = W_v . f(X_{t:t+s}) + b_v over the whole lattice.

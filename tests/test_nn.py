@@ -1,4 +1,4 @@
-"""Recurrent cells, optimizers, schedulers, checkpoint format."""
+"""Recurrent cells and layers, optimizers, schedulers, checkpoint format."""
 
 import numpy as np
 import pytest
@@ -6,6 +6,41 @@ import pytest
 from awekit import autodiff as ad
 from awekit import nn
 from awekit.autodiff import Tape, Tensor
+
+# One recurrent step composed from autodiff primitives: the reference that
+# the fused layers in ``nn`` must match bit for bit.
+
+
+def _lstm_from_gates(gates_x, h_prev, c_prev, p):
+    h = p.hidden
+    z = ad.add(gates_x, ad.matmul(h_prev, p.w_h.tensor))
+    i = ad.sigmoid(ad.getitem(z, (slice(None), slice(0, h))))
+    f = ad.sigmoid(ad.getitem(z, (slice(None), slice(h, 2 * h))))
+    c_tilde = ad.tanh(ad.getitem(z, (slice(None), slice(2 * h, 3 * h))))
+    o = ad.sigmoid(ad.getitem(z, (slice(None), slice(3 * h, 4 * h))))
+    c = ad.add(ad.mul(i, c_tilde), ad.mul(f, c_prev))
+    return ad.mul(o, ad.tanh(c)), c
+
+
+def lstm_cell(x, h_prev, c_prev, p):
+    """One LSTM step on a (B, D) input; returns (h_t, c_t), each (B, H)."""
+    return _lstm_from_gates(ad.affine(x, p.w_x.tensor, p.b.tensor), h_prev, c_prev, p)
+
+
+def _gru_from_gates(gates_x, cand_x, h_prev, p):
+    h = p.hidden
+    ru = ad.sigmoid(ad.add(gates_x, ad.matmul(h_prev, p.w_h_ru.tensor)))
+    r = ad.getitem(ru, (slice(None), slice(0, h)))
+    u = ad.getitem(ru, (slice(None), slice(h, 2 * h)))
+    h_tilde = ad.tanh(ad.add(cand_x, ad.matmul(ad.mul(r, h_prev), p.w_h_c.tensor)))
+    one_minus_u = ad.add(ad.scale(u, -1.0), 1.0)
+    return ad.add(ad.mul(u, h_prev), ad.mul(one_minus_u, h_tilde))
+
+
+def gru_cell(x, h_prev, p):
+    """One GRU step on a (B, D) input; returns h_t of shape (B, H)."""
+    gates_x = ad.affine(x, p.w_x_ru.tensor, p.b_ru.tensor)
+    return _gru_from_gates(gates_x, ad.affine(x, p.w_x_c.tensor, p.b_c.tensor), h_prev, p)
 
 
 def _zero_lstm(d, h):
@@ -30,7 +65,7 @@ class TestLstmCell:
         # h=0.5*tanh(0.5*c_prev)
         p = _zero_lstm(3, 2)
         c_prev = np.array([[0.4, -1.2]])
-        h, c = nn.lstm_cell(Tensor(np.ones((1, 3))), Tensor(np.zeros((1, 2))), Tensor(c_prev), p)
+        h, c = lstm_cell(Tensor(np.ones((1, 3))), Tensor(np.zeros((1, 2))), Tensor(c_prev), p)
         np.testing.assert_allclose(c.values, 0.5 * c_prev)
         np.testing.assert_allclose(h.values, 0.5 * np.tanh(0.5 * c_prev))
 
@@ -41,7 +76,7 @@ class TestLstmCell:
         p = _zero_lstm(1, 1)
         p.w_x.values[...] = 1.0
         p.w_h.values[...] = 1.0
-        h, c = nn.lstm_cell(Tensor([[0.0]]), Tensor([[0.0]]), Tensor([[1.0]]), p)
+        h, c = lstm_cell(Tensor([[0.0]]), Tensor([[0.0]]), Tensor([[1.0]]), p)
         np.testing.assert_allclose(c.values, [[0.5]])
         np.testing.assert_allclose(h.values, [[0.5 * np.tanh(0.5)]])
 
@@ -53,7 +88,7 @@ class TestLstmCell:
         c0 = Tensor(rng.standard_normal((2, 2)))
 
         def f():
-            h, c = nn.lstm_cell(x, h0, c0, p)
+            h, c = lstm_cell(x, h0, c0, p)
             return ad.sum_(ad.mul(h, h)) + ad.sum_(ad.tanh(c))
 
         leaves = [x, h0, c0] + [q.tensor for q in p.parameters()]
@@ -64,12 +99,12 @@ class TestGruCell:
     def test_all_zero_params_halves_h_prev(self):
         p = _zero_gru(3, 2)
         h_prev = np.array([[0.8, -0.2]])
-        h = nn.gru_cell(Tensor(np.ones((1, 3))), Tensor(h_prev), p)
+        h = gru_cell(Tensor(np.ones((1, 3))), Tensor(h_prev), p)
         np.testing.assert_allclose(h.values, 0.5 * h_prev)
 
     def test_zero_state_zero_params_stays_zero(self):
         p = _zero_gru(2, 2)
-        h = nn.gru_cell(Tensor(np.zeros((1, 2))), Tensor(np.zeros((1, 2))), p)
+        h = gru_cell(Tensor(np.zeros((1, 2))), Tensor(np.zeros((1, 2))), p)
         np.testing.assert_allclose(h.values, 0.0)
 
     def test_gradient_matches_finite_differences(self):
@@ -79,7 +114,7 @@ class TestGruCell:
         h0 = Tensor(rng.standard_normal((2, 2)))
 
         def f():
-            return ad.sum_(ad.mul(nn.gru_cell(x, h0, p), nn.gru_cell(x, h0, p)))
+            return ad.sum_(ad.mul(gru_cell(x, h0, p), gru_cell(x, h0, p)))
 
         leaves = [x, h0] + [q.tensor for q in p.parameters()]
         assert ad.grad_check(f, leaves, eps=1e-4) <= 1e-5
@@ -112,6 +147,72 @@ class TestRecurrentLayer:
 
         leaves = [x] + [q.tensor for q in p.parameters()]
         assert ad.grad_check(f, leaves, eps=1e-4) <= 1e-5
+
+    def test_lstm_layer_gradients(self):
+        rng = np.random.default_rng(11)
+        p = nn.LstmParams.create("l", 2, 3, rng)
+        x = Tensor(rng.standard_normal((3, 4, 2)))
+        mask = np.array([[1.0, 1, 1, 1], [1, 1, 0, 0], [1, 0, 0, 0]])
+
+        def f():
+            fw = nn.run_recurrent_layer(p, x, mask)
+            bw = nn.run_recurrent_layer(p, x, mask, reverse=True)
+            return ad.sum_(ad.mul(fw, bw))
+
+        leaves = [x] + [q.tensor for q in p.parameters()]
+        assert ad.grad_check(f, leaves, eps=1e-4) <= 1e-5
+
+    @staticmethod
+    def _per_step_chain(p, x, mask, reverse):
+        """The layer as one tape node per primitive and step (the oracle)."""
+        B, T, D = x.values.shape
+        H = p.hidden
+        flat = ad.reshape(x, (B * T, D))
+        lstm = isinstance(p, nn.LstmParams)
+        if lstm:
+            gates = ad.reshape(ad.affine(flat, p.w_x.tensor, p.b.tensor), (B, T, 4 * H))
+        else:
+            gates = ad.reshape(ad.affine(flat, p.w_x_ru.tensor, p.b_ru.tensor), (B, T, 2 * H))
+            cand = ad.reshape(ad.affine(flat, p.w_x_c.tensor, p.b_c.tensor), (B, T, H))
+        h = c = ad.constant(np.zeros((B, H)))
+        outputs = [None] * T
+        for t in (range(T - 1, -1, -1) if reverse else range(T)):
+            m = mask[:, t : t + 1]
+            gx = ad.getitem(gates, (slice(None), t))
+            if lstm:
+                h_new, c_new = _lstm_from_gates(gx, h, c, p)
+                c = ad.masked_blend(c_new, c, m)
+            else:
+                h_new = _gru_from_gates(gx, ad.getitem(cand, (slice(None), t)), h, p)
+            h = ad.masked_blend(h_new, h, m)
+            outputs[t] = ad.mul_const(h, m)
+        return ad.stack(outputs, axis=1)
+
+    @pytest.mark.parametrize("kind", ["lstm", "gru"])
+    @pytest.mark.parametrize("reverse", [False, True])
+    def test_layer_matches_per_step_chain_bit_for_bit(self, kind, reverse):
+        rng = np.random.default_rng(12)
+        make = nn.LstmParams.create if kind == "lstm" else nn.GruParams.create
+        p = make("l", 5, 7, rng)
+        lengths = np.array([9, 4, 1, 7])
+        mask = (np.arange(9)[None, :] < lengths[:, None]).astype(np.float64)
+        x0 = rng.standard_normal((4, 9, 5)) * mask[:, :, None]
+        upstream = rng.standard_normal((4, 9, 7))
+        prior = {q.name: rng.standard_normal(q.values.shape) for q in p.parameters()}
+
+        def run(layer):
+            for q in p.parameters():  # gradients left over from an earlier use
+                q.tensor.grad = prior[q.name].copy()
+            x = Tensor(x0)
+            with Tape() as tape:
+                out = layer(p, x, mask, reverse)
+                loss = ad.add(ad.sum_(ad.mul(out, ad.constant(upstream))), ad.sum_(ad.mul(out, out)))
+            tape.backward(loss)
+            return [out.values, x.grad] + [q.tensor.grad for q in p.parameters()]
+
+        fused = run(lambda p, x, m, r: nn.run_recurrent_layer(p, x, m, reverse=r))
+        for got, want in zip(fused, run(self._per_step_chain)):
+            assert got.tobytes() == want.tobytes()
 
 
 class TestAdam:
@@ -238,6 +339,18 @@ class TestCheckpoint:
         path.write_bytes(b"XXXX" + b"\0" * 16)
         with pytest.raises(nn.CheckpointError):
             nn.load_checkpoint(path)
+
+    def test_truncated_file_rejected_at_every_offset(self, tmp_path):
+        params = [nn.Parameter("enc.w\u00e9", np.ones((3, 4))), nn.Parameter("b", np.zeros(4)),
+                  nn.Parameter("scalar", np.float64(0.5))]
+        path = tmp_path / "model.cadp"
+        nn.save_checkpoint(path, params)
+        data = path.read_bytes()
+        cut = tmp_path / "cut.cadp"
+        for n in range(len(data)):
+            cut.write_bytes(data[:n])
+            with pytest.raises(nn.CheckpointError):
+                nn.load_checkpoint(cut)
 
     def test_assign_shape_mismatch_rejected(self, tmp_path):
         p = nn.Parameter("w", np.zeros((2, 2)))

@@ -145,6 +145,25 @@ class TestTrainEmbed:
         assert (tmp_path / "d1" / "train_log.jsonl").read_text() == \
                (tmp_path / "d2" / "train_log.jsonl").read_text()
 
+    @pytest.mark.parametrize("epochs", ["1", "2"])
+    @pytest.mark.parametrize("extra", [
+        {},
+        {("objective", "contextual"): "true"},
+        {("objective", "kind"): "classifier", ("encoder", "embed_dim"): "8"},
+        {("objective", "kind"): "triplet", ("objective", "strategy"): "uniform"},
+    ], ids=["isolated-multiview", "contextual-multiview", "classifier", "uniform-triplet"])
+    def test_best_epoch_dev_ap_equals_eval_ap(self, corpus_dir, tmp_path, extra, epochs):
+        cfg = small_cfg(corpus_dir, {("training", "epochs"): epochs, **extra})
+        report = pipelines.train_embed(cfg, tmp_path / "run")
+        log = [json.loads(line) for line in (tmp_path / "run" / "train_log.jsonl").read_text().splitlines()]
+        best = log[0]
+        for entry in log[1:]:  # the scheduler keeps the first strictly better epoch
+            if entry["metric"] > best["metric"]:
+                best = entry
+        ap = pipelines.eval_ap(cfg, report["checkpoint"], tmp_path / "ap.json")
+        assert ap["acoustic_ap"] == best["acoustic_ap"]
+        assert ap.get("cross_view_ap") == best["cross_view_ap"]
+
     def test_thread_count_does_not_change_results(self, corpus_dir, tmp_path):
         cfg1 = small_cfg(corpus_dir, {("run", "threads"): "1"})
         cfg4 = small_cfg(corpus_dir, {("run", "threads"): "4"})
@@ -314,6 +333,24 @@ class TestCli:
                      "--checkpoint", str(ckpt), "--out", str(tmp_path / "ap.json")]) == 0
         report = json.loads((tmp_path / "ap.json").read_text())
         assert "acoustic_ap" in report and "config" in report
+
+    def test_truncated_checkpoint_and_index_exit_code(self, corpus_dir, tmp_path):
+        from awekit.cli import main
+
+        cfg = small_cfg(corpus_dir, {("training", "epochs"): "0"})
+        ckpt = pipelines.train_embed(cfg, tmp_path / "emb")["checkpoint"]
+        index = tmp_path / "dev.cadi"
+        pipelines.build_search_index(cfg, ckpt, corpus_dir["dev"], index)
+        common = ["--seed", "9"]
+        for key in ("train", "train_align", "dev", "dev_align", "lexicon"):
+            common += ["--set", f"data.{key}={corpus_dir[key]}"]
+        index.write_bytes(index.read_bytes()[:-3])
+        assert main(["query", *common, "--checkpoint", ckpt, "--index", str(index),
+                     "--queries", corpus_dir["dev"], "--query-align", corpus_dir["dev_align"],
+                     "--out", str(tmp_path / "q.json")]) == 3
+        with open(ckpt, "r+b") as fh:
+            fh.truncate(100)
+        assert main(["eval-ap", *common, "--checkpoint", ckpt, "--out", str(tmp_path / "ap.json")]) == 3
 
     def test_data_error_exit_code(self, tmp_path):
         from awekit.cli import main

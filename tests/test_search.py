@@ -161,6 +161,19 @@ class TestIndex:
         ]
         np.testing.assert_allclose([s for _, s in a], [s for _, s in b], atol=1e-7)
 
+    def test_truncated_file_rejected_at_every_offset(self, tmp_path):
+        rng = np.random.default_rng(14)
+        emb, refs = _random_db(rng, n=6, d=4)
+        refs[0] = SegmentKey("utt\u00e9", 0, 10)
+        path = tmp_path / "segments.cadi"
+        search.save_index(path, search.build_index(emb, refs, bits=16, permutations=2, seed=1))
+        data = path.read_bytes()
+        cut = tmp_path / "cut.cadi"
+        for n in range(len(data)):
+            cut.write_bytes(data[:n])
+            with pytest.raises(search.SearchError):
+                search.load_index(cut)
+
 
 class TestQbeScore:
     def test_identical_window_scores_one(self):
