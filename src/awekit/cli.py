@@ -18,7 +18,7 @@ import json
 import sys
 
 from . import corpus as cp
-from . import nn, pipelines, recognition, search, synth
+from . import ctc, nn, pipelines, recognition, search, segmental, synth
 from .config import ConfigError, ExperimentConfig
 
 EXIT_CONFIG = 2
@@ -174,7 +174,7 @@ def main(argv=None) -> int:
         print(f"configuration error: {e}", file=sys.stderr)
         return EXIT_CONFIG
     except (pipelines.DataError, cp.CorpusError, nn.CheckpointError, search.SearchError,
-            FileNotFoundError) as e:
+            ctc.CtcError, segmental.SegmentalError, FileNotFoundError) as e:
         print(f"data error: {e}", file=sys.stderr)
         return EXIT_DATA
     except (FloatingPointError, ZeroDivisionError, OverflowError) as e:

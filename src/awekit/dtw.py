@@ -4,7 +4,8 @@ The cost matrix uses infinite borders with C[0,0] = 0 and the symmetric
 3-move predecessor set {(i-1,j), (i,j-1), (i-1,j-1)}; the returned value
 is C[N,M], optionally divided by the number of steps on one optimal path
 (path-length normalization). Memory is a two-row rolling buffer plus a
-step-count row when normalizing.
+step-count row when normalizing. ``dtw_cost_batch`` holds the one
+recurrence; ``dtw_cost`` runs it on a single pair.
 """
 
 from __future__ import annotations
@@ -49,46 +50,23 @@ def frame_distances(x: np.ndarray, y: np.ndarray, kind: str) -> np.ndarray:
 
 
 def dtw_cost(x: np.ndarray, y: np.ndarray, cfg: DtwConfig = DtwConfig()) -> float:
-    """Optimal monotone alignment cost between two frame sequences.
+    """Optimal monotone alignment cost between two frame sequences: the
+    batch kernel on one pair.
 
     Zero-norm frames under the cosine distance score distance 1 against
     everything and bump the shared zero-norm event counter.
     """
-    d = frame_distances(x, y, cfg.frame_distance)
-    N, M = d.shape
-    track_steps = cfg.normalization == "path-length"
-
-    prev = np.full(M + 1, np.inf)
-    prev[0] = 0.0
-    cur = np.empty(M + 1)
-    if track_steps:
-        prev_steps = np.zeros(M + 1, dtype=np.int64)
-        cur_steps = np.zeros(M + 1, dtype=np.int64)
-    for i in range(1, N + 1):
-        cur[0] = np.inf
-        row = d[i - 1]
-        for j in range(1, M + 1):
-            moves = (prev[j - 1], prev[j], cur[j - 1])  # diag, up, left
-            best = int(np.argmin(moves))
-            cur[j] = row[j - 1] + moves[best]
-            if track_steps:
-                cur_steps[j] = 1 + (prev_steps[j - 1], prev_steps[j], cur_steps[j - 1])[best]
-        prev, cur = cur, prev
-        if track_steps:
-            prev_steps, cur_steps = cur_steps, prev_steps
-    cost = float(prev[M])
-    if track_steps:
-        return cost / int(prev_steps[M])
-    return cost
+    return float(dtw_cost_batch([(x, y)], cfg)[0])
 
 
 def dtw_cost_batch(pairs, cfg: DtwConfig = DtwConfig(), chunk: int = 2048) -> np.ndarray:
     """DTW costs for many (x, y) pairs at once.
 
-    Runs the same recurrence as ``dtw_cost`` with the cell loop vectorized
-    across pairs (pairs padded to the chunk's max lengths; padding cells
-    never feed a real pair's terminal cell because the DP only moves
-    forward). Exact same values as the scalar routine.
+    The one DTW recurrence: the cell loop runs over a two-row buffer and
+    is vectorized across pairs (pairs padded to the chunk's max lengths;
+    padding cells never feed a real pair's terminal cell because the DP
+    only moves forward), so a pair's cost does not depend on the pairs it
+    is batched with. Ties between predecessors go diagonal, up, left.
     """
     out = np.empty(len(pairs))
     track_steps = cfg.normalization == "path-length"
@@ -129,22 +107,3 @@ def dtw_cost_batch(pairs, cfg: DtwConfig = DtwConfig(), chunk: int = 2048) -> np
         out[c0 : c0 + P] = result / res_steps if track_steps else result
     return out
 
-
-def dtw_cost_matrix(xs, ys=None, cfg: DtwConfig = DtwConfig()) -> np.ndarray:
-    """Pairwise DTW costs; with ys=None computes the condensed upper
-    triangle of xs against itself (pairs i<j), matching pair order of
-    word-discrimination evaluation."""
-    if ys is not None:
-        out = np.empty((len(xs), len(ys)))
-        for i, x in enumerate(xs):
-            for j, y in enumerate(ys):
-                out[i, j] = dtw_cost(x, y, cfg)
-        return out
-    n = len(xs)
-    out = np.empty(n * (n - 1) // 2)
-    k = 0
-    for i in range(n):
-        for j in range(i + 1, n):
-            out[k] = dtw_cost(xs[i], xs[j], cfg)
-            k += 1
-    return out

@@ -14,6 +14,13 @@ Isolated segments go through ``embed_frames`` (also used by
 multi-view batch loss; ``train_embed`` and joint recognizer training
 take their loss settings from it.
 
+``train_epochs`` is the one training loop, run by ``train_embed`` and
+``recognition.train_asr``: length-bucketed batches, the optimizer step
+(a non-finite batch loss raises FloatingPointError first), the
+[scheduler] rule, reset-to-best on a plateau, ``train_log.jsonl``, and
+the best epoch's weights at the end. Each trainer passes in its batch
+lengths, its batch loss and its per-epoch dev evaluation.
+
 Every pipeline is deterministic given (config, seed, inputs): random
 streams derive from the master seed per component, batch formation is
 independent of the thread count, and parallel maps preserve order.
@@ -100,14 +107,14 @@ def _segment_frames(pairs) -> list:
     return [fm.frames[s.start : s.end] for fm, s in pairs]
 
 
-def _length_bucketed_batches(n_items, lengths, batch_size, rng):
+def _length_bucketed_batches(lengths, batch_size, rng):
     """Batches of similar lengths in a seeded random order.
 
     Items are sorted by length (ties by index), cut into consecutive
     batches, and the batch order is shuffled.
     """
-    order = np.lexsort((np.arange(n_items), np.asarray(lengths)))
-    batches = [order[i : i + batch_size] for i in range(0, n_items, batch_size)]
+    order = np.lexsort((np.arange(len(lengths)), np.asarray(lengths)))
+    batches = [order[i : i + batch_size] for i in range(0, len(lengths), batch_size)]
     rng.shuffle(batches)
     return [b.tolist() for b in batches]
 
@@ -177,16 +184,6 @@ def build_optimizer(cfg: ExperimentConfig):
     if kind == "sgd":
         return nn.NesterovSGD(cfg.getfloat("optimizer", "lr"), cfg.getfloat("optimizer", "momentum"))
     raise ConfigError(f"unknown optimizer {kind!r}")
-
-
-def build_scheduler(cfg: ExperimentConfig, lr: float, mode: str) -> nn.PlateauScheduler:
-    return nn.PlateauScheduler(
-        lr=lr,
-        patience=cfg.getint("scheduler", "patience"),
-        factor=cfg.getfloat("scheduler", "factor"),
-        min_lr=cfg.getfloat("scheduler", "min_lr"),
-        mode=mode,
-    )
 
 
 def _snapshot(params):
@@ -358,6 +355,82 @@ def dev_ap(f: enc.AcousticEncoder, g, objective: Objective, ds: Dataset, min_fra
 
 
 # ---------------------------------------------------------------------------
+# The training loop
+
+
+def word_span_items(f: enc.AcousticEncoder, entries, min_frames: int, max_frames: int):
+    """(row, start, end) output-frame spans and their labels for the
+    (start, end, label) input-frame entries of each batch row whose
+    length is in [min_frames, max_frames]."""
+    items, labels = [], []
+    for row, row_entries in enumerate(entries):
+        for s, e, lab in row_entries:
+            if min_frames <= e - s <= max_frames:
+                items.append((row, f.map_start(s), f.map_end(e)))
+                labels.append(lab)
+    return items, labels
+
+
+def train_epochs(cfg: ExperimentConfig, outdir: str, params, lengths, batch_loss, evaluate,
+                 mode: str) -> tuple:
+    """Train ``params`` for [training] epochs and leave the best epoch's
+    weights in them; returns (best dev metric or None, log entries).
+
+    An epoch takes one optimizer step per length-bucketed batch of the
+    items with ``lengths`` (batch order from the "shuffle" stream) on
+    ``batch_loss(batch_ids, batches_done)``; a non-finite batch loss
+    raises FloatingPointError before it reaches the weights. Then
+    ``evaluate()`` returns ``(metric, fields, stop)``: the dev metric
+    (higher is better with ``mode`` "max", lower with "min"), the fields
+    it adds to the epoch's ``train_log.jsonl`` line, and whether to stop.
+    The learning rate follows the [scheduler] rule; the first epoch with
+    the best metric is kept, and a metric plateau resets to it."""
+    optimizer = build_optimizer(cfg)
+    factor = cfg.getfloat("scheduler", "factor")
+    scheduler = nn.PlateauScheduler(optimizer.lr, cfg.getint("scheduler", "patience"), factor,
+                                    cfg.getfloat("scheduler", "min_lr"), mode)
+    loss_rule = nn.LossPlateauHeuristic(optimizer.lr, factor) \
+        if cfg.get("scheduler", "rule") == "loss-heuristic" else None
+    shuffle_rng = component_rng(cfg.seed, "shuffle")
+    batch_size = cfg.getint("training", "batch_size")
+    best_snap = _snapshot(params)
+    best_metric = None
+    batches_done = 0
+    history = []
+    with open(os.path.join(outdir, "train_log.jsonl"), "w", encoding="utf-8") as log_file:
+        for epoch in range(cfg.getint("training", "epochs")):
+            epoch_loss = 0.0
+            batches = _length_bucketed_batches(lengths, batch_size, shuffle_rng)
+            for batch_ids in batches:
+                nn.zero_grads(params)
+                with Tape() as tape:
+                    loss = batch_loss(batch_ids, batches_done)
+                value = float(loss.values)
+                if not np.isfinite(value):
+                    raise FloatingPointError(f"training loss {value} at batch {batches_done}")
+                tape.backward(loss)
+                optimizer.step(params)
+                epoch_loss += value
+                batches_done += 1
+            mean_loss = epoch_loss / max(1, len(batches))
+            metric, fields, stop = evaluate()
+            decision = scheduler.update(metric)
+            optimizer.lr = decision.lr if loss_rule is None else loss_rule.update(mean_loss)
+            if decision.improved or best_metric is None:
+                best_metric = metric
+                best_snap = _snapshot(params)
+            elif decision.reset_to_best:
+                _restore(params, best_snap)
+            entry = {"epoch": epoch, "loss": mean_loss, **fields, "lr": optimizer.lr}
+            history.append(entry)
+            log_file.write(json.dumps(entry, sort_keys=True) + "\n")
+            if decision.stop or stop:
+                break
+    _restore(params, best_snap)
+    return best_metric, history
+
+
+# ---------------------------------------------------------------------------
 # Embedding training
 
 
@@ -391,16 +464,11 @@ def train_embed(cfg: ExperimentConfig, outdir: str) -> dict:
             )
     elif kind != "triplet":
         raise ConfigError(f"unknown objective kind {kind!r}")
+    if objective.contextual and kind != "multiview":
+        # contextual batches are utterances, which only the multi-view loss trains on
+        raise ConfigError(f"[objective] contextual = true needs kind multiview, not {kind!r}")
 
-    optimizer = build_optimizer(cfg)
-    scheduler = build_scheduler(cfg, optimizer.lr, "max")
-    loss_rule = nn.LossPlateauHeuristic(optimizer.lr, cfg.getfloat("scheduler", "factor")) \
-        if cfg.get("scheduler", "rule") == "loss-heuristic" else None
-
-    rngs = {name: component_rng(seed, name)
-            for name in ("shuffle", "sampling", "dropout", "augment", "spans")}
-    batch_size = cfg.getint("training", "batch_size")
-    epochs = cfg.getint("training", "epochs")
+    rngs = {name: component_rng(seed, name) for name in ("sampling", "dropout", "augment", "spans")}
     label_index = {w: i for i, w in enumerate(train_labels)}
     confusion = obj.ConfusionMatrix(len(train_labels), objective.confusion_threshold) \
         if (kind == "triplet" and objective.strategy == "confusion") else None
@@ -408,26 +476,22 @@ def train_embed(cfg: ExperimentConfig, outdir: str) -> dict:
     for idx, (_, s) in enumerate(train_segments):
         by_label.setdefault(s.label, []).append(idx)
 
-    def batch_loss(batch_ids, k):
+    def batch_loss(batch_ids, batches_done):
         if kind == "triplet":
             return _triplet_batch_loss(objective, f, train_segments, batch_ids, by_label, label_index,
                                        confusion, rngs)
-        if kind == "multiview" and objective.contextual:
+        if objective.contextual:
             fms = [ds.train[i] for i in batch_ids]
             aligns = [ds.train_align[fm.utterance_id] for fm in fms]
             if use_augment:
                 fms = [cp.spec_augment(fm, al, rngs["augment"]) for fm, al in zip(fms, aligns)]
             x, mask, _ = enc.pad_and_mask([fm.frames for fm in fms], f.config.subsample)
             out, _ = f.encode_padded(Tensor(x), mask, train=True, rng=rngs["dropout"])
-            items, labels = [], []
-            for row, al in enumerate(aligns):
-                entries = al.entries
-                if objective.spans:
-                    entries = [(s, e, " ".join(vs)) for s, e, vs in cp.merge_spans(al, rngs["spans"]).entries]
-                for s, e, lab in entries:
-                    if min_f <= e - s <= max_f:
-                        items.append((row, f.map_start(s), f.map_end(e)))
-                        labels.append(lab)
+            entries = [al.entries for al in aligns]
+            if objective.spans:
+                entries = [[(s, e, " ".join(vs)) for s, e, vs in cp.merge_spans(al, rngs["spans"]).entries]
+                           for al in aligns]
+            items, labels = word_span_items(f, entries, min_f, max_f)
             if not items:
                 return ad.constant(0.0)
             acoustic = f.project(f.pool_batch(out, items))
@@ -438,57 +502,23 @@ def train_embed(cfg: ExperimentConfig, outdir: str) -> dict:
         if kind == "classifier":
             ids = [label_index[v] for v in labels]
             return ad.scale(obj.cross_entropy_batch(acoustic, ids), 1.0 / len(batch_ids))
-        return objective.multiview_loss(acoustic, labels, g, ds.lexicon, train_labels, k, rngs["sampling"])
+        return objective.multiview_loss(acoustic, labels, g, ds.lexicon, train_labels,
+                                        objective.k_at(batches_done), rngs["sampling"])
 
-    log_path = os.path.join(outdir, "train_log.jsonl")
-    log_file = open(log_path, "w", encoding="utf-8")
-    best_snap = _snapshot(params)
-    best_metric = None
-    batches_done = 0
-    history = []
-
-    for epoch in range(epochs):
-        epoch_loss = 0.0
-        n_batches = 0
-        if objective.contextual:
-            lengths = [fm.num_frames for fm in ds.train]
-        else:
-            lengths = [s.length for _, s in train_segments]
-        for batch_ids in _length_bucketed_batches(len(lengths), lengths, batch_size, rngs["shuffle"]):
-            nn.zero_grads(params)
-            with Tape() as tape:
-                loss = batch_loss(batch_ids, objective.k_at(batches_done))
-            tape.backward(loss)
-            optimizer.step(params)
-            epoch_loss += float(loss.values)
-            n_batches += 1
-            batches_done += 1
-        mean_loss = epoch_loss / max(1, n_batches)
-
+    def evaluate():
         ap = dev_ap(f, g, objective, ds, min_f, max_f, cfg.threads)
-        acoustic, xv = ap["acoustic_ap"], ap.get("cross_view_ap")
-        metric = acoustic if xv is None else xv
-        decision = scheduler.update(metric)
-        if loss_rule is not None:
-            optimizer.lr = loss_rule.update(mean_loss)
-        else:
-            optimizer.lr = decision.lr
-        if decision.improved or best_metric is None:
-            best_metric = metric
-            best_snap = _snapshot(params)
-        elif decision.reset_to_best:
-            _restore(params, best_snap)
-        entry = {"epoch": epoch, "loss": mean_loss, "acoustic_ap": acoustic,
-                 "cross_view_ap": xv, "lr": optimizer.lr, "metric": metric}
-        history.append(entry)
-        log_file.write(json.dumps(entry, sort_keys=True) + "\n")
         if confusion is not None:
             confusion.reset()
-        if decision.stop:
-            break
-    log_file.close()
+        acoustic, xv = ap["acoustic_ap"], ap.get("cross_view_ap")
+        metric = acoustic if xv is None else xv
+        return metric, {"acoustic_ap": acoustic, "cross_view_ap": xv, "metric": metric}, False
 
-    _restore(params, best_snap)
+    if objective.contextual:
+        lengths = [fm.num_frames for fm in ds.train]
+    else:
+        lengths = [s.length for _, s in train_segments]
+    best_metric, history = train_epochs(cfg, outdir, params, lengths, batch_loss, evaluate, "max")
+
     ckpt = os.path.join(outdir, "embed.cadp")
     meta = {
         "version": SCHEMA_VERSION,

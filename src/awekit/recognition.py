@@ -7,12 +7,13 @@ prediction layer from written-view embeddings (optionally frozen), and
 can regularize rows toward the (fixed) written embeddings; "joint" adds
 the contrastive embedding loss with a live written encoder. Lexicon mode
 "static" keeps the prediction rows as free parameters; "dynamic" rebuilds
-them from the written encoder every batch.
+them from the written encoder every batch. ``train_asr`` runs the shared
+loop ``pipelines.train_epochs`` with the recognizer's batch loss and its
+dev WER.
 """
 
 from __future__ import annotations
 
-import json
 import os
 
 import numpy as np
@@ -25,20 +26,15 @@ from . import metrics as mx
 from . import nn
 from . import objectives as obj
 from . import segmental as segm
-from .autodiff import Tape, Tensor
+from .autodiff import Tensor
 from .config import SCHEMA_VERSION, ConfigError, ExperimentConfig, component_rng
 from .pipelines import (
     DataError,
     Dataset,
     Objective,
     _dump_json,
-    _length_bucketed_batches,
-    _restore,
-    _snapshot,
     _write_report,
     build_acoustic_encoder,
-    build_optimizer,
-    build_scheduler,
     build_written_encoder,
     embed_frames,
     load_dataset,
@@ -47,6 +43,8 @@ from .pipelines import (
     rebuild_embed_model,
     rebuild_encoders,
     save_model,
+    train_epochs,
+    word_span_items,
 )
 
 UNK_TOKEN = "<unk>"
@@ -87,7 +85,10 @@ def _merge_encoder_config(cfg: ExperimentConfig, ckpt_meta: dict) -> ExperimentC
     return ExperimentConfig(merged)
 
 
-def build_recognizer(cfg: ExperimentConfig, ds: Dataset, input_dim: int) -> RecognizerModel:
+def build_recognizer(cfg: ExperimentConfig, ds: Dataset, input_dim: int):
+    """(model, config) of a new recognizer. In pretrain and joint mode the
+    returned config takes its weight-bearing encoder fields from the init
+    checkpoint."""
     kind = cfg.get("recognizer", "kind")
     if kind not in ("ctc", "segmental"):
         raise ConfigError(f"unknown recognizer kind {kind!r}")
@@ -147,7 +148,7 @@ def build_recognizer(cfg: ExperimentConfig, ds: Dataset, input_dim: int) -> Reco
         blank_b = nn.Parameter("blank.b", np.zeros(1))
     model = RecognizerModel(kind, f, g, pl, blank_w, blank_b, vocab, ds.lexicon)
     _rescale_projection(model, ds)
-    return model
+    return model, cfg
 
 
 def _rescale_projection(model, ds: Dataset, sample: int = 64):
@@ -262,26 +263,16 @@ def segmental_batch_loss(model, fms, alignments, cfg, train=True, rng=None, samp
     return total, n, out, lengths
 
 
-def _word_segment_items(model, fms, alignments, min_f, max_f):
-    items, labels = [], []
-    for row, fm in enumerate(fms):
-        for s, e, lab in alignments[fm.utterance_id].entries:
-            if min_f <= e - s <= max_f:
-                items.append((row, model.f.map_start(s), model.f.map_end(e)))
-                labels.append(lab)
-    return items, labels
-
-
-def joint_embedding_loss(model, objective: Objective, out, fms, alignments, window, sample_rng):
-    """Contrastive multi-view loss over the batch's word segments whose
-    length is in ``window`` = (min, max) frames, with the objective's
-    fixed k (the k_end schedule of embedding training is not applied)."""
-    items, labels = _word_segment_items(model, fms, alignments, *window)
+def joint_embedding_loss(model, objective: Objective, out, fms, alignments, window, k, sample_rng):
+    """Contrastive multi-view loss with ``k`` negatives over the batch's
+    word segments whose length is in ``window`` = (min, max) frames."""
+    entries = [alignments[fm.utterance_id].entries for fm in fms]
+    items, labels = word_span_items(model.f, entries, *window)
     if not items:
         return None
     full_vocab = [v for v in model.vocab.labels if v != model.vocab.unk_token]
     return objective.multiview_loss(_span_embeddings(model, out, items), labels, model.g, model.lexicon,
-                                    full_vocab, objective.k, sample_rng)
+                                    full_vocab, k, sample_rng)
 
 
 def regularizer_loss(model, fms, alignments, live: bool):
@@ -341,76 +332,44 @@ def dev_wer(model, fms, alignments, threads: int, s_max: int = 32) -> float:
 def train_asr(cfg: ExperimentConfig, outdir: str) -> dict:
     os.makedirs(outdir, exist_ok=True)
     ds = load_dataset(cfg)
-    model = build_recognizer(cfg, ds, ds.train[0].dim)
-    if cfg.get("recognizer", "training_mode") in ("pretrain", "joint"):
-        cfg = _merge_encoder_config(cfg, load_model_meta(cfg.get("recognizer", "init_checkpoint")))
+    model, cfg = build_recognizer(cfg, ds, ds.train[0].dim)
     params = model.parameters()
-    optimizer = build_optimizer(cfg)
-    scheduler = build_scheduler(cfg, optimizer.lr, "min")
-    shuffle_rng = component_rng(cfg.seed, "shuffle")
     dropout_rng = component_rng(cfg.seed, "dropout")
     sample_rng = component_rng(cfg.seed, "sampling")
     mode = cfg.get("recognizer", "training_mode")
     lam_emb = cfg.getfloat("recognizer", "lambda_emb")
     lam_reg = cfg.getfloat("recognizer", "lambda_reg")
     scheme = cfg.get("recognizer", "scheme")
-    batch_size = cfg.getint("training", "batch_size")
     s_max = cfg.getint("recognizer", "s_max")
+    stop_at = cfg.getfloat("training", "stop_at_wer")
     objective = Objective(cfg)
     window = (max(1, cfg.getint("training", "min_frames")), cfg.getint("training", "max_frames"))
 
     frozen_snapshot = model.pl.w.values.copy() if model.pl.mode == "static" else None
 
-    history = []
-    best_snap = _snapshot(params)
-    best_wer = None
-    log_file = open(os.path.join(outdir, "train_log.jsonl"), "w", encoding="utf-8")
-    for epoch in range(cfg.getint("training", "epochs")):
-        epoch_loss = 0.0
-        n_batches = 0
-        order = _length_bucketed_batches(
-            len(ds.train), [fm.num_frames for fm in ds.train], batch_size, shuffle_rng)
-        for batch_ids in order:
-            fms = [ds.train[i] for i in batch_ids]
-            nn.zero_grads(params)
-            with Tape() as tape:
-                if model.kind == "ctc":
-                    asr, n_tok, out, _ = ctc_batch_loss(model, fms, ds.train_align,
-                                                        train=True, rng=dropout_rng)
-                else:
-                    asr, n_tok, out, _ = segmental_batch_loss(model, fms, ds.train_align, cfg,
-                                                              train=True, rng=dropout_rng,
-                                                              sample_rng=sample_rng)
-                asr = ad.scale(asr, 1.0 / max(1, n_tok))
-                emb_loss = reg_loss = None
-                if mode == "joint" and lam_emb > 0:
-                    emb_loss = joint_embedding_loss(model, objective, out, fms, ds.train_align, window,
-                                                    sample_rng)
-                if mode in ("pretrain", "joint") and lam_reg > 0 and model.pl.mode == "static" \
-                        and not model.pl.w.frozen:
-                    reg_loss = regularizer_loss(model, fms, ds.train_align, live=(mode == "joint"))
-                loss = obj.combine_joint(asr, emb_loss, reg_loss, lam_emb, lam_reg, scheme)
-            tape.backward(loss)
-            optimizer.step(params)
-            epoch_loss += float(loss.values)
-            n_batches += 1
+    def batch_loss(batch_ids, batches_done):
+        fms = [ds.train[i] for i in batch_ids]
+        if model.kind == "ctc":
+            asr, n_tok, out, _ = ctc_batch_loss(model, fms, ds.train_align, train=True, rng=dropout_rng)
+        else:
+            asr, n_tok, out, _ = segmental_batch_loss(model, fms, ds.train_align, cfg, train=True,
+                                                      rng=dropout_rng, sample_rng=sample_rng)
+        asr = ad.scale(asr, 1.0 / max(1, n_tok))
+        emb_loss = reg_loss = None
+        if mode == "joint" and lam_emb > 0:
+            emb_loss = joint_embedding_loss(model, objective, out, fms, ds.train_align, window,
+                                            objective.k_at(batches_done), sample_rng)
+        if mode in ("pretrain", "joint") and lam_reg > 0 and model.pl.mode == "static" \
+                and not model.pl.w.frozen:
+            reg_loss = regularizer_loss(model, fms, ds.train_align, live=(mode == "joint"))
+        return obj.combine_joint(asr, emb_loss, reg_loss, lam_emb, lam_reg, scheme)
+
+    def evaluate():
         wer = dev_wer(model, ds.dev, ds.dev_align, cfg.threads, s_max=s_max)
-        decision = scheduler.update(wer)
-        optimizer.lr = decision.lr
-        if decision.improved or best_wer is None:
-            best_wer = wer
-            best_snap = _snapshot(params)
-        elif decision.reset_to_best:
-            _restore(params, best_snap)
-        entry = {"epoch": epoch, "loss": epoch_loss / max(1, n_batches), "dev_wer": wer,
-                 "lr": optimizer.lr}
-        history.append(entry)
-        log_file.write(json.dumps(entry, sort_keys=True) + "\n")
-        stop_at = cfg.getfloat("training", "stop_at_wer")
-        if decision.stop or (stop_at > 0 and wer <= stop_at):
-            break
-    log_file.close()
-    _restore(params, best_snap)
+        return wer, {"dev_wer": wer}, stop_at > 0 and wer <= stop_at
+
+    best_wer, history = train_epochs(cfg, outdir, params, [fm.num_frames for fm in ds.train],
+                                     batch_loss, evaluate, "min")
     if frozen_snapshot is not None and model.pl.w.frozen:
         assert np.array_equal(model.pl.w.values, frozen_snapshot), "freeze contract violated"
 

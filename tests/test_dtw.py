@@ -129,13 +129,3 @@ class TestDtwBatch:
         got = dtw.dtw_cost_batch(pairs, cfg, chunk=7)
         want = np.array([dtw.dtw_cost(x, y, cfg) for x, y in pairs])
         np.testing.assert_allclose(got, want, atol=1e-12)
-
-    def test_condensed_matrix_order(self):
-        rng = np.random.default_rng(6)
-        xs = [rng.standard_normal((3, 2)) for _ in range(4)]
-        cond = dtw.dtw_cost_matrix(xs)
-        k = 0
-        for i in range(4):
-            for j in range(i + 1, 4):
-                assert cond[k] == pytest.approx(dtw.dtw_cost(xs[i], xs[j]))
-                k += 1

@@ -117,6 +117,16 @@ class TestTrainEmbed:
         assert os.path.exists(report["checkpoint"])
         assert 0.0 <= report["final"]["acoustic_ap"] <= 1.0
 
+    @pytest.mark.parametrize("kind,extra", [
+        ("classifier", {("encoder", "embed_dim"): "8"}),
+        ("triplet", {("objective", "strategy"): "uniform"}),
+    ])
+    def test_contextual_needs_multiview(self, corpus_dir, tmp_path, kind, extra):
+        cfg = small_cfg(corpus_dir, {("objective", "kind"): kind, ("objective", "contextual"): "true",
+                                     **extra})
+        with pytest.raises(ConfigError, match="contextual"):
+            pipelines.train_embed(cfg, tmp_path / "run")
+
     def test_classifier_objective(self, corpus_dir, tmp_path):
         cfg = small_cfg(corpus_dir, {("objective", "kind"): "classifier",
                                        ("encoder", "embed_dim"): "8"})
@@ -173,6 +183,43 @@ class TestTrainEmbed:
         a1 = pipelines.eval_ap(cfg1, r1["checkpoint"], tmp_path / "ap1.json")
         a4 = pipelines.eval_ap(cfg4, r4["checkpoint"], tmp_path / "ap4.json")
         assert a1["acoustic_ap"] == a4["acoustic_ap"]
+
+
+def _nan_on_second_call(monkeypatch, owner, name):
+    """Make the second call of ``owner.name`` return a NaN loss."""
+    from awekit import autodiff as ad
+
+    orig = getattr(owner, name)
+    calls = []
+
+    def patched(*args, **kwargs):
+        loss = orig(*args, **kwargs)
+        calls.append(1)
+        return ad.scale(loss, float("nan")) if len(calls) == 2 else loss
+
+    monkeypatch.setattr(owner, name, patched)
+
+
+class TestNonFiniteLoss:
+    def test_train_embed_raises_before_the_step(self, corpus_dir, tmp_path, monkeypatch):
+        _nan_on_second_call(monkeypatch, pipelines.Objective, "multiview_loss")
+        steps = []
+        orig_step = pipelines.nn.Adam.step
+        monkeypatch.setattr(pipelines.nn.Adam, "step", lambda self, params: steps.append(1) or
+                            orig_step(self, params))
+        with pytest.raises(FloatingPointError):
+            pipelines.train_embed(small_cfg(corpus_dir), tmp_path / "run")
+        assert steps == [1]
+        assert (tmp_path / "run" / "train_log.jsonl").read_text() == ""
+        assert not (tmp_path / "run" / "embed.cadp").exists()
+
+    @pytest.mark.parametrize("kind", ["ctc", "segmental"])
+    def test_train_asr_raises(self, corpus_dir, tmp_path, monkeypatch, kind):
+        _nan_on_second_call(monkeypatch, recognition.obj, "combine_joint")
+        cfg = small_cfg(corpus_dir, {("recognizer", "kind"): kind, ("recognizer", "s_max"): "24"})
+        with pytest.raises(FloatingPointError):
+            recognition.train_asr(cfg, tmp_path / "run")
+        assert not (tmp_path / "run" / "asr.cadp").exists()
 
 
 class TestEvalAndSearch:
@@ -257,6 +304,32 @@ class TestRecognition:
         assert r1["wer"] == r2["wer"]
         assert open(str(out1).replace(".json", "_hyp.tsv")).read() == \
                open(str(out2).replace(".json", "_hyp.tsv")).read()
+
+    def test_joint_training_follows_k_schedule(self, corpus_dir, tmp_path, monkeypatch):
+        emb = pipelines.train_embed(small_cfg(corpus_dir, {("training", "epochs"): "0"}), tmp_path / "emb")
+        ks = []
+        orig = pipelines.Objective.multiview_loss
+        monkeypatch.setattr(pipelines.Objective, "multiview_loss",
+                            lambda self, *args: ks.append(args[5]) or orig(self, *args))
+        cfg = small_cfg(corpus_dir, {
+            ("recognizer", "training_mode"): "joint",
+            ("recognizer", "init_checkpoint"): emb["checkpoint"],
+            ("recognizer", "lambda_emb"): "0.5",
+            ("objective", "k"): "6",
+            ("objective", "k_end"): "3",
+            ("training", "epochs"): "2",
+        })
+        recognition.train_asr(cfg, tmp_path / "joint")
+        assert ks == [6, 5, 4, 3] + [3] * (len(ks) - 4)
+        assert len(ks) == 10  # 40 utterances in batches of 8, two epochs
+
+    def test_loss_heuristic_rule_sets_the_learning_rate(self, corpus_dir, tmp_path, monkeypatch):
+        # a flat dev WER would decay the rate every epoch under the metric rule
+        monkeypatch.setattr(recognition, "dev_wer", lambda *args, **kwargs: 0.5)
+        cfg = small_cfg(corpus_dir, {("scheduler", "rule"): "loss-heuristic",
+                                     ("scheduler", "patience"): "1", ("training", "epochs"): "3"})
+        report = recognition.train_asr(cfg, tmp_path / "asr")
+        assert [h["lr"] for h in report["history"]] == [cfg.getfloat("optimizer", "lr")] * 3
 
     def test_dynamic_lexicon_trains(self, corpus_dir, tmp_path):
         cfg = small_cfg(corpus_dir, {("recognizer", "lexicon_mode"): "dynamic",
@@ -351,6 +424,34 @@ class TestCli:
         with open(ckpt, "r+b") as fh:
             fh.truncate(100)
         assert main(["eval-ap", *common, "--checkpoint", ckpt, "--out", str(tmp_path / "ap.json")]) == 3
+
+    def test_non_finite_loss_exit_code(self, corpus_dir, tmp_path, monkeypatch):
+        from awekit.cli import main
+
+        _nan_on_second_call(monkeypatch, pipelines.Objective, "multiview_loss")
+        args = ["train-embed", "--seed", "9", "--set", "encoder.layers=1", "--set", "encoder.hidden=8",
+                "--set", "training.batch_size=8", "--out", str(tmp_path / "run")]
+        for key in ("train", "train_align", "dev", "dev_align", "lexicon"):
+            args += ["--set", f"data.{key}={corpus_dir[key]}"]
+        assert main(args) == 4
+        assert not any(name.endswith(".cadp") for name in os.listdir(tmp_path / "run"))
+
+    @pytest.mark.parametrize("kind", ["ctc", "segmental"])
+    def test_infeasible_transcript_exit_code(self, tmp_path, kind):
+        from awekit.cli import main
+
+        corpus = tmp_path / "c"
+        # three words of 10-12 frames subsampled by 16 leave 2 output frames
+        assert main(["make-synth", "--seed", "3", "--vocab", "6", "--train", "16", "--eval", "8",
+                     "--min-words", "3", "--max-words", "3", "--min-duration", "10",
+                     "--max-duration", "12", "--out", str(corpus)]) == 0
+        args = ["train-asr", "--seed", "3", "--out", str(tmp_path / kind)]
+        for item in (f"data.train={corpus / 'train.cadf'}", f"data.train_align={corpus / 'train_align.tsv'}",
+                     f"data.dev={corpus / 'dev.cadf'}", f"data.dev_align={corpus / 'dev_align.tsv'}",
+                     f"recognizer.kind={kind}", "encoder.subsample=16", "encoder.layers=1",
+                     "encoder.hidden=8", "training.epochs=1"):
+            args += ["--set", item]
+        assert main(args) == 3
 
     def test_data_error_exit_code(self, tmp_path):
         from awekit.cli import main
