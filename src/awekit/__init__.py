@@ -28,9 +28,8 @@ from .encoders import (
     WrittenEncoder,
     WrittenEncoderConfig,
     extend_vocabulary,
-    pool_segment,
 )
-from .metrics import acoustic_ap, average_precision, cross_view_ap, spearman_rho, wer
+from .metrics import acoustic_ap, average_precision, cross_view_ap, wer
 from .objectives import (
     ConfusionMatrix,
     MultiViewBatch,
@@ -38,7 +37,6 @@ from .objectives import (
     agwe_regularizer,
     combine_joint,
     cos_hinge_triplet,
-    cross_entropy_word,
     most_offending_triplet,
     multiview_loss,
 )

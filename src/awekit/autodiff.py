@@ -314,23 +314,6 @@ def log_softmax(x: Tensor, axis: int = -1) -> Tensor:
     return _record(out, (x,), bwd)
 
 
-def logsumexp(x: Tensor, axis: int | None = None) -> Tensor:
-    """Max-shifted stable log-sum-exp (reduces ``axis``, or all axes)."""
-    m = x.values.max(axis=axis, keepdims=True)
-    s = np.exp(x.values - m).sum(axis=axis, keepdims=True)
-    v = (m + np.log(s)).squeeze() if axis is None else np.squeeze(m + np.log(s), axis=axis)
-    out = Tensor(v)
-    xv = x.values
-
-    def bwd(g):
-        w = np.exp(xv - (m + np.log(s)))
-        if axis is None:
-            return (w * g,)
-        return (w * np.expand_dims(g, axis),)
-
-    return _record(out, (x,), bwd)
-
-
 # ---------------------------------------------------------------------------
 # Shape ops
 

@@ -239,10 +239,6 @@ class Vocabulary:
     def unk_index(self) -> int | None:
         return self._index[self.unk_token] if self.unk_token is not None else None
 
-    @property
-    def blank_index(self) -> int:
-        return len(self.labels)
-
     def index(self, label: str) -> int:
         if label in self._index:
             return self._index[label]

@@ -132,11 +132,6 @@ def ctc_loss(log_probs: Tensor, labels) -> Tensor:
 # Decoding
 
 
-def ctc_greedy_decode(log_probs: np.ndarray) -> list[int]:
-    """Per-frame argmax, collapse consecutive repeats, delete blanks."""
-    return [tok for tok, _, _ in ctc_greedy_decode_with_spans(log_probs)]
-
-
 def ctc_greedy_decode_with_spans(log_probs: np.ndarray) -> list[tuple[int, int, int]]:
     """Greedy decode keeping each emitted token's frame span.
 

@@ -51,38 +51,6 @@ def unit_rows(x: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Pooling
-
-
-def pool_segment(outputs, start: int, end: int, mode: str, attention_vector: Tensor | None = None) -> Tensor:
-    """Pre-projection embedding of one [start, end) slice of frame outputs.
-
-    outputs has shape (T, W) with W even: columns [:W/2] are the forward
-    direction, [W/2:] the backward direction.
-    """
-    if isinstance(outputs, np.ndarray):
-        outputs = Tensor(outputs)
-    T, W = outputs.values.shape
-    if not 0 <= start < end <= T:
-        raise EncoderError(f"empty or out-of-range segment [{start}, {end})")
-    if mode == "concat":
-        h = W // 2
-        fw = ad.getitem(outputs, (end - 1, slice(0, h)))
-        bw = ad.getitem(outputs, (start, slice(h, W)))
-        return ad.concat([fw, bw], axis=0)
-    if mode == "mean":
-        return ad.mean(ad.getitem(outputs, slice(start, end)), axis=0)
-    if mode == "attention":
-        if attention_vector is None:
-            raise EncoderError("attention pooling needs its scoring vector")
-        rows = ad.getitem(outputs, slice(start, end))
-        scores = ad.matmul(rows, ad.reshape(attention_vector, (W, 1)))
-        weights = ad.softmax(ad.reshape(scores, (end - start,)), axis=0)
-        return ad.reshape(ad.matmul(ad.reshape(weights, (1, end - start)), rows), (W,))
-    raise EncoderError(f"unknown pooling mode {mode!r}")
-
-
-# ---------------------------------------------------------------------------
 # Acoustic encoder
 
 
@@ -178,13 +146,6 @@ class AcousticEncoder:
         inv = np.where(counts > 0, 1.0 / np.where(counts > 0, counts, 1.0), 0.0)
         out = ad.mul_const(grouped, inv[:, :, None])
         return out, (counts > 0).astype(np.float64)
-
-    def encode_utterance(self, frames: np.ndarray) -> np.ndarray:
-        """Frame outputs for a single utterance (inference path)."""
-        x, mask, _ = pad_and_mask([np.asarray(frames, dtype=np.float64)], self.config.subsample)
-        out, out_mask = self.encode_padded(Tensor(x), mask)
-        T = int(out_mask[0].sum())
-        return out.values[0, :T]
 
     # -- boundary bookkeeping for subsampled outputs
 
@@ -409,10 +370,6 @@ class WrittenEncoder:
 
     def embed_words(self, words, lexicon: Lexicon | None = None) -> Tensor:
         return self.embed_sequences([self.resolve(w, lexicon) for w in words])
-
-    def embed_word(self, word: str, lexicon: Lexicon | None = None) -> np.ndarray:
-        """Deterministic single-word embedding (inference)."""
-        return self.embed_words([word], lexicon).values[0]
 
 
 # ---------------------------------------------------------------------------

@@ -324,35 +324,3 @@ def wer(ref, hyp) -> WerResult:
             ins_count += 1
             j -= 1
     return WerResult(int(s), int(d), int(ins_count), (s + d + ins_count) / len(ref))
-
-
-# ---------------------------------------------------------------------------
-# Rank correlation
-
-
-def _fractional_ranks(x: np.ndarray) -> np.ndarray:
-    order = np.argsort(x, kind="stable")
-    ranks = np.empty(len(x), dtype=np.float64)
-    sx = x[order]
-    i = 0
-    while i < len(sx):
-        j = i
-        while j + 1 < len(sx) and sx[j + 1] == sx[i]:
-            j += 1
-        ranks[order[i : j + 1]] = 0.5 * (i + j) + 1.0  # average rank, 1-based
-        i = j + 1
-    return ranks
-
-
-def spearman_rho(x, y) -> float:
-    """Pearson correlation of fractional ranks (ties get average ranks)."""
-    x = np.asarray(x, dtype=np.float64).ravel()
-    y = np.asarray(y, dtype=np.float64).ravel()
-    if len(x) != len(y) or len(x) < 2:
-        raise MetricError("need two same-length vectors with >= 2 entries")
-    rx = _fractional_ranks(x)
-    ry = _fractional_ranks(y)
-    sx, sy = rx.std(), ry.std()
-    if sx == 0 or sy == 0:
-        raise MetricError("rank correlation undefined for constant input")
-    return float(((rx - rx.mean()) * (ry - ry.mean())).mean() / (sx * sy))

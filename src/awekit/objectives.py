@@ -80,14 +80,6 @@ def batch_vocabulary(labels, full_vocab=None, extras: int = 0,
 # Classifier
 
 
-def cross_entropy_word(logits: Tensor, label_index: int) -> Tensor:
-    """-log softmax(logits)[label] for a single (|V|,) logit vector."""
-    if not 0 <= label_index < logits.values.shape[-1]:
-        raise ObjectiveError("label index out of range")
-    ls = ad.log_softmax(ad.reshape(logits, (1, -1)), axis=1)
-    return ad.scale(ad.sum_(ad.getitem(ls, (0, label_index))), -1.0)
-
-
 def cross_entropy_batch(logits: Tensor, label_indices) -> Tensor:
     """Summed cross entropy over a (B, |V|) batch."""
     ids = np.asarray(label_indices, dtype=np.intp)

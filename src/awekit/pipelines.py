@@ -708,12 +708,14 @@ def query_search_index(cfg: ExperimentConfig, checkpoint: str, index_path: str,
                        search_archive: str | None = None) -> dict:
     """Score every query against every indexed utterance.
 
-    Candidate windows come from beamwidth lookup in the permuted index
-    (or all windows with [search] exhaustive = true); each utterance's
-    score is the best exact cosine over its admissible candidate windows,
-    -1 when it contributed none. With ground-truth alignments for the
-    search collection, FOM / OTWV / P@10 and the decision metrics are
-    reported, aggregated per query type (median and max)."""
+    Queries are embedded in batches with ``embed_frames``. Each query's
+    candidate windows and their cosine scores come from beamwidth lookup
+    in the permuted index (with [search] exhaustive = true the beam covers
+    every window); each utterance's score is its best admissible window's
+    score, -1 when it contributed none (``search.utterance_scores``). With
+    ground-truth alignments for the search collection, FOM / OTWV / P@10
+    and the decision metrics are reported, aggregated per query type
+    (median and max)."""
     f, _, _, _ = rebuild_embed_model(checkpoint)
     index = srch.load_index(index_path)
     wcfg = _window_config(cfg)
@@ -723,32 +725,15 @@ def query_search_index(cfg: ExperimentConfig, checkpoint: str, index_path: str,
     q_align = cp.load_alignments(query_align_path)
     utt_ids = sorted({r.utterance_id for r in index.refs})
     utt_pos = {u: i for i, u in enumerate(utt_ids)}
+    q_embs = embed_frames(f, [q.frames for q in queries], cfg.threads)
+    lookup_beam = index.size if exhaustive else beam
 
-    def score_query(q_fm):
-        q_emb = f.embed_segments_isolated([q_fm.frames]).values[0]
-        ok_sizes = set(wcfg.admissible_sizes(q_fm.num_frames))
-        scores = np.full(len(utt_ids), -1.0)
-        best_windows = [None] * len(utt_ids)
-        if exhaustive:
-            candidates = range(index.size)
-        else:
-            hits = srch.query_index(q_emb, index, beam)
-            ref_entry = {(r.utterance_id, r.start, r.size): i for i, r in enumerate(index.refs)}
-            candidates = [ref_entry[(r.utterance_id, r.start, r.size)] for r, _ in hits]
-        qn = np.linalg.norm(q_emb)
-        for entry in candidates:
-            ref = index.refs[entry]
-            if ref.size not in ok_sizes:
-                continue
-            e = index.embeddings[entry]
-            c = float(e @ q_emb / (np.linalg.norm(e) * qn))
-            pos = utt_pos[ref.utterance_id]
-            if c > scores[pos]:
-                scores[pos] = c
-                best_windows[pos] = (ref.start, ref.size)
-        return scores, best_windows
+    def score_query(job):
+        q_fm, q_emb = job
+        hits = srch.query_index(q_emb, index, lookup_beam)
+        return srch.utterance_scores(hits, utt_pos, set(wcfg.admissible_sizes(q_fm.num_frames)))
 
-    results = parallel_map(score_query, queries, cfg.threads)
+    results = parallel_map(score_query, list(zip(queries, q_embs)), cfg.threads)
     score_matrix = np.stack([r[0] for r in results])
     q_ids = [q.utterance_id for q in queries]
     q_terms = {}

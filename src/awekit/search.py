@@ -1,17 +1,18 @@
 """Embedding-based query-by-example search.
 
-Sliding-window segment generation, exhaustive cosine scoring, and an
-approximate index built from random-hyperplane bit signatures: the
-signatures are sorted lexicographically under P random bit permutations,
-and a query reads the B entries on each side of its insertion point in
-every sorted list. Candidates are then re-ranked by exact cosine
-similarity against the stored embeddings.
+Sliding-window segment generation and an index built from
+random-hyperplane bit signatures: the signatures are sorted
+lexicographically under P random bit permutations, and a query reads the
+B entries on each side of its insertion point in every sorted list.
+Candidates are scored once, in ``query_index``, by exact cosine
+similarity against the stored embeddings; a beam covering the index
+scores every entry. ``utterance_scores`` reduces that ranked list to the
+best admissible window of each utterance.
 """
 
 from __future__ import annotations
 
 import struct
-from bisect import bisect_left
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -137,7 +138,7 @@ class PermutedSignatureIndex:
         self.embeddings = np.asarray(embeddings, dtype=np.float64)
         self.permutations = permutations  # (P, b) int array
         self.sorted_orders = sorted_orders  # per permutation: entry ids in key order
-        self.sorted_keys = sorted_keys  # per permutation: packed signature bytes
+        self.sorted_keys = sorted_keys  # per permutation: packed signatures in key order, dtype S{(b+7)//8}
 
     @property
     def size(self) -> int:
@@ -148,9 +149,19 @@ class PermutedSignatureIndex:
         return len(self.permutations)
 
 
-def _pack_bits(sigs: np.ndarray) -> list[bytes]:
-    packed = np.packbits(sigs, axis=1)
-    return [row.tobytes() for row in packed]
+def _packed_keys(sigs: np.ndarray) -> np.ndarray:
+    """Rows of bits packed into one fixed-width byte string each; numpy
+    orders these like the bytes they hold."""
+    packed = np.ascontiguousarray(np.packbits(sigs, axis=-1))
+    return packed.view(f"S{packed.shape[-1]}").reshape(packed.shape[:-1])
+
+
+def _sorted_keys(sigs: np.ndarray, perm: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Entry ids in lexicographic order of their signatures under one bit
+    permutation (ties by entry id), and the packed keys in that order."""
+    keys = _packed_keys(np.take(sigs, perm, axis=1))
+    order = np.argsort(keys, kind="stable")
+    return order, keys[order]
 
 
 def build_index(embeddings, refs, bits: int, permutations: int, seed: int) -> PermutedSignatureIndex:
@@ -166,14 +177,8 @@ def build_index(embeddings, refs, bits: int, permutations: int, seed: int) -> Pe
     sigs = sign_embed_many(embeddings, planes)
     rng = np.random.default_rng(np.random.SeedSequence([int(seed), 0x7065]))
     perms = np.stack([rng.permutation(bits) for _ in range(permutations)])
-    sorted_orders = []
-    sorted_keys = []
-    for p in range(permutations):
-        keys = _pack_bits(sigs[:, perms[p]])
-        order = sorted(range(len(refs)), key=lambda i: (keys[i], i))
-        sorted_orders.append(np.array(order, dtype=np.intp))
-        sorted_keys.append([keys[i] for i in order])
-    return PermutedSignatureIndex(planes, refs, embeddings, perms, sorted_orders, sorted_keys)
+    orders, keys = zip(*(_sorted_keys(sigs, perm) for perm in perms))
+    return PermutedSignatureIndex(planes, refs, embeddings, perms, list(orders), list(keys))
 
 
 def query_index(query: np.ndarray, index: PermutedSignatureIndex, beamwidth: int):
@@ -181,9 +186,10 @@ def query_index(query: np.ndarray, index: PermutedSignatureIndex, beamwidth: int
 
     For each permutation, the query signature's insertion point is found
     by binary search and the ``beamwidth`` entries on each side join the
-    candidate set; candidates are scored by exact cosine similarity
-    against the stored embeddings and returned as (ref, score) sorted by
-    descending score (ties by entry order).
+    candidate set (a beamwidth of ``index.size`` takes every entry);
+    candidates are scored by exact cosine similarity against the stored
+    embeddings and returned as (ref, score) sorted by descending score
+    (ties by entry order).
     """
     if index.size == 0:
         raise SearchError("empty index")
@@ -191,45 +197,33 @@ def query_index(query: np.ndarray, index: PermutedSignatureIndex, beamwidth: int
     if np.linalg.norm(q) == 0:
         raise SearchError("cannot query with a zero vector")
     sig = sign_embed(q, index.planes)
-    candidates = set()
-    for p in range(index.num_permutations):
-        key = np.packbits(sig[index.permutations[p]]).tobytes()
-        keys = index.sorted_keys[p]
-        pos = bisect_left(keys, key)
-        lo = max(0, pos - beamwidth)
-        hi = min(len(keys), pos + beamwidth)
-        candidates.update(index.sorted_orders[p][lo:hi].tolist())
-    cand = np.array(sorted(candidates), dtype=np.intp)
+    chosen = np.zeros(index.size, dtype=bool)
+    for perm, order, keys in zip(index.permutations, index.sorted_orders, index.sorted_keys):
+        pos = int(np.searchsorted(keys, _packed_keys(sig[perm])))
+        chosen[order[max(0, pos - beamwidth) : pos + beamwidth]] = True
+    cand = np.flatnonzero(chosen)
     emb = index.embeddings[cand]
     scores = emb @ q / (np.linalg.norm(emb, axis=1) * np.linalg.norm(q))
     order = np.lexsort((cand, -scores))
     return [(index.refs[cand[i]], float(scores[i])) for i in order]
 
 
-@dataclass(frozen=True)
-class SearchHit:
-    """Best-scoring admissible window of one utterance for one query."""
+def utterance_scores(hits, utterance_pos: dict, admissible_sizes) -> tuple[np.ndarray, list]:
+    """Best admissible window of each utterance in a ranked hit list.
 
-    utterance_id: str
-    window: tuple | None  # (start, size) or None when nothing admissible
-    score: float
-
-
-def qbe_score_utterance(query_embedding, utterance_id, window_embeddings, windows,
-                        query_len: int, cfg: WindowConfig) -> SearchHit:
-    """Max cosine similarity over windows of length within the admissible
-    ratio band around the query length; utterances with no admissible
-    window score -1 (below any true cosine)."""
-    q = np.asarray(query_embedding, dtype=np.float64)
-    ok_sizes = set(cfg.admissible_sizes(query_len))
-    keep = [i for i, (_, size) in enumerate(windows) if size in ok_sizes]
-    if not keep:
-        return SearchHit(utterance_id, None, -1.0)
-    emb = np.asarray(window_embeddings, dtype=np.float64)[keep]
-    norms = np.linalg.norm(emb, axis=1) * np.linalg.norm(q)
-    scores = emb @ q / np.where(norms > 0, norms, 1.0)
-    best = int(np.argmax(scores))  # first max: earliest admissible window
-    return SearchHit(utterance_id, windows[keep[best]], float(scores[best]))
+    ``hits`` is ``query_index`` output; ``utterance_pos`` maps each
+    utterance id to its slot. The first hit of an utterance in rank order
+    whose window size is admissible wins: the highest score, ties to the
+    lower entry id. An utterance with no admissible hit scoring above -1
+    keeps -1 (below any true cosine) and no window."""
+    scores = np.full(len(utterance_pos), -1.0)
+    windows = [None] * len(utterance_pos)
+    for ref, score in hits:
+        pos = utterance_pos[ref.utterance_id]
+        if windows[pos] is None and ref.size in admissible_sizes and score > -1.0:
+            scores[pos] = score
+            windows[pos] = (ref.start, ref.size)
+    return scores, windows
 
 
 # ---------------------------------------------------------------------------
@@ -296,8 +290,12 @@ def load_index(path) -> PermutedSignatureIndex:
     if off != len(data):
         raise SearchError("trailing bytes in index file")
     planes = HyperplaneSet.create(b, d, seed)
+    if not (np.sort(perms, axis=1) == np.arange(b)).all():
+        raise SearchError("corrupt index file: a bit permutation is not a permutation of the bits")
     sorted_keys = []
     for p in range(P):
-        keys = _pack_bits(sigs[:, perms[p]])
-        sorted_keys.append([keys[i] for i in sorted_orders[p]])
+        order, keys = _sorted_keys(sigs, perms[p])
+        if not np.array_equal(order, sorted_orders[p]):
+            raise SearchError(f"corrupt index file: sort order {p} is not the signature order")
+        sorted_keys.append(keys)
     return PermutedSignatureIndex(planes, refs, emb, perms, sorted_orders, sorted_keys)

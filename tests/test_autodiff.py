@@ -85,11 +85,10 @@ def test_primitives_match_finite_differences(seed):
     def f():
         h = ad.affine(a, w, bias)
         h = ad.tanh(h)
-        s = ad.logsumexp(h, axis=1)
         e = ad.embedding_lookup(table, ids)
         dist = ad.cosine_distance(ad.add(a, b), e)
         ls = ad.log_softmax(h, axis=1)
-        parts = ad.concat([ad.reshape(s, (n, 1)), ad.reshape(dist, (n, 1))], axis=1)
+        parts = ad.concat([ls, ad.reshape(dist, (n, 1))], axis=1)
         total = ad.sum_(parts) + ad.sum_(ad.relu(ls)) + ad.sum_(ad.sqrt(ad.exp(ad.mean(h, axis=0))))
         return total
 
@@ -143,9 +142,3 @@ def test_l2norm_rows_safe_at_zero():
     np.testing.assert_allclose(n.values, 5.0)
     assert np.all(np.isfinite(x.grad))
     np.testing.assert_allclose(x.grad[0], 0.0)
-
-
-def test_logsumexp_is_max_shifted_stable():
-    x = Tensor(np.array([1000.0, 1000.0]))
-    out = ad.logsumexp(x)
-    np.testing.assert_allclose(float(out.values), 1000.0 + np.log(2.0))

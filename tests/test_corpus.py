@@ -46,7 +46,7 @@ class TestTypes:
 
     def test_vocabulary_is_dense_and_invertible(self):
         v = Vocabulary(["cat", "dog"], unk_token="<unk>")
-        assert v.size == 3 and v.unk_index == 2 and v.blank_index == 3
+        assert v.size == 3 and v.unk_index == 2
         for i, w in enumerate(v.labels):
             assert v.index(w) == i and v.label(i) == w
         assert v.index("zebra") == v.unk_index  # maps OOV to UNK

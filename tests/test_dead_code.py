@@ -1,8 +1,10 @@
-"""Guard against unreferenced code in the package.
+"""Guard against unreferenced and test-only code in the package.
 
 Every top-level function and class of ``src/awekit``, and every method,
 must be named somewhere besides its own definition: in ``src``,
-``tests``, ``demos`` or ``benchmarks``. Dunder names are exempt.
+``tests``, ``demos`` or ``benchmarks``. It must also be named outside
+``tests``, unless it is on the allowlist below: oracles used only by
+tests live in ``tests/``. Dunder names are exempt.
 """
 
 import ast
@@ -13,6 +15,13 @@ import re
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "awekit"
 SEARCHED = ("src", "tests", "demos", "benchmarks")
+
+# Named only in tests, and kept in src because an acceptance criterion
+# checks the package's own function.
+TEST_ONLY_ALLOWED = {
+    "ctc_loss_value",  # criterion 2: CTC loss against brute-force enumeration
+    "hamming_fraction",  # criterion 5: Hamming distance estimates the angle
+}
 
 
 def _definitions(tree):
@@ -26,20 +35,46 @@ def _definitions(tree):
                         yield item.name
 
 
-def unreferenced_names():
+def _word_counts(tops, skip=()):
     words = collections.Counter()
-    for top in SEARCHED:
+    for top in tops:
         for path in sorted((ROOT / top).rglob("*.py")):
-            words.update(re.findall(r"\w+", path.read_text(encoding="utf-8")))
+            if path not in skip:
+                words.update(re.findall(r"\w+", path.read_text(encoding="utf-8")))
+    return words
+
+
+def _package_definitions():
+    """(name -> number of definitions, name -> "file:name") over src/awekit."""
     defined = collections.Counter()
     where = {}
     for path in sorted(PACKAGE.glob("*.py")):
         for name in _definitions(ast.parse(path.read_text(encoding="utf-8"))):
-            defined[name] += 1
-            where.setdefault(name, f"{path.name}:{name}")
+            if not (name.startswith("__") and name.endswith("__")):
+                defined[name] += 1
+                where.setdefault(name, f"{path.name}:{name}")
+    return defined, where
+
+
+def unreferenced_names():
+    words = _word_counts(SEARCHED)
+    defined, where = _package_definitions()
+    return sorted(where[name] for name, count in defined.items() if words[name] <= count)
+
+
+def names_used_only_by_tests():
+    """Definitions named in tests but nowhere else; a re-export in
+    ``awekit/__init__.py`` is not a use."""
+    outside = _word_counts(("src", "demos", "benchmarks"), skip={PACKAGE / "__init__.py"})
+    in_tests = _word_counts(("tests",))
+    defined, where = _package_definitions()
     return sorted(where[name] for name, count in defined.items()
-                  if not (name.startswith("__") and name.endswith("__")) and words[name] <= count)
+                  if outside[name] <= count and in_tests[name] and name not in TEST_ONLY_ALLOWED)
 
 
 def test_every_definition_is_referenced():
     assert unreferenced_names() == []
+
+
+def test_no_definition_is_used_only_by_tests():
+    assert names_used_only_by_tests() == []

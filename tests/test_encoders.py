@@ -10,6 +10,39 @@ from awekit.autodiff import Tensor
 from awekit.corpus import FeatureTable, Lexicon, Vocabulary
 
 
+def pool_segment(outputs, start, end, mode, attention_vector=None):
+    """Per-segment pooling oracle: pre-projection embedding of one
+    [start, end) slice of (T, W) frame outputs, forward direction in
+    columns [:W/2], backward in [W/2:]."""
+    if isinstance(outputs, np.ndarray):
+        outputs = Tensor(outputs)
+    T, W = outputs.values.shape
+    if not 0 <= start < end <= T:
+        raise enc.EncoderError(f"empty or out-of-range segment [{start}, {end})")
+    if mode == "concat":
+        h = W // 2
+        fw = ad.getitem(outputs, (end - 1, slice(0, h)))
+        bw = ad.getitem(outputs, (start, slice(h, W)))
+        return ad.concat([fw, bw], axis=0)
+    if mode == "mean":
+        return ad.mean(ad.getitem(outputs, slice(start, end)), axis=0)
+    rows = ad.getitem(outputs, slice(start, end))
+    scores = ad.matmul(rows, ad.reshape(attention_vector, (W, 1)))
+    weights = ad.softmax(ad.reshape(scores, (end - start,)), axis=0)
+    return ad.reshape(ad.matmul(ad.reshape(weights, (1, end - start)), rows), (W,))
+
+
+def encode_utterance(f, frames):
+    """Frame outputs of one utterance encoded on its own."""
+    x, mask, _ = enc.pad_and_mask([np.asarray(frames, dtype=np.float64)], f.config.subsample)
+    out, out_mask = f.encode_padded(Tensor(x), mask)
+    return out.values[0, : int(out_mask[0].sum())]
+
+
+def embed_word(g, word, lexicon=None):
+    return g.embed_words([word], lexicon).values[0]
+
+
 def small_acoustic(pooling="concat", layers=1, hidden=2, input_dim=3, embed_dim=4,
                    subsample=1, cell="lstm", seed=0):
     cfg = enc.AcousticEncoderConfig(
@@ -31,14 +64,14 @@ def small_written(mode="char", seed=1, **kw):
 class TestEncodeUtterance:
     def test_output_shape(self):
         f = small_acoustic(layers=1, hidden=2)
-        out = f.encode_utterance(np.random.default_rng(0).standard_normal((3, 3)))
+        out = encode_utterance(f, np.random.default_rng(0).standard_normal((3, 3)))
         assert out.shape == (3, 4)  # 2 per direction
 
     def test_zero_weights_zero_outputs(self):
         f = small_acoustic()
         for p in f.parameters():
             p.values[...] = 0.0
-        out = f.encode_utterance(np.ones((5, 3)))
+        out = encode_utterance(f, np.ones((5, 3)))
         np.testing.assert_allclose(out, 0.0)
 
     def test_batch_order_independence(self):
@@ -57,7 +90,7 @@ class TestEncodeUtterance:
         rng = np.random.default_rng(2)
         a = rng.standard_normal((10, 3))
         b = rng.standard_normal((18, 3))
-        solo = f.encode_utterance(a)
+        solo = encode_utterance(f, a)
         x, mask, _ = enc.pad_and_mask([a, b], pad_multiple=4)
         out, out_mask = f.encode_padded(Tensor(x), mask)
         T_a = int(out_mask[0].sum())
@@ -66,36 +99,40 @@ class TestEncodeUtterance:
         assert f.map_start(5) == 1 and f.map_end(10) == 3
 
 
+def pool_one(pooling, rows, start, end, attention=None):
+    """``pool_batch`` of one [start, end) slice of (T, W) frame outputs."""
+    f = small_acoustic(pooling=pooling, hidden=rows.shape[1] // 2)
+    if attention is not None:
+        f.attention_vector.values[...] = attention
+    return f.pool_batch(Tensor(rows[None]), [(0, start, end)]).values[0]
+
+
 class TestPoolSegment:
     def test_mean_of_constant_rows(self):
         rows = np.tile([1.0, 2.0, 3.0, 4.0], (5, 1))
-        out = enc.pool_segment(rows, 1, 4, "mean")
-        np.testing.assert_allclose(out.values, [1, 2, 3, 4])
+        np.testing.assert_allclose(pool_one("mean", rows, 1, 4), [1, 2, 3, 4])
 
     def test_single_frame_mean_and_attention(self):
         rng = np.random.default_rng(3)
         rows = rng.standard_normal((4, 6))
-        r = Tensor(rng.standard_normal(6))
-        np.testing.assert_allclose(enc.pool_segment(rows, 2, 3, "mean").values, rows[2])
-        np.testing.assert_allclose(
-            enc.pool_segment(rows, 2, 3, "attention", r).values, rows[2], atol=1e-12
-        )
+        r = rng.standard_normal(6)
+        np.testing.assert_allclose(pool_one("mean", rows, 2, 3), rows[2])
+        np.testing.assert_allclose(pool_one("attention", rows, 2, 3, r), rows[2], atol=1e-12)
 
     def test_attention_with_zero_vector_equals_mean(self):
         rng = np.random.default_rng(4)
         rows = rng.standard_normal((6, 4))
-        got = enc.pool_segment(rows, 1, 5, "attention", Tensor(np.zeros(4)))
-        want = enc.pool_segment(rows, 1, 5, "mean")
-        np.testing.assert_allclose(got.values, want.values, atol=1e-12)
+        got = pool_one("attention", rows, 1, 5, np.zeros(4))
+        np.testing.assert_allclose(got, pool_one("mean", rows, 1, 5), atol=1e-12)
 
     def test_concat_picks_boundary_states(self):
         rows = np.arange(24, dtype=float).reshape(4, 6)
-        out = enc.pool_segment(rows, 1, 3, "concat")
-        np.testing.assert_allclose(out.values, np.concatenate([rows[2, :3], rows[1, 3:]]))
+        out = pool_one("concat", rows, 1, 3)
+        np.testing.assert_allclose(out, np.concatenate([rows[2, :3], rows[1, 3:]]))
 
     def test_empty_segment_rejected(self):
         with pytest.raises(enc.EncoderError):
-            enc.pool_segment(np.zeros((3, 4)), 2, 2, "mean")
+            pool_segment(np.zeros((3, 4)), 2, 2, "mean")
 
     def test_pool_batch_concat_matches_single(self):
         f = small_acoustic(pooling="concat", hidden=3)
@@ -103,28 +140,29 @@ class TestPoolSegment:
         x, mask, _ = enc.pad_and_mask([rng.standard_normal((6, 3))])
         out, _ = f.encode_padded(Tensor(x), mask)
         batch = f.pool_batch(out, [(0, 1, 4)])
-        single = enc.pool_segment(out.values[0], 1, 4, "concat")
+        single = pool_segment(out.values[0], 1, 4, "concat")
         np.testing.assert_allclose(batch.values[0], single.values, atol=1e-12)
 
     def test_pool_gradients(self):
         rng = np.random.default_rng(6)
-        rows = Tensor(rng.standard_normal((5, 4)))
-        r = Tensor(rng.standard_normal(4))
+        rows = Tensor(rng.standard_normal((1, 5, 4)))
+        att, mean, concat = (small_acoustic(pooling=p, hidden=2) for p in ("attention", "mean", "concat"))
+        att.attention_vector.values[...] = rng.standard_normal(4)
 
         def f():
-            a = enc.pool_segment(rows, 0, 3, "attention", r)
-            b = enc.pool_segment(rows, 2, 5, "mean")
-            c = enc.pool_segment(rows, 1, 3, "concat")
+            a = att.pool_batch(rows, [(0, 0, 3)])
+            b = mean.pool_batch(rows, [(0, 2, 5)])
+            c = concat.pool_batch(rows, [(0, 1, 3)])
             return ad.sum_(ad.mul(a, a)) + ad.sum_(ad.mul(b, c))
 
-        assert ad.grad_check(f, [rows, r], eps=1e-5) <= 1e-4
+        assert ad.grad_check(f, [rows, att.attention_vector.tensor], eps=1e-5) <= 1e-4
 
 
 class TestWrittenEncoder:
     def test_same_word_same_vector(self):
         g = small_written()
-        a = g.embed_word("cafe")
-        b = g.embed_word("cafe")
+        a = embed_word(g, "cafe")
+        b = embed_word(g, "cafe")
         np.testing.assert_array_equal(a, b)
 
     def test_single_symbol_zero_weights_gives_projection_of_zero(self):
@@ -132,12 +170,12 @@ class TestWrittenEncoder:
         for p in g.parameters():
             p.values[...] = 0.0
         g.proj_b.values[...] = 0.5
-        np.testing.assert_allclose(g.embed_word("a"), 0.5)
+        np.testing.assert_allclose(embed_word(g, "a"), 0.5)
 
     def test_distinct_words_distinct_vectors(self):
         g = small_written(seed=7)
-        a = g.embed_word("abc")
-        b = g.embed_word("fgh")
+        a = embed_word(g, "abc")
+        b = embed_word(g, "fgh")
         assert np.linalg.norm(a - b) > 1e-6
 
     def test_phone_mode_uses_lexicon(self):
@@ -146,14 +184,14 @@ class TestWrittenEncoder:
         out = g.embed_words(["cat", "dog"], lex)
         assert out.values.shape == (2, 4)
         with pytest.raises(enc.EncoderError):
-            g.embed_word("bird", lex)
+            embed_word(g, "bird", lex)
 
     def test_feature_mode_is_sum_of_feature_embeddings(self):
         g = small_written(mode="feature")
         lex = Lexicon.from_dict({"w": ("p", "q"), "v": ("p",)})
         # phone input embedding = phi @ E; check via a single-phone word with
         # zero recurrent influence
-        emb = g.embed_word("v", lex)
+        emb = embed_word(g, "v", lex)
         assert emb.shape == (4,)
         # phi('p') = [1,0,1] so its input embedding is E[0] + E[2]
         seq_inputs, _ = g._sequence_inputs([("p",)])
@@ -165,7 +203,7 @@ class TestWrittenEncoder:
         g = small_written(seed=8)
         batch = g.embed_words(["ab", "cdef", "g"]).values
         for i, w in enumerate(["ab", "cdef", "g"]):
-            np.testing.assert_allclose(batch[i], g.embed_word(w), atol=1e-12)
+            np.testing.assert_allclose(batch[i], embed_word(g, w), atol=1e-12)
 
     def test_gradients_flow_to_symbol_table(self):
         g = small_written(seed=9)
@@ -189,7 +227,7 @@ class TestPredictionLayer:
     def test_static_rows_are_unit_normalized_embeddings(self):
         vocab, g, pl = self._setup()
         for w in ["cab", "dad", "egg"]:
-            e = g.embed_word(w)
+            e = embed_word(g, w)
             np.testing.assert_allclose(pl.w.values[vocab.index(w)], e / np.linalg.norm(e), atol=1e-12)
         np.testing.assert_allclose(np.linalg.norm(pl.w.values, axis=1), 1.0)
 
@@ -197,11 +235,11 @@ class TestPredictionLayer:
         vocab, g, pl = self._setup(mode="dynamic")
         rows = pl.rows()
         for w in ["cab", "dad", "egg"]:
-            np.testing.assert_allclose(rows[vocab.index(w)], g.embed_word(w), atol=1e-12)
+            np.testing.assert_allclose(rows[vocab.index(w)], embed_word(g, w), atol=1e-12)
         g.embed_table.values += 0.1
         rows2 = pl.rows()
         assert np.abs(rows2[:3] - rows[:3]).max() > 1e-6
-        np.testing.assert_allclose(rows2[vocab.index("cab")], g.embed_word("cab"), atol=1e-12)
+        np.testing.assert_allclose(rows2[vocab.index("cab")], embed_word(g, "cab"), atol=1e-12)
 
     def test_freeze_contract(self):
         _, _, pl = self._setup()
@@ -224,7 +262,7 @@ class TestPredictionLayer:
         ext = enc.extend_vocabulary(pl, g, ["fad", "had"])
         assert ext.w.values.shape == (6, 4)
         np.testing.assert_array_equal(ext.w.values[:4], pl.w.values)
-        e = g.embed_word("fad")
+        e = embed_word(g, "fad")
         np.testing.assert_allclose(ext.w.values[4], e / np.linalg.norm(e), atol=1e-12)
         np.testing.assert_allclose(ext.b.values[4:], 0.0)
         assert ext.vocab.index("had") == 5

@@ -7,7 +7,7 @@ import os
 import numpy as np
 import pytest
 
-from awekit import pipelines, recognition, synth
+from awekit import pipelines, recognition, search, synth
 from awekit.config import ConfigError, ExperimentConfig
 
 
@@ -280,6 +280,7 @@ class TestEvalAndSearch:
                                          truth_align_path=corpus_dir["dev_align"])
         for key in ("fom", "otwv", "p_at_10"):
             assert a[key] == pytest.approx(b[key])
+        assert (tmp_path / "a_hits.tsv").read_bytes() == (tmp_path / "b_hits.tsv").read_bytes()
 
 
 class TestRecognition:
@@ -417,10 +418,19 @@ class TestCli:
         common = ["--seed", "9"]
         for key in ("train", "train_align", "dev", "dev_align", "lexicon"):
             common += ["--set", f"data.{key}={corpus_dir[key]}"]
-        index.write_bytes(index.read_bytes()[:-3])
-        assert main(["query", *common, "--checkpoint", ckpt, "--index", str(index),
-                     "--queries", corpus_dir["dev"], "--query-align", corpus_dir["dev_align"],
-                     "--out", str(tmp_path / "q.json")]) == 3
+        query = ["query", *common, "--checkpoint", ckpt, "--index", str(index),
+                 "--queries", corpus_dir["dev"], "--query-align", corpus_dir["dev_align"],
+                 "--out", str(tmp_path / "q.json")]
+        good = index.read_bytes()
+        loaded = search.load_index(index)
+        n, d = loaded.embeddings.shape
+        first_order_entry = len(good) - 4 * n * d - 4 * loaded.num_permutations * n
+        corrupt = bytearray(good)
+        corrupt[first_order_entry : first_order_entry + 4] = (99999).to_bytes(4, "little")
+        index.write_bytes(bytes(corrupt))
+        assert main(query) == 3
+        index.write_bytes(good[:-3])
+        assert main(query) == 3
         with open(ckpt, "r+b") as fh:
             fh.truncate(100)
         assert main(["eval-ap", *common, "--checkpoint", ckpt, "--out", str(tmp_path / "ap.json")]) == 3

@@ -174,39 +174,82 @@ class TestIndex:
             with pytest.raises(search.SearchError):
                 search.load_index(cut)
 
+    @pytest.mark.parametrize("table", ["permutation", "sort_order"])
+    @pytest.mark.parametrize("corruption", ["out_of_range", "duplicate"])
+    def test_corrupt_full_length_file_rejected(self, tmp_path, table, corruption):
+        rng = np.random.default_rng(16)
+        emb, refs = _random_db(rng, n=6, d=4)
+        path = tmp_path / "segments.cadi"
+        search.save_index(path, search.build_index(emb, refs, bits=16, permutations=2, seed=1))
+        data = bytearray(path.read_bytes())
+        # the file ends with P*b u4 permutation entries, P*N u4 sort-order
+        # entries and N*d f4 embedding values
+        orders_at = len(data) - 4 * 6 * 4 - 4 * 2 * 6
+        at = orders_at - 4 * 2 * 16 if table == "permutation" else orders_at
+        if corruption == "out_of_range":
+            data[at : at + 4] = (99999).to_bytes(4, "little")
+        else:
+            data[at : at + 4] = data[at + 4 : at + 8]
+        path.write_bytes(bytes(data))
+        with pytest.raises(search.SearchError):
+            search.load_index(path)
+
 
 class TestQbeScore:
+    """``utterance_scores`` over ``query_index`` hits with a beam covering
+    the index."""
+
+    @staticmethod
+    def _score(q, emb, windows, query_len, cfg=WindowConfig(), utt_of=None):
+        refs = [SegmentKey(utt_of(i) if utt_of else "utt", s, z) for i, (s, z) in enumerate(windows)]
+        idx = search.build_index(emb, refs, bits=32, permutations=2, seed=0)
+        utts = sorted({r.utterance_id for r in refs})
+        hits = search.query_index(q, idx, beamwidth=idx.size)
+        return search.utterance_scores(hits, {u: i for i, u in enumerate(utts)},
+                                       set(cfg.admissible_sizes(query_len)))
+
     def test_identical_window_scores_one(self):
         rng = np.random.default_rng(14)
         q = rng.standard_normal(6)
-        windows = [(0, 12), (5, 12)]
         emb = np.vstack([rng.standard_normal(6), q])
-        hit = search.qbe_score_utterance(q, "utt", emb, windows, query_len=12, cfg=WindowConfig())
-        assert hit.score == pytest.approx(1.0)
-        assert hit.window == (5, 12)
+        scores, windows = self._score(q, emb, [(0, 12), (5, 12)], query_len=12)
+        assert scores[0] == pytest.approx(1.0)
+        assert windows == [(5, 12)]
 
     def test_orthogonal_windows_score_zero(self):
         q = np.array([1.0, 0.0])
         emb = np.array([[0.0, 1.0], [0.0, 2.0]])
-        hit = search.qbe_score_utterance(q, "utt", emb, [(0, 12), (5, 12)], 12, WindowConfig())
-        assert hit.score == pytest.approx(0.0)
+        scores, _ = self._score(q, emb, [(0, 12), (5, 12)], 12)
+        assert scores[0] == pytest.approx(0.0)
 
     def test_no_admissible_window_sentinel(self):
         q = np.array([1.0, 0.0])
-        hit = search.qbe_score_utterance(q, "utt", np.zeros((1, 2)), [(0, 120)], 12, WindowConfig())
-        assert hit.score == -1.0 and hit.window is None
+        scores, windows = self._score(q, np.array([[1.0, 0.0]]), [(0, 120)], 12)
+        assert scores[0] == -1.0 and windows == [None]
+
+    def test_tie_goes_to_lower_entry_id(self):
+        q = np.array([1.0, 1.0])
+        emb = np.array([[1.0, 0.0], [0.0, 1.0], [2.0, 2.0], [2.0, 2.0]])
+        scores, windows = self._score(q, emb, [(0, 12), (3, 12), (6, 12), (9, 12)], 12)
+        assert windows == [(6, 12)]
+        assert scores[0] == pytest.approx(1.0)
 
     def test_matches_linear_scan(self):
         rng = np.random.default_rng(15)
         cfg = WindowConfig()
         q = rng.standard_normal(5)
-        windows = search.generate_windows(60, cfg)
+        windows = search.generate_windows(60, cfg) * 3
         emb = rng.standard_normal((len(windows), 5))
-        hit = search.qbe_score_utterance(q, "utt", emb, windows, query_len=24, cfg=cfg)
-        best = -2.0
-        for (start, size), e in zip(windows, emb):
-            if not (2 / 3) * 24 <= size <= (4 / 3) * 24:
-                continue
-            c = e @ q / (np.linalg.norm(e) * np.linalg.norm(q))
-            best = max(best, c)
-        assert hit.score == pytest.approx(best)
+        per_utt = len(windows) // 3
+        scores, got = self._score(q, emb, windows, 24, cfg, utt_of=lambda i: f"u{i // per_utt}")
+        for u in range(3):
+            best, best_win = -1.0, None
+            for i in range(u * per_utt, (u + 1) * per_utt):
+                start, size = windows[i]
+                if not (2 / 3) * 24 <= size <= (4 / 3) * 24:
+                    continue
+                c = emb[i] @ q / (np.linalg.norm(emb[i]) * np.linalg.norm(q))
+                if c > best:
+                    best, best_win = c, (start, size)
+            assert scores[u] == pytest.approx(best, abs=1e-12)
+            assert got[u] == best_win

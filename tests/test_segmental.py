@@ -8,6 +8,7 @@ from awekit import segmental as seg
 from awekit.autodiff import Tensor
 from awekit.corpus import Vocabulary
 from awekit.encoders import AcousticEncoder, AcousticEncoderConfig, PredictionLayer
+from test_encoders import pool_segment
 
 
 def compositions(total, max_part):
@@ -302,8 +303,6 @@ class TestScoreSegments:
 
     @pytest.mark.parametrize("pooling", ["concat", "mean", "attention"])
     def test_matches_per_segment_oracle(self, pooling):
-        from awekit.encoders import pool_segment
-
         enc, pl = self._make(pooling)
         if pooling == "attention":
             enc.attention_vector.values[...] = np.random.default_rng(1).standard_normal(4)
