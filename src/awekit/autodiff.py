@@ -236,12 +236,6 @@ def embedding_lookup(table: Tensor, ids) -> Tensor:
 # Nonlinearities
 
 
-def sigmoid(x: Tensor) -> Tensor:
-    v = 1.0 / (1.0 + np.exp(-x.values))
-    out = Tensor(v)
-    return _record(out, (x,), lambda g: (g * v * (1.0 - v),))
-
-
 def tanh(x: Tensor) -> Tensor:
     v = np.tanh(x.values)
     out = Tensor(v)
@@ -253,21 +247,6 @@ def relu(x: Tensor) -> Tensor:
     out = Tensor(v)
     pos = x.values > 0.0
     return _record(out, (x,), lambda g: (g * pos,))
-
-
-hinge = relu  # [.]_+ on already-formed margins
-
-
-def exp(x: Tensor) -> Tensor:
-    v = np.exp(x.values)
-    out = Tensor(v)
-    return _record(out, (x,), lambda g: (g * v,))
-
-
-def log(x: Tensor) -> Tensor:
-    out = Tensor(np.log(x.values))
-    xv = x.values
-    return _record(out, (x,), lambda g: (g / xv,))
 
 
 def sqrt(x: Tensor) -> Tensor:
@@ -516,13 +495,6 @@ def l2norm_rows(x: Tensor) -> Tensor:
         return ((g / safe)[..., None] * np.where(v[..., None] > 0, xv, 0.0),)
 
     return _record(out, (x,), bwd)
-
-
-def masked_blend(new: Tensor, old: Tensor, m) -> Tensor:
-    """new*m + old*(1-m) for a constant 0/1 mask (state carry at padding)."""
-    m = np.asarray(m, dtype=np.float64)
-    out = Tensor(new.values * m + old.values * (1.0 - m))
-    return _record(out, (new, old), lambda g: (g * m, g * (1.0 - m)))
 
 
 # ---------------------------------------------------------------------------

@@ -192,21 +192,12 @@ class AcousticEncoder:
 
     def pool_all_segments(self, outputs: Tensor, max_len: int):
         """Pool every segment (start t, length s <= max_len) of one
-        utterance's (T, W) frame outputs.
-
-        Returns (pooled, index): pooled is (n, W) in length-major order
-        (all length-1 segments by start, then length-2, ...); index is a
-        (T, max_len) int grid mapping (t, s-1) to the pooled row, -1 where
-        t + s exceeds T.
+        utterance's (T, W) frame outputs into (n, W) rows, length-major
+        (all length-1 segments by start, then length-2, ...): the row
+        order of ``segmental.segment_grid``.
         """
         T, W = outputs.values.shape
         S = min(max_len, T)
-        index = np.full((T, max_len), -1, dtype=np.intp)
-        row = 0
-        for s in range(1, S + 1):
-            n = T - s + 1
-            index[:n, s - 1] = np.arange(row, row + n)
-            row += n
         mode = self.config.pooling
         blocks = []
         if mode == "concat":
@@ -232,7 +223,7 @@ class AcousticEncoder:
                 rows = ad.getitem(outputs, win.reshape(-1))  # (n*s, W)
                 prod = ad.row_scale(rows, ad.reshape(w8, (n * s,)))
                 blocks.append(ad.sum_(ad.reshape(prod, (n, s, W)), axis=1))
-        return ad.concat(blocks, axis=0), index
+        return ad.concat(blocks, axis=0)
 
     def embed_segments_isolated(self, segment_frames, train: bool = False,
                                 rng: np.random.Generator | None = None) -> Tensor:

@@ -1,6 +1,6 @@
 """Evaluation metrics: word-discrimination average precision, search
 quality (FOM, OTWV, P@k, normalized cross entropy, term-weighted value),
-word error rate, and Spearman rank correlation.
+and word error rate.
 
 Conventions: word-discrimination scores are *distances* (lower = same);
 search scores are *similarities* (higher = hit). Average precision uses

@@ -293,7 +293,7 @@ def regularizer_loss(model, fms, alignments, live: bool):
 # Decoding
 
 
-def decode_utterance(model, fm: cp.FrameMatrix, s_max: int | None = None):
+def decode_utterance(model, fm: cp.FrameMatrix, s_max: int):
     """Decode one utterance; returns (words, spans, frame_embeddings)."""
     out, lengths = _encode_batch(model, [fm], train=False, rng=None)
     T = int(lengths[0])
@@ -306,14 +306,14 @@ def decode_utterance(model, fm: cp.FrameMatrix, s_max: int | None = None):
         words = [model.vocab.label(tok) for tok, _, _ in spans]
         return words, spans, proj.values[:T]
     H = ad.getitem(out, (0, slice(0, T)))
-    st = segm.score_segments(model.f, H, model.pl, s_max if s_max is not None else 32)
+    st = segm.score_segments(model.f, H, model.pl, s_max)
     path = segm.viterbi_decode(st)
     words = [model.vocab.label(v) for v in path.labels()]
     spans = [(v, t, t + s) for t, s, v in path.segments]
     return words, spans, None
 
 
-def dev_wer(model, fms, alignments, threads: int, s_max: int = 32) -> float:
+def dev_wer(model, fms, alignments, threads: int, s_max: int) -> float:
     def run(fm):
         words, _, _ = decode_utterance(model, fm, s_max=s_max)
         ref = alignments[fm.utterance_id].labels()

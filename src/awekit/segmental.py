@@ -1,4 +1,4 @@
-"""Whole-word segmental model: score tensor, marginal log loss with
+"""Whole-word segmental model: score lattice, marginal log loss with
 explicit forward/backward recursions, and Viterbi decoding.
 
 A segmentation tiles frames [0, T) with segments (t, s, v): start t,
@@ -8,10 +8,13 @@ u_{t,s,v} live in the log domain; the marginal log loss is
     -log(sum over label-matching segmentations of exp(path score))
     +log(sum over all segmentations of exp(path score))
 
-computed with log-space alpha recursions; the gradient uses matching
-beta recursions rather than taping the DP. Out-of-range lattice cells
-(t+s > T) are excluded from every reduction, never combined
-arithmetically.
+The lattice has one layout: packed (n, V) score rows, one per valid
+segment (t + s <= T), plus the (T, S) grid from ``segment_grid`` that
+maps (t, s-1) to a row. One log-space forward recursion computes the
+alphas; the betas are the same recursion on the time-reversed grid, and
+the gradient is formed from both rather than by taping the DP. Dense
+(T, S, V) arrays are accepted at the entry points and packed through the
+same grid; their out-of-range cells are never read.
 """
 
 from __future__ import annotations
@@ -24,7 +27,6 @@ from . import autodiff as ad
 from .autodiff import Tensor
 
 NEG_INF = -np.inf
-SENTINEL = -1.0e30  # fills invalid dense cells; never read by the kernels
 
 
 class SegmentalError(Exception):
@@ -35,27 +37,27 @@ class InfeasibleSegmentationError(SegmentalError):
     """No tiling of T frames by K segments of length <= S exists."""
 
 
+def segment_grid(num_frames: int, max_len: int) -> np.ndarray:
+    """(T, max_len) grid mapping (t, s-1) to the packed row of segment
+    (t, s), -1 where t + s > T. Rows are length-major: all length-1
+    segments by start, then length-2, and so on."""
+    grid = np.full((num_frames, max_len), -1, dtype=np.intp)
+    row = 0
+    for s in range(1, min(max_len, num_frames) + 1):
+        n = num_frames - s + 1
+        grid[:n, s - 1] = np.arange(row, row + n)
+        row += n
+    return grid
+
+
 @dataclass
 class ScoreTensor:
-    """Packed log-domain segment scores.
-
-    packed: (n, V) tensor; row index[t, s-1] scores segment (t, s).
-    Packing is length-major: all length-1 segments by start, then
-    length-2, and so on. ``dense()`` expands to (T, S, V) with a large
-    negative sentinel in invalid cells (for inspection only).
-    """
+    """Packed log-domain segment scores: ``packed`` is an (n, V) tensor
+    whose row ``index[t, s-1]`` scores segment (t, s); ``index`` comes
+    from ``segment_grid``."""
 
     packed: Tensor
     index: np.ndarray
-    num_frames: int
-    max_len: int
-    vocab_size: int
-
-    def dense(self) -> np.ndarray:
-        out = np.full((self.num_frames, self.max_len, self.vocab_size), SENTINEL)
-        valid = self.index >= 0
-        out[valid] = self.packed.values[self.index[valid]]
-        return out
 
 
 def score_segments(encoder, frame_outputs: Tensor, prediction_layer, max_len: int,
@@ -70,7 +72,7 @@ def score_segments(encoder, frame_outputs: Tensor, prediction_layer, max_len: in
     axis then indexes the subset.
     """
     T = frame_outputs.values.shape[0]
-    pooled, index = encoder.pool_all_segments(frame_outputs, max_len)
+    pooled = encoder.pool_all_segments(frame_outputs, max_len)
     embedded = encoder.project(pooled)  # (n, d)
     w = prediction_layer.weight_tensor()  # (V, d)
     b = prediction_layer.b.tensor
@@ -79,11 +81,11 @@ def score_segments(encoder, frame_outputs: Tensor, prediction_layer, max_len: in
         w = ad.getitem(w, subset)
         b = ad.getitem(b, subset)
     packed = ad.affine(embedded, ad.transpose(w), b)
-    return ScoreTensor(packed, index, T, max_len, w.values.shape[0])
+    return ScoreTensor(packed, segment_grid(T, max_len))
 
 
 # ---------------------------------------------------------------------------
-# Log-space kernels on dense (T, S, V) score arrays
+# Log-space kernels on packed (n, V) score rows and their (T, S) grid
 
 
 def _check_feasible(T: int, S: int, K: int):
@@ -95,10 +97,22 @@ def _check_feasible(T: int, S: int, K: int):
         )
 
 
-def _gather(U: np.ndarray, t: int, smax: int) -> np.ndarray:
-    """Rows U[t-s, s-1, :] for s = 1..smax: segments ending at t."""
-    s = np.arange(1, smax + 1)
-    return U[t - s, s - 1, :]
+def _pack(U) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """A dense (T, S, V) lattice as (packed rows, grid, valid-cell mask)."""
+    U = np.asarray(U, dtype=np.float64)
+    grid = segment_grid(U.shape[0], U.shape[1])
+    valid = grid >= 0
+    P = np.empty((np.count_nonzero(valid), U.shape[2]))
+    P[grid[valid]] = U[valid]
+    return P, grid, valid
+
+
+def _reversed(grid: np.ndarray) -> np.ndarray:
+    """The grid of the time-reversed lattice: segment (t, s) becomes
+    (T - t - s, s) and keeps its packed row."""
+    T, S = grid.shape
+    src = T - np.arange(1, S + 1) - np.arange(T)[:, None]  # (T, S) original start
+    return np.where(src >= 0, grid[np.maximum(src, 0), np.arange(S)], -1)
 
 
 def _logsumexp(a, axis=None):
@@ -110,96 +124,81 @@ def _logsumexp(a, axis=None):
     return np.squeeze(out, axis=axis) if axis is not None else out.reshape(())
 
 
-def _alphas(U: np.ndarray, labels: np.ndarray):
-    T, S, V = U.shape
+def _forward(P: np.ndarray, grid: np.ndarray, labels: np.ndarray):
+    """log a_n (T+1, K+1): column k after k labels; log a_d (T+1,)."""
+    T, S = grid.shape
     K = len(labels)
     log_ad = np.full(T + 1, NEG_INF)
     log_ad[0] = 0.0
     log_an = np.full((T + 1, K + 1), NEG_INF)
     log_an[0, 0] = 0.0
     for t in range(1, T + 1):
-        smax = min(S, t)
-        ends = _gather(U, t, smax)  # (smax, V)
-        prev_d = log_ad[t - np.arange(1, smax + 1)]
-        log_ad[t] = _logsumexp(ends + prev_d[:, None])
-        lab_scores = ends[:, labels]  # (smax, K)
-        prev_n = log_an[t - np.arange(1, smax + 1), :K]  # (smax, K) at y-1
+        s = np.arange(1, min(S, t) + 1)
+        ends = P[grid[t - s, s - 1]]  # (smax, V) segments ending at t
+        log_ad[t] = _logsumexp(ends + log_ad[t - s][:, None])
         with np.errstate(invalid="ignore"):
-            log_an[t, 1:] = _logsumexp(lab_scores + prev_n, axis=0)
+            log_an[t, 1:] = _logsumexp(ends[:, labels] + log_an[t - s, :K], axis=0)
     return log_an, log_ad
 
 
-def _betas(U: np.ndarray, labels: np.ndarray):
-    T, S, V = U.shape
-    K = len(labels)
-    log_bd = np.full(T + 1, NEG_INF)
-    log_bd[T] = 0.0
-    # column y-1 holds b_n[t, y] (y = next label to consume, 1..K+1)
-    log_bn = np.full((T + 1, K + 1), NEG_INF)
-    log_bn[T, K] = 0.0  # all labels consumed exactly at the last frame
-    for t in range(T - 1, -1, -1):
-        smax = min(S, T - t)
-        s = np.arange(1, smax + 1)
-        starts = U[t, :smax, :]  # (smax, V) segments starting at t
-        nxt_d = log_bd[t + s]
-        log_bd[t] = _logsumexp(starts + nxt_d[:, None])
-        lab_scores = starts[:, labels]  # (smax, K)
-        nxt_n = log_bn[t + s, 1 : K + 1]  # (smax, K) at y+1
-        with np.errstate(invalid="ignore"):
-            log_bn[t, 0:K] = _logsumexp(lab_scores + nxt_n, axis=0)
-    return log_bn, log_bd
+def _recursions(P: np.ndarray, grid: np.ndarray, labels: np.ndarray):
+    """(log a_n, log a_d, log b_n, log b_d). The betas are the alphas of
+    the time-reversed lattice with the labels reversed; column k of
+    log b_n holds the suffix from frame t with labels k.. still to
+    consume."""
+    log_an, log_ad = _forward(P, grid, labels)
+    an_rev, ad_rev = _forward(P, _reversed(grid), labels[::-1])
+    return log_an, log_ad, an_rev[::-1, ::-1], ad_rev[::-1]
 
 
-def seg_marginal_loss_value(U: np.ndarray, labels) -> float:
-    """Marginal log loss -log a_n[T, K] + log a_d[T] on a dense lattice."""
-    U = np.asarray(U, dtype=np.float64)
-    labels = np.asarray(labels, dtype=np.intp)
-    T, S, V = U.shape
-    _check_feasible(T, S, len(labels))
-    log_an, log_ad = _alphas(U, labels)
-    return float(-log_an[T, len(labels)] + log_ad[T])
-
-
-def seg_gradient_value(U: np.ndarray, labels) -> tuple[float, np.ndarray]:
-    """Loss plus d(loss)/dU via the explicit alpha/beta recursions.
+def _loss_and_grad(P: np.ndarray, grid: np.ndarray, labels) -> tuple[float, np.ndarray]:
+    """Marginal loss and d(loss)/dP on a packed lattice.
 
     For segment (t, s, v): the denominator part contributes
     exp(log a_d[t] + u - log a_d[T] + log b_d[t+s]) and each transcript
     position k with label v subtracts
     exp(log a_n[t, k-1] + u + log b_n[t+s, k+1] - log a_n[T, K]).
     """
-    U = np.asarray(U, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.intp)
-    T, S, V = U.shape
+    T, S = grid.shape
     K = len(labels)
     _check_feasible(T, S, K)
-    log_an, log_ad = _alphas(U, labels)
-    log_bn, log_bd = _betas(U, labels)
-    loss = float(-log_an[T, K] + log_ad[T])
+    log_an, log_ad, log_bn, log_bd = _recursions(P, grid, labels)
+    start, s0 = np.nonzero(grid >= 0)
+    rows = grid[start, s0]
+    end = start + s0 + 1
+    u = P[rows]
+    with np.errstate(invalid="ignore", over="ignore"):
+        den = np.exp(log_ad[start][:, None] + u + log_bd[end][:, None] - log_ad[T])
+        num = np.exp(log_an[start, :K] + u[:, labels] + log_bn[end, 1:] - log_an[T, K])
+    grad = np.empty_like(P)
+    grad[rows] = den
+    np.add.at(grad, (rows[:, None], labels), -num)
+    return float(-log_an[T, K] + log_ad[T]), grad
 
-    grad = np.zeros_like(U)
-    for t in range(T):
-        smax = min(S, T - t)
-        s = np.arange(1, smax + 1)
-        block = U[t, :smax, :]
-        with np.errstate(invalid="ignore", over="ignore"):
-            den = np.exp(log_ad[t] + block + log_bd[t + s][:, None] - log_ad[T])
-            grad[t, :smax, :] += den
-            # numerator: position k uses prefix a_n[t, k-1], suffix b_n[t+s, k+1]
-            pref = log_an[t, 0:K]  # (K,) at k-1
-            suff = log_bn[t + s, 1 : K + 1]  # (smax, K) at k+1
-            num = np.exp(pref[None, :] + block[:, labels] + suff - log_an[T, K])
-        np.add.at(grad[t, :smax, :], (slice(None), labels), -num)
+
+def seg_marginal_loss_value(U: np.ndarray, labels) -> float:
+    """Marginal log loss -log a_n[T, K] + log a_d[T] on a dense lattice."""
+    P, grid, _ = _pack(U)
+    labels = np.asarray(labels, dtype=np.intp)
+    _check_feasible(*grid.shape, len(labels))
+    log_an, log_ad = _forward(P, grid, labels)
+    return float(-log_an[-1, len(labels)] + log_ad[-1])
+
+
+def seg_gradient_value(U: np.ndarray, labels) -> tuple[float, np.ndarray]:
+    """Loss plus d(loss)/dU on a dense lattice; out-of-range cells get 0."""
+    P, grid, valid = _pack(U)
+    loss, packed_grad = _loss_and_grad(P, grid, labels)
+    grad = np.zeros((*grid.shape, P.shape[1]))
+    grad[valid] = packed_grad[grid[valid]]
     return loss, grad
 
 
 def seg_loss(score_tensor: ScoreTensor, labels) -> Tensor:
     """Autodiff-wrapped marginal loss over a packed score tensor."""
     st = score_tensor
-    loss, dense_grad = seg_gradient_value(st.dense(), labels)
-    packed_grad = np.zeros_like(st.packed.values)
-    valid = st.index >= 0
-    packed_grad[st.index[valid]] = dense_grad[valid]
+    loss, packed_grad = _loss_and_grad(st.packed.values, st.index, labels)
     out = Tensor(loss)
     return ad._record(out, (st.packed,), lambda g: (g * packed_grad,))
 
@@ -234,22 +233,24 @@ class SegPath:
 
 
 def viterbi_decode(U) -> SegPath:
-    """Highest-scoring segmentation; ties prefer the smaller segment
-    length, then the smaller label index."""
+    """Highest-scoring segmentation of a ScoreTensor or a dense (T, S, V)
+    lattice; ties prefer the smaller segment length, then the smaller
+    label index."""
     if isinstance(U, ScoreTensor):
-        U = U.dense()
-    U = np.asarray(U, dtype=np.float64)
-    T, S, V = U.shape
+        P, grid = U.packed.values, U.index
+    else:
+        P, grid, _ = _pack(U)
+    T, S = grid.shape
+    V = P.shape[1]
     best = np.full(T + 1, NEG_INF)
     best[0] = 0.0
     back = np.zeros((T + 1, 2), dtype=np.intp)
     for t in range(1, T + 1):
-        smax = min(S, t)
-        cand = _gather(U, t, smax) + best[t - np.arange(1, smax + 1)][:, None]
+        s = np.arange(1, min(S, t) + 1)
+        cand = P[grid[t - s, s - 1]] + best[t - s][:, None]
         flat = int(np.argmax(cand))  # first max: smallest s, then smallest v
-        s, v = divmod(flat, V)
         best[t] = cand.ravel()[flat]
-        back[t] = (s + 1, v)
+        back[t] = (flat // V + 1, flat % V)
     segments = []
     t = T
     while t > 0:

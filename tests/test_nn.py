@@ -11,13 +11,25 @@ from awekit.autodiff import Tape, Tensor
 # the fused layers in ``nn`` must match bit for bit.
 
 
+def sigmoid(x):
+    v = 1.0 / (1.0 + np.exp(-x.values))
+    return ad._record(Tensor(v), (x,), lambda g: (g * v * (1.0 - v),))
+
+
+def masked_blend(new, old, m):
+    """new*m + old*(1-m) for a constant 0/1 mask (state carry at padding)."""
+    m = np.asarray(m, dtype=np.float64)
+    out = Tensor(new.values * m + old.values * (1.0 - m))
+    return ad._record(out, (new, old), lambda g: (g * m, g * (1.0 - m)))
+
+
 def _lstm_from_gates(gates_x, h_prev, c_prev, p):
     h = p.hidden
     z = ad.add(gates_x, ad.matmul(h_prev, p.w_h.tensor))
-    i = ad.sigmoid(ad.getitem(z, (slice(None), slice(0, h))))
-    f = ad.sigmoid(ad.getitem(z, (slice(None), slice(h, 2 * h))))
+    i = sigmoid(ad.getitem(z, (slice(None), slice(0, h))))
+    f = sigmoid(ad.getitem(z, (slice(None), slice(h, 2 * h))))
     c_tilde = ad.tanh(ad.getitem(z, (slice(None), slice(2 * h, 3 * h))))
-    o = ad.sigmoid(ad.getitem(z, (slice(None), slice(3 * h, 4 * h))))
+    o = sigmoid(ad.getitem(z, (slice(None), slice(3 * h, 4 * h))))
     c = ad.add(ad.mul(i, c_tilde), ad.mul(f, c_prev))
     return ad.mul(o, ad.tanh(c)), c
 
@@ -29,7 +41,7 @@ def lstm_cell(x, h_prev, c_prev, p):
 
 def _gru_from_gates(gates_x, cand_x, h_prev, p):
     h = p.hidden
-    ru = ad.sigmoid(ad.add(gates_x, ad.matmul(h_prev, p.w_h_ru.tensor)))
+    ru = sigmoid(ad.add(gates_x, ad.matmul(h_prev, p.w_h_ru.tensor)))
     r = ad.getitem(ru, (slice(None), slice(0, h)))
     u = ad.getitem(ru, (slice(None), slice(h, 2 * h)))
     h_tilde = ad.tanh(ad.add(cand_x, ad.matmul(ad.mul(r, h_prev), p.w_h_c.tensor)))
@@ -181,10 +193,10 @@ class TestRecurrentLayer:
             gx = ad.getitem(gates, (slice(None), t))
             if lstm:
                 h_new, c_new = _lstm_from_gates(gx, h, c, p)
-                c = ad.masked_blend(c_new, c, m)
+                c = masked_blend(c_new, c, m)
             else:
                 h_new = _gru_from_gates(gx, ad.getitem(cand, (slice(None), t)), h, p)
-            h = ad.masked_blend(h_new, h, m)
+            h = masked_blend(h_new, h, m)
             outputs[t] = ad.mul_const(h, m)
         return ad.stack(outputs, axis=1)
 

@@ -5,7 +5,7 @@ import pytest
 
 from awekit import autodiff as ad
 from awekit import segmental as seg
-from awekit.autodiff import Tensor
+from awekit.autodiff import Tape, Tensor
 from awekit.corpus import Vocabulary
 from awekit.encoders import AcousticEncoder, AcousticEncoderConfig, PredictionLayer
 from test_encoders import pool_segment
@@ -67,6 +67,15 @@ def enum_viterbi_score(U):
 
 def random_scores(rng, T, S, V, scale=1.0):
     return scale * rng.standard_normal((T, S, V))
+
+
+def dense_lattice(st):
+    """(T, S, V) expansion of a packed ScoreTensor through its grid;
+    out-of-range cells (t + s > T) hold NaN, which no kernel may read."""
+    valid = st.index >= 0
+    out = np.full((*st.index.shape, st.packed.values.shape[1]), np.nan)
+    out[valid] = st.packed.values[st.index[valid]]
+    return out
 
 
 class TestMarginalLoss:
@@ -178,8 +187,8 @@ class TestGradient:
         T, S, V = 6, 3, 2
         U = random_scores(rng, T, S, V)
         labels = [0, 1, 0]
-        log_an, log_ad = seg._alphas(U, np.array(labels))
-        _, log_bd = seg._betas(U, np.array(labels))
+        P, grid, _ = seg._pack(U)
+        _, log_ad, _, log_bd = seg._recursions(P, grid, np.array(labels))
         for tau in range(1, T + 1):  # boundary between frames tau-1 and tau
             total = 0.0
             for t in range(T):
@@ -193,8 +202,8 @@ class TestGradient:
         T, S, V = 5, 2, 2
         U = random_scores(rng, T, S, V)
         labels = [0]
-        _, log_ad = seg._alphas(U, np.array(labels))
-        _, log_bd = seg._betas(U, np.array(labels))
+        P, grid, _ = seg._pack(U)
+        _, log_ad, _, log_bd = seg._recursions(P, grid, np.array(labels))
         total = 0.0
         for t in range(T):
             for s in range(1, min(S, T - t) + 1):
@@ -308,7 +317,7 @@ class TestScoreSegments:
             enc.attention_vector.values[...] = np.random.default_rng(1).standard_normal(4)
         H = Tensor(np.random.default_rng(2).standard_normal((5, 4)))
         st = seg.score_segments(enc, H, pl, max_len=3)
-        dense = st.dense()
+        dense = dense_lattice(st)
         r = enc.attention_vector.tensor if enc.attention_vector is not None else None
         for t in range(5):
             for s in range(1, 4):
@@ -334,3 +343,35 @@ class TestScoreSegments:
             return seg.seg_loss(st, [1, 0])
 
         assert ad.grad_check(f, leaves, eps=1e-5) <= 1e-4
+
+
+class TestPackedLattice:
+    """The packed path (score_segments -> seg_loss / viterbi_decode) equals
+    the dense entry points on the same lattice, bit for bit."""
+
+    def _lattice(self, max_len, seed):
+        enc, pl = TestScoreSegments()._make("mean")
+        rng = np.random.default_rng(seed)
+        pl.w.values[...] = 3.0 * rng.standard_normal(pl.w.values.shape)
+        pl.b.values[...] = -4.0  # a per-segment cost, so best paths mix segment lengths
+        H = Tensor(rng.standard_normal((5, 4)))
+        return seg.score_segments(enc, H, pl, max_len=max_len)
+
+    @pytest.mark.parametrize("max_len", [2, 3, 7])  # 7 > T = 5
+    def test_seg_loss_equals_dense_gradient(self, max_len):
+        st = self._lattice(max_len, 17)
+        leaf = seg.ScoreTensor(Tensor(st.packed.values), st.index)
+        labels = [1, 0, 2]
+        with Tape() as tape:
+            loss = seg.seg_loss(leaf, labels)
+        tape.backward(loss)
+        want_loss, want_grad = seg.seg_gradient_value(dense_lattice(st), labels)
+        assert float(loss.values) == want_loss
+        valid = st.index >= 0
+        np.testing.assert_array_equal(leaf.packed.grad[st.index[valid]], want_grad[valid])
+        np.testing.assert_array_equal(want_grad[~valid], 0.0)
+
+    @pytest.mark.parametrize("max_len", [2, 3, 7])
+    def test_viterbi_packed_equals_dense(self, max_len):
+        st = self._lattice(max_len, 18)
+        assert seg.viterbi_decode(st) == seg.viterbi_decode(dense_lattice(st))
