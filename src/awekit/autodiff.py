@@ -17,6 +17,8 @@ mask multiply). Anything else raises.
 
 from __future__ import annotations
 
+import threading
+
 import numpy as np
 
 _TAPES: list["Tape"] = []
@@ -26,14 +28,21 @@ class ZeroNormCounter:
     """Counts cosine-distance evaluations that hit a zero-norm operand.
 
     Such pairs get distance 1 with zero gradient instead of NaN; the count
-    makes the event observable (e.g. silence-only segments).
+    makes the event observable (e.g. silence-only segments). Worker
+    threads add to it, so ``add`` holds a lock.
     """
 
     def __init__(self):
         self.count = 0
+        self._lock = threading.Lock()
+
+    def add(self, n: int):
+        with self._lock:
+            self.count += n
 
     def reset(self):
-        self.count = 0
+        with self._lock:
+            self.count = 0
 
 
 zero_norm_events = ZeroNormCounter()
@@ -418,7 +427,7 @@ def _cosine_forward(av, bv):
     ok = (na > 0) & (nb > 0)
     n_bad = int(np.size(ok) - np.count_nonzero(ok))
     if n_bad:
-        zero_norm_events.count += n_bad
+        zero_norm_events.add(n_bad)
     denom = np.where(ok, na * nb, 1.0)
     cos = np.where(ok, (av * bv).sum(axis=-1) / denom, 0.0)
     return cos, na, nb, ok
@@ -462,7 +471,7 @@ def cosine_distance_matrix(a: Tensor, b: Tensor) -> Tensor:
     ok = (na > 0)[:, None] & (nb > 0)[None, :]
     n_bad = int(np.size(ok) - np.count_nonzero(ok))
     if n_bad:
-        zero_norm_events.count += n_bad
+        zero_norm_events.add(n_bad)
     sa = np.where(na > 0, na, 1.0)
     sb = np.where(nb > 0, nb, 1.0)
     an = av / sa[:, None]

@@ -1,11 +1,13 @@
 """Dynamic time warping between frame sequences.
 
 The cost matrix uses infinite borders with C[0,0] = 0 and the symmetric
-3-move predecessor set {(i-1,j), (i,j-1), (i-1,j-1)}; the returned value
-is C[N,M], optionally divided by the number of steps on one optimal path
-(path-length normalization). Memory is a two-row rolling buffer plus a
-step-count row when normalizing. ``dtw_cost_batch`` holds the one
-recurrence; ``dtw_cost`` runs it on a single pair.
+3-move predecessor set {(i-1,j), (i,j-1), (i-1,j-1)}. ``dtw_cost_batch``
+holds the one recurrence: one pass returns both the raw cost C[N,M] and
+the number of steps on the optimal path (ties go diagonal, up, left), so
+the raw and the path-length normalized cost (cost / steps) come from the
+same pass. Pairs are the last, contiguous axis of the chunk's distance
+cube and of its two rolling rows, so each cell step is a few whole-row
+numpy operations. ``dtw_cost`` runs the kernel on a single pair.
 """
 
 from __future__ import annotations
@@ -29,24 +31,34 @@ class DtwConfig:
             raise ValueError(f"unknown normalization {self.normalization!r}")
 
 
-def frame_distances(x: np.ndarray, y: np.ndarray, kind: str) -> np.ndarray:
-    """All-pairs frame distance matrix, N x M."""
+def _frame_terms(x, kind: str) -> tuple:
+    """The per-sequence terms of the frame distance: squared norms
+    (euclidean), or norms with 1 in place of 0, the nonzero mask and its
+    count (cosine). A batch computes them once per distinct array."""
     x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    if x.ndim != 2 or y.ndim != 2 or x.shape[1] != y.shape[1]:
+    if x.ndim != 2:
         raise ValueError("frame matrices must be 2-D with equal feature dims")
     if kind == "euclidean":
-        sq = (x * x).sum(1)[:, None] + (y * y).sum(1)[None, :] - 2.0 * (x @ y.T)
-        return np.sqrt(np.maximum(sq, 0.0))
-    nx = np.linalg.norm(x, axis=1)
-    ny = np.linalg.norm(y, axis=1)
-    ok = (nx > 0)[:, None] & (ny > 0)[None, :]
-    bad = ok.size - np.count_nonzero(ok)
+        return x, (x * x).sum(1)
+    n = np.linalg.norm(x, axis=1)
+    return x, np.where(n > 0, n, 1.0), n > 0, int(np.count_nonzero(n))
+
+
+def frame_distances(tx: tuple, ty: tuple, kind: str) -> tuple[np.ndarray, int]:
+    """All-pairs frame distance matrix, N x M, from two ``_frame_terms``,
+    and the number of its cells with a zero-norm operand (cosine), which
+    score distance 1."""
+    x, y = tx[0], ty[0]
+    if x.shape[1] != y.shape[1]:
+        raise ValueError("frame matrices must be 2-D with equal feature dims")
+    if kind == "euclidean":
+        sq = tx[1][:, None] + ty[1][None, :] - 2.0 * (x @ y.T)
+        return np.sqrt(np.maximum(sq, 0.0)), 0
+    cos = (x @ y.T) / (tx[1][:, None] * ty[1][None, :])
+    bad = x.shape[0] * y.shape[0] - tx[3] * ty[3]
     if bad:
-        zero_norm_events.count += int(bad)
-    denom = np.where(nx > 0, nx, 1.0)[:, None] * np.where(ny > 0, ny, 1.0)[None, :]
-    cos = np.where(ok, (x @ y.T) / denom, 0.0)
-    return 1.0 - cos
+        cos = np.where(tx[2][:, None] & ty[2][None, :], cos, 0.0)
+    return 1.0 - cos, bad
 
 
 def dtw_cost(x: np.ndarray, y: np.ndarray, cfg: DtwConfig = DtwConfig()) -> float:
@@ -56,54 +68,56 @@ def dtw_cost(x: np.ndarray, y: np.ndarray, cfg: DtwConfig = DtwConfig()) -> floa
     Zero-norm frames under the cosine distance score distance 1 against
     everything and bump the shared zero-norm event counter.
     """
-    return float(dtw_cost_batch([(x, y)], cfg)[0])
+    costs, steps = dtw_cost_batch([(x, y)], cfg.frame_distance)
+    return float(costs[0] / steps[0] if cfg.normalization == "path-length" else costs[0])
 
 
-def dtw_cost_batch(pairs, cfg: DtwConfig = DtwConfig(), chunk: int = 2048) -> np.ndarray:
-    """DTW costs for many (x, y) pairs at once.
+def dtw_cost_batch(pairs, distance: str = "cosine", chunk: int = 2048) -> tuple[np.ndarray, np.ndarray]:
+    """DTW costs C[N,M] and optimal-path step counts for many (x, y) pairs.
 
-    The one DTW recurrence: the cell loop runs over a two-row buffer and
-    is vectorized across pairs (pairs padded to the chunk's max lengths;
-    padding cells never feed a real pair's terminal cell because the DP
-    only moves forward), so a pair's cost does not depend on the pairs it
-    is batched with. Ties between predecessors go diagonal, up, left.
+    The one DTW recurrence, vectorized across pairs (padded to the
+    chunk's max lengths; padding cells never feed a real pair's terminal
+    cell because the DP only moves forward), so a pair's result does not
+    depend on the pairs it is batched with. A cell is
+    ``d + min(min(diag, up), left)``; its step count follows the first
+    minimum in the order diagonal, up, left, so ties go diagonal first.
+    Path-length normalization is ``costs / steps``.
     """
-    out = np.empty(len(pairs))
-    track_steps = cfg.normalization == "path-length"
+    costs = np.empty(len(pairs))
+    steps = np.empty(len(pairs), dtype=np.int64)
+    arrays = {id(a): a for pair in pairs for a in pair}
+    terms = {k: _frame_terms(a, distance) for k, a in arrays.items()}
+    bad = 0
     for c0 in range(0, len(pairs), chunk):
         sub = pairs[c0 : c0 + chunk]
         P = len(sub)
         ns = np.array([len(x) for x, _ in sub])
         ms = np.array([len(y) for _, y in sub])
         n_max, m_max = int(ns.max()), int(ms.max())
-        d = np.zeros((P, n_max, m_max))
+        d = np.zeros((n_max, m_max, P))
         for p, (x, y) in enumerate(sub):
-            d[p, : len(x), : len(y)] = frame_distances(x, y, cfg.frame_distance)
-        prev = np.full((P, m_max + 1), np.inf)
-        prev[:, 0] = 0.0
-        cur = np.empty((P, m_max + 1))
-        if track_steps:
-            prev_steps = np.zeros((P, m_max + 1), dtype=np.int64)
-            cur_steps = np.zeros((P, m_max + 1), dtype=np.int64)
-        result = np.empty(P)
-        res_steps = np.zeros(P, dtype=np.int64)
+            d[: len(x), : len(y), p], n_bad = frame_distances(terms[id(x)], terms[id(y)], distance)
+            bad += n_bad
+        prev = np.full((m_max + 1, P), np.inf)
+        prev[0] = 0.0
+        cur = np.empty((m_max + 1, P))
+        prev_steps = np.zeros((m_max + 1, P), dtype=np.int64)
+        cur_steps = np.zeros((m_max + 1, P), dtype=np.int64)
+        best = np.empty(P)
         for i in range(1, n_max + 1):
-            cur[:, 0] = np.inf
+            cur[0] = np.inf
             for j in range(1, m_max + 1):
-                moves = np.stack((prev[:, j - 1], prev[:, j], cur[:, j - 1]))
-                best = np.argmin(moves, axis=0)
-                cur[:, j] = d[:, i - 1, j - 1] + moves[best, np.arange(P)]
-                if track_steps:
-                    st = np.stack((prev_steps[:, j - 1], prev_steps[:, j], cur_steps[:, j - 1]))
-                    cur_steps[:, j] = 1 + st[best, np.arange(P)]
-            done = ns == i
-            if done.any():
-                result[done] = cur[done, ms[done]]
-                if track_steps:
-                    res_steps[done] = cur_steps[done, ms[done]]
+                diag, up, left = prev[j - 1], prev[j], cur[j - 1]
+                np.minimum(diag, up, out=best)
+                st = np.where(up < diag, prev_steps[j], prev_steps[j - 1])
+                np.add(np.where(left < best, cur_steps[j - 1], st), 1, out=cur_steps[j])
+                np.minimum(best, left, out=best)
+                np.add(d[i - 1, j - 1], best, out=cur[j])
+            done = np.flatnonzero(ns == i)
+            costs[c0 + done] = cur[ms[done], done]
+            steps[c0 + done] = cur_steps[ms[done], done]
             prev, cur = cur, prev
-            if track_steps:
-                prev_steps, cur_steps = cur_steps, prev_steps
-        out[c0 : c0 + P] = result / res_steps if track_steps else result
-    return out
-
+            prev_steps, cur_steps = cur_steps, prev_steps
+    if bad:
+        zero_norm_events.add(bad)
+    return costs, steps

@@ -637,13 +637,11 @@ def dtw_ap(cfg: ExperimentConfig, out_path: str) -> dict:
     pairs = [(frames[i], frames[j]) for i in range(n) for j in range(i + 1, n)]
     same = np.array([labels[i] == labels[j] for i in range(n) for j in range(i + 1, n)])
 
-    def run(cfg_dtw):
-        chunks = [pairs[i : i + 2000] for i in range(0, len(pairs), 2000)]
-        costs = parallel_map(lambda c: dtw_mod.dtw_cost_batch(c, cfg_dtw), chunks, cfg.threads)
-        return np.concatenate(costs) if costs else np.zeros(0)
-
-    raw = run(dtw_mod.DtwConfig("cosine", "none"))
-    norm = run(dtw_mod.DtwConfig("cosine", "path-length"))
+    chunks = [pairs[i : i + 2000] for i in range(0, len(pairs), 2000)]
+    # one pass gives both the raw costs and the path-length normalized ones
+    out = parallel_map(dtw_mod.dtw_cost_batch, chunks, cfg.threads)
+    raw, steps = (np.concatenate(a) for a in zip(*out)) if out else (np.zeros(0), np.ones(0))
+    norm = raw / steps
     report = {
         "dtw_ap": mx.average_precision(raw, same),
         "dtw_ap_path_normalized": mx.average_precision(norm, same),

@@ -262,6 +262,8 @@ def load_index(path) -> PermutedSignatureIndex:
         version, b, P, seed, N, d = struct.unpack_from("<IIIqII", data, 4)
         if version != INDEX_VERSION:
             raise SearchError(f"unsupported index version {version}")
+        if seed < 0:  # stored signed; SeedSequence takes only non-negative seeds
+            raise SearchError(f"corrupt index file: negative hyperplane seed {seed}")
         off = 4 + struct.calcsize("<IIIqII")
         refs = []
         for _ in range(N):

@@ -1,5 +1,8 @@
 """Core autodiff: primitive forward values, backward vs finite differences."""
 
+import sys
+import threading
+
 import numpy as np
 import pytest
 
@@ -37,6 +40,29 @@ def test_cosine_distance_zero_norm_policy():
     np.testing.assert_allclose(d.values, 1.0 + 1.0)  # degenerate pair scores 1
     np.testing.assert_allclose(a.grad[0], 0.0)  # and contributes no gradient
     assert ad.zero_norm_events.count == 1
+
+
+def test_zero_norm_counter_loses_no_update_across_threads():
+    counter = ad.ZeroNormCounter()
+    start = threading.Barrier(8)
+
+    def bump():
+        start.wait()
+        for _ in range(20000):
+            counter.add(1)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        workers = [threading.Thread(target=bump) for _ in range(8)]
+        for w in workers:
+            w.start()
+        for w in workers:
+            w.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(w.is_alive() for w in workers)
+    assert counter.count == 8 * 20000
 
 
 def test_shared_subexpression_accumulates():

@@ -28,8 +28,63 @@ def enumerate_paths(n, m):
     return paths
 
 
+def oracle_frame_distances(x, y, kind):
+    """All-pairs frame distance matrix, N x M, computed from scratch for
+    each pair; zero-norm frames score distance 1 under the cosine."""
+    x = np.asarray(x, dtype=np.float64)
+    y = np.asarray(y, dtype=np.float64)
+    if kind == "euclidean":
+        sq = (x * x).sum(1)[:, None] + (y * y).sum(1)[None, :] - 2.0 * (x @ y.T)
+        return np.sqrt(np.maximum(sq, 0.0))
+    nx = np.linalg.norm(x, axis=1)
+    ny = np.linalg.norm(y, axis=1)
+    ok = (nx > 0)[:, None] & (ny > 0)[None, :]
+    denom = np.where(nx > 0, nx, 1.0)[:, None] * np.where(ny > 0, ny, 1.0)[None, :]
+    cos = np.where(ok, (x @ y.T) / denom, 0.0)
+    return 1.0 - cos
+
+
+def oracle_dtw_batch(pairs, cfg, chunk):
+    """Reference recurrence: a two-row buffer with pairs on the first
+    axis, the predecessor chosen by ``np.argmin`` over the stacked
+    (diagonal, up, left) costs, and its step count carried alongside."""
+    out = np.empty(len(pairs))
+    track_steps = cfg.normalization == "path-length"
+    for c0 in range(0, len(pairs), chunk):
+        sub = pairs[c0 : c0 + chunk]
+        P = len(sub)
+        ns = np.array([len(x) for x, _ in sub])
+        ms = np.array([len(y) for _, y in sub])
+        n_max, m_max = int(ns.max()), int(ms.max())
+        d = np.zeros((P, n_max, m_max))
+        for p, (x, y) in enumerate(sub):
+            d[p, : len(x), : len(y)] = oracle_frame_distances(x, y, cfg.frame_distance)
+        prev = np.full((P, m_max + 1), np.inf)
+        prev[:, 0] = 0.0
+        cur = np.empty((P, m_max + 1))
+        prev_steps = np.zeros((P, m_max + 1), dtype=np.int64)
+        cur_steps = np.zeros((P, m_max + 1), dtype=np.int64)
+        result = np.empty(P)
+        res_steps = np.zeros(P, dtype=np.int64)
+        for i in range(1, n_max + 1):
+            cur[:, 0] = np.inf
+            for j in range(1, m_max + 1):
+                moves = np.stack((prev[:, j - 1], prev[:, j], cur[:, j - 1]))
+                best = np.argmin(moves, axis=0)
+                cur[:, j] = d[:, i - 1, j - 1] + moves[best, np.arange(P)]
+                st = np.stack((prev_steps[:, j - 1], prev_steps[:, j], cur_steps[:, j - 1]))
+                cur_steps[:, j] = 1 + st[best, np.arange(P)]
+            done = ns == i
+            result[done] = cur[done, ms[done]]
+            res_steps[done] = cur_steps[done, ms[done]]
+            prev, cur = cur, prev
+            prev_steps, cur_steps = cur_steps, prev_steps
+        out[c0 : c0 + P] = result / res_steps if track_steps else result
+    return out
+
+
 def brute_force_cost(x, y, cfg):
-    d = dtw.frame_distances(x, y, cfg.frame_distance)
+    d = oracle_frame_distances(x, y, cfg.frame_distance)
     best = np.inf
     for path in enumerate_paths(len(x), len(y)):
         cost = sum(d[i - 1, j - 1] for i, j in path)
@@ -117,6 +172,10 @@ class TestDtwCost:
         assert zero_norm_events.count == 1
 
 
+def _normalized(costs, steps, cfg):
+    return costs / steps if cfg.normalization == "path-length" else costs
+
+
 class TestDtwBatch:
     @pytest.mark.parametrize("normalization", ["none", "path-length"])
     def test_batch_equals_scalar(self, normalization):
@@ -126,6 +185,31 @@ class TestDtwBatch:
         for _ in range(40):
             n, m = rng.integers(1, 9, size=2)
             pairs.append((rng.standard_normal((n, 3)), rng.standard_normal((m, 3))))
-        got = dtw.dtw_cost_batch(pairs, cfg, chunk=7)
+        got = _normalized(*dtw.dtw_cost_batch(pairs, cfg.frame_distance, chunk=7), cfg)
         want = np.array([dtw.dtw_cost(x, y, cfg) for x, y in pairs])
-        np.testing.assert_allclose(got, want, atol=1e-12)
+        np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize("distance", ["cosine", "euclidean"])
+    @pytest.mark.parametrize("chunk", [1, 37, 2048])
+    def test_bit_identical_to_reference_recurrence(self, distance, chunk):
+        # rounded frames make equal predecessor costs (ties) and zero-norm
+        # frames common; sequences recur across pairs, as in dtw_ap
+        rng = np.random.default_rng(17)
+        pool = [np.round(rng.standard_normal((int(rng.integers(1, 31)), 3))) for _ in range(40)]
+        pairs = [(pool[a], pool[b]) for a, b in rng.integers(0, len(pool), size=(300, 2))]
+        costs, steps = dtw.dtw_cost_batch(pairs, distance, chunk=chunk)
+        for normalization in ("none", "path-length"):
+            cfg = DtwConfig(distance, normalization)
+            want = oracle_dtw_batch(pairs, cfg, chunk=64)
+            assert _normalized(costs, steps, cfg).tobytes() == want.tobytes()
+
+    def test_zero_norm_events_counted_once_per_cell(self):
+        from awekit.autodiff import zero_norm_events
+
+        x = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 0.0]])
+        y = np.array([[1.0, 1.0], [0.0, 0.0]])
+        zero_norm_events.reset()
+        dtw.dtw_cost_batch([(x, y), (y, x), (y, y)], chunk=2)
+        # (x, y) and (y, x): 6 cells less the 1 x 1 with both frames
+        # nonzero; (y, y): 4 cells less 1 x 1
+        assert zero_norm_events.count == 5 + 5 + 3

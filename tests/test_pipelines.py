@@ -431,6 +431,10 @@ class TestCli:
         assert main(query) == 3
         index.write_bytes(good[:-3])
         assert main(query) == 3
+        negative_seed = bytearray(good)
+        negative_seed[16:24] = (-1).to_bytes(8, "little", signed=True)
+        index.write_bytes(bytes(negative_seed))
+        assert main(query) == 3
         with open(ckpt, "r+b") as fh:
             fh.truncate(100)
         assert main(["eval-ap", *common, "--checkpoint", ckpt, "--out", str(tmp_path / "ap.json")]) == 3

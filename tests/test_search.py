@@ -194,6 +194,18 @@ class TestIndex:
         with pytest.raises(search.SearchError):
             search.load_index(path)
 
+    def test_negative_seed_rejected(self, tmp_path):
+        rng = np.random.default_rng(17)
+        emb, refs = _random_db(rng, n=6, d=4)
+        path = tmp_path / "segments.cadi"
+        search.save_index(path, search.build_index(emb, refs, bits=16, permutations=2, seed=1))
+        data = bytearray(path.read_bytes())
+        # header: magic, then u4 version, bits, permutations, i8 seed
+        data[16:24] = (-5).to_bytes(8, "little", signed=True)
+        path.write_bytes(bytes(data))
+        with pytest.raises(search.SearchError, match="negative hyperplane seed"):
+            search.load_index(path)
+
 
 class TestQbeScore:
     """``utterance_scores`` over ``query_index`` hits with a beam covering
