@@ -57,13 +57,6 @@ class Tensor:
         self.values = np.asarray(values, dtype=np.float64)
         self.grad = None
 
-    @property
-    def shape(self):
-        return self.values.shape
-
-    def item(self):
-        return float(self.values)
-
     def accumulate_grad(self, g):
         if self.grad is None:
             self.grad = np.zeros_like(self.values)
@@ -71,28 +64,6 @@ class Tensor:
 
     def __repr__(self):
         return f"Tensor(shape={self.values.shape})"
-
-    # Operator sugar; all routes through the module-level primitives.
-    def __add__(self, other):
-        return add(self, other)
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    def __rmul__(self, other):
-        return mul(self, other)
-
-    def __neg__(self):
-        return scale(self, -1.0)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
-    def __getitem__(self, key):
-        return getitem(self, key)
 
 
 class Tape:
@@ -109,14 +80,10 @@ class Tape:
         assert _TAPES.pop() is self
         return False
 
-    def backward(self, loss: Tensor, seed=None):
-        """Backpropagate from ``loss``; visits each node exactly once.
-
-        ``seed`` defaults to ones (the usual scalar-loss case).
-        """
-        if seed is None:
-            seed = np.ones_like(loss.values)
-        loss.accumulate_grad(np.asarray(seed, dtype=np.float64))
+    def backward(self, loss: Tensor):
+        """Backpropagate from ``loss`` with a seed gradient of ones; visits
+        each node exactly once."""
+        loss.accumulate_grad(np.ones_like(loss.values))
         for out, inputs, bwd in reversed(self.nodes):
             if out.grad is None:
                 continue

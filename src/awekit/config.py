@@ -55,13 +55,11 @@ DEFAULTS = {
         "kind": "ctc", "lexicon_mode": "static", "training_mode": "baseline",
         "freeze": "false", "unit_normalize": "true", "unk": "false",
         "lambda_emb": "0.0", "lambda_reg": "0.0", "scheme": "additive",
-        "s_max": "32", "vocab_sample": "0", "init_checkpoint": "",
-        "vocab_file": "", "unk_row_init": "random", "freeze_encoder": "false",
+        "s_max": "32", "init_checkpoint": "", "vocab_file": "",
     },
     "search": {
         "bits": "1024", "permutations": "16", "beamwidth": "50",
-        "stride": "5", "window_sizes": "", "min_ratio": "0.6667",
-        "max_ratio": "1.3333", "exhaustive": "false",
+        "stride": "5", "window_sizes": "", "exhaustive": "false",
     },
     "run": {"seed": "", "threads": "1"},
 }

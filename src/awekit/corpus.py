@@ -252,9 +252,6 @@ class Vocabulary:
     def __contains__(self, label):
         return label in self._index
 
-    def __len__(self):
-        return len(self.labels)
-
 
 # ---------------------------------------------------------------------------
 # Feature archive I/O (binary, little-endian)

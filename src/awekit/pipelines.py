@@ -670,9 +670,7 @@ def _write_report(out_path, report: dict):
 
 def _window_config(cfg: ExperimentConfig) -> srch.WindowConfig:
     sizes = cfg.getints("search", "window_sizes")
-    kwargs = {"stride": cfg.getint("search", "stride"),
-              "min_ratio": cfg.getfloat("search", "min_ratio"),
-              "max_ratio": cfg.getfloat("search", "max_ratio")}
+    kwargs = {"stride": cfg.getint("search", "stride")}
     if sizes:
         kwargs["sizes"] = sizes
     return srch.WindowConfig(**kwargs)

@@ -120,17 +120,8 @@ def build_recognizer(cfg: ExperimentConfig, ds: Dataset, input_dim: int):
         pl = enc.PredictionLayer.from_written_encoder(
             vocab, g, ds.lexicon, mode=lexicon_mode, rng=component_rng(cfg.seed, "pred-init"),
             unit_normalize=cfg.getbool("recognizer", "unit_normalize"))
-        if use_unk and lexicon_mode == "static" and cfg.get("recognizer", "unk_row_init") == "zero":
-            # a zero UNK row scores through its bias alone, so OOV spans do
-            # not pull the encoder toward an arbitrary frozen direction
-            pl.w.values[vocab.unk_index] = 0.0
         if cfg.getbool("recognizer", "freeze"):
             pl.freeze()
-        if cfg.getbool("recognizer", "freeze_encoder"):
-            # keep the pretrained embedding geometry exactly: only biases,
-            # the blank row, and (joint mode) the written encoder train
-            for p in f.parameters():
-                p.frozen = True
     else:
         f = build_acoustic_encoder(cfg, input_dim, init_rng)
         g = None
@@ -233,30 +224,16 @@ def ctc_batch_loss(model, fms, alignments, train=True, rng=None):
     return total, n, out, lengths
 
 
-def segmental_batch_loss(model, fms, alignments, cfg, train=True, rng=None, sample_rng=None):
+def segmental_batch_loss(model, fms, alignments, cfg, train=True, rng=None):
     out, lengths = _encode_batch(model, fms, train, rng)
     counts = [len(alignments[fm.utterance_id]) for fm in fms]
     s_cap = segm.batch_segment_cap(lengths, counts, cfg.getint("recognizer", "s_max"))
-    vocab_sample = cfg.getint("recognizer", "vocab_sample")
-    subset = None
-    remap = None
-    if vocab_sample > 0:
-        needed = sorted({i for fm in fms for i in _transcript_ids(model, alignments[fm.utterance_id])})
-        pool = [i for i in range(model.vocab.size) if i not in set(needed)]
-        extra = max(0, min(vocab_sample - len(needed), len(pool)))
-        if extra and sample_rng is not None:
-            picks = sample_rng.choice(len(pool), size=extra, replace=False)
-            needed = sorted(set(needed) | {pool[p] for p in picks})
-        subset = np.array(needed, dtype=np.intp)
-        remap = {v: i for i, v in enumerate(needed)}
     total = None
     n = 0
     for i, fm in enumerate(fms):
         ids = _transcript_ids(model, alignments[fm.utterance_id])
-        if remap is not None:
-            ids = [remap[v] for v in ids]
         H = ad.getitem(out, (i, slice(0, int(lengths[i]))))
-        st = segm.score_segments(model.f, H, model.pl, s_cap, label_subset=subset)
+        st = segm.score_segments(model.f, H, model.pl, s_cap)
         piece = segm.seg_loss(st, ids)
         total = piece if total is None else ad.add(total, piece)
         n += len(ids)
@@ -313,16 +290,24 @@ def decode_utterance(model, fm: cp.FrameMatrix, s_max: int):
     return words, spans, None
 
 
-def dev_wer(model, fms, alignments, threads: int, s_max: int) -> float:
-    def run(fm):
-        words, _, _ = decode_utterance(model, fm, s_max=s_max)
+def _wer_totals(fms, hyps, alignments) -> dict:
+    """Corpus WER and its substitutions, deletions and insertions, summed
+    over utterances, against the reference words in ``alignments``."""
+    subs = dels = ins = total = 0
+    for fm, words in zip(fms, hyps):
         ref = alignments[fm.utterance_id].labels()
-        return mx.wer(ref, words)
+        r = mx.wer(ref, words)
+        subs += r.substitutions
+        dels += r.deletions
+        ins += r.insertions
+        total += len(ref)
+    return {"wer": (subs + dels + ins) / total, "substitutions": subs,
+            "deletions": dels, "insertions": ins, "ref_words": total}
 
-    results = parallel_map(run, list(fms), threads)
-    errors = sum(r.substitutions + r.deletions + r.insertions for r in results)
-    total = sum(len(alignments[fm.utterance_id].labels()) for fm in fms)
-    return errors / total
+
+def dev_wer(model, fms, alignments, threads: int, s_max: int) -> float:
+    hyps = parallel_map(lambda fm: decode_utterance(model, fm, s_max=s_max)[0], fms, threads)
+    return _wer_totals(fms, hyps, alignments)["wer"]
 
 
 # ---------------------------------------------------------------------------
@@ -353,7 +338,7 @@ def train_asr(cfg: ExperimentConfig, outdir: str) -> dict:
             asr, n_tok, out, _ = ctc_batch_loss(model, fms, ds.train_align, train=True, rng=dropout_rng)
         else:
             asr, n_tok, out, _ = segmental_batch_loss(model, fms, ds.train_align, cfg, train=True,
-                                                      rng=dropout_rng, sample_rng=sample_rng)
+                                                      rng=dropout_rng)
         asr = ad.scale(asr, 1.0 / max(1, n_tok))
         emb_loss = reg_loss = None
         if mode == "joint" and lam_emb > 0:
@@ -449,19 +434,7 @@ def decode_archive(cfg: ExperimentConfig, checkpoint: str, archive_path: str, ou
     report = {"num_utterances": len(fms), "transcripts": os.path.basename(trans_path),
               "config": cfg.resolved(), "version": SCHEMA_VERSION}
     if align_path:
-        align = cp.load_alignments(align_path)
-        errors = total = 0
-        subs = dels = ins = 0
-        for fm, words in zip(fms, hyps):
-            ref = align[fm.utterance_id].labels()
-            r = mx.wer(ref, words)
-            subs += r.substitutions
-            dels += r.deletions
-            ins += r.insertions
-            errors += r.substitutions + r.deletions + r.insertions
-            total += len(ref)
-        report.update({"wer": errors / total, "substitutions": subs,
-                       "deletions": dels, "insertions": ins, "ref_words": total})
+        report.update(_wer_totals(fms, hyps, cp.load_alignments(align_path)))
     _write_report(out_path, report)
     return report
 

@@ -31,12 +31,12 @@ def default_window_sizes() -> tuple:
 
 @dataclass(frozen=True)
 class WindowConfig:
-    """Sliding-window generation and query-length admissibility."""
+    """Sliding-window generation and query-length admissibility: a window
+    is admissible for a query of L frames when its size is in
+    [2L/3, 4L/3]."""
 
     sizes: tuple = field(default_factory=default_window_sizes)
     stride: int = 5
-    min_ratio: float = 2.0 / 3.0
-    max_ratio: float = 4.0 / 3.0
 
     def __post_init__(self):
         sizes = tuple(int(s) for s in self.sizes)
@@ -45,12 +45,10 @@ class WindowConfig:
             raise SearchError("window sizes must be strictly increasing")
         if self.stride < 1:
             raise SearchError("stride must be >= 1")
-        if not 0 < self.min_ratio <= 1 <= self.max_ratio:
-            raise SearchError("need min_ratio <= 1 <= max_ratio")
 
     def admissible_sizes(self, query_len: int) -> tuple:
-        lo = self.min_ratio * query_len
-        hi = self.max_ratio * query_len
+        lo = 2.0 / 3.0 * query_len
+        hi = 4.0 / 3.0 * query_len
         return tuple(s for s in self.sizes if lo <= s <= hi)
 
 
@@ -89,10 +87,6 @@ class HyperplaneSet:
     @property
     def bits(self) -> int:
         return self.planes.shape[0]
-
-    @property
-    def dim(self) -> int:
-        return self.planes.shape[1]
 
 
 def sign_embed(vector: np.ndarray, planes: HyperplaneSet) -> np.ndarray:
@@ -264,6 +258,8 @@ def load_index(path) -> PermutedSignatureIndex:
             raise SearchError(f"unsupported index version {version}")
         if seed < 0:  # stored signed; SeedSequence takes only non-negative seeds
             raise SearchError(f"corrupt index file: negative hyperplane seed {seed}")
+        if N == 0 or P == 0:  # never written; only N, P >= 1 tie b and d to the file size
+            raise SearchError(f"corrupt index file: {N} entries, {P} permutations")
         off = 4 + struct.calcsize("<IIIqII")
         refs = []
         for _ in range(N):

@@ -60,27 +60,19 @@ class ScoreTensor:
     index: np.ndarray
 
 
-def score_segments(encoder, frame_outputs: Tensor, prediction_layer, max_len: int,
-                   label_subset=None) -> ScoreTensor:
+def score_segments(encoder, frame_outputs: Tensor, prediction_layer, max_len: int) -> ScoreTensor:
     """u_{t,s,v} = W_v . f(X_{t:t+s}) + b_v over the whole lattice.
 
     ``frame_outputs`` is one utterance's (T, width) encoder output (post
     subsampling); pooling follows the encoder's configured mode and the
     pooled vectors go through the encoder projection before the
-    prediction layer's matrix. ``label_subset`` restricts scoring to the
-    given vocabulary rows (per-batch subsampling); the tensor's label
-    axis then indexes the subset.
+    prediction layer's matrix.
     """
     T = frame_outputs.values.shape[0]
     pooled = encoder.pool_all_segments(frame_outputs, max_len)
     embedded = encoder.project(pooled)  # (n, d)
     w = prediction_layer.weight_tensor()  # (V, d)
-    b = prediction_layer.b.tensor
-    if label_subset is not None:
-        subset = np.asarray(label_subset, dtype=np.intp)
-        w = ad.getitem(w, subset)
-        b = ad.getitem(b, subset)
-    packed = ad.affine(embedded, ad.transpose(w), b)
+    packed = ad.affine(embedded, ad.transpose(w), prediction_layer.b.tensor)
     return ScoreTensor(packed, segment_grid(T, max_len))
 
 

@@ -115,7 +115,8 @@ def test_primitives_match_finite_differences(seed):
         dist = ad.cosine_distance(ad.add(a, b), e)
         ls = ad.log_softmax(h, axis=1)
         parts = ad.concat([ls, ad.reshape(dist, (n, 1))], axis=1)
-        total = ad.sum_(parts) + ad.sum_(ad.relu(ls)) + ad.sum_(ad.sqrt(ad.softmax(ad.mean(h, axis=0))))
+        total = ad.add(ad.add(ad.sum_(parts), ad.sum_(ad.relu(ls))),
+                       ad.sum_(ad.sqrt(ad.softmax(ad.mean(h, axis=0)))))
         return total
 
     err = ad.grad_check(f, [a, b, w, bias, table], eps=1e-5)

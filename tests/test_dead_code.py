@@ -1,4 +1,5 @@
-"""Guard against unreferenced and test-only code in the package.
+"""Guard against unreferenced and test-only code in the package, and
+against configuration keys that nothing sets.
 
 Every top-level function and class of ``src/awekit``, and every method,
 must be named somewhere besides its own definition: in ``src``,
@@ -6,12 +7,20 @@ must be named somewhere besides its own definition: in ``src``,
 ``tests``, unless it is on the allowlist below: oracles used only by
 tests live in ``tests/``. Only names in code count: a mention in a
 comment, docstring or string is not a use. Dunder names are exempt.
+
+Every key of ``config.DEFAULTS`` must be set by a preset, or named in
+``tests``, ``demos`` or ``benchmarks`` as a ``("section", "key")`` pair
+or a ``"section.key"`` string, unless it is on the allowlist of keys kept
+at their defaults.
 """
 
 import ast
 import collections
 import pathlib
+import re
 import tokenize
+
+from awekit import config
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "awekit"
@@ -23,6 +32,18 @@ TEST_ONLY_ALLOWED = {
     "ctc_loss_value",  # criterion 2: CTC loss against brute-force enumeration
     "dtw_cost",  # criterion 1: DTW cost against brute-force path enumeration
     "hamming_fraction",  # criterion 5: Hamming distance estimates the angle
+}
+
+# Config keys no preset sets and no test, demo or benchmark names: paper
+# hyperparameters every run keeps at their defaults.
+UNSET_KEYS_ALLOWED = {
+    ("encoder", "fc_dim"): "width of the classifier's fully-connected layers; ch3-classifier sets their number",
+    ("written", "cell"): "the written-view encoder is an LSTM in every recipe",
+    ("written", "shared_projection"): "the written view reuses the acoustic projection when widths match",
+    ("optimizer", "beta1"): "Adam's usual first-moment decay",
+    ("optimizer", "beta2"): "Adam's usual second-moment decay",
+    ("optimizer", "eps"): "Adam's usual denominator floor",
+    ("recognizer", "unit_normalize"): "prediction rows from written embeddings start at unit norm",
 }
 
 
@@ -82,3 +103,40 @@ def test_every_definition_is_referenced():
 
 def test_no_definition_is_used_only_by_tests():
     assert names_used_only_by_tests() == []
+
+
+def _string_pair(nodes):
+    if all(isinstance(n, ast.Constant) and isinstance(n.value, str) for n in nodes[:2]):
+        return tuple(n.value for n in nodes[:2])
+    return None
+
+
+def _named_config_keys():
+    """("section", "key") pairs in tests, demos or benchmarks (this file
+    aside): a tuple of two strings, the first two arguments of a call such
+    as ``cfg.getint("training", "min_frames")``, or a "section.key" string."""
+    named = set()
+    for top in ("tests", "demos", "benchmarks"):
+        for path in sorted((ROOT / top).rglob("*.py")):
+            if path == pathlib.Path(__file__).resolve():
+                continue
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if isinstance(node, ast.Tuple) and len(node.elts) == 2:
+                    named.add(_string_pair(node.elts))
+                elif isinstance(node, ast.Call) and len(node.args) >= 2:
+                    named.add(_string_pair(node.args))
+                elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                    m = re.fullmatch(r"(\w+)\.(\w+)", node.value)
+                    if m:
+                        named.add(m.groups())
+    return named - {None}
+
+
+def unexercised_config_keys():
+    exercised = _named_config_keys() | {k for preset in config.PRESETS.values() for k in preset}
+    return [f"{section}.{key}" for section, keys in config.DEFAULTS.items() for key in keys
+            if (section, key) not in exercised and (section, key) not in UNSET_KEYS_ALLOWED]
+
+
+def test_every_config_key_is_exercised():
+    assert unexercised_config_keys() == []

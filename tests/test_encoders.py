@@ -153,7 +153,7 @@ class TestPoolSegment:
             a = att.pool_batch(rows, [(0, 0, 3)])
             b = mean.pool_batch(rows, [(0, 2, 5)])
             c = concat.pool_batch(rows, [(0, 1, 3)])
-            return ad.sum_(ad.mul(a, a)) + ad.sum_(ad.mul(b, c))
+            return ad.add(ad.sum_(ad.mul(a, a)), ad.sum_(ad.mul(b, c)))
 
         assert ad.grad_check(f, [rows, att.attention_vector.tensor], eps=1e-5) <= 1e-4
 

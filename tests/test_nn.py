@@ -101,7 +101,7 @@ class TestLstmCell:
 
         def f():
             h, c = lstm_cell(x, h0, c0, p)
-            return ad.sum_(ad.mul(h, h)) + ad.sum_(ad.tanh(c))
+            return ad.add(ad.sum_(ad.mul(h, h)), ad.sum_(ad.tanh(c)))
 
         leaves = [x, h0, c0] + [q.tensor for q in p.parameters()]
         assert ad.grad_check(f, leaves, eps=1e-4) <= 1e-5

@@ -99,6 +99,25 @@ class TestConfig:
         with pytest.raises(ConfigError):
             cfg.data_path("train")
 
+    @pytest.mark.parametrize("setting", [
+        "[recognizer]\nvocab_sample = 8\n", "[recognizer]\nunk_row_init = zero\n",
+        "[recognizer]\nfreeze_encoder = true\n", "[search]\nmin_ratio = 0.5\n",
+        "[search]\nmax_ratio = 1.5\n"],
+        ids=["vocab_sample", "unk_row_init", "freeze_encoder", "min_ratio", "max_ratio"])
+    def test_removed_key_exits_with_config_error(self, tmp_path, setting):
+        from awekit.cli import main
+
+        ini = tmp_path / "old.ini"
+        ini.write_text("[run]\nseed = 1\n" + setting)
+        assert main(["make-synth", "--out", str(tmp_path / "c"), "--config", str(ini)]) == 2
+        assert not os.path.exists(tmp_path / "c")
+
+    def test_window_band_matches_window_config(self, corpus_dir):
+        band = pipelines._window_config(small_cfg(corpus_dir))
+        assert band.admissible_sizes(18) == (12, 15, 18, 21, 24)
+        for query_len in range(1, 181):
+            assert band.admissible_sizes(query_len) == search.WindowConfig().admissible_sizes(query_len)
+
 
 class TestTrainEmbed:
     @pytest.mark.parametrize("kind,extra", [
@@ -331,6 +350,34 @@ class TestRecognition:
                                      ("scheduler", "patience"): "1", ("training", "epochs"): "3"})
         report = recognition.train_asr(cfg, tmp_path / "asr")
         assert [h["lr"] for h in report["history"]] == [cfg.getfloat("optimizer", "lr")] * 3
+
+    def test_regularizer_reaches_the_loss_on_every_batch(self, corpus_dir, tmp_path, monkeypatch):
+        emb = pipelines.train_embed(small_cfg(corpus_dir, {("training", "epochs"): "0"}), tmp_path / "emb")
+        reg_losses, combined = [], []
+        orig_reg, orig_combine = recognition.regularizer_loss, recognition.obj.combine_joint
+
+        def regularizer_loss(*args, **kwargs):
+            reg_losses.append(orig_reg(*args, **kwargs))
+            return reg_losses[-1]
+
+        def combine_joint(asr, emb_loss, reg_loss, *args):
+            combined.append(reg_loss)
+            return orig_combine(asr, emb_loss, reg_loss, *args)
+
+        monkeypatch.setattr(recognition, "regularizer_loss", regularizer_loss)
+        monkeypatch.setattr(recognition.obj, "combine_joint", combine_joint)
+        checkpoints = {}
+        for lam in ("0.0", "0.5"):
+            cfg = small_cfg(corpus_dir, {("recognizer", "training_mode"): "pretrain",
+                                         ("recognizer", "init_checkpoint"): emb["checkpoint"],
+                                         ("recognizer", "lambda_reg"): lam})
+            report = recognition.train_asr(cfg, tmp_path / lam)
+            with open(report["checkpoint"], "rb") as fh:
+                checkpoints[lam] = fh.read()
+        assert len(combined) == 10  # 40 utterances in batches of 8, two runs
+        assert len(reg_losses) == 5 and all(r is not None for r in reg_losses)
+        assert combined[:5] == [None] * 5 and all(a is b for a, b in zip(combined[5:], reg_losses))
+        assert checkpoints["0.0"] != checkpoints["0.5"]
 
     def test_dynamic_lexicon_trains(self, corpus_dir, tmp_path):
         cfg = small_cfg(corpus_dir, {("recognizer", "lexicon_mode"): "dynamic",

@@ -1,5 +1,7 @@
 """Sliding windows, LSH signatures, index lookup vs exhaustive search."""
 
+import struct
+
 import numpy as np
 import pytest
 
@@ -204,6 +206,16 @@ class TestIndex:
         data[16:24] = (-5).to_bytes(8, "little", signed=True)
         path.write_bytes(bytes(data))
         with pytest.raises(search.SearchError, match="negative hyperplane seed"):
+            search.load_index(path)
+
+    @pytest.mark.parametrize("N, P, b, d", [(0, 0, 2**31, 2**31), (0, 1, 8, 2**31)])
+    def test_header_without_entries_or_permutations_rejected(self, tmp_path, N, P, b, d):
+        # bits and dim this large must be refused before any hyperplane is
+        # drawn; the file is otherwise consistent with its header
+        header = search.INDEX_MAGIC + struct.pack("<IIIqII", search.INDEX_VERSION, b, P, 1, N, d)
+        path = tmp_path / "empty.cadi"
+        path.write_bytes(header + np.arange(P * b, dtype="<u4").tobytes())
+        with pytest.raises(search.SearchError, match="0 entries"):
             search.load_index(path)
 
 
