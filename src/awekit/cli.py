@@ -26,7 +26,7 @@ EXIT_DATA = 3
 EXIT_NUMERIC = 4
 
 
-def _common(parser: argparse.ArgumentParser, needs_config=True):
+def _common(parser: argparse.ArgumentParser):
     parser.add_argument("--config", default=None, help="experiment config file (key=value INI)")
     parser.add_argument("--preset", default=None, help="named hyperparameter preset")
     parser.add_argument("--seed", type=int, default=None, help="master seed (overrides config)")

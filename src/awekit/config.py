@@ -275,12 +275,10 @@ class ExperimentConfig:
     def threads(self) -> int:
         return max(1, self.getint("run", "threads"))
 
-    def data_path(self, key: str, required: bool = True) -> str:
+    def data_path(self, key: str) -> str:
         path = self.get("data", key)
         if not path:
-            if required:
-                raise ConfigError(f"[data] {key} is required for this command")
-            return ""
+            raise ConfigError(f"[data] {key} is required for this command")
         if not os.path.exists(path):
             raise ConfigError(f"[data] {key} = {path!r} does not exist")
         return path

@@ -2,10 +2,11 @@
 
 The loss marginalizes over all blank-interleaved frame labelings that
 collapse to the transcript (drop consecutive repeats, then drop blanks),
-computed in log space by the standard forward recursion over the expanded
-state sequence [blank, l1, blank, l2, ..., lK, blank]. The gradient uses
-the forward-backward posteriors. The blank symbol is the last column of
-the frame log-probability matrix.
+computed in log space over the expanded state sequence [blank, l1, blank,
+l2, ..., lK, blank]. One time recursion, ``_entering``, gives the alphas;
+the betas are the same recursion on the lattice reversed in time and in
+states, and the gradient is formed from the state posteriors. The blank
+symbol is the last column of the frame log-probability matrix.
 """
 
 from __future__ import annotations
@@ -56,46 +57,41 @@ def _check_inputs(log_probs: np.ndarray, labels) -> np.ndarray:
     return labels
 
 
-def _forward_backward(log_probs: np.ndarray, labels: np.ndarray):
-    T, width = log_probs.shape
-    blank = width - 1
-    z = _expand(labels, blank)
-    S = len(z)
-    # skip[s]: a path may jump from s-2 to s (distinct non-blank labels)
-    skip = np.zeros(S, dtype=bool)
-    skip[2:] = (z[2:] != blank) & (z[2:] != z[:-2])
+def _skips(z: np.ndarray) -> np.ndarray:
+    """skip[s]: a path may enter state s from s-2 (distinct non-blank labels; z[0] is the blank)."""
+    return np.concatenate([[False, False], (z[2:] != z[0]) & (z[2:] != z[:-2])])
 
-    alpha = np.full((T, S), NEG_INF)
-    alpha[0, 0] = log_probs[0, z[0]]
-    if S > 1:
-        alpha[0, 1] = log_probs[0, z[1]]
+
+def _entering(emit: np.ndarray, skip: np.ndarray) -> np.ndarray:
+    """The one time recursion: (T, S) log mass entering each state at each frame, before that
+    frame's emission ``emit``. Paths start in the first two states; a state is entered from
+    itself, its left neighbour, or (where ``skip``) two states to the left."""
+    T, S = emit.shape
+    enter = np.full((T, S), NEG_INF)
+    enter[0, :2] = 0.0
     for t in range(1, T):
-        prev = alpha[t - 1]
-        stay = prev
+        prev = enter[t - 1] + emit[t - 1]
         step = np.concatenate([[NEG_INF], prev[:-1]])
-        jump = np.concatenate([[NEG_INF, NEG_INF], prev[:-2]])
-        jump = np.where(skip, jump, NEG_INF)
+        jump = np.where(skip, np.concatenate([[NEG_INF, NEG_INF], prev[:-2]]), NEG_INF)
         with np.errstate(invalid="ignore"):
-            merged = np.logaddexp(np.logaddexp(stay, step), jump)
-        alpha[t] = merged + log_probs[t, z]
+            enter[t] = np.logaddexp(np.logaddexp(prev, step), jump)
+    return enter
 
-    log_z = np.logaddexp(alpha[T - 1, S - 1], alpha[T - 1, S - 2] if S > 1 else NEG_INF)
 
-    # beta[t, s]: suffix mass from state s covering emissions t+1..T-1
-    beta = np.full((T, S), NEG_INF)
-    beta[T - 1, S - 1] = 0.0
-    if S > 1:
-        beta[T - 1, S - 2] = 0.0
-    for t in range(T - 2, -1, -1):
-        nxt = beta[t + 1] + log_probs[t + 1, z]
-        stay = nxt
-        step = np.concatenate([nxt[1:], [NEG_INF]])
-        jump = np.concatenate([nxt[2:], [NEG_INF, NEG_INF]])
-        can_jump = np.zeros(S, dtype=bool)
-        can_jump[:-2] = skip[2:]
-        jump = np.where(can_jump, jump, NEG_INF)
-        with np.errstate(invalid="ignore"):
-            beta[t] = np.logaddexp(np.logaddexp(stay, step), jump)
+def _alphas(log_probs: np.ndarray, labels: np.ndarray):
+    """(z, emissions, alpha, log Z); alpha[t, s] is the prefix mass of state s through frame t."""
+    z = _expand(labels, log_probs.shape[1] - 1)
+    emit = log_probs[:, z]
+    alpha = _entering(emit, _skips(z)) + emit
+    return z, emit, alpha, np.logaddexp(alpha[-1, -1], alpha[-1, -2])
+
+
+def _forward_backward(log_probs: np.ndarray, labels: np.ndarray):
+    """(z, alpha, beta, log Z). beta[t, s], the suffix mass from state s over emissions
+    t+1..T-1, is the entering mass of the lattice reversed in time and in states, whose
+    skips are those of the reversed expansion."""
+    z, emit, alpha, log_z = _alphas(log_probs, labels)
+    beta = _entering(emit[::-1, ::-1], _skips(z[::-1]))[::-1, ::-1]
     return z, alpha, beta, log_z
 
 
@@ -103,28 +99,22 @@ def ctc_loss_value(log_probs: np.ndarray, labels) -> float:
     """-log P(labels | frames) from a (T, V+1) log-probability matrix."""
     log_probs = np.asarray(log_probs, dtype=np.float64)
     labels = _check_inputs(log_probs, labels)
-    _, _, _, log_z = _forward_backward(log_probs, labels)
-    return float(-log_z)
+    return float(-_alphas(log_probs, labels)[3])
 
 
-def ctc_loss_grad(log_probs: np.ndarray, labels) -> tuple[float, np.ndarray]:
-    """Loss and its gradient with respect to the log-probabilities."""
-    log_probs = np.asarray(log_probs, dtype=np.float64)
-    labels = _check_inputs(log_probs, labels)
-    z, alpha, beta, log_z = _forward_backward(log_probs, labels)
-    T, width = log_probs.shape
-    grad = np.zeros_like(log_probs)
+def ctc_loss(log_probs: Tensor, labels) -> Tensor:
+    """Autodiff-wrapped CTC loss over a (T, V+1) log-probability tensor.
+    The gradient with respect to the log-probabilities is minus the state
+    posteriors, summed over the states of each symbol."""
+    lp = np.asarray(log_probs.values, dtype=np.float64)
+    labels = _check_inputs(lp, labels)
+    z, alpha, beta, log_z = _forward_backward(lp, labels)
+    grad = np.zeros_like(lp)
     with np.errstate(invalid="ignore"):
         gamma = np.exp(alpha + beta - log_z)  # posterior over states per frame
     for s, j in enumerate(z):
         grad[:, j] -= gamma[:, s]
-    return float(-log_z), grad
-
-
-def ctc_loss(log_probs: Tensor, labels) -> Tensor:
-    """Autodiff-wrapped CTC loss over a (T, V+1) log-probability tensor."""
-    loss, grad = ctc_loss_grad(log_probs.values, labels)
-    out = Tensor(loss)
+    out = Tensor(float(-log_z))
     return ad._record(out, (log_probs,), lambda g: (g * grad,))
 
 

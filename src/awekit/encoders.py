@@ -79,32 +79,29 @@ class AcousticEncoderConfig:
 class AcousticEncoder:
     """Stacked bidirectional recurrent encoder with pooling + projection."""
 
-    def __init__(self, config: AcousticEncoderConfig, rng: np.random.Generator, name: str = "f"):
+    def __init__(self, config: AcousticEncoderConfig, rng: np.random.Generator):
         self.config = config
-        self.name = name
         make = nn.LstmParams.create if config.cell == "lstm" else nn.GruParams.create
         self.cells = []
         in_dim = config.input_dim
         for layer in range(config.layers):
-            fw = make(f"{name}.layer{layer}.fw", in_dim, config.hidden, rng)
-            bw = make(f"{name}.layer{layer}.bw", in_dim, config.hidden, rng)
+            fw = make(f"f.layer{layer}.fw", in_dim, config.hidden, rng)
+            bw = make(f"f.layer{layer}.bw", in_dim, config.hidden, rng)
             self.cells.append((fw, bw))
             in_dim = 2 * config.hidden
         self.frame_width = 2 * config.hidden
         self.attention_vector = None
         if config.pooling == "attention":
-            self.attention_vector = nn.Parameter(
-                f"{name}.attention", np.zeros(self.frame_width)
-            )
+            self.attention_vector = nn.Parameter("f.attention", np.zeros(self.frame_width))
         self.fc = []
         fc_in = self.frame_width
         for i in range(config.fc_layers):
-            w = nn.Parameter(f"{name}.fc{i}.w", uniform_fc(rng, fc_in, config.fc_dim))
-            b = nn.Parameter(f"{name}.fc{i}.b", np.zeros(config.fc_dim))
+            w = nn.Parameter(f"f.fc{i}.w", uniform_fc(rng, fc_in, config.fc_dim))
+            b = nn.Parameter(f"f.fc{i}.b", np.zeros(config.fc_dim))
             self.fc.append((w, b))
             fc_in = config.fc_dim
-        self.proj_w = nn.Parameter(f"{name}.proj.w", uniform_fc(rng, fc_in, config.embed_dim))
-        self.proj_b = nn.Parameter(f"{name}.proj.b", np.zeros(config.embed_dim))
+        self.proj_w = nn.Parameter("f.proj.w", uniform_fc(rng, fc_in, config.embed_dim))
+        self.proj_b = nn.Parameter("f.proj.b", np.zeros(config.embed_dim))
 
     def parameters(self) -> list[nn.Parameter]:
         out = []
@@ -268,18 +265,16 @@ class WrittenEncoder:
         rng: np.random.Generator,
         symbols: list[str] | None = None,
         feature_table: FeatureTable | None = None,
-        name: str = "g",
         shared_projection: tuple[nn.Parameter, nn.Parameter] | None = None,
     ):
         self.config = config
-        self.name = name
         self.feature_table = feature_table
         if config.mode == "feature":
             if feature_table is None:
                 raise EncoderError("feature mode needs a feature table")
             self.symbol_index = None
             self.embed_table = nn.Parameter(
-                f"{name}.feature_embed",
+                "g.feature_embed",
                 nn.normal_init(rng, (feature_table.num_features, config.symbol_embed_dim)),
             )
         else:
@@ -288,11 +283,11 @@ class WrittenEncoder:
             self.symbols = sorted(symbols)
             self.symbol_index = {s: i for i, s in enumerate(self.symbols)}
             self.embed_table = nn.Parameter(
-                f"{name}.symbol_embed", nn.normal_init(rng, (len(self.symbols), config.symbol_embed_dim))
+                "g.symbol_embed", nn.normal_init(rng, (len(self.symbols), config.symbol_embed_dim))
             )
         make = nn.LstmParams.create if config.cell == "lstm" else nn.GruParams.create
-        self.fw = make(f"{name}.rnn.fw", config.symbol_embed_dim, config.hidden, rng)
-        self.bw = make(f"{name}.rnn.bw", config.symbol_embed_dim, config.hidden, rng)
+        self.fw = make("g.rnn.fw", config.symbol_embed_dim, config.hidden, rng)
+        self.bw = make("g.rnn.bw", config.symbol_embed_dim, config.hidden, rng)
         self.width = 2 * config.hidden
         if shared_projection is not None:
             self.proj_w, self.proj_b = shared_projection
@@ -300,8 +295,8 @@ class WrittenEncoder:
                 raise EncoderError("shared projection has incompatible shape")
             self.owns_projection = False
         else:
-            self.proj_w = nn.Parameter(f"{name}.proj.w", uniform_fc(rng, self.width, config.embed_dim))
-            self.proj_b = nn.Parameter(f"{name}.proj.b", np.zeros(config.embed_dim))
+            self.proj_w = nn.Parameter("g.proj.w", uniform_fc(rng, self.width, config.embed_dim))
+            self.proj_b = nn.Parameter("g.proj.b", np.zeros(config.embed_dim))
             self.owns_projection = True
 
     def parameters(self) -> list[nn.Parameter]:
@@ -376,14 +371,12 @@ class PredictionLayer:
     """
 
     def __init__(self, vocab: Vocabulary, embed_dim: int, mode: str = "static",
-                 rng: np.random.Generator | None = None, name: str = "pred",
-                 unit_normalized: bool = False):
+                 rng: np.random.Generator | None = None, unit_normalized: bool = False):
         if mode not in ("static", "dynamic"):
             raise EncoderError(f"unknown prediction-layer mode {mode!r}")
         self.vocab = vocab
         self.embed_dim = embed_dim
         self.mode = mode
-        self.name = name
         self.unit_normalized = unit_normalized
         self.written_encoder: WrittenEncoder | None = None
         self.lexicon: Lexicon | None = None
@@ -391,23 +384,23 @@ class PredictionLayer:
             if rng is None:
                 raise EncoderError("static layer needs an rng for initialization")
             w = nn.normal_init(rng, (vocab.size, embed_dim)) / np.sqrt(embed_dim)
-            self.w = nn.Parameter(f"{name}.w", w)
+            self.w = nn.Parameter("pred.w", w)
         else:
             self.w = None
-        self.b = nn.Parameter(f"{name}.b", np.zeros(vocab.size))
+        self.b = nn.Parameter("pred.b", np.zeros(vocab.size))
         self.base_size = vocab.size  # rows beyond this are extension rows
 
     @staticmethod
     def from_written_encoder(vocab: Vocabulary, g: WrittenEncoder, lexicon: Lexicon | None,
                              mode: str, rng: np.random.Generator,
-                             unit_normalize: bool = True, name: str = "pred") -> "PredictionLayer":
+                             unit_normalize: bool = True) -> "PredictionLayer":
         """Initialize from written-view embeddings.
 
         static: rows are copies of g(v) (unit-normalized when requested);
         reserved UNK rows are random. dynamic: rows are produced by g live.
         """
         pl = PredictionLayer(vocab, g.config.embed_dim, mode=mode, rng=rng,
-                             name=name, unit_normalized=unit_normalize)
+                             unit_normalized=unit_normalize)
         pl.written_encoder = g
         pl.lexicon = lexicon
         if mode == "static":
@@ -449,7 +442,7 @@ class PredictionLayer:
         return ad.concat([embs, ad.reshape(self._unk_row.tensor, (1, self.embed_dim))], axis=0)
 
     def init_dynamic_unk(self, rng: np.random.Generator):
-        self._unk_row = nn.Parameter(f"{self.name}.unk", nn.normal_init(rng, self.embed_dim) / np.sqrt(self.embed_dim))
+        self._unk_row = nn.Parameter("pred.unk", nn.normal_init(rng, self.embed_dim) / np.sqrt(self.embed_dim))
 
     def rows(self) -> np.ndarray:
         return self.weight_tensor().values
@@ -473,7 +466,6 @@ def extend_vocabulary(pl: PredictionLayer, g: WrittenEncoder, new_words,
     out.vocab = _extended_vocab(pl.vocab, new_words)
     out.embed_dim = pl.embed_dim
     out.mode = "static"
-    out.name = pl.name
     out.unit_normalized = pl.unit_normalized
     out.written_encoder = g
     out.lexicon = lexicon
@@ -483,9 +475,9 @@ def extend_vocabulary(pl: PredictionLayer, g: WrittenEncoder, new_words,
         if pl.unit_normalized:
             new_rows = unit_rows(new_rows)
         rows = np.concatenate([rows, new_rows], axis=0)
-    out.w = nn.Parameter(f"{pl.name}.w", rows.copy())
+    out.w = nn.Parameter("pred.w", rows.copy())
     out.w.frozen = True
-    out.b = nn.Parameter(f"{pl.name}.b", np.concatenate([pl.b.values, np.zeros(len(new_words))]))
+    out.b = nn.Parameter("pred.b", np.concatenate([pl.b.values, np.zeros(len(new_words))]))
     out.base_size = pl.base_size  # chained extensions keep the original base
     return out
 

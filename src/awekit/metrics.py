@@ -24,6 +24,18 @@ class MetricError(Exception):
 # Average precision and the discrimination proxies
 
 
+def _sweep(scores_row, truth_row):
+    """Descending-threshold sweep: cumulative TP and FP per distinct score."""
+    order = np.argsort(-scores_row, kind="stable")
+    t = truth_row[order]
+    s = scores_row[order]
+    cum_tp = np.cumsum(t)
+    cum_fp = np.cumsum(~t)
+    # keep only the last entry of each tied-score run
+    keep = np.nonzero(np.concatenate([np.diff(s) != 0, [True]]))[0]
+    return cum_tp[keep], cum_fp[keep]
+
+
 def average_precision(distances, is_same) -> float:
     """Area under the precision-recall curve swept over distance thresholds.
 
@@ -41,18 +53,9 @@ def average_precision(distances, is_same) -> float:
     n_pos = int(is_same.sum())
     if n_pos == 0:
         raise MetricError("average precision needs at least one same pair")
-    order = np.argsort(distances, kind="stable")
-    d_sorted = distances[order]
-    y_sorted = is_same[order]
-    # group boundaries: last index of each distinct distance
-    boundary = np.nonzero(np.diff(d_sorted))[0]
-    ends = np.concatenate([boundary, [len(d_sorted) - 1]])
-    cum_pos = np.cumsum(y_sorted)
-    tp = cum_pos[ends].astype(np.float64)
-    predicted = ends + 1.0
-    precision = tp / predicted
-    recall = tp / n_pos
-    delta_recall = np.diff(np.concatenate([[0.0], recall]))
+    tp, fp = _sweep(-distances, is_same)
+    precision = tp / (tp + fp)
+    delta_recall = np.diff(np.concatenate([[0.0], tp / n_pos]))
     return float((precision * delta_recall).sum())
 
 
@@ -129,18 +132,6 @@ class QueryResultSet:
             raise MetricError("scores/truth must be (num queries, num utterances)")
         if not self.query_types:
             self.query_types = {q: q for q in self.query_ids}
-
-
-def _sweep(scores_row, truth_row):
-    """Descending-threshold sweep: cumulative TP and FP per distinct score."""
-    order = np.argsort(-scores_row, kind="stable")
-    t = truth_row[order]
-    s = scores_row[order]
-    cum_tp = np.cumsum(t)
-    cum_fp = np.cumsum(~t)
-    # keep only the last entry of each tied-score run
-    keep = np.nonzero(np.concatenate([np.diff(s) != 0, [True]]))[0]
-    return cum_tp[keep], cum_fp[keep]
 
 
 def fom_per_query(results: QueryResultSet) -> dict:

@@ -373,23 +373,20 @@ class LossPlateauHeuristic:
     batch loss still exceeds the running mean over the previous 3 epochs;
     3 consecutive plateau epochs trigger a decay."""
 
-    def __init__(self, lr: float, factor: float = 0.1, window: int = 3, streak: int = 3, ratio: float = 0.99):
+    def __init__(self, lr: float, factor: float = 0.1):
         self.lr = lr
         self.factor = factor
-        self.window = window
-        self.streak = streak
-        self.ratio = ratio
         self.history: list[float] = []
         self.plateau_run = 0
 
     def update(self, epoch_mean_loss: float) -> float:
-        if len(self.history) >= self.window:
-            running = float(np.mean(self.history[-self.window :]))
-            if self.ratio * epoch_mean_loss > running:
+        if len(self.history) >= 3:
+            running = float(np.mean(self.history[-3:]))
+            if 0.99 * epoch_mean_loss > running:
                 self.plateau_run += 1
             else:
                 self.plateau_run = 0
-            if self.plateau_run >= self.streak:
+            if self.plateau_run >= 3:
                 self.lr *= self.factor
                 self.plateau_run = 0
         self.history.append(epoch_mean_loss)

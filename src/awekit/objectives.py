@@ -216,7 +216,7 @@ def multiview_loss(
     inside utterances); this function sees only the embeddings.
     """
     terms = tuple(terms)
-    if not terms or any(t not in (0, 1, 2) for t in terms):
+    if not terms or any(t not in (0, 1, 2) for t in terms) or len(set(terms)) != len(terms):
         raise ObjectiveError("terms must be a non-empty subset of {0, 1, 2}")
     if sampling.strategy == "confusion":
         raise ObjectiveError("confusion sampling applies to single-view triplets only")
@@ -235,9 +235,9 @@ def multiview_loss(
 
     semi = sampling.strategy == "semi-hard"
     uni = sampling.strategy == "uniform"
-    num_segments = n * len(terms)
-    gathered = []  # (matrix, row, cols, item_slot, weight)
+    pieces = []  # per term: (hinge values weighted by 1/k, per-item slot)
     for ti, term in enumerate(terms):
+        picked, sels = [], []
         for i in range(n):
             li = label_idx[i]
             if term in (0, 1):
@@ -247,46 +247,28 @@ def multiview_loss(
                 cand = np.nonzero(labels_arr != batch.labels[i])[0]
                 dvec = d_aw.values[:, li]
             sel = _select_topk(dvec, cand, sampling.k, semi, float(pos.values[i]), uni, rng)
-            if len(sel) == 0:
-                continue
-            slot = ti * n + i
-            gathered.append((term, i, li, sel, slot))
-
-    if not gathered:
-        return ad.constant(0.0)
-
-    per_term_parts = {0: [], 1: [], 2: []}
-    for term, i, li, sel, slot in gathered:
-        per_term_parts[term].append((i, li, sel, slot))
-
-    pieces = []
-    seg_ids_all = []
-    for term in terms:
-        parts = per_term_parts[term]
-        if not parts:
+            if len(sel):
+                picked.append(i)
+                sels.append(sel)
+        if not picked:
             continue
+        counts = np.array([len(sel) for sel in sels])
+        items = np.repeat(np.array(picked, dtype=np.intp), counts)
+        sel = np.concatenate(sels)
         if term == 0:
-            rows = np.concatenate([np.full(len(sel), i, dtype=np.intp) for i, _, sel, _ in parts])
-            cols = np.concatenate([sel for _, _, sel, _ in parts])
-            neg = ad.getitem(d_aw, (rows, cols))
+            neg = ad.getitem(d_aw, (items, sel))
         elif term == 1:
-            rows = np.concatenate([np.full(len(sel), li, dtype=np.intp) for _, li, sel, _ in parts])
-            cols = np.concatenate([sel for _, _, sel, _ in parts])
-            neg = ad.getitem(d_ww, (rows, cols))
+            neg = ad.getitem(d_ww, (label_idx[items], sel))
         else:
-            rows = np.concatenate([sel for _, _, sel, _ in parts])
-            cols = np.concatenate([np.full(len(sel), li, dtype=np.intp) for _, li, sel, _ in parts])
-            neg = ad.getitem(d_aw, (rows, cols))
-        items = np.concatenate([np.full(len(sel), i, dtype=np.intp) for i, _, sel, _ in parts])
-        slots = np.concatenate([np.full(len(sel), slot, dtype=np.intp) for _, _, sel, slot in parts])
-        inv_k = np.concatenate([np.full(len(sel), 1.0 / len(sel)) for _, _, sel, _ in parts])
-        pos_rep = ad.getitem(pos, items)
-        hinge = ad.relu(ad.add(ad.sub(pos_rep, neg), margin))
-        pieces.append((ad.mul_const(hinge, inv_k), slots))
+            neg = ad.getitem(d_aw, (sel, label_idx[items]))
+        hinge = ad.relu(ad.add(ad.sub(ad.getitem(pos, items), neg), margin))
+        pieces.append((ad.mul_const(hinge, np.repeat(1.0 / counts, counts)), ti * n + items))
 
+    if not pieces:
+        return ad.constant(0.0)
     flat = ad.concat([p for p, _ in pieces], axis=0)
     seg = np.concatenate([s for _, s in pieces])
-    per_item_terms = ad.segment_sum(flat, seg, num_segments)
+    per_item_terms = ad.segment_sum(flat, seg, n * len(terms))
     if sqrt_variant:
         per_item_terms = ad.sqrt(per_item_terms)
     return ad.sum_(per_item_terms)

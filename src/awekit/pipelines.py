@@ -74,13 +74,11 @@ class Dataset:
     feature_table: cp.FeatureTable | None
 
 
-def load_dataset(cfg: ExperimentConfig, need_dev: bool = True) -> Dataset:
+def load_dataset(cfg: ExperimentConfig) -> Dataset:
     train = cp.load_feature_archive(cfg.data_path("train"))
     train_align = cp.load_alignments(cfg.data_path("train_align"))
-    dev, dev_align = [], {}
-    if need_dev:
-        dev = cp.load_feature_archive(cfg.data_path("dev"))
-        dev_align = cp.load_alignments(cfg.data_path("dev_align"))
+    dev = cp.load_feature_archive(cfg.data_path("dev"))
+    dev_align = cp.load_alignments(cfg.data_path("dev_align"))
     lex_path = cfg.get("data", "lexicon")
     lexicon = cp.load_lexicon(cfg.data_path("lexicon")) if lex_path else None
     ft_path = cfg.get("data", "feature_table")
@@ -246,9 +244,14 @@ def rebuild_embed_model(checkpoint: str):
 # The training objective
 
 
+# The negative-selection strategies each embedding loss runs.
+STRATEGIES = {"multiview": ("hard", "semi-hard", "uniform"),
+              "triplet": ("uniform", "confusion", "offending")}
+
+
 class Objective:
-    """The [objective] section of a run, read once, with its k schedule
-    and the multi-view batch loss."""
+    """The [objective] section of a run, read once and checked, with its k
+    schedule and the multi-view batch loss."""
 
     def __init__(self, cfg: ExperimentConfig):
         self.kind = cfg.get("objective", "kind")
@@ -262,6 +265,16 @@ class Objective:
         self.sqrt_variant = cfg.getbool("objective", "sqrt_variant")
         self.extras = cfg.getint("objective", "extras")
         self.confusion_threshold = cfg.getfloat("objective", "confusion_threshold")
+        if not self.terms or len(set(self.terms) & {0, 1, 2}) != len(self.terms):
+            raise ConfigError("[objective] terms must be distinct members of {0, 1, 2}")
+        if self.k < 1:
+            raise ConfigError("[objective] k must be >= 1")
+
+    def check_strategy(self, loss: str):
+        """ConfigError unless the ``loss`` ("multiview" or "triplet") runs the strategy."""
+        if self.strategy not in STRATEGIES[loss]:
+            raise ConfigError(f"[objective] strategy {self.strategy!r}: "
+                              f"the {loss} loss runs {STRATEGIES[loss]}")
 
     def k_at(self, batches_done: int) -> int:
         """Negatives per item after ``batches_done`` batches: with k_end > 0,
@@ -437,11 +450,15 @@ def train_epochs(cfg: ExperimentConfig, outdir: str, params, lengths, batch_loss
 def train_embed(cfg: ExperimentConfig, outdir: str) -> dict:
     os.makedirs(outdir, exist_ok=True)
     seed = cfg.seed
+    objective = Objective(cfg)
+    kind = objective.kind
+    if kind not in ("multiview", "triplet", "classifier"):
+        raise ConfigError(f"unknown objective kind {kind!r}")
+    if kind != "classifier":
+        objective.check_strategy(kind)
     ds = load_dataset(cfg)
     min_f = cfg.getint("training", "min_frames")
     max_f = cfg.getint("training", "max_frames")
-    objective = Objective(cfg)
-    kind = objective.kind
     use_augment = cfg.getbool("training", "spec_augment")
 
     train_segments = collect_segments(ds.train, ds.train_align, min_f, max_f)
@@ -457,13 +474,10 @@ def train_embed(cfg: ExperimentConfig, outdir: str) -> dict:
     if kind == "multiview":
         g = build_written_encoder(cfg, ds, train_labels, f, init_rng)
         params = params + g.parameters()
-    elif kind == "classifier":
-        if f.config.embed_dim != len(train_labels):
-            raise ConfigError(
-                f"classifier objective needs [encoder] embed_dim = vocabulary size ({len(train_labels)})"
-            )
-    elif kind != "triplet":
-        raise ConfigError(f"unknown objective kind {kind!r}")
+    elif kind == "classifier" and f.config.embed_dim != len(train_labels):
+        raise ConfigError(
+            f"classifier objective needs [encoder] embed_dim = vocabulary size ({len(train_labels)})"
+        )
     if objective.contextual and kind != "multiview":
         # contextual batches are utterances, which only the multi-view loss trains on
         raise ConfigError(f"[objective] contextual = true needs kind multiview, not {kind!r}")
@@ -548,7 +562,8 @@ def _triplet_batch_loss(objective, f, train_segments, batch_ids, by_label, label
     offending of k uniform candidates). Each pair also contributes its
     mirrored triplet."""
     sample_rng = rngs["sampling"]
-    all_labels = list(by_label)
+    all_labels = list(by_label)  # in order of first appearance
+    sorted_labels = list(label_index)  # the confusion matrix's label order
     triplets = []  # (anchor_idx, same_idx, [negative idxs])
     seg_ids = set()
     for i in batch_ids:
@@ -567,10 +582,7 @@ def _triplet_batch_loss(objective, f, train_segments, batch_ids, by_label, label
                     lab = all_labels[int(sample_rng.integers(0, len(all_labels)))]
                 negs.append(by_label[lab][int(sample_rng.integers(0, len(by_label[lab])))])
         elif objective.strategy == "confusion":
-            lab_idx = confusion.sample_different(label_index[label], sample_rng)
-            lab = all_labels[lab_idx] if all_labels[lab_idx] != label else None
-            if lab is None:
-                continue
+            lab = sorted_labels[confusion.sample_different(label_index[label], sample_rng)]
             negs = [by_label[lab][int(sample_rng.integers(0, len(by_label[lab])))]]
         else:  # uniform
             lab = label

@@ -9,7 +9,8 @@ the contrastive embedding loss with a live written encoder. Lexicon mode
 "static" keeps the prediction rows as free parameters; "dynamic" rebuilds
 them from the written encoder every batch. ``train_asr`` runs the shared
 loop ``pipelines.train_epochs`` with the recognizer's batch loss and its
-dev WER.
+dev WER. One batch loss, ``asr_batch_loss``, serves both recognizers: it
+encodes the batch and sums the per-utterance CTC or segmental losses.
 """
 
 from __future__ import annotations
@@ -142,9 +143,10 @@ def build_recognizer(cfg: ExperimentConfig, ds: Dataset, input_dim: int):
     return model, cfg
 
 
-def _rescale_projection(model, ds: Dataset, sample: int = 64):
+def _rescale_projection(model, ds: Dataset):
     """Scale the encoder projection so word-segment embeddings have unit
-    mean norm at initialization.
+    mean norm at initialization, measured over the training utterances in
+    order until at least 64 segments are seen.
 
     Cosine-trained embeddings carry no scale anchor, so transferring them
     into a dot-product scorer can start in a degenerate tiny-logit regime
@@ -154,7 +156,7 @@ def _rescale_projection(model, ds: Dataset, sample: int = 64):
     """
     norms = []
     for fm in ds.train:
-        if len(norms) >= sample:
+        if len(norms) >= 64:
             break
         al = ds.train_align[fm.utterance_id]
         if not al.entries:
@@ -210,34 +212,30 @@ def _transcript_ids(model, al: cp.WordAlignment):
                         "(enable [recognizer] unk or extend the training set)") from e
 
 
-def ctc_batch_loss(model, fms, alignments, train=True, rng=None):
-    out, lengths = _encode_batch(model, fms, train, rng)
-    _, log_probs, T = _ctc_frame_logits(model, out)
+def asr_batch_loss(model, fms, alignments, s_max: int, rng):
+    """(summed recognizer loss, transcript words, encoder output) of a
+    training batch. Each utterance adds its CTC loss, or its segmental
+    marginal loss with the batch's segment cap (at most ``s_max``)."""
+    out, lengths = _encode_batch(model, fms, True, rng)
+    if model.kind == "ctc":
+        _, log_probs, T = _ctc_frame_logits(model, out)
+
+        def utterance_loss(i, ids):
+            return ctc_mod.ctc_loss(ad.getitem(log_probs, slice(i * T, i * T + int(lengths[i]))), ids)
+    else:
+        s_cap = segm.batch_segment_cap(lengths, [len(alignments[fm.utterance_id]) for fm in fms], s_max)
+
+        def utterance_loss(i, ids):
+            H = ad.getitem(out, (i, slice(0, int(lengths[i]))))
+            return segm.seg_loss(segm.score_segments(model.f, H, model.pl, s_cap), ids)
     total = None
     n = 0
     for i, fm in enumerate(fms):
         ids = _transcript_ids(model, alignments[fm.utterance_id])
-        rows = ad.getitem(log_probs, slice(i * T, i * T + int(lengths[i])))
-        piece = ctc_mod.ctc_loss(rows, ids)
+        piece = utterance_loss(i, ids)
         total = piece if total is None else ad.add(total, piece)
         n += len(ids)
-    return total, n, out, lengths
-
-
-def segmental_batch_loss(model, fms, alignments, cfg, train=True, rng=None):
-    out, lengths = _encode_batch(model, fms, train, rng)
-    counts = [len(alignments[fm.utterance_id]) for fm in fms]
-    s_cap = segm.batch_segment_cap(lengths, counts, cfg.getint("recognizer", "s_max"))
-    total = None
-    n = 0
-    for i, fm in enumerate(fms):
-        ids = _transcript_ids(model, alignments[fm.utterance_id])
-        H = ad.getitem(out, (i, slice(0, int(lengths[i]))))
-        st = segm.score_segments(model.f, H, model.pl, s_cap)
-        piece = segm.seg_loss(st, ids)
-        total = piece if total is None else ad.add(total, piece)
-        n += len(ids)
-    return total, n, out, lengths
+    return total, n, out
 
 
 def joint_embedding_loss(model, objective: Objective, out, fms, alignments, window, k, sample_rng):
@@ -316,29 +314,27 @@ def dev_wer(model, fms, alignments, threads: int, s_max: int) -> float:
 
 def train_asr(cfg: ExperimentConfig, outdir: str) -> dict:
     os.makedirs(outdir, exist_ok=True)
+    objective = Objective(cfg)
+    mode = cfg.get("recognizer", "training_mode")
+    if mode == "joint":
+        objective.check_strategy("multiview")
     ds = load_dataset(cfg)
     model, cfg = build_recognizer(cfg, ds, ds.train[0].dim)
     params = model.parameters()
     dropout_rng = component_rng(cfg.seed, "dropout")
     sample_rng = component_rng(cfg.seed, "sampling")
-    mode = cfg.get("recognizer", "training_mode")
     lam_emb = cfg.getfloat("recognizer", "lambda_emb")
     lam_reg = cfg.getfloat("recognizer", "lambda_reg")
     scheme = cfg.get("recognizer", "scheme")
     s_max = cfg.getint("recognizer", "s_max")
     stop_at = cfg.getfloat("training", "stop_at_wer")
-    objective = Objective(cfg)
     window = (max(1, cfg.getint("training", "min_frames")), cfg.getint("training", "max_frames"))
 
     frozen_snapshot = model.pl.w.values.copy() if model.pl.mode == "static" else None
 
     def batch_loss(batch_ids, batches_done):
         fms = [ds.train[i] for i in batch_ids]
-        if model.kind == "ctc":
-            asr, n_tok, out, _ = ctc_batch_loss(model, fms, ds.train_align, train=True, rng=dropout_rng)
-        else:
-            asr, n_tok, out, _ = segmental_batch_loss(model, fms, ds.train_align, cfg, train=True,
-                                                      rng=dropout_rng)
+        asr, n_tok, out = asr_batch_loss(model, fms, ds.train_align, s_max, dropout_rng)
         asr = ad.scale(asr, 1.0 / max(1, n_tok))
         emb_loss = reg_loss = None
         if mode == "joint" and lam_emb > 0:

@@ -44,6 +44,43 @@ def random_log_probs(rng, T, V):
     return z - np.log(np.exp(z).sum(axis=1, keepdims=True))
 
 
+def two_loop_forward_backward(log_probs, labels):
+    """The separate alpha and beta loops the CTC recursion replaced:
+    (z, alpha, beta, log Z), with beta[t, s] the suffix mass from state s
+    covering emissions t+1..T-1."""
+    T, width = log_probs.shape
+    blank = width - 1
+    z = np.full(2 * len(labels) + 1, blank, dtype=np.intp)
+    z[1::2] = labels
+    S = len(z)
+    skip = np.zeros(S, dtype=bool)
+    skip[2:] = (z[2:] != blank) & (z[2:] != z[:-2])
+    neg = -np.inf
+
+    alpha = np.full((T, S), neg)
+    alpha[0, 0] = log_probs[0, z[0]]
+    alpha[0, 1] = log_probs[0, z[1]]
+    for t in range(1, T):
+        prev = alpha[t - 1]
+        step = np.concatenate([[neg], prev[:-1]])
+        jump = np.where(skip, np.concatenate([[neg, neg], prev[:-2]]), neg)
+        with np.errstate(invalid="ignore"):
+            alpha[t] = np.logaddexp(np.logaddexp(prev, step), jump) + log_probs[t, z]
+    log_z = np.logaddexp(alpha[T - 1, S - 1], alpha[T - 1, S - 2])
+
+    beta = np.full((T, S), neg)
+    beta[T - 1, S - 2:] = 0.0
+    can_jump = np.zeros(S, dtype=bool)
+    can_jump[:-2] = skip[2:]
+    for t in range(T - 2, -1, -1):
+        nxt = beta[t + 1] + log_probs[t + 1, z]
+        step = np.concatenate([nxt[1:], [neg]])
+        jump = np.where(can_jump, np.concatenate([nxt[2:], [neg, neg]]), neg)
+        with np.errstate(invalid="ignore"):
+            beta[t] = np.logaddexp(np.logaddexp(nxt, step), jump)
+    return z, alpha, beta, log_z
+
+
 class TestCtcLoss:
     def test_single_frame_single_label(self):
         rng = np.random.default_rng(0)
@@ -116,6 +153,25 @@ class TestCtcLoss:
         a = ctc.ctc_loss_value(lp, labels)
         b = ctc.ctc_loss_value(lp_perm, relabeled)
         assert a == pytest.approx(b, rel=1e-12)
+
+    def test_recursion_bit_equals_two_loop_oracle(self):
+        # random lattices plus repeated labels, K = 1 and T = min_frames_required
+        rng = np.random.default_rng(8)
+        cases = [([1, 1], 3), ([0], 1), ([2], 4), ([0, 0, 0], 5), ([1, 2, 1], 3), ([3, 3, 1, 1], 6)]
+        for _ in range(300):
+            V = int(rng.integers(1, 5))
+            labels = rng.integers(0, V, size=int(rng.integers(1, 5))).tolist()
+            cases.append((labels, ctc.min_frames_required(labels) + int(rng.integers(0, 4))))
+        for labels, T in cases:
+            lp = random_log_probs(rng, T, max(labels) + 1 + int(rng.integers(0, 2)))
+            labels = np.asarray(labels, dtype=np.intp)
+            z, alpha, beta, log_z = ctc._forward_backward(lp, labels)
+            z0, alpha0, beta0, log_z0 = two_loop_forward_backward(lp, labels)
+            assert np.array_equal(z, z0)
+            assert np.array_equal(alpha, alpha0)
+            assert np.array_equal(beta, beta0)
+            assert np.array_equal(log_z, log_z0)
+            assert ctc.ctc_loss_value(lp, labels) == -log_z0
 
     def test_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(5)

@@ -193,6 +193,41 @@ class TestTrainEmbed:
         assert ap["acoustic_ap"] == best["acoustic_ap"]
         assert ap.get("cross_view_ap") == best["cross_view_ap"]
 
+    def test_confusion_negatives_carry_the_sampled_label(self):
+        from awekit import corpus as cp
+        from awekit import encoders as enc
+        from awekit import objectives as obj
+
+        # labels first appear in reverse sorted order, so an index into the
+        # sorted labels names a different label in order of appearance
+        labels = ["e", "d", "c", "b", "a"] * 2
+        rng = np.random.default_rng(0)
+        fm = cp.FrameMatrix("u", rng.standard_normal((4 * len(labels), 3)))
+        segments = [(fm, cp.SegmentRef("u", 4 * i, 4 * i + 4, lab)) for i, lab in enumerate(labels)]
+        by_label = {}
+        for idx, (_, seg) in enumerate(segments):
+            by_label.setdefault(seg.label, []).append(idx)
+        label_index = {w: i for i, w in enumerate(sorted(by_label))}
+        # every PMF puts all its mass on "b", and the PMF of "b" on "d"
+        confusion = obj.ConfusionMatrix(len(label_index))
+        confusion.matrix[...] = 0.0
+        confusion.matrix[:, label_index["b"]] = 1.0
+        confusion.matrix[label_index["b"]] = 0.0
+        confusion.matrix[label_index["b"], label_index["d"]] = 1.0
+        seen = []
+        confusion.update = lambda la, ld, *embs: seen.append((la, ld))
+        objective = pipelines.Objective(ExperimentConfig.load(None, overrides={
+            ("objective", "kind"): "triplet", ("objective", "strategy"): "confusion", ("run", "seed"): "1"}))
+        f = enc.AcousticEncoder(enc.AcousticEncoderConfig(input_dim=3, layers=1, hidden=4, embed_dim=4),
+                                np.random.default_rng(1))
+        rngs = {"sampling": np.random.default_rng(2), "dropout": np.random.default_rng(3)}
+        for _ in range(20):
+            pipelines._triplet_batch_loss(objective, f, segments, list(range(len(segments))), by_label,
+                                          label_index, confusion, rngs)
+        assert len(seen) == 20 * len(segments)  # no anchor is skipped
+        want = {label_index[w]: label_index["d" if w == "b" else "b"] for w in label_index}
+        assert all(ld == want[la] for la, ld in seen)
+
     def test_thread_count_does_not_change_results(self, corpus_dir, tmp_path):
         cfg1 = small_cfg(corpus_dir, {("run", "threads"): "1"})
         cfg4 = small_cfg(corpus_dir, {("run", "threads"): "4"})
@@ -496,6 +531,30 @@ class TestCli:
             args += ["--set", f"data.{key}={corpus_dir[key]}"]
         assert main(args) == 4
         assert not any(name.endswith(".cadp") for name in os.listdir(tmp_path / "run"))
+
+    @pytest.mark.parametrize("command,settings", [
+        ("train-embed", ["objective.terms=0,5"]),
+        ("train-embed", ["objective.terms=0,0"]),
+        ("train-embed", ["objective.k=0"]),
+        ("train-embed", ["objective.strategy=bogus"]),
+        ("train-embed", ["objective.kind=triplet"]),
+        ("train-embed", ["objective.kind=triplet", "objective.strategy=semi-hard"]),
+        ("train-embed", ["objective.strategy=offending"]),
+        ("train-asr", ["recognizer.training_mode=joint", "objective.strategy=confusion"]),
+    ])
+    def test_bad_objective_exits_with_config_error(self, corpus_dir, tmp_path, command, settings):
+        from awekit.cli import main
+
+        args = [command, "--seed", "9", "--out", str(tmp_path / "run")]
+        if command == "train-asr":
+            cfg = small_cfg(corpus_dir, {("training", "epochs"): "0"})
+            emb = pipelines.train_embed(cfg, tmp_path / "emb")
+            settings = [*settings, f"recognizer.init_checkpoint={emb['checkpoint']}"]
+        for item in ("encoder.layers=1", "encoder.hidden=8", "training.epochs=1", *settings):
+            args += ["--set", item]
+        for key in ("train", "train_align", "dev", "dev_align", "lexicon"):
+            args += ["--set", f"data.{key}={corpus_dir[key]}"]
+        assert main(args) == 2
 
     @pytest.mark.parametrize("kind", ["ctc", "segmental"])
     def test_infeasible_transcript_exit_code(self, tmp_path, kind):
