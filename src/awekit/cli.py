@@ -18,7 +18,7 @@ import json
 import sys
 
 from . import corpus as cp
-from . import ctc, nn, pipelines, recognition, search, segmental, synth
+from . import ctc, encoders, nn, pipelines, recognition, search, segmental, synth
 from .config import ConfigError, ExperimentConfig
 
 EXIT_CONFIG = 2
@@ -174,7 +174,7 @@ def main(argv=None) -> int:
         print(f"configuration error: {e}", file=sys.stderr)
         return EXIT_CONFIG
     except (pipelines.DataError, cp.CorpusError, nn.CheckpointError, search.SearchError,
-            ctc.CtcError, segmental.SegmentalError, FileNotFoundError) as e:
+            ctc.CtcError, segmental.SegmentalError, encoders.EncoderError, FileNotFoundError) as e:
         print(f"data error: {e}", file=sys.stderr)
         return EXIT_DATA
     except (FloatingPointError, ZeroDivisionError, OverflowError) as e:

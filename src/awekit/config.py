@@ -27,22 +27,16 @@ DEFAULTS = {
     "encoder": {
         "cell": "lstm", "layers": "2", "hidden": "128", "dropout": "0.0",
         "pooling": "concat", "embed_dim": "64", "subsample": "1",
-        "fc_layers": "0", "fc_dim": "256",
+        "fc_layers": "0",
     },
-    "written": {
-        "mode": "char", "symbol_embed_dim": "64", "hidden": "128",
-        "cell": "lstm", "shared_projection": "true",
-    },
+    "written": {"mode": "char", "symbol_embed_dim": "64", "hidden": "128"},
     "objective": {
         "kind": "multiview", "margin": "0.4", "k": "10", "k_end": "0",
         "strategy": "hard", "terms": "0,2", "sqrt_variant": "false",
         "extras": "0", "contextual": "false", "spans": "false",
         "confusion_threshold": "0.6",
     },
-    "optimizer": {
-        "kind": "adam", "lr": "0.0005", "momentum": "0.9",
-        "beta1": "0.9", "beta2": "0.999", "eps": "1e-8",
-    },
+    "optimizer": {"kind": "adam", "lr": "0.0005", "momentum": "0.9"},
     "scheduler": {
         "patience": "5", "factor": "0.1", "min_lr": "1e-8",
         "rule": "metric",  # metric | loss-heuristic

@@ -11,19 +11,24 @@ The written encoder embeds a symbol sequence (characters, phones, or
 binary distinctive-feature vectors mapped through a linear layer, i.e.
 a sum of feature embeddings), runs one bidirectional recurrent layer,
 pools by concatenation of the final states, and projects into the same
-space. The projection can be shared with the acoustic encoder.
+space. It shares the acoustic encoder's projection whenever the widths
+match and there is no fully-connected stack.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import copy
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import autodiff as ad
 from . import nn
 from .autodiff import Tensor
+from .config import ConfigError
 from .corpus import FeatureTable, Lexicon, Vocabulary, phones_to_feature_rows
+
+FC_DIM = 256  # width of the optional fully-connected layers
 
 
 class EncoderError(Exception):
@@ -64,16 +69,17 @@ class AcousticEncoderConfig:
     pooling: str = "concat"  # concat | mean | attention
     embed_dim: int = 64
     subsample: int = 1  # mean-pool stride over frame outputs
-    fc_layers: int = 0  # optional ReLU stack before the projection
-    fc_dim: int = 256
+    fc_layers: int = 0  # optional ReLU stack of width FC_DIM before the projection
 
     def __post_init__(self):
         if self.cell not in ("lstm", "gru"):
-            raise EncoderError(f"unknown cell {self.cell!r}")
+            raise ConfigError(f"[encoder] unknown cell {self.cell!r}")
         if self.pooling not in ("concat", "mean", "attention"):
-            raise EncoderError(f"unknown pooling {self.pooling!r}")
+            raise ConfigError(f"[encoder] unknown pooling {self.pooling!r}")
         if self.subsample < 1:
-            raise EncoderError("subsample stride must be >= 1")
+            raise ConfigError("[encoder] subsample stride must be >= 1")
+        if not 0.0 <= self.dropout < 1.0:
+            raise ConfigError("[encoder] dropout must be in [0, 1)")
 
 
 class AcousticEncoder:
@@ -96,10 +102,10 @@ class AcousticEncoder:
         self.fc = []
         fc_in = self.frame_width
         for i in range(config.fc_layers):
-            w = nn.Parameter(f"f.fc{i}.w", uniform_fc(rng, fc_in, config.fc_dim))
-            b = nn.Parameter(f"f.fc{i}.b", np.zeros(config.fc_dim))
+            w = nn.Parameter(f"f.fc{i}.w", uniform_fc(rng, fc_in, FC_DIM))
+            b = nn.Parameter(f"f.fc{i}.b", np.zeros(FC_DIM))
             self.fc.append((w, b))
-            fc_in = config.fc_dim
+            fc_in = FC_DIM
         self.proj_w = nn.Parameter("f.proj.w", uniform_fc(rng, fc_in, config.embed_dim))
         self.proj_b = nn.Parameter("f.proj.b", np.zeros(config.embed_dim))
 
@@ -143,6 +149,14 @@ class AcousticEncoder:
         inv = np.where(counts > 0, 1.0 / np.where(counts > 0, counts, 1.0), 0.0)
         out = ad.mul_const(grouped, inv[:, :, None])
         return out, (counts > 0).astype(np.float64)
+
+    def encode(self, frame_arrays, train: bool = False, rng: np.random.Generator | None = None):
+        """Encode variable-length (T_i, D) frame arrays as one batch padded
+        to the subsample stride: (B, T', 2*hidden) outputs and each row's
+        output length."""
+        x, mask, _ = pad_and_mask(frame_arrays, self.config.subsample)
+        outputs, out_mask = self.encode_padded(Tensor(x), mask, train=train, rng=rng)
+        return outputs, out_mask.sum(axis=1).astype(int)
 
     # -- boundary bookkeeping for subsampled outputs
 
@@ -222,15 +236,17 @@ class AcousticEncoder:
                 blocks.append(ad.sum_(ad.reshape(prod, (n, s, W)), axis=1))
         return ad.concat(blocks, axis=0)
 
+    def span_embeddings(self, outputs: Tensor, spans) -> Tensor:
+        """Pool and project (row, start, end) spans of ``outputs`` given in
+        *input* frames: (n, d)."""
+        return self.project(self.pool_batch(
+            outputs, [(r, self.map_start(s), self.map_end(e)) for r, s, e in spans]))
+
     def embed_segments_isolated(self, segment_frames, train: bool = False,
                                 rng: np.random.Generator | None = None) -> Tensor:
         """Embed isolated word segments (each encoded on its own): (n, d)."""
-        x, mask, lengths = pad_and_mask(
-            [np.asarray(f, dtype=np.float64) for f in segment_frames], self.config.subsample
-        )
-        outputs, out_mask = self.encode_padded(Tensor(x), mask, train=train, rng=rng)
-        segs = [(i, 0, int(out_mask[i].sum())) for i in range(len(lengths))]
-        return self.project(self.pool_batch(outputs, segs))
+        outputs, _ = self.encode(segment_frames, train=train, rng=rng)
+        return self.span_embeddings(outputs, [(i, 0, len(f)) for i, f in enumerate(segment_frames)])
 
 
 def uniform_fc(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.ndarray:
@@ -245,17 +261,16 @@ def uniform_fc(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.ndarra
 class WrittenEncoderConfig:
     mode: str = "char"  # char | phone | feature
     symbol_embed_dim: int = 64
-    cell: str = "lstm"
     hidden: int = 128
     embed_dim: int = 64
 
     def __post_init__(self):
         if self.mode not in ("char", "phone", "feature"):
-            raise EncoderError(f"unknown written-encoder mode {self.mode!r}")
+            raise ConfigError(f"[written] unknown mode {self.mode!r}")
 
 
 class WrittenEncoder:
-    """Symbol-sequence encoder: embedding, 1-layer bi-RNN, concat pooling,
+    """Symbol-sequence encoder: embedding, 1-layer bi-LSTM, concat pooling,
     projection. In feature mode each phone's binary feature vector passes
     through a bias-free linear map (a sum of feature-value embeddings)."""
 
@@ -285,9 +300,8 @@ class WrittenEncoder:
             self.embed_table = nn.Parameter(
                 "g.symbol_embed", nn.normal_init(rng, (len(self.symbols), config.symbol_embed_dim))
             )
-        make = nn.LstmParams.create if config.cell == "lstm" else nn.GruParams.create
-        self.fw = make("g.rnn.fw", config.symbol_embed_dim, config.hidden, rng)
-        self.bw = make("g.rnn.bw", config.symbol_embed_dim, config.hidden, rng)
+        self.fw = nn.LstmParams.create("g.rnn.fw", config.symbol_embed_dim, config.hidden, rng)
+        self.bw = nn.LstmParams.create("g.rnn.bw", config.symbol_embed_dim, config.hidden, rng)
         self.width = 2 * config.hidden
         if shared_projection is not None:
             self.proj_w, self.proj_b = shared_projection
@@ -367,11 +381,12 @@ class PredictionLayer:
 
     static: rows are free parameters (optionally frozen after init).
     dynamic: rows are produced by the written encoder on demand, so
-    gradients flow into it and the vocabulary can be rebuilt at any time.
+    gradients flow into it and the vocabulary can be rebuilt at any time;
+    the reserved UNK row, if any, is a free parameter.
     """
 
-    def __init__(self, vocab: Vocabulary, embed_dim: int, mode: str = "static",
-                 rng: np.random.Generator | None = None, unit_normalized: bool = False):
+    def __init__(self, vocab: Vocabulary, embed_dim: int, rng: np.random.Generator, mode: str = "static",
+                 unit_normalized: bool = False):
         if mode not in ("static", "dynamic"):
             raise EncoderError(f"unknown prediction-layer mode {mode!r}")
         self.vocab = vocab
@@ -380,13 +395,12 @@ class PredictionLayer:
         self.unit_normalized = unit_normalized
         self.written_encoder: WrittenEncoder | None = None
         self.lexicon: Lexicon | None = None
+        self.w = self.unk_row = None
         if mode == "static":
-            if rng is None:
-                raise EncoderError("static layer needs an rng for initialization")
             w = nn.normal_init(rng, (vocab.size, embed_dim)) / np.sqrt(embed_dim)
             self.w = nn.Parameter("pred.w", w)
-        else:
-            self.w = None
+        elif vocab.unk_token is not None:
+            self.unk_row = nn.Parameter("pred.unk", nn.normal_init(rng, embed_dim) / np.sqrt(embed_dim))
         self.b = nn.Parameter("pred.b", np.zeros(vocab.size))
         self.base_size = vocab.size  # rows beyond this are extension rows
 
@@ -399,8 +413,7 @@ class PredictionLayer:
         static: rows are copies of g(v) (unit-normalized when requested);
         reserved UNK rows are random. dynamic: rows are produced by g live.
         """
-        pl = PredictionLayer(vocab, g.config.embed_dim, mode=mode, rng=rng,
-                             unit_normalized=unit_normalize)
+        pl = PredictionLayer(vocab, g.config.embed_dim, rng, mode=mode, unit_normalized=unit_normalize)
         pl.written_encoder = g
         pl.lexicon = lexicon
         if mode == "static":
@@ -411,14 +424,12 @@ class PredictionLayer:
                 pl.w.values[...] = unit_rows(pl.w.values)
             for word, row in zip(embeddable, embs):
                 pl.w.values[vocab.index(word)] = row
-        elif vocab.unk_token is not None:
-            pl.init_dynamic_unk(rng)
         return pl
 
     def parameters(self) -> list[nn.Parameter]:
         out = [self.w, self.b] if self.mode == "static" else [self.b]
-        if hasattr(self, "_unk_row"):
-            out.append(self._unk_row)
+        if self.unk_row is not None:
+            out.append(self.unk_row)
         return out
 
     def freeze(self):
@@ -434,18 +445,9 @@ class PredictionLayer:
         embs = self.written_encoder.embed_words(
             [v for v in self.vocab.labels if v != self.vocab.unk_token], self.lexicon
         )
-        if self.vocab.unk_token is None:
+        if self.unk_row is None:
             return embs
-        # reserved UNK row is a free parameter even in dynamic mode
-        if not hasattr(self, "_unk_row"):
-            raise EncoderError("dynamic layer with UNK needs init_dynamic_unk()")
-        return ad.concat([embs, ad.reshape(self._unk_row.tensor, (1, self.embed_dim))], axis=0)
-
-    def init_dynamic_unk(self, rng: np.random.Generator):
-        self._unk_row = nn.Parameter("pred.unk", nn.normal_init(rng, self.embed_dim) / np.sqrt(self.embed_dim))
-
-    def rows(self) -> np.ndarray:
-        return self.weight_tensor().values
+        return ad.concat([embs, ad.reshape(self.unk_row.tensor, (1, self.embed_dim))], axis=0)
 
 
 def extend_vocabulary(pl: PredictionLayer, g: WrittenEncoder, new_words,
@@ -462,11 +464,8 @@ def extend_vocabulary(pl: PredictionLayer, g: WrittenEncoder, new_words,
     if pl.mode != "static":
         raise EncoderError("extension applies to static (frozen) layers")
     lexicon = lexicon if lexicon is not None else pl.lexicon
-    out = PredictionLayer.__new__(PredictionLayer)
+    out = copy.copy(pl)  # chained extensions keep the original base_size
     out.vocab = _extended_vocab(pl.vocab, new_words)
-    out.embed_dim = pl.embed_dim
-    out.mode = "static"
-    out.unit_normalized = pl.unit_normalized
     out.written_encoder = g
     out.lexicon = lexicon
     rows = pl.w.values
@@ -478,13 +477,11 @@ def extend_vocabulary(pl: PredictionLayer, g: WrittenEncoder, new_words,
     out.w = nn.Parameter("pred.w", rows.copy())
     out.w.frozen = True
     out.b = nn.Parameter("pred.b", np.concatenate([pl.b.values, np.zeros(len(new_words))]))
-    out.base_size = pl.base_size  # chained extensions keep the original base
     return out
 
 
 def _extended_vocab(vocab: Vocabulary, new_words) -> Vocabulary:
-    ext = Vocabulary.__new__(Vocabulary)
+    ext = copy.copy(vocab)  # the new words follow the reserved UNK row
     ext.labels = vocab.labels + list(new_words)
-    ext.unk_token = vocab.unk_token
     ext._index = {w: i for i, w in enumerate(ext.labels)}
     return ext

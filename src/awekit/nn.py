@@ -257,11 +257,10 @@ def _gru_layer(gates_all: Tensor, cand_all: Tensor, p: GruParams, mask: np.ndarr
 class Adam:
     """Adam with bias correction; state lives on each Parameter."""
 
-    def __init__(self, lr: float, beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
+    beta1, beta2, eps = 0.9, 0.999, 1e-8
+
+    def __init__(self, lr: float):
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
 
     def step(self, params: list[Parameter]):
         for p in params:

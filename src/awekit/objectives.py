@@ -290,6 +290,9 @@ def agwe_regularizer(prediction_rows: Tensor, written_rows: Tensor) -> Tensor:
     return ad.sum_(ad.l2norm_rows(ad.sub(written_rows, prediction_rows)))
 
 
+SCHEMES = ("additive", "convex")  # the ways combine_joint weighs its losses
+
+
 def combine_joint(asr_loss: Tensor, emb_loss: Tensor | None, reg_loss: Tensor | None,
                   lambda_emb: float, lambda_reg: float, scheme: str = "additive") -> Tensor:
     """Combine recognizer, embedding, and regularizer losses.
@@ -299,7 +302,7 @@ def combine_joint(asr_loss: Tensor, emb_loss: Tensor | None, reg_loss: Tensor | 
     """
     if not 0.0 <= lambda_emb <= 1.0 or not 0.0 <= lambda_reg <= 1.0:
         raise ObjectiveError("lambda weights must be in [0, 1]")
-    if scheme not in ("additive", "convex"):
+    if scheme not in SCHEMES:
         raise ObjectiveError(f"unknown combination scheme {scheme!r}")
     total = ad.scale(asr_loss, 1.0 - lambda_reg) if scheme == "convex" else asr_loss
     if reg_loss is not None and lambda_reg > 0:

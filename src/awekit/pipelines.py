@@ -91,6 +91,14 @@ def load_dataset(cfg: ExperimentConfig) -> Dataset:
     return Dataset(train, train_align, dev, dev_align, lexicon, feature_table)
 
 
+def _frame_window(cfg: ExperimentConfig) -> tuple[int, int]:
+    """The [training] segment lengths (min_frames, max_frames) in frames."""
+    min_frames = cfg.getint("training", "min_frames")
+    if min_frames < 1:
+        raise ConfigError("[training] min_frames must be >= 1")
+    return min_frames, cfg.getint("training", "max_frames")
+
+
 def collect_segments(fms, alignments, min_frames, max_frames):
     """(FrameMatrix, SegmentRef) pairs across a split, in archive order."""
     out = []
@@ -132,7 +140,6 @@ def build_acoustic_encoder(cfg: ExperimentConfig, input_dim: int, rng) -> enc.Ac
         embed_dim=cfg.getint("encoder", "embed_dim"),
         subsample=cfg.getint("encoder", "subsample"),
         fc_layers=cfg.getint("encoder", "fc_layers"),
-        fc_dim=cfg.getint("encoder", "fc_dim"),
     )
     return enc.AcousticEncoder(config, rng)
 
@@ -151,12 +158,11 @@ def build_written_encoder(cfg: ExperimentConfig, ds: Dataset, labels, f: enc.Aco
     wcfg = enc.WrittenEncoderConfig(
         mode=mode,
         symbol_embed_dim=cfg.getint("written", "symbol_embed_dim"),
-        cell=cfg.get("written", "cell"),
         hidden=cfg.getint("written", "hidden"),
         embed_dim=cfg.getint("encoder", "embed_dim"),
     )
     shared = None
-    if cfg.getbool("written", "shared_projection") and 2 * wcfg.hidden == f.frame_width and not f.fc:
+    if 2 * wcfg.hidden == f.frame_width and not f.fc:
         shared = (f.proj_w, f.proj_b)
     symbols = None
     feature_table = None
@@ -177,8 +183,7 @@ def build_written_encoder(cfg: ExperimentConfig, ds: Dataset, labels, f: enc.Aco
 def build_optimizer(cfg: ExperimentConfig):
     kind = cfg.get("optimizer", "kind")
     if kind == "adam":
-        return nn.Adam(cfg.getfloat("optimizer", "lr"), cfg.getfloat("optimizer", "beta1"),
-                       cfg.getfloat("optimizer", "beta2"), cfg.getfloat("optimizer", "eps"))
+        return nn.Adam(cfg.getfloat("optimizer", "lr"))
     if kind == "sgd":
         return nn.NesterovSGD(cfg.getfloat("optimizer", "lr"), cfg.getfloat("optimizer", "momentum"))
     raise ConfigError(f"unknown optimizer {kind!r}")
@@ -323,10 +328,8 @@ def embed_spans(f: enc.AcousticEncoder, fm: cp.FrameMatrix, spans) -> np.ndarray
     of its input frames: (len(spans), d)."""
     if not spans:
         return np.zeros((0, f.config.embed_dim))
-    x, mask, _ = enc.pad_and_mask([fm.frames], f.config.subsample)
-    out, _ = f.encode_padded(Tensor(x), mask)
-    items = [(0, f.map_start(s), f.map_end(e)) for s, e in spans]
-    return f.project(f.pool_batch(out, items)).values
+    out, _ = f.encode([fm.frames])
+    return f.span_embeddings(out, [(0, s, e) for s, e in spans]).values
 
 
 def embed_split(f: enc.AcousticEncoder, objective: Objective, fms, alignments, min_frames: int,
@@ -371,15 +374,14 @@ def dev_ap(f: enc.AcousticEncoder, g, objective: Objective, ds: Dataset, min_fra
 # The training loop
 
 
-def word_span_items(f: enc.AcousticEncoder, entries, min_frames: int, max_frames: int):
-    """(row, start, end) output-frame spans and their labels for the
-    (start, end, label) input-frame entries of each batch row whose
-    length is in [min_frames, max_frames]."""
+def word_span_items(entries, min_frames: int, max_frames: int):
+    """(row, start, end) spans and their labels for the (start, end, label)
+    entries of each batch row whose length is in [min_frames, max_frames]."""
     items, labels = [], []
     for row, row_entries in enumerate(entries):
         for s, e, lab in row_entries:
             if min_frames <= e - s <= max_frames:
-                items.append((row, f.map_start(s), f.map_end(e)))
+                items.append((row, s, e))
                 labels.append(lab)
     return items, labels
 
@@ -400,8 +402,11 @@ def train_epochs(cfg: ExperimentConfig, outdir: str, params, lengths, batch_loss
     the best metric is kept, and a metric plateau resets to it."""
     optimizer = build_optimizer(cfg)
     factor = cfg.getfloat("scheduler", "factor")
-    scheduler = nn.PlateauScheduler(optimizer.lr, cfg.getint("scheduler", "patience"), factor,
-                                    cfg.getfloat("scheduler", "min_lr"), mode)
+    try:
+        scheduler = nn.PlateauScheduler(optimizer.lr, cfg.getint("scheduler", "patience"), factor,
+                                        cfg.getfloat("scheduler", "min_lr"), mode)
+    except ValueError as e:  # a factor outside (0, 1]
+        raise ConfigError(f"[scheduler] {e}") from e
     loss_rule = nn.LossPlateauHeuristic(optimizer.lr, factor) \
         if cfg.get("scheduler", "rule") == "loss-heuristic" else None
     shuffle_rng = component_rng(cfg.seed, "shuffle")
@@ -456,15 +461,17 @@ def train_embed(cfg: ExperimentConfig, outdir: str) -> dict:
         raise ConfigError(f"unknown objective kind {kind!r}")
     if kind != "classifier":
         objective.check_strategy(kind)
+    min_f, max_f = _frame_window(cfg)
     ds = load_dataset(cfg)
-    min_f = cfg.getint("training", "min_frames")
-    max_f = cfg.getint("training", "max_frames")
     use_augment = cfg.getbool("training", "spec_augment")
 
     train_segments = collect_segments(ds.train, ds.train_align, min_f, max_f)
     if not train_segments or not collect_segments(ds.dev, ds.dev_align, min_f, max_f):
         raise DataError("no admissible segments; check the frame-length window")
     train_labels = sorted({s.label for _, s in train_segments})
+    if kind == "triplet" and len(train_labels) < 2:
+        # a negative needs another word
+        raise DataError("triplet training needs segments of at least two words")
 
     input_dim = ds.train[0].dim
     init_rng = component_rng(seed, "init")
@@ -499,16 +506,15 @@ def train_embed(cfg: ExperimentConfig, outdir: str) -> dict:
             aligns = [ds.train_align[fm.utterance_id] for fm in fms]
             if use_augment:
                 fms = [cp.spec_augment(fm, al, rngs["augment"]) for fm, al in zip(fms, aligns)]
-            x, mask, _ = enc.pad_and_mask([fm.frames for fm in fms], f.config.subsample)
-            out, _ = f.encode_padded(Tensor(x), mask, train=True, rng=rngs["dropout"])
+            out, _ = f.encode([fm.frames for fm in fms], train=True, rng=rngs["dropout"])
             entries = [al.entries for al in aligns]
             if objective.spans:
                 entries = [[(s, e, " ".join(vs)) for s, e, vs in cp.merge_spans(al, rngs["spans"]).entries]
                            for al in aligns]
-            items, labels = word_span_items(f, entries, min_f, max_f)
+            items, labels = word_span_items(entries, min_f, max_f)
             if not items:
                 return ad.constant(0.0)
-            acoustic = f.project(f.pool_batch(out, items))
+            acoustic = f.span_embeddings(out, items)
         else:
             frames = _segment_frames(train_segments[i] for i in batch_ids)
             acoustic = f.embed_segments_isolated(frames, train=True, rng=rngs["dropout"])
@@ -541,7 +547,6 @@ def train_embed(cfg: ExperimentConfig, outdir: str) -> dict:
         "input_dim": input_dim,
         "config": cfg.resolved(),
         "train_labels": train_labels,
-        "written_symbols": (g.symbols if g is not None and g.symbol_index is not None else None),
     }
     save_model(ckpt, params, meta)
     report = {
@@ -626,10 +631,10 @@ def _triplet_batch_loss(objective, f, train_segments, batch_ids, by_label, label
 
 def eval_ap(cfg: ExperimentConfig, checkpoint: str, out_path: str) -> dict:
     """Acoustic (and, for multi-view models, cross-view) AP on the dev set."""
+    min_f, max_f = _frame_window(cfg)
     f, g, _, train_cfg = rebuild_embed_model(checkpoint)
     ds = load_dataset(cfg)
-    report = dev_ap(f, g, Objective(train_cfg), ds, cfg.getint("training", "min_frames"),
-                    cfg.getint("training", "max_frames"), cfg.threads)
+    report = dev_ap(f, g, Objective(train_cfg), ds, min_f, max_f, cfg.threads)
     report.update({"config": cfg.resolved(), "version": SCHEMA_VERSION})
     _write_report(out_path, report)
     return report
@@ -639,9 +644,8 @@ def dtw_ap(cfg: ExperimentConfig, out_path: str) -> dict:
     """DTW-on-raw-features AP over the same dev pairs (both with and
     without path-length normalization, since either convention appears
     in practice)."""
+    min_f, max_f = _frame_window(cfg)
     ds = load_dataset(cfg)
-    min_f = cfg.getint("training", "min_frames")
-    max_f = cfg.getint("training", "max_frames")
     dev_segments = collect_segments(ds.dev, ds.dev_align, min_f, max_f)
     frames = _segment_frames(dev_segments)
     labels = [s.label for _, s in dev_segments]

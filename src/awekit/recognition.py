@@ -16,6 +16,7 @@ encodes the batch and sums the per-utterance CTC or segmental losses.
 from __future__ import annotations
 
 import os
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -51,16 +52,20 @@ from .pipelines import (
 UNK_TOKEN = "<unk>"
 
 
+@dataclass
 class RecognizerModel:
-    def __init__(self, kind, f, g, pl, blank_w, blank_b, vocab, lexicon):
-        self.kind = kind
-        self.f = f
-        self.g = g
-        self.pl = pl
-        self.blank_w = blank_w
-        self.blank_b = blank_b
-        self.vocab = vocab
-        self.lexicon = lexicon
+    """A CTC or segmental recognizer: acoustic encoder ``f``, written
+    encoder ``g`` (or None), prediction layer ``pl`` and, for CTC, the
+    blank row. The order of ``parameters()`` is the checkpoint layout."""
+
+    kind: str
+    f: enc.AcousticEncoder
+    g: enc.WrittenEncoder | None
+    pl: enc.PredictionLayer
+    blank_w: nn.Parameter | None
+    blank_b: nn.Parameter | None
+    vocab: cp.Vocabulary
+    lexicon: cp.Lexicon | None
 
     def parameters(self):
         out = list(self.f.parameters())
@@ -79,9 +84,9 @@ def _merge_encoder_config(cfg: ExperimentConfig, ckpt_meta: dict) -> ExperimentC
     subsampling (parameter-free) follow the recognizer config."""
     merged = {s: dict(kv) for s, kv in cfg.resolved().items()}
     ck = ckpt_meta["config"]
-    for key in ("cell", "layers", "hidden", "embed_dim", "fc_layers", "fc_dim"):
+    for key in ("cell", "layers", "hidden", "embed_dim", "fc_layers"):
         merged["encoder"][key] = ck["encoder"][key]
-    for key in ("mode", "symbol_embed_dim", "hidden", "cell", "shared_projection"):
+    for key in ("mode", "symbol_embed_dim", "hidden"):
         merged["written"][key] = ck["written"][key]
     return ExperimentConfig(merged)
 
@@ -94,7 +99,8 @@ def build_recognizer(cfg: ExperimentConfig, ds: Dataset, input_dim: int):
     if kind not in ("ctc", "segmental"):
         raise ConfigError(f"unknown recognizer kind {kind!r}")
     mode = cfg.get("recognizer", "training_mode")
-    lexicon_mode = cfg.get("recognizer", "lexicon_mode")
+    if mode not in ("baseline", "pretrain", "joint"):
+        raise ConfigError(f"unknown training_mode {mode!r}")
     use_unk = cfg.getbool("recognizer", "unk")
     vocab_file = cfg.get("recognizer", "vocab_file")
     if vocab_file:
@@ -105,42 +111,50 @@ def build_recognizer(cfg: ExperimentConfig, ds: Dataset, input_dim: int):
         labels = sorted({v for al in ds.train_align.values() for v in al.labels()})
     vocab = cp.Vocabulary(labels, unk_token=UNK_TOKEN if use_unk else None)
     init_rng = component_rng(cfg.seed, "init")
-    d = cfg.getint("encoder", "embed_dim")
-
     init_ckpt = cfg.get("recognizer", "init_checkpoint")
-    if mode in ("pretrain", "joint"):
+    pretrained = mode != "baseline"
+    if pretrained:
         if not init_ckpt:
             raise ConfigError(f"training_mode {mode!r} needs [recognizer] init_checkpoint")
-        meta = load_model_meta(init_ckpt)
-        cfg = _merge_encoder_config(cfg, meta)
-        d = cfg.getint("encoder", "embed_dim")
-        f = build_acoustic_encoder(cfg, input_dim, init_rng)
+        cfg = _merge_encoder_config(cfg, load_model_meta(init_ckpt))
+    f = build_acoustic_encoder(cfg, input_dim, init_rng)
+    g = None
+    if pretrained or cfg.get("recognizer", "lexicon_mode") == "dynamic":
         g = build_written_encoder(cfg, ds, labels, f, init_rng)
+    if pretrained:
         nn.assign_from_checkpoint(f.parameters() + g.parameters(), nn.load_checkpoint(init_ckpt),
                                   strict=False)
-        pl = enc.PredictionLayer.from_written_encoder(
-            vocab, g, ds.lexicon, mode=lexicon_mode, rng=component_rng(cfg.seed, "pred-init"),
-            unit_normalize=cfg.getbool("recognizer", "unit_normalize"))
-        if cfg.getbool("recognizer", "freeze"):
-            pl.freeze()
-    else:
-        f = build_acoustic_encoder(cfg, input_dim, init_rng)
-        g = None
-        if lexicon_mode == "dynamic":
-            g = build_written_encoder(cfg, ds, labels, f, init_rng)
-            pl = enc.PredictionLayer.from_written_encoder(
-                vocab, g, ds.lexicon, mode="dynamic", rng=component_rng(cfg.seed, "pred-init"))
-        else:
-            pl = enc.PredictionLayer(vocab, d, mode="static",
-                                     rng=component_rng(cfg.seed, "pred-init"))
-    blank_w = blank_b = None
-    if kind == "ctc":
-        blank_rng = component_rng(cfg.seed, "blank-init")
-        blank_w = nn.Parameter("blank.w", nn.normal_init(blank_rng, d) / np.sqrt(d))
-        blank_b = nn.Parameter("blank.b", np.zeros(1))
-    model = RecognizerModel(kind, f, g, pl, blank_w, blank_b, vocab, ds.lexicon)
+    model = _assemble(cfg, kind, f, g, vocab, ds.lexicon, written_rows=pretrained)
     _rescale_projection(model, ds)
     return model, cfg
+
+
+def _assemble(cfg: ExperimentConfig, kind: str, f, g, vocab, lexicon, written_rows: bool):
+    """The recognizer over encoders ``f`` and ``g``, for training and reload:
+    its prediction layer and, for CTC, its blank row. With ``written_rows``
+    (pretraining) static rows start as g's written embeddings and may be
+    frozen; otherwise they are random, as a baseline starts and as a reload
+    builds them before the checkpoint overwrites them."""
+    lexicon_mode = cfg.get("recognizer", "lexicon_mode")
+    if lexicon_mode not in ("static", "dynamic"):
+        raise ConfigError(f"[recognizer] unknown lexicon_mode {lexicon_mode!r}")
+    freeze = written_rows and cfg.getbool("recognizer", "freeze")
+    if freeze and lexicon_mode != "static":
+        raise ConfigError("[recognizer] freeze needs lexicon_mode static")
+    unit = cfg.getbool("recognizer", "unit_normalize")
+    pred_rng = component_rng(cfg.seed, "pred-init")
+    if written_rows or lexicon_mode == "dynamic":
+        pl = enc.PredictionLayer.from_written_encoder(vocab, g, lexicon, lexicon_mode, pred_rng, unit)
+    else:
+        pl = enc.PredictionLayer(vocab, f.config.embed_dim, rng=pred_rng, unit_normalized=unit)
+    if freeze:
+        pl.freeze()
+    blank_w = blank_b = None
+    if kind == "ctc":
+        d = f.config.embed_dim
+        blank_w = nn.Parameter("blank.w", nn.normal_init(component_rng(cfg.seed, "blank-init"), d) / np.sqrt(d))
+        blank_b = nn.Parameter("blank.b", np.zeros(1))
+    return RecognizerModel(kind, f, g, pl, blank_w, blank_b, vocab, lexicon)
 
 
 def _rescale_projection(model, ds: Dataset):
@@ -161,9 +175,8 @@ def _rescale_projection(model, ds: Dataset):
         al = ds.train_align[fm.utterance_id]
         if not al.entries:
             continue
-        out, _ = _encode_batch(model, [fm], train=False, rng=None)
-        items = [(0, model.f.map_start(s), model.f.map_end(e)) for s, e, _ in al.entries]
-        embs = _span_embeddings(model, out, items).values
+        out, _ = model.f.encode([fm.frames])
+        embs = _span_embeddings(model, out, [(0, s, e) for s, e, _ in al.entries]).values
         norms.extend(np.linalg.norm(embs, axis=1).tolist())
     mean_norm = float(np.mean(norms)) if norms else 1.0
     if mean_norm > 0:
@@ -175,22 +188,17 @@ def _rescale_projection(model, ds: Dataset):
 # Forward passes
 
 
-def _encode_batch(model, fms, train, rng):
-    x, mask, _ = enc.pad_and_mask([fm.frames for fm in fms], model.f.config.subsample)
-    out, out_mask = model.f.encode_padded(Tensor(x), mask, train=train, rng=rng)
-    lengths = out_mask.sum(axis=1).astype(int)
-    return out, lengths
-
-
-def _span_embeddings(model, out: Tensor, items) -> Tensor:
-    """Embeddings of (row, start, end) output-frame spans: CTC models
-    project every frame and mean-pool the span; segmental models pool the
-    span with the configured mode, then project."""
+def _span_embeddings(model, out: Tensor, spans) -> Tensor:
+    """Embeddings of (row, start, end) input-frame spans: CTC models
+    project every frame and mean-pool the span's output frames; segmental
+    models pool the span with the configured mode, then project."""
+    f = model.f
     if model.kind != "ctc":
-        return model.f.project(model.f.pool_batch(out, items))
+        return f.span_embeddings(out, spans)
     B, T, W = out.values.shape
-    proj = ad.reshape(model.f.project(ad.reshape(out, (B * T, W))), (B, T, -1))
-    return ad.stack([ad.mean(ad.getitem(proj, (r, slice(s, e))), axis=0) for r, s, e in items], axis=0)
+    proj = ad.reshape(f.project(ad.reshape(out, (B * T, W))), (B, T, -1))
+    return ad.stack([ad.mean(ad.getitem(proj, (r, slice(f.map_start(s), f.map_end(e)))), axis=0)
+                     for r, s, e in spans], axis=0)
 
 
 def _ctc_frame_logits(model, out: Tensor):
@@ -216,7 +224,7 @@ def asr_batch_loss(model, fms, alignments, s_max: int, rng):
     """(summed recognizer loss, transcript words, encoder output) of a
     training batch. Each utterance adds its CTC loss, or its segmental
     marginal loss with the batch's segment cap (at most ``s_max``)."""
-    out, lengths = _encode_batch(model, fms, True, rng)
+    out, lengths = model.f.encode([fm.frames for fm in fms], train=True, rng=rng)
     if model.kind == "ctc":
         _, log_probs, T = _ctc_frame_logits(model, out)
 
@@ -242,7 +250,7 @@ def joint_embedding_loss(model, objective: Objective, out, fms, alignments, wind
     """Contrastive multi-view loss with ``k`` negatives over the batch's
     word segments whose length is in ``window`` = (min, max) frames."""
     entries = [alignments[fm.utterance_id].entries for fm in fms]
-    items, labels = word_span_items(model.f, entries, *window)
+    items, labels = word_span_items(entries, *window)
     if not items:
         return None
     full_vocab = [v for v in model.vocab.labels if v != model.vocab.unk_token]
@@ -270,7 +278,7 @@ def regularizer_loss(model, fms, alignments, live: bool):
 
 def decode_utterance(model, fm: cp.FrameMatrix, s_max: int):
     """Decode one utterance; returns (words, spans, frame_embeddings)."""
-    out, lengths = _encode_batch(model, [fm], train=False, rng=None)
+    out, lengths = model.f.encode([fm.frames])
     T = int(lengths[0])
     if model.kind == "ctc":
         proj, log_probs, Tpad = _ctc_frame_logits(model, out)
@@ -318,14 +326,18 @@ def train_asr(cfg: ExperimentConfig, outdir: str) -> dict:
     mode = cfg.get("recognizer", "training_mode")
     if mode == "joint":
         objective.check_strategy("multiview")
+    lam_emb = cfg.getfloat("recognizer", "lambda_emb")
+    lam_reg = cfg.getfloat("recognizer", "lambda_reg")
+    if not (0.0 <= lam_emb <= 1.0 and 0.0 <= lam_reg <= 1.0):
+        raise ConfigError("[recognizer] lambda_emb and lambda_reg must be in [0, 1]")
+    scheme = cfg.get("recognizer", "scheme")
+    if scheme not in obj.SCHEMES:
+        raise ConfigError(f"[recognizer] scheme {scheme!r}: one of {obj.SCHEMES}")
     ds = load_dataset(cfg)
     model, cfg = build_recognizer(cfg, ds, ds.train[0].dim)
     params = model.parameters()
     dropout_rng = component_rng(cfg.seed, "dropout")
     sample_rng = component_rng(cfg.seed, "sampling")
-    lam_emb = cfg.getfloat("recognizer", "lambda_emb")
-    lam_reg = cfg.getfloat("recognizer", "lambda_reg")
-    scheme = cfg.get("recognizer", "scheme")
     s_max = cfg.getint("recognizer", "s_max")
     stop_at = cfg.getfloat("training", "stop_at_wer")
     window = (max(1, cfg.getint("training", "min_frames")), cfg.getint("training", "max_frames"))
@@ -364,8 +376,6 @@ def train_asr(cfg: ExperimentConfig, outdir: str) -> dict:
         "vocab": model.vocab.labels,
         "unk": model.vocab.unk_token,
         "has_written": model.g is not None,
-        "written_symbols": (model.g.symbols if model.g is not None and model.g.symbol_index is not None
-                            else None),
     }
     save_model(ckpt, params, meta)
     report = {"checkpoint": ckpt, "best_wer": best_wer, "epochs_run": len(history),
@@ -379,22 +389,8 @@ def rebuild_recognizer(checkpoint: str):
     vocab_words = [w for w in meta["vocab"] if w != meta["unk"]]
     vocab = cp.Vocabulary(vocab_words, unk_token=meta["unk"])
     cfg, f, g, lexicon = rebuild_encoders(meta, vocab_words if meta["has_written"] else None)
-    if cfg.get("recognizer", "lexicon_mode") == "dynamic" and g is not None:
-        pl = enc.PredictionLayer.from_written_encoder(
-            vocab, g, lexicon, mode="dynamic", rng=component_rng(cfg.seed, "pred-init"))
-    else:
-        pl = enc.PredictionLayer(vocab, cfg.getint("encoder", "embed_dim"), mode="static",
-                                 rng=component_rng(cfg.seed, "pred-init"),
-                                 unit_normalized=cfg.getbool("recognizer", "unit_normalize"))
-    blank_w = blank_b = None
-    if meta["kind"] == "ctc":
-        d = cfg.getint("encoder", "embed_dim")
-        blank_w = nn.Parameter("blank.w", np.zeros(d))
-        blank_b = nn.Parameter("blank.b", np.zeros(1))
-    model = RecognizerModel(meta["kind"], f, g, pl, blank_w, blank_b, vocab, lexicon)
+    model = _assemble(cfg, meta["kind"], f, g, vocab, lexicon, written_rows=False)
     nn.assign_from_checkpoint(model.parameters(), nn.load_checkpoint(checkpoint), strict=False)
-    if cfg.getbool("recognizer", "freeze") and pl.mode == "static":
-        pl.freeze()
     return model, meta, cfg
 
 

@@ -37,12 +37,6 @@ TEST_ONLY_ALLOWED = {
 # Config keys no preset sets and no test, demo or benchmark names: paper
 # hyperparameters every run keeps at their defaults.
 UNSET_KEYS_ALLOWED = {
-    ("encoder", "fc_dim"): "width of the classifier's fully-connected layers; ch3-classifier sets their number",
-    ("written", "cell"): "the written-view encoder is an LSTM in every recipe",
-    ("written", "shared_projection"): "the written view reuses the acoustic projection when widths match",
-    ("optimizer", "beta1"): "Adam's usual first-moment decay",
-    ("optimizer", "beta2"): "Adam's usual second-moment decay",
-    ("optimizer", "eps"): "Adam's usual denominator floor",
     ("recognizer", "unit_normalize"): "prediction rows from written embeddings start at unit norm",
 }
 

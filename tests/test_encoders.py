@@ -233,11 +233,11 @@ class TestPredictionLayer:
 
     def test_dynamic_rows_track_the_encoder(self):
         vocab, g, pl = self._setup(mode="dynamic")
-        rows = pl.rows()
+        rows = pl.weight_tensor().values
         for w in ["cab", "dad", "egg"]:
             np.testing.assert_allclose(rows[vocab.index(w)], embed_word(g, w), atol=1e-12)
         g.embed_table.values += 0.1
-        rows2 = pl.rows()
+        rows2 = pl.weight_tensor().values
         assert np.abs(rows2[:3] - rows[:3]).max() > 1e-6
         np.testing.assert_allclose(rows2[vocab.index("cab")], embed_word(g, "cab"), atol=1e-12)
 

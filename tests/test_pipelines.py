@@ -3,6 +3,7 @@ search, decoding, and determinism across reruns and thread counts."""
 
 import json
 import os
+import signal
 
 import numpy as np
 import pytest
@@ -111,6 +112,17 @@ class TestConfig:
         ini.write_text("[run]\nseed = 1\n" + setting)
         assert main(["make-synth", "--out", str(tmp_path / "c"), "--config", str(ini)]) == 2
         assert not os.path.exists(tmp_path / "c")
+
+    @pytest.mark.parametrize("setting", [
+        "[encoder]\nfc_dim = 256\n", "[written]\ncell = lstm\n", "[written]\nshared_projection = true\n",
+        "[optimizer]\nbeta1 = 0.9\n", "[optimizer]\nbeta2 = 0.999\n", "[optimizer]\neps = 1e-8\n"],
+        ids=["fc_dim", "written_cell", "shared_projection", "beta1", "beta2", "eps"])
+    def test_fixed_key_exits_with_config_error(self, tmp_path, setting):
+        from awekit.cli import main
+
+        ini = tmp_path / "old.ini"
+        ini.write_text("[run]\nseed = 1\n" + setting)
+        assert main(["make-synth", "--out", str(tmp_path / "c"), "--config", str(ini)]) == 2
 
     def test_window_band_matches_window_config(self, corpus_dir):
         band = pipelines._window_config(small_cfg(corpus_dir))
@@ -442,6 +454,33 @@ class TestRecognition:
         got = model.pl.w.values[: len(expect)]
         np.testing.assert_allclose(got, expect.astype(np.float32).astype(np.float64), atol=1e-7)
 
+    @pytest.mark.parametrize("kind,extra", [
+        ("ctc", {("recognizer", "unk"): "true"}),
+        ("ctc", {("recognizer", "unk"): "true", ("recognizer", "lexicon_mode"): "dynamic"}),
+        ("segmental", {("recognizer", "s_max"): "24"}),
+    ], ids=["ctc-static-unk", "ctc-dynamic-unk", "segmental"])
+    def test_reload_rebuilds_the_trained_model(self, corpus_dir, tmp_path, monkeypatch, kind, extra):
+        from awekit import nn
+
+        built = []
+        orig = recognition.build_recognizer
+
+        def build_recognizer(*args):
+            model, cfg = orig(*args)
+            built.append(model)
+            return model, cfg
+
+        monkeypatch.setattr(recognition, "build_recognizer", build_recognizer)
+        cfg = small_cfg(corpus_dir, {("recognizer", "kind"): kind, **extra})
+        report = recognition.train_asr(cfg, tmp_path / "asr")
+        model, _, _ = recognition.rebuild_recognizer(report["checkpoint"])
+        layout = [(p.name, p.values.shape) for p in model.parameters()]
+        assert layout == [(p.name, p.values.shape) for p in built[0].parameters()]
+        saved = nn.load_checkpoint(report["checkpoint"])
+        assert list(saved) == [name for name, _ in layout]
+        for p in model.parameters():
+            np.testing.assert_array_equal(p.values, saved[p.name])
+
     def test_export_embeddings_header_and_rows(self, corpus_dir, tmp_path):
         emb_cfg = small_cfg(corpus_dir, {("training", "epochs"): "0"})
         emb = pipelines.train_embed(emb_cfg, tmp_path / "emb0")
@@ -555,6 +594,83 @@ class TestCli:
         for key in ("train", "train_align", "dev", "dev_align", "lexicon"):
             args += ["--set", f"data.{key}={corpus_dir[key]}"]
         assert main(args) == 2
+
+    @pytest.mark.parametrize("command,settings", [
+        ("train-embed", ["training.min_frames=0"]),
+        ("train-embed", ["scheduler.factor=0"]),
+        ("train-embed", ["encoder.cell=foo"]),
+        ("train-embed", ["encoder.pooling=foo"]),
+        ("train-embed", ["encoder.subsample=0"]),
+        ("train-embed", ["written.mode=bogus"]),
+        ("train-embed", ["encoder.dropout=1.5", "encoder.layers=2"]),
+        ("train-asr", ["recognizer.lambda_emb=2"]),
+        ("train-asr", ["recognizer.scheme=bogus"]),
+        ("train-asr", ["recognizer.training_mode=pretrain", "recognizer.lexicon_mode=dynamic",
+                       "recognizer.freeze=true"]),
+        ("train-asr", ["recognizer.lexicon_mode=bogus"]),
+        ("train-asr", ["recognizer.training_mode=bogus"]),
+    ])
+    def test_bad_config_value_exits_with_config_error(self, corpus_dir, tmp_path, command, settings):
+        from awekit.cli import main
+
+        args = [command, "--seed", "9", "--out", str(tmp_path / "run")]
+        if "recognizer.training_mode=pretrain" in settings:
+            cfg = small_cfg(corpus_dir, {("training", "epochs"): "0"})
+            emb = pipelines.train_embed(cfg, tmp_path / "emb")
+            settings = [*settings, f"recognizer.init_checkpoint={emb['checkpoint']}"]
+        for item in ("encoder.layers=1", "encoder.hidden=8", "training.epochs=1", *settings):
+            args += ["--set", item]
+        for key in ("train", "train_align", "dev", "dev_align", "lexicon"):
+            args += ["--set", f"data.{key}={corpus_dir[key]}"]
+        assert main(args) == 2
+
+    @pytest.mark.parametrize("strategy", ["uniform", "offending", "confusion"])
+    def test_triplet_training_on_one_word_exits_with_data_error(self, tmp_path, strategy):
+        from awekit.cli import main
+
+        corpus = synth.generate_corpus(synth.SyntheticSpec(vocab_size=3, num_train=24, num_eval=8,
+                                                           num_speakers=2, base_duration=(12, 16)), seed=4)
+        word = corpus.train_alignments[0].labels()[0]
+        corpus.train_alignments = [al for al in corpus.train_alignments if al.labels() == [word]]
+        keep = {al.utterance_id for al in corpus.train_alignments}
+        corpus.train = [fm for fm in corpus.train if fm.utterance_id in keep]
+        paths = synth.write_corpus(corpus, tmp_path / "c")
+        args = ["train-embed", "--seed", "9", "--out", str(tmp_path / "run")]
+        for item in ("objective.kind=triplet", f"objective.strategy={strategy}", "encoder.layers=1",
+                     "encoder.hidden=8", "training.epochs=1",
+                     *(f"data.{key}={paths[key]}" for key in ("train", "train_align", "dev", "dev_align"))):
+            args += ["--set", item]
+
+        def give_up(signum, frame):
+            raise TimeoutError("train-embed did not return")
+
+        previous = signal.signal(signal.SIGALRM, give_up)
+        signal.alarm(60)
+        try:
+            code = main(args)
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+        assert code == 3
+
+    def test_extension_word_with_unknown_symbol_exits_with_data_error(self, corpus_dir, tmp_path):
+        from awekit.cli import main
+
+        emb = pipelines.train_embed(small_cfg(corpus_dir, {("training", "epochs"): "0"}), tmp_path / "emb")
+        settings = ["encoder.layers=1", "encoder.hidden=8", "training.epochs=1", "recognizer.unk=true",
+                    "recognizer.training_mode=pretrain", "recognizer.freeze=true",
+                    f"recognizer.init_checkpoint={emb['checkpoint']}",
+                    *(f"data.{key}={corpus_dir[key]}" for key in ("train", "train_align", "dev", "dev_align",
+                                                                   "lexicon"))]
+        common = ["--seed", "9"]
+        for item in settings:
+            common += ["--set", item]
+        assert main(["train-asr", *common, "--out", str(tmp_path / "asr")]) == 0
+        words = tmp_path / "new_words.txt"
+        words.write_text("9#9\n")
+        assert main(["decode", *common, "--checkpoint", str(tmp_path / "asr" / "asr.cadp"),
+                     "--archive", corpus_dir["dev"], "--extend-words", str(words),
+                     "--out", str(tmp_path / "dec.json")]) == 3
 
     @pytest.mark.parametrize("kind", ["ctc", "segmental"])
     def test_infeasible_transcript_exit_code(self, tmp_path, kind):
