@@ -10,6 +10,7 @@ throughout.
 from __future__ import annotations
 
 import math
+import os
 import struct
 from dataclasses import dataclass, field
 
@@ -251,6 +252,17 @@ class Vocabulary:
 
     def __contains__(self, label):
         return label in self._index
+
+
+# ---------------------------------------------------------------------------
+# Output files
+
+
+def open_artifact(path, mode: str = "w"):
+    """Open an output file for writing ("w" text as UTF-8, or "wb"),
+    creating its directory first."""
+    os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
+    return open(path, mode, encoding=None if "b" in mode else "utf-8")
 
 
 # ---------------------------------------------------------------------------

@@ -5,9 +5,10 @@ The cost matrix uses infinite borders with C[0,0] = 0 and the symmetric
 holds the one recurrence: one pass returns both the raw cost C[N,M] and
 the number of steps on the optimal path (ties go diagonal, up, left), so
 the raw and the path-length normalized cost (cost / steps) come from the
-same pass. Pairs are the last, contiguous axis of the chunk's distance
-cube and of its two rolling rows, so each cell step is a few whole-row
-numpy operations. ``dtw_cost`` runs the kernel on a single pair.
+same pass. It walks anti-diagonals: one set of numpy calls updates the
+cells i + j = k of every pair in a chunk, from three rolling diagonals
+and a pair-first distance cube. Callers sort pairs by length before
+chunking, so little is padded. ``dtw_cost`` runs the kernel on one pair.
 """
 
 from __future__ import annotations
@@ -94,30 +95,29 @@ def dtw_cost_batch(pairs, distance: str = "cosine", chunk: int = 2048) -> tuple[
         ns = np.array([len(x) for x, _ in sub])
         ms = np.array([len(y) for _, y in sub])
         n_max, m_max = int(ns.max()), int(ms.max())
-        d = np.zeros((n_max, m_max, P))
+        d = np.zeros((P, n_max, m_max))
         for p, (x, y) in enumerate(sub):
-            d[: len(x), : len(y), p], n_bad = frame_distances(terms[id(x)], terms[id(y)], distance)
+            d[p, : len(x), : len(y)], n_bad = frame_distances(terms[id(x)], terms[id(y)], distance)
             bad += n_bad
-        prev = np.full((m_max + 1, P), np.inf)
-        prev[0] = 0.0
-        cur = np.empty((m_max + 1, P))
-        prev_steps = np.zeros((m_max + 1, P), dtype=np.int64)
-        cur_steps = np.zeros((m_max + 1, P), dtype=np.int64)
-        best = np.empty(P)
-        for i in range(1, n_max + 1):
-            cur[0] = np.inf
-            for j in range(1, m_max + 1):
-                diag, up, left = prev[j - 1], prev[j], cur[j - 1]
-                np.minimum(diag, up, out=best)
-                st = np.where(up < diag, prev_steps[j], prev_steps[j - 1])
-                np.add(np.where(left < best, cur_steps[j - 1], st), 1, out=cur_steps[j])
-                np.minimum(best, left, out=best)
-                np.add(d[i - 1, j - 1], best, out=cur[j])
-            done = np.flatnonzero(ns == i)
-            costs[c0 + done] = cur[ms[done], done]
-            steps[c0 + done] = cur_steps[ms[done], done]
-            prev, cur = cur, prev
-            prev_steps, cur_steps = cur_steps, prev_steps
+        # C[i, k - i] and its step count are row i of D[k % 3] and S[k % 3]. Rows are
+        # written only on later diagonals: borders keep their inf once C[0, 0] is spent.
+        D = np.full((3, n_max + 1, P), np.inf)
+        D[0, 0] = 0.0
+        S = np.zeros((3, n_max + 1, P), dtype=np.int64)
+        for k in range(2, n_max + m_max + 1):
+            lo, hi = max(1, k - m_max), min(n_max, k - 1)  # the rows with 1 <= k - i <= m_max
+            cur, prev, prev2 = D[k % 3], D[(k - 1) % 3], D[(k - 2) % 3]
+            diag, up, left = prev2[lo - 1 : hi], prev[lo - 1 : hi], prev[lo : hi + 1]
+            best = np.minimum(diag, up)
+            st = np.where(up < diag, S[(k - 1) % 3, lo - 1 : hi], S[(k - 2) % 3, lo - 1 : hi])
+            np.add(np.where(left < best, S[(k - 1) % 3, lo : hi + 1], st), 1, out=S[k % 3, lo : hi + 1])
+            np.minimum(best, left, out=best)
+            i = np.arange(lo, hi + 1)
+            np.add(d[:, i - 1, k - i - 1].T, best, out=cur[lo : hi + 1])
+            D[0, 0] = np.inf
+            done = np.flatnonzero(ns + ms == k)
+            costs[c0 + done] = cur[ns[done], done]
+            steps[c0 + done] = S[k % 3, ns[done], done]
     if bad:
         zero_norm_events.add(bad)
     return costs, steps

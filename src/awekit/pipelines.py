@@ -94,9 +94,12 @@ def load_dataset(cfg: ExperimentConfig) -> Dataset:
 def _frame_window(cfg: ExperimentConfig) -> tuple[int, int]:
     """The [training] segment lengths (min_frames, max_frames) in frames."""
     min_frames = cfg.getint("training", "min_frames")
+    max_frames = cfg.getint("training", "max_frames")
     if min_frames < 1:
         raise ConfigError("[training] min_frames must be >= 1")
-    return min_frames, cfg.getint("training", "max_frames")
+    if max_frames < min_frames:
+        raise ConfigError(f"[training] max_frames {max_frames} is below min_frames {min_frames}")
+    return min_frames, max_frames
 
 
 def collect_segments(fms, alignments, min_frames, max_frames):
@@ -106,6 +109,17 @@ def collect_segments(fms, alignments, min_frames, max_frames):
         for seg in cp.extract_segments(fm, alignments[fm.utterance_id], min_frames, max_frames):
             out.append((fm, seg))
     return out
+
+
+def dev_segments(ds: Dataset, min_frames: int, max_frames: int) -> list:
+    """The dev split's (FrameMatrix, SegmentRef) pairs in the frame window.
+    DataError unless two of them share a word: AP needs a same-word pair."""
+    segments = collect_segments(ds.dev, ds.dev_align, min_frames, max_frames)
+    labels = [s.label for _, s in segments]
+    if len(set(labels)) == len(labels):
+        raise DataError(f"{len(labels)} dev segments of {min_frames}-{max_frames} frames and no two "
+                        "of one word; average precision needs a same-word pair")
+    return segments
 
 
 def _segment_frames(pairs) -> list:
@@ -199,7 +213,7 @@ def _restore(params, snap):
 
 
 def _dump_json(path, value):
-    with open(path, "w", encoding="utf-8") as fh:
+    with cp.open_artifact(path) as fh:
         json.dump(value, fh, indent=1, sort_keys=True)
 
 
@@ -466,8 +480,9 @@ def train_embed(cfg: ExperimentConfig, outdir: str) -> dict:
     use_augment = cfg.getbool("training", "spec_augment")
 
     train_segments = collect_segments(ds.train, ds.train_align, min_f, max_f)
-    if not train_segments or not collect_segments(ds.dev, ds.dev_align, min_f, max_f):
+    if not train_segments:
         raise DataError("no admissible segments; check the frame-length window")
+    dev_segments(ds, min_f, max_f)
     train_labels = sorted({s.label for _, s in train_segments})
     if kind == "triplet" and len(train_labels) < 2:
         # a negative needs another word
@@ -634,6 +649,7 @@ def eval_ap(cfg: ExperimentConfig, checkpoint: str, out_path: str) -> dict:
     min_f, max_f = _frame_window(cfg)
     f, g, _, train_cfg = rebuild_embed_model(checkpoint)
     ds = load_dataset(cfg)
+    dev_segments(ds, min_f, max_f)
     report = dev_ap(f, g, Objective(train_cfg), ds, min_f, max_f, cfg.threads)
     report.update({"config": cfg.resolved(), "version": SCHEMA_VERSION})
     _write_report(out_path, report)
@@ -646,17 +662,21 @@ def dtw_ap(cfg: ExperimentConfig, out_path: str) -> dict:
     in practice)."""
     min_f, max_f = _frame_window(cfg)
     ds = load_dataset(cfg)
-    dev_segments = collect_segments(ds.dev, ds.dev_align, min_f, max_f)
-    frames = _segment_frames(dev_segments)
-    labels = [s.label for _, s in dev_segments]
-    n = len(frames)
-    pairs = [(frames[i], frames[j]) for i in range(n) for j in range(i + 1, n)]
-    same = np.array([labels[i] == labels[j] for i in range(n) for j in range(i + 1, n)])
+    segments = dev_segments(ds, min_f, max_f)
+    frames = _segment_frames(segments)
+    labels = np.array([s.label for _, s in segments])
+    lengths = np.array([len(x) for x in frames])
+    first, second = np.triu_indices(len(frames), 1)  # the pairs i < j, row-major
+    same = labels[first] == labels[second]
 
+    # chunks of pairs sorted by length pad little; results go back to pair order
+    order = np.lexsort((lengths[second], lengths[first]))
+    pairs = [(frames[first[p]], frames[second[p]]) for p in order]
     chunks = [pairs[i : i + 2000] for i in range(0, len(pairs), 2000)]
     # one pass gives both the raw costs and the path-length normalized ones
     out = parallel_map(dtw_mod.dtw_cost_batch, chunks, cfg.threads)
-    raw, steps = (np.concatenate(a) for a in zip(*out)) if out else (np.zeros(0), np.ones(0))
+    raw, steps = np.empty(len(pairs)), np.empty(len(pairs), dtype=np.int64)
+    raw[order], steps[order] = (np.concatenate(a) for a in zip(*out))
     norm = raw / steps
     report = {
         "dtw_ap": mx.average_precision(raw, same),
@@ -670,10 +690,9 @@ def dtw_ap(cfg: ExperimentConfig, out_path: str) -> dict:
 
 
 def _write_report(out_path, report: dict):
-    os.makedirs(os.path.dirname(os.path.abspath(out_path)) or ".", exist_ok=True)
     _dump_json(out_path, report)
     tsv = os.path.splitext(out_path)[0] + ".tsv"
-    with open(tsv, "w", encoding="utf-8") as fh:
+    with cp.open_artifact(tsv) as fh:
         fh.write("key\tvalue\n")
         for k, v in sorted(report.items()):
             if isinstance(v, (int, float, str)) or v is None:
@@ -757,7 +776,7 @@ def query_search_index(cfg: ExperimentConfig, checkpoint: str, index_path: str,
               "beamwidth": beam, "exhaustive": exhaustive,
               "config": cfg.resolved(), "version": SCHEMA_VERSION}
     hits_path = os.path.splitext(out_path)[0] + "_hits.tsv"
-    with open(hits_path, "w", encoding="utf-8") as fh:
+    with cp.open_artifact(hits_path) as fh:
         fh.write("query\tutterance\tscore\twindow_start\twindow_size\n")
         for qi, q in enumerate(q_ids):
             order = np.argsort(-score_matrix[qi], kind="stable")

@@ -418,7 +418,7 @@ def decode_archive(cfg: ExperimentConfig, checkpoint: str, archive_path: str, ou
 
     hyps = parallel_map(run, fms, cfg.threads)
     trans_path = os.path.splitext(out_path)[0] + "_hyp.tsv"
-    with open(trans_path, "w", encoding="utf-8") as fh:
+    with cp.open_artifact(trans_path) as fh:
         fh.write("# utterance_id\thypothesis\n")
         for fm, words in zip(fms, hyps):
             fh.write(f"{fm.utterance_id}\t{' '.join(words)}\n")
@@ -447,7 +447,7 @@ def export_embeddings(checkpoint: str, archive_path: str, out_path: str,
                 items.append((f"{fm.utterance_id}:{s}-{e}", lab, fm.frames[s:e]))
     d = f.config.embed_dim
     flat = embed_frames(f, [fr for _, _, fr in items], threads)
-    with open(out_path, "w", encoding="utf-8") as fh:
+    with cp.open_artifact(out_path) as fh:
         fh.write("id\tlabel\t" + "\t".join(f"v{i}" for i in range(d)) + "\n")
         for (uid, lab, _), row in zip(items, flat):
             fh.write(uid + "\t" + lab + "\t" + "\t".join(f"{x:.8g}" for x in row) + "\n")

@@ -17,6 +17,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .corpus import open_artifact
+
 INDEX_MAGIC = b"CADI"
 INDEX_VERSION = 1
 
@@ -125,11 +127,12 @@ class PermutedSignatureIndex:
     """Signatures of database segments under P bit permutations, each kept
     as a lexicographically sorted list (ties ordered by entry number)."""
 
-    def __init__(self, planes: HyperplaneSet, refs, embeddings, permutations,
+    def __init__(self, planes: HyperplaneSet, refs, embeddings, norms, permutations,
                  sorted_orders, sorted_keys):
         self.planes = planes
         self.refs = list(refs)
         self.embeddings = np.asarray(embeddings, dtype=np.float64)
+        self.norms = norms  # (N,) row norms of the embeddings, for cosine scoring
         self.permutations = permutations  # (P, b) int array
         self.sorted_orders = sorted_orders  # per permutation: entry ids in key order
         self.sorted_keys = sorted_keys  # per permutation: packed signatures in key order, dtype S{(b+7)//8}
@@ -165,14 +168,15 @@ def build_index(embeddings, refs, bits: int, permutations: int, seed: int) -> Pe
     refs = list(refs)
     if embeddings.ndim != 2 or len(refs) != embeddings.shape[0]:
         raise SearchError("need (N, d) embeddings with one ref per row")
-    if (np.linalg.norm(embeddings, axis=1) == 0).any():
+    norms = np.linalg.norm(embeddings, axis=1)
+    if (norms == 0).any():
         raise SearchError("zero-norm embedding cannot be indexed")
     planes = HyperplaneSet.create(bits, embeddings.shape[1], seed)
     sigs = sign_embed_many(embeddings, planes)
     rng = np.random.default_rng(np.random.SeedSequence([int(seed), 0x7065]))
     perms = np.stack([rng.permutation(bits) for _ in range(permutations)])
     orders, keys = zip(*(_sorted_keys(sigs, perm) for perm in perms))
-    return PermutedSignatureIndex(planes, refs, embeddings, perms, list(orders), list(keys))
+    return PermutedSignatureIndex(planes, refs, embeddings, norms, perms, list(orders), list(keys))
 
 
 def query_index(query: np.ndarray, index: PermutedSignatureIndex, beamwidth: int):
@@ -196,8 +200,7 @@ def query_index(query: np.ndarray, index: PermutedSignatureIndex, beamwidth: int
         pos = int(np.searchsorted(keys, _packed_keys(sig[perm])))
         chosen[order[max(0, pos - beamwidth) : pos + beamwidth]] = True
     cand = np.flatnonzero(chosen)
-    emb = index.embeddings[cand]
-    scores = emb @ q / (np.linalg.norm(emb, axis=1) * np.linalg.norm(q))
+    scores = index.embeddings[cand] @ q / (index.norms[cand] * np.linalg.norm(q))
     order = np.lexsort((cand, -scores))
     return [(index.refs[cand[i]], float(scores[i])) for i in order]
 
@@ -225,7 +228,7 @@ def utterance_scores(hits, utterance_pos: dict, admissible_sizes) -> tuple[np.nd
 
 
 def save_index(path, index: PermutedSignatureIndex):
-    with open(path, "wb") as f:
+    with open_artifact(path, "wb") as f:
         f.write(INDEX_MAGIC)
         b = index.planes.bits
         P = index.num_permutations
@@ -296,4 +299,5 @@ def load_index(path) -> PermutedSignatureIndex:
         if not np.array_equal(order, sorted_orders[p]):
             raise SearchError(f"corrupt index file: sort order {p} is not the signature order")
         sorted_keys.append(keys)
-    return PermutedSignatureIndex(planes, refs, emb, perms, sorted_orders, sorted_keys)
+    return PermutedSignatureIndex(planes, refs, emb, np.linalg.norm(emb, axis=1), perms, sorted_orders,
+                                  sorted_keys)

@@ -1,11 +1,13 @@
 """DTW against exhaustive path enumeration."""
 
 import itertools
+import json
 
 import numpy as np
 import pytest
 
-from awekit import dtw
+from awekit import dtw, pipelines, synth
+from awekit.config import ExperimentConfig
 from awekit.dtw import DtwConfig
 
 
@@ -190,13 +192,17 @@ class TestDtwBatch:
         np.testing.assert_array_equal(got, want)
 
     @pytest.mark.parametrize("distance", ["cosine", "euclidean"])
-    @pytest.mark.parametrize("chunk", [1, 37, 2048])
+    @pytest.mark.parametrize("chunk", [1, 2, 37, 2048])
     def test_bit_identical_to_reference_recurrence(self, distance, chunk):
         # rounded frames make equal predecessor costs (ties) and zero-norm
         # frames common; sequences recur across pairs, as in dtw_ap
         rng = np.random.default_rng(17)
         pool = [np.round(rng.standard_normal((int(rng.integers(1, 31)), 3))) for _ in range(40)]
-        pairs = [(pool[a], pool[b]) for a, b in rng.integers(0, len(pool), size=(300, 2))]
+        one, tall, wide = (np.round(rng.standard_normal((n, 3))) for n in (1, 9, 13))
+        # 1-frame sides, and chunks of 2 whose longest x and longest y are
+        # in different pairs
+        shaped = [(one, wide), (tall, one), (one, one), (wide, one), (tall, wide), (one, tall), (wide, tall)]
+        pairs = shaped + [(pool[a], pool[b]) for a, b in rng.integers(0, len(pool), size=(300, 2))]
         costs, steps = dtw.dtw_cost_batch(pairs, distance, chunk=chunk)
         for normalization in ("none", "path-length"):
             cfg = DtwConfig(distance, normalization)
@@ -213,3 +219,48 @@ class TestDtwBatch:
         # (x, y) and (y, x): 6 cells less the 1 x 1 with both frames
         # nonzero; (y, y): 4 cells less 1 x 1
         assert zero_norm_events.count == 5 + 5 + 3
+
+
+class TestDtwAp:
+    @pytest.fixture(scope="class")
+    def paths(self, tmp_path_factory):
+        # words of about 5 to 30 frames, and more than one 2,000-pair chunk
+        spec = synth.SyntheticSpec(vocab_size=6, num_train=4, num_eval=48, num_speakers=3,
+                                   words_per_utterance=(1, 2), base_duration=(6, 24))
+        return synth.write_corpus(synth.generate_corpus(spec, seed=3), tmp_path_factory.mktemp("c"))
+
+    @staticmethod
+    def _cfg(paths, threads):
+        return ExperimentConfig.load(None, overrides={
+            **{("data", key): paths[key] for key in ("train", "train_align", "dev", "dev_align")},
+            ("run", "seed"): "1", ("run", "threads"): str(threads)})
+
+    def test_costs_do_not_depend_on_sorting_or_threads(self, paths, tmp_path, monkeypatch):
+        seen = []
+        ap = pipelines.mx.average_precision
+        monkeypatch.setattr(pipelines.mx, "average_precision",
+                            lambda distances, same: seen.append((distances, same)) or ap(distances, same))
+        for threads in (1, 2):
+            pipelines.dtw_ap(self._cfg(paths, threads), tmp_path / f"t{threads}" / "dtw.json")
+
+        segments = pipelines.dev_segments(pipelines.load_dataset(self._cfg(paths, 1)), 2, 200)
+        frames = pipelines._segment_frames(segments)
+        labels = [s.label for _, s in segments]
+        pairs = [(i, j) for i in range(len(frames)) for j in range(i + 1, len(frames))]
+        assert len(pairs) > 2000
+        one_by_one = [dtw.dtw_cost_batch([(frames[i], frames[j])], "cosine") for i, j in pairs]
+        raw = np.array([c[0] for c, _ in one_by_one])
+        norm = raw / np.array([s[0] for _, s in one_by_one])
+        same = [labels[i] == labels[j] for i, j in pairs]
+        for run in (0, 1):  # each run scores the raw, then the normalized costs
+            assert seen[2 * run][0].tobytes() == raw.tobytes()
+            assert seen[2 * run + 1][0].tobytes() == norm.tobytes()
+            assert seen[2 * run][1].tolist() == same
+
+        reports = []
+        for threads in (1, 2):
+            report = json.loads((tmp_path / f"t{threads}" / "dtw.json").read_text())
+            assert report["config"]["run"].pop("threads") == str(threads)
+            reports.append(report)
+        assert reports[0] == reports[1]
+        assert (tmp_path / "t1" / "dtw.tsv").read_bytes() == (tmp_path / "t2" / "dtw.tsv").read_bytes()

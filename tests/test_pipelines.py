@@ -8,6 +8,7 @@ import signal
 import numpy as np
 import pytest
 
+from awekit import corpus as cp
 from awekit import pipelines, recognition, search, synth
 from awekit.config import ConfigError, ExperimentConfig
 
@@ -20,6 +21,19 @@ def corpus_dir(tmp_path_factory):
                                base_duration=(12, 20))
     corpus = synth.generate_corpus(spec, seed=5)
     return synth.write_corpus(corpus, out)
+
+
+@pytest.fixture(scope="module")
+def embed_checkpoint(corpus_dir, tmp_path_factory):
+    cfg = small_cfg(corpus_dir, {("training", "epochs"): "0"})
+    return pipelines.train_embed(cfg, tmp_path_factory.mktemp("emb0"))["checkpoint"]
+
+
+def _data_args(paths):
+    args = ["--seed", "9"]
+    for key in ("train", "train_align", "dev", "dev_align", "lexicon"):
+        args += ["--set", f"data.{key}={paths[key]}"]
+    return args
 
 
 def small_cfg(paths, extra=None):
@@ -688,6 +702,77 @@ class TestCli:
                      "encoder.hidden=8", "training.epochs=1"):
             args += ["--set", item]
         assert main(args) == 3
+
+    @pytest.fixture(scope="class")
+    def distinct_dev(self, corpus_dir, tmp_path_factory):
+        """corpus_dir with a dev split of several words, none of them twice."""
+        fms = cp.load_feature_archive(corpus_dir["dev"])
+        align = cp.load_alignments(corpus_dir["dev_align"])
+        seen, keep = set(), []
+        for fm in fms:
+            words = align[fm.utterance_id].labels()
+            if seen.isdisjoint(words) and len(set(words)) == len(words):
+                seen.update(words)
+                keep.append(fm)
+        assert len(seen) >= 2
+        out = tmp_path_factory.mktemp("distinct")
+        paths = {**corpus_dir, "dev": str(out / "dev.cadf"), "dev_align": str(out / "dev_align.tsv")}
+        cp.save_feature_archive(paths["dev"], keep)
+        cp.save_alignments(paths["dev_align"], [align[fm.utterance_id] for fm in keep])
+        return paths
+
+    @pytest.mark.parametrize("command", ["eval-ap", "dtw-ap"])
+    @pytest.mark.parametrize("settings,distinct,code", [
+        (["training.max_frames=1"], False, 2),  # below the default min_frames of 2
+        (["training.min_frames=50", "training.max_frames=10"], False, 2),
+        (["training.max_frames=3"], False, 3),  # no dev segment is that short
+        ([], True, 3),  # dev segments, but no two of one word
+    ], ids=["max-below-default-min", "max-below-min", "no-segment", "no-same-word-pair"])
+    def test_empty_dev_window_exits_before_any_work(self, corpus_dir, distinct_dev, embed_checkpoint,
+                                                    tmp_path, monkeypatch, command, settings, distinct,
+                                                    code):
+        from awekit.cli import main
+
+        def no_work(*args, **kwargs):
+            raise AssertionError("DTW or encoder work before the dev window was checked")
+
+        monkeypatch.setattr(pipelines.dtw_mod, "dtw_cost_batch", no_work)
+        monkeypatch.setattr(pipelines, "dev_ap", no_work)
+        args = [command, *_data_args(distinct_dev if distinct else corpus_dir), "--out", str(tmp_path / "r.json")]
+        if command == "eval-ap":
+            args += ["--checkpoint", embed_checkpoint]
+        for item in settings:
+            args += ["--set", item]
+        assert main(args) == code
+        assert not (tmp_path / "r.json").exists()
+
+    @pytest.mark.parametrize("command", ["index", "query", "decode", "export-embeddings"])
+    def test_output_directory_is_created(self, corpus_dir, embed_checkpoint, tmp_path, command):
+        from awekit.cli import main
+
+        new = tmp_path / "new" / "dir"
+        common = _data_args(corpus_dir)
+        if command == "index":
+            args = ["--checkpoint", embed_checkpoint, "--archive", corpus_dir["dev"], "--out", str(new / "dev.cadi")]
+            written = ["dev.cadi", "dev.cadi.report.json"]
+        elif command == "query":
+            index = tmp_path / "dev.cadi"
+            pipelines.build_search_index(small_cfg(corpus_dir), embed_checkpoint, corpus_dir["dev"], index)
+            args = ["--checkpoint", embed_checkpoint, "--index", str(index), "--queries", corpus_dir["dev"],
+                    "--query-align", corpus_dir["dev_align"], "--out", str(new / "q.json")]
+            written = ["q.json", "q_hits.tsv"]
+        elif command == "decode":
+            cfg = small_cfg(corpus_dir, {("training", "epochs"): "0"})
+            asr = recognition.train_asr(cfg, tmp_path / "asr")["checkpoint"]
+            args = ["--checkpoint", asr, "--archive", corpus_dir["dev"], "--out", str(new / "dec.json")]
+            written = ["dec.json", "dec_hyp.tsv"]
+        else:
+            args = ["--checkpoint", embed_checkpoint, "--archive", corpus_dir["dev"],
+                    "--align", corpus_dir["dev_align"], "--out", str(new / "embs.tsv")]
+            written = ["embs.tsv"]
+        assert main([command, *common, *args]) == 0
+        for name in written:
+            assert (new / name).is_file()
 
     def test_data_error_exit_code(self, tmp_path):
         from awekit.cli import main

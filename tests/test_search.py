@@ -122,6 +122,22 @@ class TestIndex:
         want = np.argsort(-cos, kind="stable")
         assert [r.utterance_id for r, _ in got] == [refs[i].utterance_id for i in want]
 
+    def test_scores_equal_cosine_over_the_candidates_alone(self, tmp_path):
+        # row norms kept on the index give the bits of norms taken over
+        # each query's candidate rows, for a built and a reloaded index
+        rng = np.random.default_rng(14)
+        emb, refs = _random_db(rng, n=300, d=96)
+        built = search.build_index(emb, refs, bits=32, permutations=3, seed=8)
+        search.save_index(tmp_path / "i.cadi", built)
+        for idx in (built, search.load_index(tmp_path / "i.cadi")):
+            pos = {(r.utterance_id, r.start): i for i, r in enumerate(idx.refs)}
+            for _ in range(150):
+                q = rng.standard_normal(96)
+                hits = search.query_index(q, idx, beamwidth=int(rng.integers(1, 40)))
+                cand = idx.embeddings[sorted(pos[(r.utterance_id, r.start)] for r, _ in hits)]
+                want = cand @ q / (np.linalg.norm(cand, axis=1) * np.linalg.norm(q))
+                assert sorted(s for _, s in hits) == sorted(want.tolist())
+
     def test_self_query_scores_one_and_ranks_first(self):
         rng = np.random.default_rng(10)
         emb, refs = _random_db(rng)
