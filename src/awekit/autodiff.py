@@ -58,9 +58,10 @@ class Tensor:
         self.grad = None
 
     def accumulate_grad(self, g):
-        if self.grad is None:
-            self.grad = np.zeros_like(self.values)
-        self.grad += g
+        if self.grad is None:  # zeros + g bit for bit: IEEE addition commutes, signed zeros too
+            self.grad = np.add(g, 0.0, out=np.empty_like(self.values))
+        else:
+            self.grad += g
 
     def __repr__(self):
         return f"Tensor(shape={self.values.shape})"

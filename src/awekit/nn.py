@@ -6,7 +6,8 @@ h_t = o*tanh(c_t)); the GRU follows the four updates with
 h_t = u*h_prev + (1-u)*h~. Weights are stored split into input and
 recurrent blocks so whole-sequence input contributions can be computed
 with one matmul before the time loop. ``run_recurrent_layer`` records that
-time loop as a single tape node with a hand-written backward pass.
+time loop as a single tape node with a hand-written backward pass; it
+skips the mask blends on all-live steps, and keeps no state without a tape.
 """
 
 from __future__ import annotations
@@ -152,12 +153,19 @@ def run_recurrent_layer(params, x: Tensor, mask: np.ndarray, reverse: bool = Fal
 # elementwise work is batched differently. The backward accumulates into the
 # recurrent weights and the input-gate gradients in the order that chain's
 # tape would, so values and gradients match it bit for bit.
+#
+# Where every row is live, a step skips the blend ``x*1 + y*0``: it differs
+# from x only if y is inf or NaN, or x is -0.0, and from +0.0 states only an
+# underflowed product (a gate sigmoid below ~1e-300) makes a -0.0 state. The
+# backward's dropped ``g*0`` terms only flip the sign of a zero, which is lost
+# where the layer's gradients are summed into arrays that start at +0.0.
 
 
 def _step_masks(mask: np.ndarray):
-    """The (B, T) mask as float64, and one minus it (state carried over)."""
+    """The (B, T) mask as float64, one minus it (state carried over), and
+    the (T,) steps where every row is live."""
     on = np.asarray(mask, dtype=np.float64)
-    return on, 1.0 - on
+    return on, 1.0 - on, on.all(axis=0)
 
 
 def _lstm_layer(gates_all: Tensor, p: LstmParams, mask: np.ndarray, steps: range) -> Tensor:
@@ -166,8 +174,8 @@ def _lstm_layer(gates_all: Tensor, p: LstmParams, mask: np.ndarray, steps: range
     B, T, _ = gv.shape
     out = np.zeros((B, T, H))
     h, c = np.zeros((B, H)), np.zeros((B, H))
-    on, off = _step_masks(mask)
-    saved = []
+    on, off, live = _step_masks(mask)
+    saved = [] if ad._TAPES else None
     for t in steps:
         m, m_off = on[:, t : t + 1], off[:, t : t + 1]
         z = gv[:, t] + h @ wv
@@ -176,10 +184,15 @@ def _lstm_layer(gates_all: Tensor, p: LstmParams, mask: np.ndarray, steps: range
         ct = np.tanh(z[:, 2 * H : 3 * H])
         c_new = i * ct + f * c
         tc = np.tanh(c_new)
-        saved.append((t, m, m_off, h, c, i, f, ct, o, tc))
-        c = c_new * m + c * m_off
-        h = (o * tc) * m + h * m_off
-        np.multiply(h, m, out=out[:, t])
+        if saved is not None:
+            saved.append((t, m, m_off, h, c, i, f, ct, o, tc))
+        if live[t]:
+            c = c_new
+            h = out[:, t] = o * tc
+        else:
+            c = c_new * m + c * m_off
+            h = (o * tc) * m + h * m_off
+            np.multiply(h, m, out=out[:, t])
     result = Tensor(out)
 
     def bwd(g):
@@ -187,17 +200,18 @@ def _lstm_layer(gates_all: Tensor, p: LstmParams, mask: np.ndarray, steps: range
             gates_all.grad = np.zeros_like(gv)
         gh = gc = None  # gradients reaching the state carried out of the step
         for t, m, m_off, h_prev, c_prev, i, f, ct, o, tc in reversed(saved):
-            g_h = g[:, t] * m if gh is None else gh + g[:, t] * m
-            g_new = g_h * m
-            g_c = g_new * o * (1.0 - tc * tc)
-            if gc is None:
-                gc = g_c * f
+            if live[t]:
+                g_h = g_new = g[:, t] if gh is None else gh + g[:, t]
             else:
-                g_c = gc * m + g_c
-                gc = gc * m_off + g_c * f
+                g_h = g[:, t] * m if gh is None else gh + g[:, t] * m
+                g_new = g_h * m
+            g_c = g_new * o * (1.0 - tc * tc)
+            if gc is not None:
+                g_c = gc + g_c if live[t] else gc * m + g_c
+            gc = g_c * f if gc is None or live[t] else gc * m_off + g_c * f
             dz = np.concatenate([g_c * ct * i * (1.0 - i), g_c * c_prev * f * (1.0 - f),
                                  g_c * i * (1.0 - ct * ct), g_new * tc * o * (1.0 - o)], axis=1)
-            gh = g_h * m_off + dz @ wv.T
+            gh = dz @ wv.T if live[t] else g_h * m_off + dz @ wv.T
             p.w_h.tensor.accumulate_grad(h_prev.T @ dz)
             gates_all.grad[:, t] += dz
         return (None, None)
@@ -212,17 +226,21 @@ def _gru_layer(gates_all: Tensor, cand_all: Tensor, p: GruParams, mask: np.ndarr
     B, T, _ = gv.shape
     out = np.zeros((B, T, H))
     h = np.zeros((B, H))
-    on, off = _step_masks(mask)
-    saved = []
+    on, off, live = _step_masks(mask)
+    saved = [] if ad._TAPES else None
     for t in steps:
         m, m_off = on[:, t : t + 1], off[:, t : t + 1]
         ru = 1.0 / (1.0 + np.exp(-(gv[:, t] + h @ w_ru)))
         rh = ru[:, :H] * h
         h_tilde = np.tanh(cv[:, t] + rh @ w_c)
         one_minus_u = 1.0 - ru[:, H:]
-        saved.append((t, m, m_off, h, ru, rh, h_tilde, one_minus_u))
-        h = (ru[:, H:] * h + one_minus_u * h_tilde) * m + h * m_off
-        np.multiply(h, m, out=out[:, t])
+        if saved is not None:
+            saved.append((t, m, m_off, h, ru, rh, h_tilde, one_minus_u))
+        if live[t]:
+            h = out[:, t] = ru[:, H:] * h + one_minus_u * h_tilde
+        else:
+            h = (ru[:, H:] * h + one_minus_u * h_tilde) * m + h * m_off
+            np.multiply(h, m, out=out[:, t])
     result = Tensor(out)
 
     def bwd(g):
@@ -232,9 +250,13 @@ def _gru_layer(gates_all: Tensor, cand_all: Tensor, p: GruParams, mask: np.ndarr
         gh = None  # gradient reaching the state carried out of the step
         for t, m, m_off, h_prev, ru, rh, h_tilde, one_minus_u in reversed(saved):
             r, u = ru[:, :H], ru[:, H:]
-            g_h = g[:, t] * m if gh is None else gh + g[:, t] * m
-            g_new = g_h * m
-            gh = g_h * m_off + g_new * u
+            if live[t]:
+                g_h = g_new = g[:, t] if gh is None else gh + g[:, t]
+                gh = g_new * u
+            else:
+                g_h = g[:, t] * m if gh is None else gh + g[:, t] * m
+                g_new = g_h * m
+                gh = g_h * m_off + g_new * u
             g_u = g_new * h_prev - g_new * h_tilde
             g_cand = g_new * one_minus_u * (1.0 - h_tilde * h_tilde)
             g_rh = g_cand @ w_c.T

@@ -8,8 +8,10 @@ returns ``(embeddings, labels)`` for a split under any objective
 isolated segments), and ``dev_ap`` scores it: ``train_embed`` selects its
 best epoch by that AP and ``eval_ap`` reports it for the checkpoint.
 Isolated segments go through ``embed_frames`` (also used by
-``export_embeddings``) and spans inside one utterance through
-``embed_spans`` (also used by the index build). ``Objective`` holds the
+``export_embeddings`` and for queries) and spans inside utterances through
+``_embed_utterance_spans`` (also used by the index build). Every encoding
+without training, decoding included, goes through ``map_sorted_batches``:
+inputs sorted by length, in batches of INFER_BATCH. ``Objective`` holds the
 [objective] section, read once per run, with its k schedule and the
 multi-view batch loss; ``train_embed`` and joint recognizer training
 take their loss settings from it.
@@ -51,6 +53,9 @@ class DataError(Exception):
     pass
 
 
+INFER_BATCH = 16  # items per inference batch; 64 raised the recognizers' peak memory
+
+
 def parallel_map(fn, items, threads: int):
     """Order-preserving map, optionally on a thread pool."""
     items = list(items)
@@ -58,6 +63,20 @@ def parallel_map(fn, items, threads: int):
         return [fn(x) for x in items]
     with ThreadPoolExecutor(max_workers=threads) as pool:
         return list(pool.map(fn, items))
+
+
+def map_sorted_batches(fn, items, lengths, threads: int) -> list:
+    """One result per item, in input order, from ``fn`` mapped over the
+    length-sorted batches of up to INFER_BATCH items; ``fn`` returns one
+    result per item of its batch. The batches depend only on the inputs,
+    so the results do not depend on the thread count."""
+    batches = _length_sorted_batches(lengths, INFER_BATCH)
+    results = parallel_map(lambda ids: fn([items[i] for i in ids]), batches, threads)
+    out = [None] * len(items)
+    for ids, batch_results in zip(batches, results):
+        for i, r in zip(ids, batch_results):
+            out[i] = r
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -127,16 +146,11 @@ def _segment_frames(pairs) -> list:
     return [fm.frames[s.start : s.end] for fm, s in pairs]
 
 
-def _length_bucketed_batches(lengths, batch_size, rng):
-    """Batches of similar lengths in a seeded random order.
-
-    Items are sorted by length (ties by index), cut into consecutive
-    batches, and the batch order is shuffled.
-    """
-    order = np.lexsort((np.arange(len(lengths)), np.asarray(lengths)))
-    batches = [order[i : i + batch_size] for i in range(0, len(lengths), batch_size)]
-    rng.shuffle(batches)
-    return [b.tolist() for b in batches]
+def _length_sorted_batches(lengths, batch_size) -> list:
+    """Item ids sorted by length (ties by index), cut into consecutive
+    batches."""
+    order = np.lexsort((np.arange(len(lengths)), np.asarray(lengths))).tolist()
+    return [order[i : i + batch_size] for i in range(0, len(order), batch_size)]
 
 
 # ---------------------------------------------------------------------------
@@ -325,25 +339,23 @@ class Objective:
 
 
 def embed_frames(f: enc.AcousticEncoder, frames, threads: int) -> np.ndarray:
-    """Embed isolated frame arrays without recording: (n, d).
-
-    Chunks of 64 in input order are mapped over the threads; the chunking
-    fixes the batch make-up, so the result does not depend on the thread
-    count."""
-    chunks = [frames[i : i + 64] for i in range(0, len(frames), 64)]
-    if not chunks:
-        return np.zeros((0, f.config.embed_dim))
-    embs = parallel_map(lambda chunk: f.embed_segments_isolated(chunk).values, chunks, threads)
-    return np.concatenate(embs, axis=0)
+    """Embed isolated frame arrays without recording: (n, d), in input
+    order, from length-sorted batches (``map_sorted_batches``)."""
+    rows = map_sorted_batches(lambda batch: f.embed_segments_isolated(batch).values, frames,
+                              [len(x) for x in frames], threads)
+    return np.array(rows).reshape(len(frames), f.config.embed_dim)
 
 
-def embed_spans(f: enc.AcousticEncoder, fm: cp.FrameMatrix, spans) -> np.ndarray:
-    """Encode one utterance, then pool and project each (start, end) span
-    of its input frames: (len(spans), d)."""
-    if not spans:
-        return np.zeros((0, f.config.embed_dim))
-    out, _ = f.encode([fm.frames])
-    return f.span_embeddings(out, [(0, s, e) for s, e in spans]).values
+def _embed_utterance_spans(f: enc.AcousticEncoder, jobs, threads: int) -> list:
+    """For each (frames, spans) job, the (len(spans), d) embeddings of its
+    (start, end) input-frame spans. A length-sorted batch of utterances is
+    encoded once, and its spans pooled and projected together."""
+    def run(batch):
+        out, _ = f.encode([x for x, _ in batch])
+        embs = f.span_embeddings(out, [(r, s, e) for r, (_, spans) in enumerate(batch) for s, e in spans])
+        return np.split(embs.values, np.cumsum([len(spans) for _, spans in batch])[:-1])
+
+    return map_sorted_batches(run, jobs, [len(x) for x, _ in jobs], threads)
 
 
 def embed_split(f: enc.AcousticEncoder, objective: Objective, fms, alignments, min_frames: int,
@@ -355,13 +367,10 @@ def embed_split(f: enc.AcousticEncoder, objective: Objective, fms, alignments, m
     contextual models pool each segment inside its encoded utterance;
     all others encode each segment on its own."""
     if objective.contextual and objective.kind != "classifier":
-        def run(fm):
-            segs = cp.extract_segments(fm, alignments[fm.utterance_id], min_frames, max_frames)
-            return embed_spans(f, fm, [(s.start, s.end) for s in segs]), [s.label for s in segs]
-
-        results = parallel_map(run, list(fms), threads)
-        embs = np.concatenate([np.zeros((0, f.config.embed_dim))] + [e for e, _ in results])
-        return embs, [lab for _, labels in results for lab in labels]
+        segs = [cp.extract_segments(fm, alignments[fm.utterance_id], min_frames, max_frames) for fm in fms]
+        jobs = [(fm.frames, [(s.start, s.end) for s in ss]) for fm, ss in zip(fms, segs) if ss]
+        embs = np.concatenate([np.zeros((0, f.config.embed_dim))] + _embed_utterance_spans(f, jobs, threads))
+        return embs, [s.label for ss in segs for s in ss]
     segments = collect_segments(fms, alignments, min_frames, max_frames)
     embs = embed_frames(f, _segment_frames(segments), threads)
     if objective.kind == "classifier":
@@ -432,7 +441,8 @@ def train_epochs(cfg: ExperimentConfig, outdir: str, params, lengths, batch_loss
     with open(os.path.join(outdir, "train_log.jsonl"), "w", encoding="utf-8") as log_file:
         for epoch in range(cfg.getint("training", "epochs")):
             epoch_loss = 0.0
-            batches = _length_bucketed_batches(lengths, batch_size, shuffle_rng)
+            batches = _length_sorted_batches(lengths, batch_size)
+            shuffle_rng.shuffle(batches)
             for batch_ids in batches:
                 nn.zero_grads(params)
                 with Tape() as tape:
@@ -716,13 +726,12 @@ def build_search_index(cfg: ExperimentConfig, checkpoint: str, archive_path: str
     fms = cp.load_feature_archive(archive_path)
     wcfg = _window_config(cfg)
     windows = [srch.generate_windows(fm.num_frames, wcfg) for fm in fms]
-    embs = parallel_map(lambda job: embed_spans(f, job[0], [(s, s + size) for s, size in job[1]]),
-                        list(zip(fms, windows)), cfg.threads)
     refs = [srch.SegmentKey(fm.utterance_id, start, size)
             for fm, wins in zip(fms, windows) for start, size in wins]
     if not refs:
         raise DataError("no windows generated; utterances shorter than the smallest window?")
-    index = srch.build_index(np.concatenate(embs, axis=0), refs,
+    jobs = [(fm.frames, [(s, s + size) for s, size in wins]) for fm, wins in zip(fms, windows) if wins]
+    index = srch.build_index(np.concatenate(_embed_utterance_spans(f, jobs, cfg.threads), axis=0), refs,
                              bits=cfg.getint("search", "bits"),
                              permutations=cfg.getint("search", "permutations"),
                              seed=cfg.seed)

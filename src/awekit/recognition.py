@@ -41,7 +41,8 @@ from .pipelines import (
     embed_frames,
     load_dataset,
     load_model_meta,
-    parallel_map,
+    map_sorted_batches,
+    parallel_map,  # unused here; the benchmark tracer patches recognition.parallel_map
     rebuild_embed_model,
     rebuild_encoders,
     save_model,
@@ -276,24 +277,29 @@ def regularizer_loss(model, fms, alignments, live: bool):
 # Decoding
 
 
-def decode_utterance(model, fm: cp.FrameMatrix, s_max: int):
-    """Decode one utterance; returns (words, spans, frame_embeddings)."""
-    out, lengths = model.f.encode([fm.frames])
-    T = int(lengths[0])
-    if model.kind == "ctc":
-        proj, log_probs, Tpad = _ctc_frame_logits(model, out)
-        lp = log_probs.values[:T]
-        spans = ctc_mod.ctc_greedy_decode_with_spans(lp)
-        if model.vocab.unk_index is not None:
-            spans = ctc_mod.widen_unk_spans(lp, spans, model.vocab.unk_index)
-        words = [model.vocab.label(tok) for tok, _, _ in spans]
-        return words, spans, proj.values[:T]
-    H = ad.getitem(out, (0, slice(0, T)))
-    st = segm.score_segments(model.f, H, model.pl, s_max)
-    path = segm.viterbi_decode(st)
-    words = [model.vocab.label(v) for v in path.labels()]
-    spans = [(v, t, t + s) for t, s, v in path.segments]
-    return words, spans, None
+def decode_utterances(model, fms, s_max: int, threads: int) -> list:
+    """(words, spans, frame embeddings or None) of each utterance, in input
+    order, from length-sorted batches that are each encoded once."""
+    def run(batch):
+        out, lengths = model.f.encode([fm.frames for fm in batch])
+        if model.kind == "ctc":
+            proj, log_probs, Tpad = _ctc_frame_logits(model, out)
+        results = []
+        for r, T in enumerate(lengths.tolist()):
+            if model.kind != "ctc":
+                path = segm.viterbi_decode(segm.score_segments(model.f, ad.getitem(out, (r, slice(0, T))),
+                                                               model.pl, s_max))
+                results.append(([model.vocab.label(v) for v in path.labels()],
+                                [(v, t, t + s) for t, s, v in path.segments], None))
+                continue
+            rows = slice(r * Tpad, r * Tpad + T)
+            spans = ctc_mod.ctc_greedy_decode_with_spans(log_probs.values[rows])
+            if model.vocab.unk_index is not None:
+                spans = ctc_mod.widen_unk_spans(log_probs.values[rows], spans, model.vocab.unk_index)
+            results.append(([model.vocab.label(tok) for tok, _, _ in spans], spans, proj.values[rows]))
+        return results
+
+    return map_sorted_batches(run, fms, [fm.num_frames for fm in fms], threads)
 
 
 def _wer_totals(fms, hyps, alignments) -> dict:
@@ -312,7 +318,7 @@ def _wer_totals(fms, hyps, alignments) -> dict:
 
 
 def dev_wer(model, fms, alignments, threads: int, s_max: int) -> float:
-    hyps = parallel_map(lambda fm: decode_utterance(model, fm, s_max=s_max)[0], fms, threads)
+    hyps = [words for words, _, _ in decode_utterances(model, fms, s_max, threads)]
     return _wer_totals(fms, hyps, alignments)["wer"]
 
 
@@ -409,14 +415,12 @@ def decode_archive(cfg: ExperimentConfig, checkpoint: str, archive_path: str, ou
             new_words = [w.strip() for w in fh if w.strip()]
         extended = enc.extend_vocabulary(model.pl, model.g, new_words, model.lexicon)
 
-    def run(fm):
-        words, spans, frame_emb = decode_utterance(model, fm, s_max=s_max)
+    hyps = []
+    for words, spans, frame_emb in decode_utterances(model, fms, s_max, cfg.threads):
         if extended is not None and model.kind == "ctc" and model.vocab.unk_index is not None:
             toks = ctc_mod.unk_rescore(spans, frame_emb, extended, model.vocab.unk_index)
             words = [extended.vocab.label(t) for t in toks]
-        return words
-
-    hyps = parallel_map(run, fms, cfg.threads)
+        hyps.append(words)
     trans_path = os.path.splitext(out_path)[0] + "_hyp.tsv"
     with cp.open_artifact(trans_path) as fh:
         fh.write("# utterance_id\thypothesis\n")

@@ -290,6 +290,9 @@ def load_index(path) -> PermutedSignatureIndex:
         raise SearchError(f"truncated or corrupt index file: {e}") from e
     if off != len(data):
         raise SearchError("trailing bytes in index file")
+    norms = np.linalg.norm(emb, axis=1)
+    if not (np.isfinite(norms) & (norms > 0)).all():
+        raise SearchError("corrupt index file: an embedding with zero or non-finite norm")
     planes = HyperplaneSet.create(b, d, seed)
     if not (np.sort(perms, axis=1) == np.arange(b)).all():
         raise SearchError("corrupt index file: a bit permutation is not a permutation of the bits")
@@ -299,5 +302,4 @@ def load_index(path) -> PermutedSignatureIndex:
         if not np.array_equal(order, sorted_orders[p]):
             raise SearchError(f"corrupt index file: sort order {p} is not the signature order")
         sorted_keys.append(keys)
-    return PermutedSignatureIndex(planes, refs, emb, np.linalg.norm(emb, axis=1), perms, sorted_orders,
-                                  sorted_keys)
+    return PermutedSignatureIndex(planes, refs, emb, norms, perms, sorted_orders, sorted_keys)

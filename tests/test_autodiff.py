@@ -82,6 +82,24 @@ def test_grad_accumulates_across_backward_calls():
     np.testing.assert_allclose(x.grad, [2.0, 2.0])
 
 
+@pytest.mark.parametrize("shape", [(4,), (2, 4), ()])
+def test_first_gradient_equals_zeros_plus_it_bit_for_bit(shape):
+    g = np.resize(np.array([-0.0, 0.0, -1.5, np.inf]), shape)
+    x = Tensor(np.ones(shape))
+    x.accumulate_grad(g)
+    want = np.zeros(shape)
+    want += g
+    assert isinstance(x.grad, np.ndarray) and x.grad.tobytes() == want.tobytes()
+    g[...] = 7.0  # the stored gradient is not the caller's array
+    assert x.grad.tobytes() == want.tobytes()
+
+
+def test_first_gradient_broadcasts_into_the_value_shape():
+    x = Tensor(np.ones((2, 3)))
+    x.accumulate_grad(np.array([-0.0, 1.0, 2.0]))
+    assert x.grad.tobytes() == np.array([[0.0, 1.0, 2.0]] * 2).tobytes()
+
+
 def test_quadratic_grad_check_tight():
     rng = np.random.default_rng(1)
     theta = Tensor(rng.standard_normal(6))

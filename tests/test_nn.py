@@ -200,21 +200,39 @@ class TestRecurrentLayer:
             outputs[t] = ad.mul_const(h, m)
         return ad.stack(outputs, axis=1)
 
-    @pytest.mark.parametrize("kind", ["lstm", "gru"])
-    @pytest.mark.parametrize("reverse", [False, True])
-    def test_layer_matches_per_step_chain_bit_for_bit(self, kind, reverse):
+    # lengths of the batch rows (the padded length is the longest) and the
+    # factor on every weight; a large factor saturates tanh and the sigmoids
+    # to exactly +-1.0, where the backward makes exact zeros
+    CASES = {
+        "ragged": ([9, 4, 1, 7], 1.0),
+        "live-then-ragged": ([9, 6, 6, 9, 6], 1.0),
+        "equal-lengths": ([6, 6, 6], 1.0),
+        "batch-1": ([7], 1.0),
+        "saturated": ([9, 9, 5, 9], 40.0),
+    }
+
+    @staticmethod
+    def _layer_case(kind, case):
+        lengths, scale = TestRecurrentLayer.CASES[case]
         rng = np.random.default_rng(12)
         make = nn.LstmParams.create if kind == "lstm" else nn.GruParams.create
         p = make("l", 5, 7, rng)
-        lengths = np.array([9, 4, 1, 7])
-        mask = (np.arange(9)[None, :] < lengths[:, None]).astype(np.float64)
-        x0 = rng.standard_normal((4, 9, 5)) * mask[:, :, None]
-        upstream = rng.standard_normal((4, 9, 7))
+        for q in p.parameters():
+            q.values *= scale
+        lengths = np.array(lengths)
+        T = lengths.max()
+        mask = (np.arange(T)[None, :] < lengths[:, None]).astype(np.float64)
+        x0 = rng.standard_normal((len(lengths), T, 5)) * mask[:, :, None]
+        return p, mask, x0, rng
+
+    def _check_against_chain(self, kind, reverse, case, prior_grads):
+        p, mask, x0, rng = self._layer_case(kind, case)
+        upstream = rng.standard_normal(x0.shape[:2] + (7,))
         prior = {q.name: rng.standard_normal(q.values.shape) for q in p.parameters()}
 
         def run(layer):
-            for q in p.parameters():  # gradients left over from an earlier use
-                q.tensor.grad = prior[q.name].copy()
+            for q in p.parameters():  # gradients left over from an earlier use, or none
+                q.tensor.grad = prior[q.name].copy() if prior_grads else None
             x = Tensor(x0)
             with Tape() as tape:
                 out = layer(p, x, mask, reverse)
@@ -223,8 +241,33 @@ class TestRecurrentLayer:
             return [out.values, x.grad] + [q.tensor.grad for q in p.parameters()]
 
         fused = run(lambda p, x, m, r: nn.run_recurrent_layer(p, x, m, reverse=r))
+        if case == "saturated":  # the input terms alone drive tanh to exactly +-1.0
+            w_in = p.w_x.values if kind == "lstm" else p.w_x_c.values
+            assert (np.abs(np.tanh(x0 @ w_in)) == 1.0).any()
         for got, want in zip(fused, run(self._per_step_chain)):
             assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("kind", ["lstm", "gru"])
+    @pytest.mark.parametrize("reverse", [False, True])
+    def test_layer_matches_per_step_chain_bit_for_bit(self, kind, reverse):
+        self._check_against_chain(kind, reverse, "ragged", prior_grads=True)
+
+    @pytest.mark.parametrize("kind", ["lstm", "gru"])
+    @pytest.mark.parametrize("reverse", [False, True])
+    @pytest.mark.parametrize("case, prior_grads", [  # all but the test above
+        (case, prior) for case in CASES for prior in (True, False) if (case, prior) != ("ragged", True)])
+    def test_every_batch_shape_matches_per_step_chain(self, kind, reverse, case, prior_grads):
+        self._check_against_chain(kind, reverse, case, prior_grads)
+
+    @pytest.mark.parametrize("kind", ["lstm", "gru"])
+    @pytest.mark.parametrize("reverse", [False, True])
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_forward_without_tape_matches_forward_under_tape(self, kind, reverse, case):
+        p, mask, x0, _ = self._layer_case(kind, case)
+        bare = nn.run_recurrent_layer(p, Tensor(x0), mask, reverse=reverse).values
+        with Tape():
+            taped = nn.run_recurrent_layer(p, Tensor(x0), mask, reverse=reverse).values
+        assert bare.tobytes() == taped.tobytes()
 
 
 class TestAdam:

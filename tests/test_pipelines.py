@@ -512,6 +512,93 @@ class TestRecognition:
         assert out.read_text() == (tmp_path / "dump2.tsv").read_text()
 
 
+class TestSortedBatchInference:
+    @staticmethod
+    def _sorted_batches(lengths):
+        order = sorted(range(len(lengths)), key=lambda i: (lengths[i], i))
+        return [order[i : i + pipelines.INFER_BATCH] for i in range(0, len(order), pipelines.INFER_BATCH)]
+
+    @staticmethod
+    def _train_segment_frames(corpus_dir):
+        fms = cp.load_feature_archive(corpus_dir["train"])
+        segments = pipelines.collect_segments(fms, cp.load_alignments(corpus_dir["train_align"]), 1, 1000)
+        return [fm.frames[s.start : s.end] for fm, s in segments]
+
+    def test_results_come_back_in_input_order_at_any_thread_count(self):
+        rng = np.random.default_rng(3)
+        items = [np.arange(n) for n in rng.integers(1, 30, size=45)]
+        lengths = [len(x) for x in items]
+        batches = []
+
+        def fn(batch):
+            batches.append([len(x) for x in batch])
+            return [x * 2 for x in batch]
+
+        one = pipelines.map_sorted_batches(fn, items, lengths, 1)
+        assert [len(b) for b in batches] == [16, 16, 13]
+        assert sum(batches, []) == sorted(lengths)
+        two = pipelines.map_sorted_batches(fn, items, lengths, 2)
+        for a, b, x in zip(one, two, items):
+            assert a.tobytes() == b.tobytes() == (x * 2).tobytes()
+        assert pipelines.map_sorted_batches(fn, [], [], 2) == []
+
+    def test_embed_frames_equals_the_sorted_batches_embedded_together(self, corpus_dir, embed_checkpoint):
+        f, _, _, _ = pipelines.rebuild_embed_model(embed_checkpoint)
+        frames = self._train_segment_frames(corpus_dir)
+        got = pipelines.embed_frames(f, frames, 1)
+        assert got.tobytes() == pipelines.embed_frames(f, frames, 2).tobytes()
+        batches = self._sorted_batches([len(x) for x in frames])
+        assert len(batches) > 2
+        for ids in batches:
+            want = f.embed_segments_isolated([frames[i] for i in ids]).values
+            assert got[ids].tobytes() == want.tobytes()
+
+    def test_index_is_thread_independent_and_matches_per_utterance_encoding(
+            self, corpus_dir, embed_checkpoint, tmp_path, monkeypatch):
+        built = []
+        orig = search.build_index
+
+        def build_index(embs, *args, **kwargs):
+            built.append(embs)
+            return orig(embs, *args, **kwargs)
+
+        monkeypatch.setattr(search, "build_index", build_index)
+        files = []
+        for threads in (1, 2):
+            cfg = small_cfg(corpus_dir, {("run", "threads"): str(threads), ("search", "stride"): "4",
+                                         ("search", "window_sizes"): "8,12,16"})
+            path = tmp_path / f"{threads}.cadi"
+            pipelines.build_search_index(cfg, embed_checkpoint, corpus_dir["train"], path)
+            files.append(path.read_bytes())
+        assert files[0] == files[1]
+        assert built[0].tobytes() == built[1].tobytes()
+        # a new comparison between batchings: 1-row and multi-row products
+        # may round the recurrent matmuls differently
+        f, _, _, _ = pipelines.rebuild_embed_model(embed_checkpoint)
+        fms = cp.load_feature_archive(corpus_dir["train"])
+        assert len(fms) > 2 * pipelines.INFER_BATCH
+        wcfg = pipelines._window_config(cfg)
+        want = []
+        for fm in fms:
+            spans = [(0, s, s + size) for s, size in search.generate_windows(fm.num_frames, wcfg)]
+            if spans:
+                out, _ = f.encode([fm.frames])
+                want.append(f.span_embeddings(out, spans).values)
+        np.testing.assert_allclose(built[0], np.concatenate(want), rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("kind", ["ctc", "segmental"])
+    def test_decoded_hypotheses_are_thread_independent(self, corpus_dir, tmp_path, kind):
+        settings = {("recognizer", "kind"): kind, ("recognizer", "s_max"): "24"}
+        ckpt = recognition.train_asr(small_cfg(corpus_dir, settings), tmp_path / "asr")["checkpoint"]
+        hyps = []
+        for threads in (1, 2):
+            cfg = small_cfg(corpus_dir, {**settings, ("run", "threads"): str(threads)})
+            recognition.decode_archive(cfg, ckpt, corpus_dir["train"], tmp_path / f"dec{threads}.json")
+            hyps.append((tmp_path / f"dec{threads}_hyp.tsv").read_bytes())
+        assert hyps[0] == hyps[1]
+        assert len(hyps[0].splitlines()) == 1 + len(cp.load_feature_archive(corpus_dir["train"]))
+
+
 class TestCli:
     def test_make_synth_and_exit_codes(self, tmp_path):
         from awekit.cli import main
@@ -569,6 +656,11 @@ class TestCli:
         negative_seed = bytearray(good)
         negative_seed[16:24] = (-1).to_bytes(8, "little", signed=True)
         index.write_bytes(bytes(negative_seed))
+        assert main(query) == 3
+        zero_entry = bytearray(good)
+        first_embedding = len(good) - 4 * n * d
+        zero_entry[first_embedding : first_embedding + 4 * d] = bytes(4 * d)
+        index.write_bytes(bytes(zero_entry))
         assert main(query) == 3
         with open(ckpt, "r+b") as fh:
             fh.truncate(100)

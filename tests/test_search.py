@@ -224,6 +224,20 @@ class TestIndex:
         with pytest.raises(search.SearchError, match="negative hyperplane seed"):
             search.load_index(path)
 
+    @pytest.mark.parametrize("value", [0.0, float("nan")])
+    def test_zero_or_nan_embedding_rejected(self, tmp_path, value):
+        rng = np.random.default_rng(18)
+        emb, refs = _random_db(rng, n=6, d=4)
+        path = tmp_path / "segments.cadi"
+        search.save_index(path, search.build_index(emb, refs, bits=16, permutations=2, seed=1))
+        data = bytearray(path.read_bytes())
+        # the file ends with N*d f4 embedding values; entry 0's come first
+        at = len(data) - 4 * 6 * 4
+        data[at : at + 4 * 4] = np.full(4, value, dtype="<f4").tobytes()
+        path.write_bytes(bytes(data))
+        with pytest.raises(search.SearchError, match="zero or non-finite norm"):
+            search.load_index(path)
+
     @pytest.mark.parametrize("N, P, b, d", [(0, 0, 2**31, 2**31), (0, 1, 8, 2**31)])
     def test_header_without_entries_or_permutations_rejected(self, tmp_path, N, P, b, d):
         # bits and dim this large must be refused before any hyperplane is
