@@ -47,7 +47,8 @@ print("\n== the segmental loss marginalizes over segmentations instead")
 U = rng.standard_normal((6, 3, 2))  # frames x max segment length x vocab
 loss, grad = segmental.seg_gradient_value(U, [0, 1])
 path = segmental.viterbi_decode(U)
-print(f"   marginal loss {loss:.4f}; best path {path.segments} scoring {path.score(U):.3f}")
+path_score = path.score(U)
+print(f"   marginal loss {loss:.4f}; best path {path.segments} scoring {path_score:.3f}")
 eps = 1e-5
 up, dn = U.copy(), U.copy()
 up[2, 1, 0] += eps

@@ -7,8 +7,12 @@ the number of steps on the optimal path (ties go diagonal, up, left), so
 the raw and the path-length normalized cost (cost / steps) come from the
 same pass. It walks anti-diagonals: one set of numpy calls updates the
 cells i + j = k of every pair in a chunk, from three rolling diagonals
-and a pair-first distance cube. Callers sort pairs by length before
-chunking, so little is padded. ``dtw_cost`` runs the kernel on one pair.
+and a pair-first distance cube. The cube takes one product per pair,
+``x @ y.T`` at the pair's own shape (a padded batched product rounds
+differently, and differently again for 1-frame sides), and the rest of
+the frame distance, from per-sequence norm tables, is array operations
+over blocks of pairs. Callers sort pairs by length before chunking, so
+little is padded. ``dtw_cost`` runs the kernel on one pair.
 """
 
 from __future__ import annotations
@@ -18,6 +22,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .autodiff import zero_norm_events
+
+_BLOCK = 128  # pairs per distance-normalization step: bounds its temporaries
 
 
 @dataclass(frozen=True)
@@ -30,36 +36,6 @@ class DtwConfig:
             raise ValueError(f"unknown frame distance {self.frame_distance!r}")
         if self.normalization not in ("none", "path-length"):
             raise ValueError(f"unknown normalization {self.normalization!r}")
-
-
-def _frame_terms(x, kind: str) -> tuple:
-    """The per-sequence terms of the frame distance: squared norms
-    (euclidean), or norms with 1 in place of 0, the nonzero mask and its
-    count (cosine). A batch computes them once per distinct array."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 2:
-        raise ValueError("frame matrices must be 2-D with equal feature dims")
-    if kind == "euclidean":
-        return x, (x * x).sum(1)
-    n = np.linalg.norm(x, axis=1)
-    return x, np.where(n > 0, n, 1.0), n > 0, int(np.count_nonzero(n))
-
-
-def frame_distances(tx: tuple, ty: tuple, kind: str) -> tuple[np.ndarray, int]:
-    """All-pairs frame distance matrix, N x M, from two ``_frame_terms``,
-    and the number of its cells with a zero-norm operand (cosine), which
-    score distance 1."""
-    x, y = tx[0], ty[0]
-    if x.shape[1] != y.shape[1]:
-        raise ValueError("frame matrices must be 2-D with equal feature dims")
-    if kind == "euclidean":
-        sq = tx[1][:, None] + ty[1][None, :] - 2.0 * (x @ y.T)
-        return np.sqrt(np.maximum(sq, 0.0)), 0
-    cos = (x @ y.T) / (tx[1][:, None] * ty[1][None, :])
-    bad = x.shape[0] * y.shape[0] - tx[3] * ty[3]
-    if bad:
-        cos = np.where(tx[2][:, None] & ty[2][None, :], cos, 0.0)
-    return 1.0 - cos, bad
 
 
 def dtw_cost(x: np.ndarray, y: np.ndarray, cfg: DtwConfig = DtwConfig()) -> float:
@@ -87,18 +63,43 @@ def dtw_cost_batch(pairs, distance: str = "cosine", chunk: int = 2048) -> tuple[
     costs = np.empty(len(pairs))
     steps = np.empty(len(pairs), dtype=np.int64)
     arrays = {id(a): a for pair in pairs for a in pair}
-    terms = {k: _frame_terms(a, distance) for k, a in arrays.items()}
-    bad = 0
+    slot = {k: s for s, k in enumerate(arrays)}  # each distinct array's row in the tables below
+    frames = [np.asarray(a, dtype=np.float64) for a in arrays.values()]
+    if any(x.ndim != 2 or x.shape[1] != frames[0].shape[1] for x in frames):
+        raise ValueError("frame matrices must be 2-D with equal feature dims")
+    sx = np.array([slot[id(x)] for x, _ in pairs], dtype=np.intp)
+    sy = np.array([slot[id(y)] for _, y in pairs], dtype=np.intp)
+    # per sequence, padded: the norm terms of the frame distance (squared norms,
+    # or norms with 1 at zero-norm frames and at padding) and the nonzero-norm mask
+    euclidean = distance == "euclidean"
+    lens = np.array([len(x) for x in frames], dtype=np.intp)
+    scale = np.full((len(frames), lens.max(initial=0)), 0.0 if euclidean else 1.0)
+    ok = np.zeros(scale.shape, dtype=bool)
+    for s, x in enumerate(frames):
+        n = (x * x).sum(1) if euclidean else np.linalg.norm(x, axis=1)
+        ok[s, : len(x)] = n > 0
+        scale[s, : len(x)] = n if euclidean else np.where(n > 0, n, 1.0)
+    if not euclidean:  # cells with a zero-norm operand score distance 1
+        nonzero = ok.sum(1)
+        zero_norm_events.add(int((lens[sx] * lens[sy] - nonzero[sx] * nonzero[sy]).sum()))
     for c0 in range(0, len(pairs), chunk):
-        sub = pairs[c0 : c0 + chunk]
-        P = len(sub)
-        ns = np.array([len(x) for x, _ in sub])
-        ms = np.array([len(y) for _, y in sub])
+        P = min(chunk, len(pairs) - c0)
+        ns, ms = lens[sx[c0 : c0 + P]], lens[sy[c0 : c0 + P]]
         n_max, m_max = int(ns.max()), int(ms.max())
         d = np.zeros((P, n_max, m_max))
-        for p, (x, y) in enumerate(sub):
-            d[p, : len(x), : len(y)], n_bad = frame_distances(terms[id(x)], terms[id(y)], distance)
-            bad += n_bad
+        for p, (i, j) in enumerate(zip(sx[c0 : c0 + P].tolist(), sy[c0 : c0 + P].tolist())):
+            np.matmul(frames[i], frames[j].T, out=d[p, : lens[i], : lens[j]])
+        for b0 in range(0, P, _BLOCK):  # the distances, a block of pairs at a time
+            blk = d[b0 : b0 + _BLOCK]
+            a, b = sx[c0 + b0 : c0 + b0 + len(blk)], sy[c0 + b0 : c0 + b0 + len(blk)]
+            if euclidean:  # sqrt(max(|x|^2 + |y|^2 - 2 x.y, 0))
+                blk *= 2.0
+                np.subtract(scale[a, :n_max, None] + scale[b, None, :m_max], blk, out=blk)
+                np.sqrt(np.maximum(blk, 0.0, out=blk), out=blk)
+            else:  # 1 - cos, with cos 0 at a zero-norm frame
+                blk /= scale[a, :n_max, None] * scale[b, None, :m_max]
+                np.copyto(blk, 0.0, where=~(ok[a, :n_max, None] & ok[b, None, :m_max]))
+                np.subtract(1.0, blk, out=blk)
         # C[i, k - i] and its step count are row i of D[k % 3] and S[k % 3]. Rows are
         # written only on later diagonals: borders keep their inf once C[0, 0] is spent.
         D = np.full((3, n_max + 1, P), np.inf)
@@ -118,6 +119,4 @@ def dtw_cost_batch(pairs, distance: str = "cosine", chunk: int = 2048) -> tuple[
             done = np.flatnonzero(ns + ms == k)
             costs[c0 + done] = cur[ns[done], done]
             steps[c0 + done] = S[k % 3, ns[done], done]
-    if bad:
-        zero_norm_events.add(bad)
     return costs, steps

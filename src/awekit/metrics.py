@@ -158,9 +158,11 @@ def fom_per_query(results: QueryResultSet) -> dict:
     return out
 
 
-def fom(results: QueryResultSet) -> float:
-    """Mean per-query figure of merit (unweighted over query instances)."""
-    per = fom_per_query(results)
+def fom(results: QueryResultSet, per_query: dict | None = None) -> float:
+    """Mean per-query figure of merit (unweighted over query instances).
+    Here and in ``otwv`` and ``p_at_k``, ``per_query`` is the per-query
+    dict when the caller has already computed it."""
+    per = fom_per_query(results) if per_query is None else per_query
     return float(np.mean(list(per.values())))
 
 
@@ -188,8 +190,8 @@ def otwv_per_query(results: QueryResultSet, beta: float = 999.9) -> dict:
     return out
 
 
-def otwv(results: QueryResultSet, beta: float = 999.9) -> float:
-    per = otwv_per_query(results, beta)
+def otwv(results: QueryResultSet, beta: float = 999.9, per_query: dict | None = None) -> float:
+    per = otwv_per_query(results, beta) if per_query is None else per_query
     return float(np.mean(list(per.values())))
 
 
@@ -207,8 +209,8 @@ def p_at_k_per_query(results: QueryResultSet, k: int = 10) -> dict:
     return out
 
 
-def p_at_k(results: QueryResultSet, k: int = 10) -> float:
-    per = p_at_k_per_query(results, k)
+def p_at_k(results: QueryResultSet, k: int = 10, per_query: dict | None = None) -> float:
+    per = p_at_k_per_query(results, k) if per_query is None else per_query
     return float(np.mean(list(per.values())))
 
 

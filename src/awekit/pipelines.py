@@ -765,21 +765,22 @@ def query_search_index(cfg: ExperimentConfig, checkpoint: str, index_path: str,
     q_align = cp.load_alignments(query_align_path)
     utt_ids = sorted({r.utterance_id for r in index.refs})
     utt_pos = {u: i for i, u in enumerate(utt_ids)}
+    entry_utt = np.array([utt_pos[r.utterance_id] for r in index.refs], dtype=np.intp)
+    entry_size = np.array([r.size for r in index.refs], dtype=np.intp)
     q_embs = embed_frames(f, [q.frames for q in queries], cfg.threads)
     lookup_beam = index.size if exhaustive else beam
-
-    def score_query(job):
-        q_fm, q_emb = job
+    # each lookup is a few small numpy calls that hold the interpreter lock:
+    # a thread pool would only add hand-off, so they run on this thread
+    size_slots = max(entry_size.max(), wcfg.sizes[-1]) + 1  # admissibility is a table by window size
+    results = []
+    for q_fm, q_emb in zip(queries, q_embs):
+        admissible = np.zeros(size_slots, dtype=bool)
+        admissible[list(wcfg.admissible_sizes(q_fm.num_frames))] = True
         hits = srch.query_index(q_emb, index, lookup_beam)
-        return srch.utterance_scores(hits, utt_pos, set(wcfg.admissible_sizes(q_fm.num_frames)))
-
-    results = parallel_map(score_query, list(zip(queries, q_embs)), cfg.threads)
+        results.append(srch.utterance_scores(hits, entry_utt, entry_size, admissible, len(utt_ids)))
     score_matrix = np.stack([r[0] for r in results])
     q_ids = [q.utterance_id for q in queries]
-    q_terms = {}
-    for q in queries:
-        entries = q_align[q.utterance_id].entries
-        q_terms[q.utterance_id] = " ".join(v for _, _, v in entries)
+    q_terms = {q.utterance_id: " ".join(v for _, _, v in q_align[q.utterance_id].entries) for q in queries}
 
     report = {"num_queries": len(q_ids), "num_utterances": len(utt_ids),
               "beamwidth": beam, "exhaustive": exhaustive,
@@ -791,7 +792,7 @@ def query_search_index(cfg: ExperimentConfig, checkpoint: str, index_path: str,
             order = np.argsort(-score_matrix[qi], kind="stable")
             for pos in order[:20]:
                 win = results[qi][1][pos]
-                ws, wz = (win if win else ("", ""))
+                ws, wz = (index.refs[win].start, index.refs[win].size) if win >= 0 else ("", "")
                 fh.write(f"{q}\t{utt_ids[pos]}\t{score_matrix[qi][pos]:.6f}\t{ws}\t{wz}\n")
 
     if truth_align_path:
@@ -801,20 +802,18 @@ def query_search_index(cfg: ExperimentConfig, checkpoint: str, index_path: str,
             fms = cp.load_feature_archive(search_archive)
             hours = sum(fm.num_frames / fm.frames_per_second for fm in fms) / 3600.0
         hours = hours or 1.0
-        truth = np.zeros((len(q_ids), len(utt_ids)), dtype=bool)
-        for qi, q in enumerate(q_ids):
-            term = q_terms[q].split(" ")
-            for ui, u in enumerate(utt_ids):
-                labels = [v for _, _, v in truth_align[u].entries]
-                truth[qi, ui] = _contains_subsequence(labels, term)
-        qrs = mx.QueryResultSet(q_ids, utt_ids, score_matrix, truth,
-                                {q: q_terms[q] for q in q_ids}, hours)
+        labels = [[v for _, _, v in truth_align[u].entries] for u in utt_ids]
+        # one truth row per distinct query term, shared by the term's queries
+        contains = {t: [_contains_subsequence(ls, t.split(" ")) for ls in labels]
+                    for t in set(q_terms.values())}
+        truth = np.array([contains[q_terms[q]] for q in q_ids], dtype=bool).reshape(len(q_ids), len(utt_ids))
+        qrs = mx.QueryResultSet(q_ids, utt_ids, score_matrix, truth, q_terms, hours)
         fom_q = mx.fom_per_query(qrs)
         otwv_q = mx.otwv_per_query(qrs)
         p10_q = mx.p_at_k_per_query(qrs, 10)
-        report["fom"] = mx.fom(qrs)
-        report["otwv"] = mx.otwv(qrs)
-        report["p_at_10"] = mx.p_at_k(qrs, 10)
+        report["fom"] = mx.fom(qrs, per_query=fom_q)
+        report["otwv"] = mx.otwv(qrs, per_query=otwv_q)
+        report["p_at_10"] = mx.p_at_k(qrs, 10, per_query=p10_q)
         report["fom_median_mean"], report["fom_max_mean"] = mx.aggregate_median_max(fom_q, qrs.query_types)
         report["otwv_median_mean"], report["otwv_max_mean"] = mx.aggregate_median_max(otwv_q, qrs.query_types)
         report["p10_median_mean"], report["p10_max_mean"] = mx.aggregate_median_max(p10_q, qrs.query_types)

@@ -6,13 +6,17 @@ lexicographically under P random bit permutations, and a query reads the
 B entries on each side of its insertion point in every sorted list.
 Candidates are scored once, in ``query_index``, by exact cosine
 similarity against the stored embeddings; a beam covering the index
-scores every entry. ``utterance_scores`` reduces that ranked list to the
-best admissible window of each utterance.
+scores every entry. The ranked candidates come back as ``Hits``: entry
+ids and scores as arrays, read as (ref, score) pairs.
+``utterance_scores`` reduces them to the best admissible window of each
+utterance with array operations over entry-to-utterance and
+entry-to-size tables.
 """
 
 from __future__ import annotations
 
 import struct
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -179,15 +183,31 @@ def build_index(embeddings, refs, bits: int, permutations: int, seed: int) -> Pe
     return PermutedSignatureIndex(planes, refs, embeddings, norms, perms, list(orders), list(keys))
 
 
-def query_index(query: np.ndarray, index: PermutedSignatureIndex, beamwidth: int):
+@dataclass(frozen=True, eq=False)
+class Hits(Sequence):
+    """``query_index`` output: candidate entry ids and their scores in rank
+    order; ``hits[i]`` is ``(ref, score)``."""
+
+    refs: list
+    entries: np.ndarray
+    scores: np.ndarray
+
+    def __len__(self):
+        return len(self.entries)
+
+    def __getitem__(self, i):
+        return self.refs[self.entries[i]], float(self.scores[i])
+
+
+def query_index(query: np.ndarray, index: PermutedSignatureIndex, beamwidth: int) -> Hits:
     """Approximate nearest neighbors with exact cosine re-ranking.
 
     For each permutation, the query signature's insertion point is found
     by binary search and the ``beamwidth`` entries on each side join the
     candidate set (a beamwidth of ``index.size`` takes every entry);
     candidates are scored by exact cosine similarity against the stored
-    embeddings and returned as (ref, score) sorted by descending score
-    (ties by entry order).
+    embeddings and returned sorted by descending score (ties by entry
+    order).
     """
     if index.size == 0:
         raise SearchError("empty index")
@@ -202,25 +222,24 @@ def query_index(query: np.ndarray, index: PermutedSignatureIndex, beamwidth: int
     cand = np.flatnonzero(chosen)
     scores = index.embeddings[cand] @ q / (index.norms[cand] * np.linalg.norm(q))
     order = np.lexsort((cand, -scores))
-    return [(index.refs[cand[i]], float(scores[i])) for i in order]
+    return Hits(index.refs, cand[order], scores[order])
 
 
-def utterance_scores(hits, utterance_pos: dict, admissible_sizes) -> tuple[np.ndarray, list]:
-    """Best admissible window of each utterance in a ranked hit list.
-
-    ``hits`` is ``query_index`` output; ``utterance_pos`` maps each
-    utterance id to its slot. The first hit of an utterance in rank order
-    whose window size is admissible wins: the highest score, ties to the
-    lower entry id. An utterance with no admissible hit scoring above -1
-    keeps -1 (below any true cosine) and no window."""
-    scores = np.full(len(utterance_pos), -1.0)
-    windows = [None] * len(utterance_pos)
-    for ref, score in hits:
-        pos = utterance_pos[ref.utterance_id]
-        if windows[pos] is None and ref.size in admissible_sizes and score > -1.0:
-            scores[pos] = score
-            windows[pos] = (ref.start, ref.size)
-    return scores, windows
+def utterance_scores(hits: Hits, entry_utterance: np.ndarray, entry_size: np.ndarray,
+                     admissible: np.ndarray, num_utterances: int) -> tuple[np.ndarray, np.ndarray]:
+    """Each utterance's best admissible window in ranked ``hits``: its score
+    and entry id. ``entry_utterance`` and ``entry_size`` give each entry's
+    utterance slot and window size, and ``admissible[size]`` says whether a
+    size is admissible. The first admissible hit of an utterance in rank
+    order wins: the highest score, ties to the lower entry id. An utterance
+    with no admissible hit above -1 keeps score -1 (below any true cosine)
+    and entry -1."""
+    keep = admissible[entry_size[hits.entries]] & (hits.scores > -1.0)
+    entries = hits.entries[keep]
+    utts, first = np.unique(entry_utterance[entries], return_index=True)
+    scores, best = np.full(num_utterances, -1.0), np.full(num_utterances, -1, dtype=np.intp)
+    scores[utts], best[utts] = hits.scores[keep][first], entries[first]
+    return scores, best
 
 
 # ---------------------------------------------------------------------------
@@ -293,7 +312,6 @@ def load_index(path) -> PermutedSignatureIndex:
     norms = np.linalg.norm(emb, axis=1)
     if not (np.isfinite(norms) & (norms > 0)).all():
         raise SearchError("corrupt index file: an embedding with zero or non-finite norm")
-    planes = HyperplaneSet.create(b, d, seed)
     if not (np.sort(perms, axis=1) == np.arange(b)).all():
         raise SearchError("corrupt index file: a bit permutation is not a permutation of the bits")
     sorted_keys = []
@@ -302,4 +320,5 @@ def load_index(path) -> PermutedSignatureIndex:
         if not np.array_equal(order, sorted_orders[p]):
             raise SearchError(f"corrupt index file: sort order {p} is not the signature order")
         sorted_keys.append(keys)
+    planes = HyperplaneSet.create(b, d, seed)  # drawn only once the file is known to be sound
     return PermutedSignatureIndex(planes, refs, emb, norms, perms, sorted_orders, sorted_keys)

@@ -209,6 +209,33 @@ class TestDtwBatch:
             want = oracle_dtw_batch(pairs, cfg, chunk=64)
             assert _normalized(costs, steps, cfg).tobytes() == want.tobytes()
 
+    @pytest.mark.parametrize("distance", ["cosine", "euclidean"])
+    def test_unrounded_frames_bit_identical_and_independent_of_chunk_mates(self, distance):
+        # unrounded frames round in every product, so this sees a change in
+        # how the products are formed (batched or padded products round
+        # differently from the per-pair product, and 1-frame sides take
+        # another BLAS routine); sequences recur across pairs, as in dtw_ap
+        rng = np.random.default_rng(29)
+        for dim in (12, 40):
+            lengths = [1, 1, 2, 130, *rng.integers(1, 131, size=16)]
+            pool = [rng.standard_normal((int(n), dim)) for n in lengths]
+            for x in pool[2:8]:
+                x[rng.random(len(x)) < 0.2] = 0.0  # zero-norm frames
+            pool.append(np.zeros((3, dim)))
+            pairs = [(pool[a], pool[b]) for a, b in rng.integers(0, len(pool), size=(90, 2))]
+            pairs += [(pool[0], pool[3]), (pool[3], pool[1]), (pool[0], pool[1]), (pool[-1], pool[0])]
+            alone = [dtw.dtw_cost_batch([pair], distance) for pair in pairs]
+            alone_costs = np.array([c[0] for c, _ in alone])
+            alone_steps = np.array([s[0] for _, s in alone])
+            want = {norm: oracle_dtw_batch(pairs, DtwConfig(distance, norm), chunk=len(pairs))
+                    for norm in ("none", "path-length")}
+            for chunk in (1, 37, 2048):
+                costs, steps = dtw.dtw_cost_batch(pairs, distance, chunk=chunk)
+                assert costs.tobytes() == alone_costs.tobytes()
+                assert steps.tobytes() == alone_steps.tobytes()
+                for norm, w in want.items():
+                    assert _normalized(costs, steps, DtwConfig(distance, norm)).tobytes() == w.tobytes()
+
     def test_zero_norm_events_counted_once_per_cell(self):
         from awekit.autodiff import zero_norm_events
 

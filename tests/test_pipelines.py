@@ -363,6 +363,25 @@ class TestEvalAndSearch:
         assert (tmp_path / "a_hits.tsv").read_bytes() == (tmp_path / "b_hits.tsv").read_bytes()
 
 
+    def test_query_outputs_do_not_depend_on_threads(self, trained, corpus_dir, tmp_path):
+        cfg, ckpt = trained
+        base = {("search", "window_sizes"): "8,12,16,20", ("search", "stride"): "4",
+                ("search", "bits"): "64", ("search", "permutations"): "2", ("search", "beamwidth"): "6"}
+        idx_path = tmp_path / "i.cadi"
+        pipelines.build_search_index(small_cfg(corpus_dir, base), ckpt, corpus_dir["dev"], idx_path)
+        reports = []
+        for threads in (1, 2):
+            cfg = small_cfg(corpus_dir, {**base, ("run", "threads"): str(threads)})
+            pipelines.query_search_index(cfg, ckpt, idx_path, corpus_dir["dev"], corpus_dir["dev_align"],
+                                         tmp_path / f"t{threads}.json", truth_align_path=corpus_dir["dev_align"],
+                                         search_archive=corpus_dir["dev"])
+            report = json.loads((tmp_path / f"t{threads}.json").read_text())
+            assert report["config"]["run"].pop("threads") == str(threads)
+            reports.append(report)
+        assert "fom" in reports[0] and "min_cnxe" in reports[0]
+        assert reports[0] == reports[1]
+        assert (tmp_path / "t1_hits.tsv").read_bytes() == (tmp_path / "t2_hits.tsv").read_bytes()
+
 class TestRecognition:
     @pytest.mark.parametrize("kind", ["ctc", "segmental"])
     def test_one_epoch_asr_runs(self, corpus_dir, tmp_path, kind):

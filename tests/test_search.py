@@ -249,6 +249,85 @@ class TestIndex:
             search.load_index(path)
 
 
+def oracle_ranked_hits(query, index, beamwidth):
+    """``query_index`` as a list of (ref, score) tuples, one per candidate."""
+    q = np.asarray(query, dtype=np.float64)
+    sig = search.sign_embed(q, index.planes)
+    chosen = np.zeros(index.size, dtype=bool)
+    for perm, order, keys in zip(index.permutations, index.sorted_orders, index.sorted_keys):
+        pos = int(np.searchsorted(keys, search._packed_keys(sig[perm])))
+        chosen[order[max(0, pos - beamwidth) : pos + beamwidth]] = True
+    cand = np.flatnonzero(chosen)
+    scores = index.embeddings[cand] @ q / (index.norms[cand] * np.linalg.norm(q))
+    return [(index.refs[cand[i]], float(scores[i])) for i in np.lexsort((cand, -scores))]
+
+
+def oracle_utterance_scores(hits, utterance_pos, admissible_sizes):
+    """Walk the ranked hits; the first admissible hit scoring above -1 of
+    each utterance wins. Returns the scores and the (start, size) windows."""
+    scores = np.full(len(utterance_pos), -1.0)
+    windows = [None] * len(utterance_pos)
+    for ref, score in hits:
+        pos = utterance_pos[ref.utterance_id]
+        if windows[pos] is None and ref.size in admissible_sizes and score > -1.0:
+            scores[pos] = score
+            windows[pos] = (ref.start, ref.size)
+    return scores, windows
+
+
+def _entry_tables(refs, utts, sizes, admissible_sizes):
+    """The arrays ``utterance_scores`` takes: each entry's utterance slot
+    and window size, and the admissible-size table."""
+    pos = {u: i for i, u in enumerate(utts)}
+    entry_utt = np.array([pos[r.utterance_id] for r in refs], dtype=np.intp)
+    entry_size = np.array([r.size for r in refs], dtype=np.intp)
+    admissible = np.zeros(max(max(sizes), *entry_size) + 1, dtype=bool)
+    admissible[list(admissible_sizes)] = True
+    return entry_utt, entry_size, admissible
+
+
+class TestHits:
+    def test_equals_the_ranked_tuple_list(self):
+        rng = np.random.default_rng(19)
+        emb, refs = _random_db(rng, n=80)
+        emb[40] = emb[7]  # a tie, ranked by entry id
+        idx = search.build_index(emb, refs, bits=32, permutations=3, seed=2)
+        for beam in (1, 4, 80):
+            for q in (rng.standard_normal(8), emb[7]):
+                hits, want = search.query_index(q, idx, beam), oracle_ranked_hits(q, idx, beam)
+                assert len(hits) == len(want)
+                assert [hits[i] for i in range(len(hits))] == want
+                assert hits[-1] == want[-1]
+                assert list(hits) == want
+                assert all(type(s) is float for _, s in hits)
+                with pytest.raises(IndexError):
+                    hits[len(want)]
+
+
+class TestUtteranceScores:
+    @pytest.mark.parametrize("seed", range(6))
+    def test_matches_the_loop_over_hits(self, seed):
+        # random ranked hits over a few utterances, with tied scores, scores
+        # of exactly -1, and sizes outside the admissible set
+        rng = np.random.default_rng(seed)
+        sizes = (12, 15, 18, 24, 30)
+        utts = [f"u{i}" for i in range(int(rng.integers(1, 9)))]
+        refs = [SegmentKey(utts[int(rng.integers(len(utts)))], int(rng.integers(50)), int(rng.choice(sizes)))
+                for _ in range(int(rng.integers(1, 120)))]
+        cand = np.flatnonzero(rng.random(len(refs)) < 0.7)
+        scores = rng.choice([-1.0, -0.5, 0.0, 0.25, 0.5, 1.0], size=len(cand))
+        free = rng.random(len(cand)) < 0.5
+        scores[free] = rng.uniform(-1.0, 1.0, size=int(free.sum()))
+        order = np.lexsort((cand, -scores))
+        hits = search.Hits(refs, cand[order], scores[order])
+        admissible_sizes = set(rng.choice(sizes, size=int(rng.integers(0, 4))).tolist())
+        got, best = search.utterance_scores(hits, *_entry_tables(refs, utts, sizes, admissible_sizes), len(utts))
+        want, windows = oracle_utterance_scores(hits, {u: i for i, u in enumerate(utts)}, admissible_sizes)
+        assert got.tobytes() == want.tobytes()
+        assert [(refs[e].start, refs[e].size) if e >= 0 else None for e in best] == windows
+        assert all(e < 0 or refs[e].utterance_id == u for e, u in zip(best, utts))
+
+
 class TestQbeScore:
     """``utterance_scores`` over ``query_index`` hits with a beam covering
     the index."""
@@ -259,8 +338,9 @@ class TestQbeScore:
         idx = search.build_index(emb, refs, bits=32, permutations=2, seed=0)
         utts = sorted({r.utterance_id for r in refs})
         hits = search.query_index(q, idx, beamwidth=idx.size)
-        return search.utterance_scores(hits, {u: i for i, u in enumerate(utts)},
-                                       set(cfg.admissible_sizes(query_len)))
+        tables = _entry_tables(refs, utts, cfg.sizes, cfg.admissible_sizes(query_len))
+        scores, best = search.utterance_scores(hits, *tables, len(utts))
+        return scores, [(refs[e].start, refs[e].size) if e >= 0 else None for e in best]
 
     def test_identical_window_scores_one(self):
         rng = np.random.default_rng(14)
