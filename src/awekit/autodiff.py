@@ -1,6 +1,9 @@
 """Minimal reverse-mode automatic differentiation over numpy arrays.
 
-A ``Tensor`` wraps a float64 ndarray plus an optional gradient buffer.
+A ``Tensor`` wraps a float32 or float64 ndarray plus an optional gradient
+buffer of the same dtype. Most work is float64; the recurrent layers run in
+float32 (see ``nn``), and a binary op with one float64 operand promotes.
+``cast`` moves a tensor between the two dtypes.
 Primitive applications are recorded on the innermost active ``Tape`` (a
 plain list in creation order, which is a topological order); ``backward``
 walks the list once in reverse and accumulates gradients additively, so
@@ -49,12 +52,14 @@ zero_norm_events = ZeroNormCounter()
 
 
 class Tensor:
-    """A float64 ndarray with an optional same-shaped gradient buffer."""
+    """A float32 or float64 ndarray (any other input becomes float64) with
+    an optional gradient buffer of the same shape and dtype."""
 
     __slots__ = ("values", "grad")
 
     def __init__(self, values):
-        self.values = np.asarray(values, dtype=np.float64)
+        v = np.asarray(values)
+        self.values = v if v.dtype == np.float32 else np.asarray(v, dtype=np.float64)
         self.grad = None
 
     def accumulate_grad(self, g):
@@ -103,6 +108,16 @@ def _record(out: Tensor, inputs, bwd) -> Tensor:
 def constant(values) -> Tensor:
     """A leaf tensor (no recording; gradients may still accumulate into it)."""
     return Tensor(values)
+
+
+def cast(x: Tensor, dtype) -> Tensor:
+    """``x`` in ``dtype``; the gradient goes back in x's own dtype. A tensor
+    already in ``dtype`` is returned as it is, with nothing recorded."""
+    src = x.values.dtype
+    if src == dtype:
+        return x
+    out = Tensor(x.values.astype(dtype))
+    return _record(out, (x,), lambda g: (g.astype(src),))
 
 
 # ---------------------------------------------------------------------------

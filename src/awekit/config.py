@@ -58,6 +58,11 @@ DEFAULTS = {
     "run": {"seed": "", "threads": "1"},
 }
 
+# Sizes that must be at least 1, checked when a config is loaded, before
+# any data is read.
+POSITIVE_KEYS = (("encoder", "layers"), ("encoder", "hidden"), ("encoder", "embed_dim"),
+                 ("written", "hidden"), ("written", "symbol_embed_dim"), ("training", "batch_size"))
+
 # Recipe presets pinning the quoted operating points per training setup.
 PRESETS = {
     # isolated-word Siamese triplet with confusion-driven negatives
@@ -221,7 +226,11 @@ class ExperimentConfig:
             if section not in values or key not in values[section]:
                 raise ConfigError(f"unknown override [{section}] {key}")
             values[section][key] = str(v)
-        return ExperimentConfig(values)
+        cfg = ExperimentConfig(values)
+        for section, key in POSITIVE_KEYS:
+            if cfg.getint(section, key) < 1:
+                raise ConfigError(f"[{section}] {key} must be at least 1, not {cfg.get(section, key)}")
+        return cfg
 
     def get(self, section: str, key: str) -> str:
         try:

@@ -9,9 +9,11 @@ throughout.
 
 from __future__ import annotations
 
+import contextlib
 import math
 import os
 import struct
+import uuid
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -258,11 +260,25 @@ class Vocabulary:
 # Output files
 
 
+@contextlib.contextmanager
 def open_artifact(path, mode: str = "w"):
-    """Open an output file for writing ("w" text as UTF-8, or "wb"),
-    creating its directory first."""
+    """Write an output file ("w" text as UTF-8, or "wb") whole or not at
+    all: the block writes a new file next to ``path`` (its directory is
+    created first), which is synced to disk and replaces ``path`` when the
+    block ends, and is removed when the block raises, so an earlier file
+    stays as it was."""
     os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
-    return open(path, mode, encoding=None if "b" in mode else "utf-8")
+    tmp = f"{os.fspath(path)}.{uuid.uuid4().hex}.tmp"
+    try:
+        with open(tmp, mode.replace("w", "x"), encoding=None if "b" in mode else "utf-8") as fh:
+            yield fh
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise
 
 
 # ---------------------------------------------------------------------------

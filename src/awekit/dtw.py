@@ -7,12 +7,12 @@ the number of steps on the optimal path (ties go diagonal, up, left), so
 the raw and the path-length normalized cost (cost / steps) come from the
 same pass. It walks anti-diagonals: one set of numpy calls updates the
 cells i + j = k of every pair in a chunk, from three rolling diagonals
-and a pair-first distance cube. The cube takes one product per pair,
-``x @ y.T`` at the pair's own shape (a padded batched product rounds
-differently, and differently again for 1-frame sides), and the rest of
-the frame distance, from per-sequence norm tables, is array operations
-over blocks of pairs. Callers sort pairs by length before chunking, so
-little is padded. ``dtw_cost`` runs the kernel on one pair.
+and a pair-first distance cube, built a block of pairs at a time: one
+batched product of the block's padded frames (which can round differently
+from a pair's own product, so a cost can move in its last bits with its
+block mates), then the rest of the frame distance from per-sequence norm
+tables. Callers sort pairs by length before chunking, so little is
+padded. ``dtw_cost`` runs the kernel on one pair.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ import numpy as np
 
 from .autodiff import zero_norm_events
 
-_BLOCK = 128  # pairs per distance-normalization step: bounds its temporaries
+_BLOCK = 128  # pairs per distance-cube product: bounds its temporaries
 
 
 @dataclass(frozen=True)
@@ -54,8 +54,9 @@ def dtw_cost_batch(pairs, distance: str = "cosine", chunk: int = 2048) -> tuple[
 
     The one DTW recurrence, vectorized across pairs (padded to the
     chunk's max lengths; padding cells never feed a real pair's terminal
-    cell because the DP only moves forward), so a pair's result does not
-    depend on the pairs it is batched with. A cell is
+    cell because the DP only moves forward). A pair's result depends on
+    the pairs it is batched with only through the rounding of the padded
+    frame products. A cell is
     ``d + min(min(diag, up), left)``; its step count follows the first
     minimum in the order diagonal, up, left, so ties go diagonal first.
     Path-length normalization is ``costs / steps``.
@@ -69,13 +70,15 @@ def dtw_cost_batch(pairs, distance: str = "cosine", chunk: int = 2048) -> tuple[
         raise ValueError("frame matrices must be 2-D with equal feature dims")
     sx = np.array([slot[id(x)] for x, _ in pairs], dtype=np.intp)
     sy = np.array([slot[id(y)] for _, y in pairs], dtype=np.intp)
-    # per sequence, padded: the norm terms of the frame distance (squared norms,
-    # or norms with 1 at zero-norm frames and at padding) and the nonzero-norm mask
+    # per sequence, padded: the frames, the norm terms of the frame distance (squared
+    # norms, or norms with 1 at zero-norm frames and at padding) and the nonzero-norm mask
     euclidean = distance == "euclidean"
     lens = np.array([len(x) for x in frames], dtype=np.intp)
-    scale = np.full((len(frames), lens.max(initial=0)), 0.0 if euclidean else 1.0)
+    table = np.zeros((len(frames), max(2, lens.max(initial=0)), frames[0].shape[1]))
+    scale = np.full(table.shape[:2], 0.0 if euclidean else 1.0)
     ok = np.zeros(scale.shape, dtype=bool)
     for s, x in enumerate(frames):
+        table[s, : len(x)] = x
         n = (x * x).sum(1) if euclidean else np.linalg.norm(x, axis=1)
         ok[s, : len(x)] = n > 0
         scale[s, : len(x)] = n if euclidean else np.where(n > 0, n, 1.0)
@@ -86,20 +89,22 @@ def dtw_cost_batch(pairs, distance: str = "cosine", chunk: int = 2048) -> tuple[
         P = min(chunk, len(pairs) - c0)
         ns, ms = lens[sx[c0 : c0 + P]], lens[sy[c0 : c0 + P]]
         n_max, m_max = int(ns.max()), int(ms.max())
-        d = np.zeros((P, n_max, m_max))
-        for p, (i, j) in enumerate(zip(sx[c0 : c0 + P].tolist(), sy[c0 : c0 + P].tolist())):
-            np.matmul(frames[i], frames[j].T, out=d[p, : lens[i], : lens[j]])
+        d = np.zeros((P, max(2, n_max), max(2, m_max)))
         for b0 in range(0, P, _BLOCK):  # the distances, a block of pairs at a time
-            blk = d[b0 : b0 + _BLOCK]
-            a, b = sx[c0 + b0 : c0 + b0 + len(blk)], sy[c0 + b0 : c0 + b0 + len(blk)]
+            e = c0 + min(P, b0 + _BLOCK)
+            a, b = sx[c0 + b0 : e], sy[c0 + b0 : e]
+            # at least 2 x 2, so that a 1-frame side takes the same BLAS routine as the rest
+            n, m = max(2, int(lens[a].max())), max(2, int(lens[b].max()))
+            blk = np.matmul(table[a, :n], table[b, :m].transpose(0, 2, 1))
             if euclidean:  # sqrt(max(|x|^2 + |y|^2 - 2 x.y, 0))
                 blk *= 2.0
-                np.subtract(scale[a, :n_max, None] + scale[b, None, :m_max], blk, out=blk)
+                np.subtract(scale[a, :n, None] + scale[b, None, :m], blk, out=blk)
                 np.sqrt(np.maximum(blk, 0.0, out=blk), out=blk)
             else:  # 1 - cos, with cos 0 at a zero-norm frame
-                blk /= scale[a, :n_max, None] * scale[b, None, :m_max]
-                np.copyto(blk, 0.0, where=~(ok[a, :n_max, None] & ok[b, None, :m_max]))
+                blk /= scale[a, :n, None] * scale[b, None, :m]
+                np.copyto(blk, 0.0, where=~(ok[a, :n, None] & ok[b, None, :m]))
                 np.subtract(1.0, blk, out=blk)
+            d[b0 : b0 + len(a), :n, :m] = blk
         # C[i, k - i] and its step count are row i of D[k % 3] and S[k % 3]. Rows are
         # written only on later diagonals: borders keep their inf once C[0, 0] is spent.
         D = np.full((3, n_max + 1, P), np.inf)

@@ -91,8 +91,8 @@ class AcousticEncoder:
         self.cells = []
         in_dim = config.input_dim
         for layer in range(config.layers):
-            fw = make(f"f.layer{layer}.fw", in_dim, config.hidden, rng)
-            bw = make(f"f.layer{layer}.bw", in_dim, config.hidden, rng)
+            fw = make(f"f.layer{layer}.fw", in_dim, config.hidden, rng, nn.RECURRENT_DTYPE)
+            bw = make(f"f.layer{layer}.bw", in_dim, config.hidden, rng, nn.RECURRENT_DTYPE)
             self.cells.append((fw, bw))
             in_dim = 2 * config.hidden
         self.frame_width = 2 * config.hidden
@@ -300,8 +300,8 @@ class WrittenEncoder:
             self.embed_table = nn.Parameter(
                 "g.symbol_embed", nn.normal_init(rng, (len(self.symbols), config.symbol_embed_dim))
             )
-        self.fw = nn.LstmParams.create("g.rnn.fw", config.symbol_embed_dim, config.hidden, rng)
-        self.bw = nn.LstmParams.create("g.rnn.bw", config.symbol_embed_dim, config.hidden, rng)
+        self.fw = nn.LstmParams.create("g.rnn.fw", config.symbol_embed_dim, config.hidden, rng, nn.RECURRENT_DTYPE)
+        self.bw = nn.LstmParams.create("g.rnn.bw", config.symbol_embed_dim, config.hidden, rng, nn.RECURRENT_DTYPE)
         self.width = 2 * config.hidden
         if shared_projection is not None:
             self.proj_w, self.proj_b = shared_projection

@@ -8,6 +8,12 @@ recurrent blocks so whole-sequence input contributions can be computed
 with one matmul before the time loop. ``run_recurrent_layer`` records that
 time loop as a single tape node with a hand-written backward pass; it
 skips the mask blends on all-live steps, and keeps no state without a tape.
+
+A layer computes in the dtype of its parameters: the encoders build theirs
+in float32 (``RECURRENT_DTYPE``), the dtype checkpoints store, so trained
+recurrent weights in memory equal their reload; parameters built in float64
+run the same code in float64. Optimizer state has the dtype of its
+parameter.
 """
 
 from __future__ import annotations
@@ -19,9 +25,11 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
+from .corpus import open_artifact
 
 CHECKPOINT_MAGIC = b"CADP"
 CHECKPOINT_VERSION = 1
+RECURRENT_DTYPE = np.float32  # the dtype of the encoders' recurrent weights
 
 
 class Parameter:
@@ -77,12 +85,13 @@ class LstmParams:
     hidden: int
 
     @staticmethod
-    def create(name: str, input_dim: int, hidden: int, rng: np.random.Generator) -> "LstmParams":
+    def create(name: str, input_dim: int, hidden: int, rng: np.random.Generator,
+               dtype=np.float64) -> "LstmParams":
         fan = input_dim + hidden
         return LstmParams(
-            w_x=Parameter(f"{name}.w_x", uniform_init(rng, (input_dim, 4 * hidden), fan)),
-            w_h=Parameter(f"{name}.w_h", uniform_init(rng, (hidden, 4 * hidden), fan)),
-            b=Parameter(f"{name}.b", np.zeros(4 * hidden)),
+            w_x=Parameter(f"{name}.w_x", uniform_init(rng, (input_dim, 4 * hidden), fan).astype(dtype)),
+            w_h=Parameter(f"{name}.w_h", uniform_init(rng, (hidden, 4 * hidden), fan).astype(dtype)),
+            b=Parameter(f"{name}.b", np.zeros(4 * hidden, dtype)),
             hidden=hidden,
         )
 
@@ -103,15 +112,16 @@ class GruParams:
     hidden: int
 
     @staticmethod
-    def create(name: str, input_dim: int, hidden: int, rng: np.random.Generator) -> "GruParams":
+    def create(name: str, input_dim: int, hidden: int, rng: np.random.Generator,
+               dtype=np.float64) -> "GruParams":
         fan = input_dim + hidden
         return GruParams(
-            w_x_ru=Parameter(f"{name}.w_x_ru", uniform_init(rng, (input_dim, 2 * hidden), fan)),
-            w_h_ru=Parameter(f"{name}.w_h_ru", uniform_init(rng, (hidden, 2 * hidden), fan)),
-            b_ru=Parameter(f"{name}.b_ru", np.zeros(2 * hidden)),
-            w_x_c=Parameter(f"{name}.w_x_c", uniform_init(rng, (input_dim, hidden), fan)),
-            w_h_c=Parameter(f"{name}.w_h_c", uniform_init(rng, (hidden, hidden), fan)),
-            b_c=Parameter(f"{name}.b_c", np.zeros(hidden)),
+            w_x_ru=Parameter(f"{name}.w_x_ru", uniform_init(rng, (input_dim, 2 * hidden), fan).astype(dtype)),
+            w_h_ru=Parameter(f"{name}.w_h_ru", uniform_init(rng, (hidden, 2 * hidden), fan).astype(dtype)),
+            b_ru=Parameter(f"{name}.b_ru", np.zeros(2 * hidden, dtype)),
+            w_x_c=Parameter(f"{name}.w_x_c", uniform_init(rng, (input_dim, hidden), fan).astype(dtype)),
+            w_h_c=Parameter(f"{name}.w_h_c", uniform_init(rng, (hidden, hidden), fan).astype(dtype)),
+            b_c=Parameter(f"{name}.b_c", np.zeros(hidden, dtype)),
             hidden=hidden,
         )
 
@@ -127,12 +137,14 @@ def run_recurrent_layer(params, x: Tensor, mask: np.ndarray, reverse: bool = Fal
           backward direction can start from the padded tail and the state
           stays zero until real frames begin.
 
-    Returns (B, T, H) outputs, zeroed at padded steps.
+    Returns (B, T, H) outputs, zeroed at padded steps, in the dtype of the
+    parameters: ``x`` is cast to it once, and its gradient cast back.
     """
     B, T, D = x.values.shape
     is_lstm = isinstance(params, LstmParams)
     H = params.hidden
-    flat = ad.reshape(x, (B * T, D))
+    w_x = params.w_x if is_lstm else params.w_x_ru
+    flat = ad.reshape(ad.cast(x, w_x.values.dtype), (B * T, D))
     if is_lstm:
         gates_all = ad.reshape(ad.affine(flat, params.w_x.tensor, params.b.tensor), (B, T, 4 * H))
     else:
@@ -152,7 +164,9 @@ def run_recurrent_layer(params, x: Tensor, mask: np.ndarray, reverse: bool = Fal
 # then ``stack``) that tests/test_nn.py keeps as the oracle; only purely
 # elementwise work is batched differently. The backward accumulates into the
 # recurrent weights and the input-gate gradients in the order that chain's
-# tape would, so values and gradients match it bit for bit.
+# tape would, so values and gradients match it bit for bit. This holds for
+# float64 parameters, the oracle's dtype; float32 parameters run the same
+# operations in float32.
 #
 # Where every row is live, a step skips the blend ``x*1 + y*0``: it differs
 # from x only if y is inf or NaN, or x is -0.0, and from +0.0 states only an
@@ -161,10 +175,10 @@ def run_recurrent_layer(params, x: Tensor, mask: np.ndarray, reverse: bool = Fal
 # where the layer's gradients are summed into arrays that start at +0.0.
 
 
-def _step_masks(mask: np.ndarray):
-    """The (B, T) mask as float64, one minus it (state carried over), and
+def _step_masks(mask: np.ndarray, dtype):
+    """The (B, T) mask in ``dtype``, one minus it (state carried over), and
     the (T,) steps where every row is live."""
-    on = np.asarray(mask, dtype=np.float64)
+    on = np.asarray(mask, dtype=dtype)
     return on, 1.0 - on, on.all(axis=0)
 
 
@@ -172,9 +186,9 @@ def _lstm_layer(gates_all: Tensor, p: LstmParams, mask: np.ndarray, steps: range
     """The LSTM recurrence over precomputed (B, T, 4H) input gates."""
     gv, wv, H = gates_all.values, p.w_h.values, p.hidden
     B, T, _ = gv.shape
-    out = np.zeros((B, T, H))
-    h, c = np.zeros((B, H)), np.zeros((B, H))
-    on, off, live = _step_masks(mask)
+    out = np.zeros((B, T, H), gv.dtype)
+    h, c = np.zeros((B, H), gv.dtype), np.zeros((B, H), gv.dtype)
+    on, off, live = _step_masks(mask, gv.dtype)
     saved = [] if ad._TAPES else None
     for t in steps:
         m, m_off = on[:, t : t + 1], off[:, t : t + 1]
@@ -224,9 +238,9 @@ def _gru_layer(gates_all: Tensor, cand_all: Tensor, p: GruParams, mask: np.ndarr
     candidate inputs."""
     gv, cv, w_ru, w_c, H = gates_all.values, cand_all.values, p.w_h_ru.values, p.w_h_c.values, p.hidden
     B, T, _ = gv.shape
-    out = np.zeros((B, T, H))
-    h = np.zeros((B, H))
-    on, off, live = _step_masks(mask)
+    out = np.zeros((B, T, H), gv.dtype)
+    h = np.zeros((B, H), gv.dtype)
+    on, off, live = _step_masks(mask, gv.dtype)
     saved = [] if ad._TAPES else None
     for t in steps:
         m, m_off = on[:, t : t + 1], off[:, t : t + 1]
@@ -277,7 +291,8 @@ def _gru_layer(gates_all: Tensor, cand_all: Tensor, p: GruParams, mask: np.ndarr
 
 
 class Adam:
-    """Adam with bias correction; state lives on each Parameter."""
+    """Adam with bias correction; state lives on each Parameter, in its
+    dtype, and is updated in place."""
 
     beta1, beta2, eps = 0.9, 0.999, 1e-8
 
@@ -295,15 +310,19 @@ class Adam:
                 st["v"] = np.zeros_like(p.values)
                 st["t"] = 0
             st["t"] += 1
-            st["m"] = self.beta1 * st["m"] + (1 - self.beta1) * g
-            st["v"] = self.beta2 * st["v"] + (1 - self.beta2) * g * g
-            m_hat = st["m"] / (1 - self.beta1 ** st["t"])
-            v_hat = st["v"] / (1 - self.beta2 ** st["t"])
+            m, v = st["m"], st["v"]
+            m *= self.beta1
+            m += (1 - self.beta1) * g
+            v *= self.beta2
+            v += (1 - self.beta2) * g * g
+            m_hat = m / (1 - self.beta1 ** st["t"])
+            v_hat = v / (1 - self.beta2 ** st["t"])
             p.values -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
 
 
 class NesterovSGD:
-    """SGD with Nesterov momentum: v <- mu*v + g; p -= lr*(g + mu*v)."""
+    """SGD with Nesterov momentum: v <- mu*v + g; p -= lr*(g + mu*v). The
+    velocity has the parameter's dtype and is updated in place."""
 
     def __init__(self, lr: float, momentum: float = 0.9):
         self.lr = lr
@@ -319,7 +338,7 @@ class NesterovSGD:
             if g is None:
                 # zero gradient this round; momentum still moves the weights
                 if mu != 0.0 and "vel" in st:
-                    st["vel"] = mu * st["vel"]
+                    st["vel"] *= mu
                     p.values -= self.lr * mu * st["vel"]
                 continue
             if mu == 0.0:
@@ -327,8 +346,10 @@ class NesterovSGD:
                 continue
             if "vel" not in st:
                 st["vel"] = np.zeros_like(p.values)
-            st["vel"] = mu * st["vel"] + g
-            p.values -= self.lr * (g + mu * st["vel"])
+            vel = st["vel"]
+            vel *= mu
+            vel += g
+            p.values -= self.lr * (g + mu * vel)
 
 
 def zero_grads(params: list[Parameter]):
@@ -420,8 +441,9 @@ class LossPlateauHeuristic:
 
 def save_checkpoint(path, params: list[Parameter]):
     """Named-parameter archive: magic, version, then per-parameter name,
-    shape, and little-endian f32 payload. Bit-exact round trip."""
-    with open(path, "wb") as f:
+    shape, and little-endian f32 payload. Bit-exact round trip for float32
+    parameters. Written whole or not at all (``corpus.open_artifact``)."""
+    with open_artifact(path, "wb") as f:
         f.write(CHECKPOINT_MAGIC)
         f.write(struct.pack("<II", CHECKPOINT_VERSION, len(params)))
         for p in params:

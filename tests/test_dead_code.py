@@ -2,11 +2,14 @@
 against configuration keys that nothing sets.
 
 Every top-level function and class of ``src/awekit``, and every method,
-must be named somewhere besides its own definition: in ``src``,
-``tests``, ``demos`` or ``benchmarks``. It must also be named outside
-``tests``, unless it is on the allowlist below: oracles used only by
-tests live in ``tests/``. Only names in code count: a mention in a
-comment, docstring or string is not a use. Dunder names are exempt.
+must be used somewhere: in ``src``, ``tests``, ``demos`` or
+``benchmarks``. It must also be used outside ``tests``, unless it is on
+the allowlist below: oracles used only by tests live in ``tests/``. A
+method is used by an attribute use (``x.name``); a top-level function or
+class by its bare name (``name``) or through an imported module
+(``module.name``). So a local variable or a method that happens to share
+a definition's name does not count, and neither does a mention in a
+comment, docstring or string. Dunder names are exempt.
 
 Every key of ``config.DEFAULTS`` must be set by a preset, or named in
 ``tests``, ``demos`` or ``benchmarks`` as a ``("section", "key")`` pair
@@ -18,7 +21,6 @@ import ast
 import collections
 import pathlib
 import re
-import tokenize
 
 from awekit import config
 
@@ -42,53 +44,61 @@ UNSET_KEYS_ALLOWED = {
 
 
 def _definitions(tree):
-    """Names of top-level functions and classes and of their methods."""
+    """(kind, name) of top-level functions and classes ("top") and of their
+    methods ("method")."""
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-            yield node.name
+            yield "top", node.name
             if isinstance(node, ast.ClassDef):
                 for item in node.body:
                     if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                        yield item.name
+                        yield "method", item.name
 
 
-def _word_counts(tops, skip=()):
-    words = collections.Counter()
+def _uses(tops, skip=()):
+    """(kind, name) -> number of uses: "method" for every attribute use
+    ``x.name``, "top" for every bare name and every ``module.name`` through
+    a name the same file imports."""
+    uses = collections.Counter()
     for top in tops:
         for path in sorted((ROOT / top).rglob("*.py")):
-            if path not in skip:
-                with path.open("rb") as f:
-                    words.update(tok.string for tok in tokenize.tokenize(f.readline)
-                                 if tok.type == tokenize.NAME)
-    return words
+            if path in skip:
+                continue
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            imported = {(a.asname or a.name).split(".")[0] for node in ast.walk(tree)
+                        if isinstance(node, (ast.Import, ast.ImportFrom)) for a in node.names}
+            for node in ast.walk(tree):
+                if isinstance(node, ast.Name):
+                    uses["top", node.id] += 1
+                elif isinstance(node, ast.Attribute):
+                    uses["method", node.attr] += 1
+                    if isinstance(node.value, ast.Name) and node.value.id in imported:
+                        uses["top", node.attr] += 1
+    return uses
 
 
 def _package_definitions():
-    """(name -> number of definitions, name -> "file:name") over src/awekit."""
-    defined = collections.Counter()
+    """(kind, name) -> "file:name" over src/awekit."""
     where = {}
     for path in sorted(PACKAGE.glob("*.py")):
-        for name in _definitions(ast.parse(path.read_text(encoding="utf-8"))):
+        for kind, name in _definitions(ast.parse(path.read_text(encoding="utf-8"))):
             if not (name.startswith("__") and name.endswith("__")):
-                defined[name] += 1
-                where.setdefault(name, f"{path.name}:{name}")
-    return defined, where
+                where.setdefault((kind, name), f"{path.name}:{name}")
+    return where
 
 
 def unreferenced_names():
-    words = _word_counts(SEARCHED)
-    defined, where = _package_definitions()
-    return sorted(where[name] for name, count in defined.items() if words[name] <= count)
+    uses = _uses(SEARCHED)
+    return sorted(spot for key, spot in _package_definitions().items() if not uses[key])
 
 
 def names_used_only_by_tests():
-    """Definitions named in tests but nowhere else; a re-export in
+    """Definitions used in tests but nowhere else; a re-export in
     ``awekit/__init__.py`` is not a use."""
-    outside = _word_counts(("src", "demos", "benchmarks"), skip={PACKAGE / "__init__.py"})
-    in_tests = _word_counts(("tests",))
-    defined, where = _package_definitions()
-    return sorted(where[name] for name, count in defined.items()
-                  if outside[name] <= count and in_tests[name] and name not in TEST_ONLY_ALLOWED)
+    outside = _uses(("src", "demos", "benchmarks"), skip={PACKAGE / "__init__.py"})
+    in_tests = _uses(("tests",))
+    return sorted(spot for key, spot in _package_definitions().items()
+                  if not outside[key] and in_tests[key] and key[1] not in TEST_ONLY_ALLOWED)
 
 
 def test_every_definition_is_referenced():

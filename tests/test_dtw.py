@@ -210,11 +210,17 @@ class TestDtwBatch:
             assert _normalized(costs, steps, cfg).tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("distance", ["cosine", "euclidean"])
-    def test_unrounded_frames_bit_identical_and_independent_of_chunk_mates(self, distance):
-        # unrounded frames round in every product, so this sees a change in
-        # how the products are formed (batched or padded products round
-        # differently from the per-pair product, and 1-frame sides take
-        # another BLAS routine); sequences recur across pairs, as in dtw_ap
+    def test_unrounded_frames_match_per_pair_and_oracle_within_rounding(self, distance):
+        # unrounded frames round in every product, and a block's padded
+        # product rounds differently from the product at a pair's own shape
+        # (from the oracle's per-pair product, and with other chunk mates), so
+        # costs agree to a tolerance: a cosine cell is off by a few ulp of its
+        # distance (rtol 1e-12 on costs up to ~260 cells), and a euclidean
+        # cell of two near-equal frames by the square root of a rounding
+        # error of ~1e-14 in |x|^2 + |y|^2 - 2 x.y, about 1e-7 (atol 1e-6).
+        # Step counts stay exact: no two predecessor costs are that close.
+        # Sequences recur across pairs, as in dtw_ap
+        tol = {"rtol": 1e-12, "atol": 1e-12 if distance == "cosine" else 1e-6}
         rng = np.random.default_rng(29)
         for dim in (12, 40):
             lengths = [1, 1, 2, 130, *rng.integers(1, 131, size=16)]
@@ -231,10 +237,10 @@ class TestDtwBatch:
                     for norm in ("none", "path-length")}
             for chunk in (1, 37, 2048):
                 costs, steps = dtw.dtw_cost_batch(pairs, distance, chunk=chunk)
-                assert costs.tobytes() == alone_costs.tobytes()
+                np.testing.assert_allclose(costs, alone_costs, **tol)
                 assert steps.tobytes() == alone_steps.tobytes()
                 for norm, w in want.items():
-                    assert _normalized(costs, steps, DtwConfig(distance, norm)).tobytes() == w.tobytes()
+                    np.testing.assert_allclose(_normalized(costs, steps, DtwConfig(distance, norm)), w, **tol)
 
     def test_zero_norm_events_counted_once_per_cell(self):
         from awekit.autodiff import zero_norm_events

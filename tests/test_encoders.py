@@ -293,3 +293,37 @@ class TestIsolatedSegmentEmbedding:
             return ad.sum_(ad.mul(e, e))
 
         assert ad.grad_check(fn, leaves, eps=1e-4) <= 1e-4
+
+
+class TestFloat32Checkpoint:
+    @pytest.mark.parametrize("cell", ["lstm", "gru"])
+    def test_trained_encoder_reloads_to_the_same_frame_outputs(self, tmp_path, cell):
+        f = small_acoustic(cell=cell, layers=2, hidden=4, seed=3)
+        g = small_written(seed=5)
+        rng = np.random.default_rng(6)
+        segs = [rng.standard_normal((t, 3)) for t in (4, 9, 6)]
+        params = f.parameters() + g.parameters()
+        opt = nn.Adam(lr=0.05)
+        for _ in range(3):
+            nn.zero_grads(params)
+            with ad.Tape() as tape:
+                e = ad.concat([f.embed_segments_isolated(segs), g.embed_words(["ab", "cde"])], axis=0)
+                loss = ad.sum_(ad.mul(e, e))
+            tape.backward(loss)
+            opt.step(params)
+        recurrent = [q for fw, bw in f.cells for q in fw.parameters() + bw.parameters()]
+        recurrent += g.fw.parameters() + g.bw.parameters()
+        assert {q.values.dtype for q in recurrent} == {np.dtype(np.float32)}
+
+        path = tmp_path / "model.cadp"
+        nn.save_checkpoint(path, params)
+        f2, g2 = small_acoustic(cell=cell, layers=2, hidden=4, seed=7), small_written(seed=8)
+        nn.assign_from_checkpoint(f2.parameters() + g2.parameters(), nn.load_checkpoint(path))
+        # the float32 recurrent weights reload exactly, so the frame outputs do
+        recurrent2 = [q for fw, bw in f2.cells for q in fw.parameters() + bw.parameters()]
+        recurrent2 += g2.fw.parameters() + g2.bw.parameters()
+        assert [q.values.tobytes() for q in recurrent2] == [q.values.tobytes() for q in recurrent]
+        assert f2.encode(segs)[0].values.tobytes() == f.encode(segs)[0].values.tobytes()
+        # the float64 projection is stored rounded to float32
+        np.testing.assert_allclose(f2.embed_segments_isolated(segs).values,
+                                   f.embed_segments_isolated(segs).values, rtol=1e-6, atol=1e-7)

@@ -270,6 +270,51 @@ class TestRecurrentLayer:
         assert bare.tobytes() == taped.tobytes()
 
 
+class TestFloat32Layer:
+    """Parameters built in float32 run the layer in float32 (the encoders'
+    case); the float64 per-step chain on the same, float32-rounded values
+    is the oracle. Each float32 operation rounds to 6e-8 of its result, so
+    over at most 9 steps the outputs and gradients stay within 1e-5 of the
+    largest magnitude of each array (measured: below 5e-7)."""
+
+    @staticmethod
+    def _run(layer, p, x0, mask, reverse, upstream):
+        for q in p.parameters():
+            q.tensor.grad = None
+        x = Tensor(x0)
+        with Tape() as tape:
+            out = layer(p, x, mask, reverse)
+            loss = ad.add(ad.sum_(ad.mul(out, ad.constant(upstream))), ad.sum_(ad.mul(out, out)))
+        tape.backward(loss)
+        return [out.values, x.grad] + [q.tensor.grad for q in p.parameters()]
+
+    @pytest.mark.parametrize("kind", ["lstm", "gru"])
+    @pytest.mark.parametrize("reverse", [False, True])
+    @pytest.mark.parametrize("case", ["ragged", "equal-lengths", "batch-1"])
+    def test_float32_layer_matches_float64_per_step_chain(self, kind, reverse, case):
+        p64, mask, x0, rng = TestRecurrentLayer._layer_case(kind, case)
+        make = nn.LstmParams.create if kind == "lstm" else nn.GruParams.create
+        p32 = make("l", 5, 7, np.random.default_rng(0), np.float32)
+        for q32, q64 in zip(p32.parameters(), p64.parameters()):
+            q32.values[...] = q64.values
+            q64.values = q32.values.astype(np.float64)
+        upstream = rng.standard_normal(x0.shape[:2] + (7,))
+        got = self._run(lambda p, x, m, r: nn.run_recurrent_layer(p, x, m, reverse=r), p32, x0, mask, reverse,
+                        upstream)
+        want = self._run(TestRecurrentLayer._per_step_chain, p64, x0, mask, reverse, upstream)
+        # the output and the weight gradients in float32, the input's gradient in its own float64
+        assert [g.dtype for g in got] == [np.float32, np.float64] + [np.float32] * len(p32.parameters())
+        for g, w in zip(got, want):
+            np.testing.assert_allclose(g, w, rtol=0, atol=1e-5 * np.abs(w).max())
+
+    @pytest.mark.parametrize("kind", ["lstm", "gru"])
+    def test_float64_parameters_compute_in_float64_bit_for_bit(self, kind):
+        p, mask, x0, _ = TestRecurrentLayer._layer_case(kind, "ragged")
+        assert all(q.values.dtype == np.float64 for q in p.parameters())
+        assert nn.run_recurrent_layer(p, Tensor(x0), mask).values.dtype == np.float64
+        TestRecurrentLayer()._check_against_chain(kind, False, "ragged", prior_grads=False)
+
+
 class TestAdam:
     def test_first_step_magnitude(self):
         # scalar g=1, lr=0.1: bias-corrected m_hat=v_hat=1 so the update is
@@ -296,6 +341,21 @@ class TestAdam:
             return p.values.copy()
 
         np.testing.assert_array_equal(run(), run())
+
+
+@pytest.mark.parametrize("make", [lambda: nn.Adam(lr=0.1), lambda: nn.NesterovSGD(lr=0.1, momentum=0.9)])
+def test_optimizer_state_keeps_the_parameter_dtype_in_place(make):
+    p = nn.Parameter("w", np.array([0.5, -1.0], dtype=np.float32))
+    values, opt = p.values, make()
+    for g in (1.0, -2.0):
+        p.tensor.grad = np.full(2, g, dtype=np.float32)
+        opt.step([p])
+        if g == 1.0:
+            state = dict(p.state)
+    assert p.values is values and p.values.dtype == np.float32
+    for key, arr in p.state.items():
+        if key != "t":
+            assert arr is state[key] and arr.dtype == np.float32
 
 
 class TestNesterovSGD:
@@ -388,6 +448,16 @@ class TestCheckpoint:
         path2 = tmp_path / "model2.cadp"
         nn.save_checkpoint(path2, params2)
         assert path.read_bytes() == path2.read_bytes()
+
+    def test_writer_raising_halfway_keeps_the_earlier_checkpoint(self, tmp_path):
+        path = tmp_path / "model.cadp"
+        nn.save_checkpoint(path, [nn.Parameter("w", np.ones((2, 3))), nn.Parameter("b", np.ones(3))])
+        before = path.read_bytes()
+        # the second name cannot be encoded, so the writer raises after the first parameter
+        with pytest.raises(UnicodeEncodeError):
+            nn.save_checkpoint(path, [nn.Parameter("w", np.zeros((2, 3))), nn.Parameter("b\ud800", np.zeros(3))])
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["model.cadp"]
 
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "junk.cadp"

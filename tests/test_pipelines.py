@@ -749,6 +749,21 @@ class TestCli:
             args += ["--set", f"data.{key}={corpus_dir[key]}"]
         assert main(args) == 2
 
+    @pytest.mark.parametrize("command", ["train-embed", "train-asr"])
+    @pytest.mark.parametrize("value", ["0", "-3"])
+    @pytest.mark.parametrize("key", ["encoder.layers", "encoder.hidden", "encoder.embed_dim", "written.hidden",
+                                     "written.symbol_embed_dim", "training.batch_size"])
+    def test_non_positive_size_exits_with_config_error_before_any_output(self, corpus_dir, tmp_path,
+                                                                         command, value, key):
+        from awekit.cli import main
+
+        out = tmp_path / "run"
+        args = [command, "--seed", "9", "--out", str(out), "--set", f"{key}={value}"]
+        for name in ("train", "train_align", "dev", "dev_align", "lexicon"):
+            args += ["--set", f"data.{name}={corpus_dir[name]}"]
+        assert main(args) == 2
+        assert not out.exists()
+
     @pytest.mark.parametrize("strategy", ["uniform", "offending", "confusion"])
     def test_triplet_training_on_one_word_exits_with_data_error(self, tmp_path, strategy):
         from awekit.cli import main
