@@ -156,11 +156,9 @@ def run(args) -> dict:
         report = recognition.decode_archive(cfg, args.checkpoint, args.archive, args.out,
                                             align_path=args.align,
                                             extend_words_path=args.extend_words)
-    elif args.command == "export-embeddings":
+    else:  # export-embeddings; argparse admits no other command
         report = recognition.export_embeddings(args.checkpoint, args.archive, args.out,
                                                align_path=args.align, threads=cfg.threads)
-    else:  # pragma: no cover
-        raise ConfigError(f"unknown command {args.command}")
     summary = {k: v for k, v in report.items() if isinstance(v, (int, float, str))}
     print(json.dumps(summary, indent=1, sort_keys=True))
     return report

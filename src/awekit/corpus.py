@@ -286,7 +286,7 @@ def open_artifact(path, mode: str = "w"):
 
 
 def save_feature_archive(path, fms: list[FrameMatrix]):
-    with open(path, "wb") as f:
+    with open_artifact(path, "wb") as f:
         f.write(ARCHIVE_MAGIC)
         f.write(struct.pack("<II", ARCHIVE_VERSION, len(fms)))
         for fm in fms:
@@ -340,7 +340,7 @@ def load_feature_archive(path) -> list[FrameMatrix]:
 
 
 def save_alignments(path, alignments: list[WordAlignment]):
-    with open(path, "w", encoding="utf-8") as f:
+    with open_artifact(path) as f:
         f.write("# utterance_id\tstart\tend\tlabel\n")
         for al in alignments:
             for s, e, v in al.entries:
@@ -364,7 +364,7 @@ def load_alignments(path) -> dict[str, WordAlignment]:
 
 
 def save_lexicon(path, lex: Lexicon):
-    with open(path, "w", encoding="utf-8") as f:
+    with open_artifact(path) as f:
         f.write("# word\tsymbols\n")
         for w in sorted(lex.pronunciations):
             f.write(f"{w}\t{' '.join(lex.pronunciations[w])}\n")
@@ -385,7 +385,7 @@ def load_lexicon(path) -> Lexicon:
 
 
 def save_feature_table(path, ft: FeatureTable):
-    with open(path, "w", encoding="utf-8") as f:
+    with open_artifact(path) as f:
         f.write("feature_values\t" + ",".join(ft.feature_names) + "\n")
         for p in sorted(ft.table):
             vals = ",".join(f"{n}={int(v)}" for n, v in zip(ft.feature_names, ft.table[p]))

@@ -25,10 +25,10 @@ import numpy as np
 from . import autodiff as ad
 from . import nn
 from .autodiff import Tensor
-from .config import ConfigError
 from .corpus import FeatureTable, Lexicon, Vocabulary, phones_to_feature_rows
 
 FC_DIM = 256  # width of the optional fully-connected layers
+CELLS = {"lstm": nn.LstmParams, "gru": nn.GruParams}  # the recurrent cells of the acoustic encoder
 
 
 class EncoderError(Exception):
@@ -71,23 +71,13 @@ class AcousticEncoderConfig:
     subsample: int = 1  # mean-pool stride over frame outputs
     fc_layers: int = 0  # optional ReLU stack of width FC_DIM before the projection
 
-    def __post_init__(self):
-        if self.cell not in ("lstm", "gru"):
-            raise ConfigError(f"[encoder] unknown cell {self.cell!r}")
-        if self.pooling not in ("concat", "mean", "attention"):
-            raise ConfigError(f"[encoder] unknown pooling {self.pooling!r}")
-        if self.subsample < 1:
-            raise ConfigError("[encoder] subsample stride must be >= 1")
-        if not 0.0 <= self.dropout < 1.0:
-            raise ConfigError("[encoder] dropout must be in [0, 1)")
-
 
 class AcousticEncoder:
     """Stacked bidirectional recurrent encoder with pooling + projection."""
 
     def __init__(self, config: AcousticEncoderConfig, rng: np.random.Generator):
         self.config = config
-        make = nn.LstmParams.create if config.cell == "lstm" else nn.GruParams.create
+        make = CELLS[config.cell].create
         self.cells = []
         in_dim = config.input_dim
         for layer in range(config.layers):
@@ -264,10 +254,6 @@ class WrittenEncoderConfig:
     hidden: int = 128
     embed_dim: int = 64
 
-    def __post_init__(self):
-        if self.mode not in ("char", "phone", "feature"):
-            raise ConfigError(f"[written] unknown mode {self.mode!r}")
-
 
 class WrittenEncoder:
     """Symbol-sequence encoder: embedding, 1-layer bi-LSTM, concat pooling,
@@ -387,8 +373,6 @@ class PredictionLayer:
 
     def __init__(self, vocab: Vocabulary, embed_dim: int, rng: np.random.Generator, mode: str = "static",
                  unit_normalized: bool = False):
-        if mode not in ("static", "dynamic"):
-            raise EncoderError(f"unknown prediction-layer mode {mode!r}")
         self.vocab = vocab
         self.embed_dim = embed_dim
         self.mode = mode

@@ -380,8 +380,6 @@ class PlateauScheduler:
     """
 
     def __init__(self, lr: float, patience: int, factor: float, min_lr: float, mode: str = "max"):
-        if not 0.0 < factor <= 1.0:
-            raise ValueError("factor must be in (0, 1]")
         if mode not in ("max", "min"):
             raise ValueError("mode must be 'max' or 'min'")
         self.lr = lr

@@ -27,19 +27,18 @@ class ObjectiveError(Exception):
     pass
 
 
+# The negative-selection strategies each embedding loss runs.
+STRATEGIES = {"multiview": ("hard", "semi-hard", "uniform"),
+              "triplet": ("uniform", "confusion", "offending")}
+
+
 @dataclass(frozen=True)
 class SamplingConfig:
-    """Negative-sampling policy: k negatives per item and the selection
+    """Negative-sampling policy: k >= 1 negatives per item and the selection
     strategy."""
 
     k: int = 10
-    strategy: str = "hard"  # hard | semi-hard | uniform | confusion
-
-    def __post_init__(self):
-        if self.k < 1:
-            raise ObjectiveError("k must be >= 1")
-        if self.strategy not in ("hard", "semi-hard", "uniform", "confusion"):
-            raise ObjectiveError(f"unknown sampling strategy {self.strategy!r}")
+    strategy: str = "hard"
 
 
 @dataclass
@@ -208,16 +207,15 @@ def multiview_loss(
 ) -> Tensor:
     """Contrastive multi-view objective over a batch.
 
-    Sums the selected loss terms over items; each term averages its hinge
-    values over the selected negative set (empty sets contribute 0). With
-    ``sqrt_variant`` each per-item term value is taken to the power 0.5.
+    Sums the selected loss ``terms`` (distinct members of {0, 1, 2}) over
+    items; each term averages its hinge values over the selected negative
+    set (empty sets contribute 0). With ``sqrt_variant`` each per-item
+    term value is taken to the power 0.5.
     ``isolated`` vs ``contextual`` training differ only in how the batch's
     acoustic embeddings were produced (whole-segment encoding vs pooling
     inside utterances); this function sees only the embeddings.
     """
     terms = tuple(terms)
-    if not terms or any(t not in (0, 1, 2) for t in terms) or len(set(terms)) != len(terms):
-        raise ObjectiveError("terms must be a non-empty subset of {0, 1, 2}")
     if sampling.strategy == "confusion":
         raise ObjectiveError("confusion sampling applies to single-view triplets only")
     if sampling.strategy == "uniform" and rng is None:
@@ -300,10 +298,6 @@ def combine_joint(asr_loss: Tensor, emb_loss: Tensor | None, reg_loss: Tensor | 
     additive: asr + lambda_emb*emb + lambda_reg*reg
     convex:   (1-lambda_reg)*asr + lambda_reg*reg + lambda_emb*emb
     """
-    if not 0.0 <= lambda_emb <= 1.0 or not 0.0 <= lambda_reg <= 1.0:
-        raise ObjectiveError("lambda weights must be in [0, 1]")
-    if scheme not in SCHEMES:
-        raise ObjectiveError(f"unknown combination scheme {scheme!r}")
     total = ad.scale(asr_loss, 1.0 - lambda_reg) if scheme == "convex" else asr_loss
     if reg_loss is not None and lambda_reg > 0:
         total = ad.add(total, ad.scale(reg_loss, lambda_reg))

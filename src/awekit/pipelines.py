@@ -46,7 +46,7 @@ from . import nn
 from . import objectives as obj
 from . import search as srch
 from .autodiff import Tape, Tensor
-from .config import SCHEMA_VERSION, ConfigError, ExperimentConfig, component_rng
+from .config import DEFAULTS, SCHEMA_VERSION, ConfigError, ExperimentConfig, component_rng
 
 
 class DataError(Exception):
@@ -111,11 +111,11 @@ def load_dataset(cfg: ExperimentConfig) -> Dataset:
 
 
 def _frame_window(cfg: ExperimentConfig) -> tuple[int, int]:
-    """The [training] segment lengths (min_frames, max_frames) in frames."""
+    """The [training] segment lengths (min_frames, max_frames) in frames,
+    read here by every trainer and evaluation; ConfigError when max_frames
+    is below min_frames."""
     min_frames = cfg.getint("training", "min_frames")
     max_frames = cfg.getint("training", "max_frames")
-    if min_frames < 1:
-        raise ConfigError("[training] min_frames must be >= 1")
     if max_frames < min_frames:
         raise ConfigError(f"[training] max_frames {max_frames} is below min_frames {min_frames}")
     return min_frames, max_frames
@@ -209,12 +209,9 @@ def build_written_encoder(cfg: ExperimentConfig, ds: Dataset, labels, f: enc.Aco
 
 
 def build_optimizer(cfg: ExperimentConfig):
-    kind = cfg.get("optimizer", "kind")
-    if kind == "adam":
+    if cfg.get("optimizer", "kind") == "adam":
         return nn.Adam(cfg.getfloat("optimizer", "lr"))
-    if kind == "sgd":
-        return nn.NesterovSGD(cfg.getfloat("optimizer", "lr"), cfg.getfloat("optimizer", "momentum"))
-    raise ConfigError(f"unknown optimizer {kind!r}")
+    return nn.NesterovSGD(cfg.getfloat("optimizer", "lr"), cfg.getfloat("optimizer", "momentum"))
 
 
 def _snapshot(params):
@@ -236,9 +233,32 @@ def save_model(path, params, meta: dict):
     _dump_json(str(path) + ".json", meta)
 
 
+# The fields a checkpoint's metadata holds, by model, and their types.
+META_FIELDS = {"embed": {"objective": str, "input_dim": int, "train_labels": list},
+               "asr": {"kind": str, "input_dim": int, "vocab": list, "unk": (str, type(None)),
+                       "has_written": bool}}
+
+
 def load_model_meta(path) -> dict:
-    with open(str(path) + ".json", encoding="utf-8") as f:
-        return json.load(f)
+    """A checkpoint's sidecar metadata, its echoed config reduced to the
+    keys of DEFAULTS (removed keys are ignored). CheckpointError when the
+    sidecar is not JSON, lacks a config key or lacks a field of the right
+    type; ConfigError when a config value breaks the schema."""
+    try:
+        with open(str(path) + ".json", encoding="utf-8") as f:
+            meta = json.load(f)
+        fields = META_FIELDS[meta["model"]].items()
+        bad = [field for field, kind in fields if not isinstance(meta.get(field), kind)]
+        config = {s: {k: str(meta["config"][s][k]) for k in keys} for s, keys in DEFAULTS.items()}
+    except (ValueError, KeyError, TypeError) as e:  # JSONDecodeError and UnicodeDecodeError are ValueErrors
+        raise nn.CheckpointError(f"{path}.json: not checkpoint metadata, {e!r}") from e
+    if bad:
+        raise nn.CheckpointError(f"{path}.json: no {', '.join(bad)} of the right type")
+    try:
+        ExperimentConfig(config).check()
+    except ConfigError as e:
+        raise ConfigError(f"{path}.json: {e}") from e
+    return {**meta, "config": config}
 
 
 def _load_if_exists(cfg: ExperimentConfig, key: str, load):
@@ -277,14 +297,9 @@ def rebuild_embed_model(checkpoint: str):
 # The training objective
 
 
-# The negative-selection strategies each embedding loss runs.
-STRATEGIES = {"multiview": ("hard", "semi-hard", "uniform"),
-              "triplet": ("uniform", "confusion", "offending")}
-
-
 class Objective:
-    """The [objective] section of a run, read once and checked, with its k
-    schedule and the multi-view batch loss."""
+    """The [objective] section of a run, read once, with its k schedule
+    and the multi-view batch loss."""
 
     def __init__(self, cfg: ExperimentConfig):
         self.kind = cfg.get("objective", "kind")
@@ -298,16 +313,12 @@ class Objective:
         self.sqrt_variant = cfg.getbool("objective", "sqrt_variant")
         self.extras = cfg.getint("objective", "extras")
         self.confusion_threshold = cfg.getfloat("objective", "confusion_threshold")
-        if not self.terms or len(set(self.terms) & {0, 1, 2}) != len(self.terms):
-            raise ConfigError("[objective] terms must be distinct members of {0, 1, 2}")
-        if self.k < 1:
-            raise ConfigError("[objective] k must be >= 1")
 
     def check_strategy(self, loss: str):
         """ConfigError unless the ``loss`` ("multiview" or "triplet") runs the strategy."""
-        if self.strategy not in STRATEGIES[loss]:
+        if self.strategy not in obj.STRATEGIES[loss]:
             raise ConfigError(f"[objective] strategy {self.strategy!r}: "
-                              f"the {loss} loss runs {STRATEGIES[loss]}")
+                              f"the {loss} loss runs {obj.STRATEGIES[loss]}")
 
     def k_at(self, batches_done: int) -> int:
         """Negatives per item after ``batches_done`` batches: with k_end > 0,
@@ -425,11 +436,8 @@ def train_epochs(cfg: ExperimentConfig, outdir: str, params, lengths, batch_loss
     the best metric is kept, and a metric plateau resets to it."""
     optimizer = build_optimizer(cfg)
     factor = cfg.getfloat("scheduler", "factor")
-    try:
-        scheduler = nn.PlateauScheduler(optimizer.lr, cfg.getint("scheduler", "patience"), factor,
-                                        cfg.getfloat("scheduler", "min_lr"), mode)
-    except ValueError as e:  # a factor outside (0, 1]
-        raise ConfigError(f"[scheduler] {e}") from e
+    scheduler = nn.PlateauScheduler(optimizer.lr, cfg.getint("scheduler", "patience"), factor,
+                                    cfg.getfloat("scheduler", "min_lr"), mode)
     loss_rule = nn.LossPlateauHeuristic(optimizer.lr, factor) \
         if cfg.get("scheduler", "rule") == "loss-heuristic" else None
     shuffle_rng = component_rng(cfg.seed, "shuffle")
@@ -477,15 +485,13 @@ def train_epochs(cfg: ExperimentConfig, outdir: str, params, lengths, batch_loss
 
 
 def train_embed(cfg: ExperimentConfig, outdir: str) -> dict:
-    os.makedirs(outdir, exist_ok=True)
     seed = cfg.seed
     objective = Objective(cfg)
     kind = objective.kind
-    if kind not in ("multiview", "triplet", "classifier"):
-        raise ConfigError(f"unknown objective kind {kind!r}")
     if kind != "classifier":
         objective.check_strategy(kind)
     min_f, max_f = _frame_window(cfg)
+    os.makedirs(outdir, exist_ok=True)
     ds = load_dataset(cfg)
     use_augment = cfg.getbool("training", "spec_augment")
 
@@ -714,11 +720,8 @@ def _write_report(out_path, report: dict):
 
 
 def _window_config(cfg: ExperimentConfig) -> srch.WindowConfig:
-    sizes = cfg.getints("search", "window_sizes")
-    kwargs = {"stride": cfg.getint("search", "stride")}
-    if sizes:
-        kwargs["sizes"] = sizes
-    return srch.WindowConfig(**kwargs)
+    return srch.WindowConfig(cfg.getints("search", "window_sizes") or srch.default_window_sizes(),
+                             cfg.getint("search", "stride"))
 
 
 def build_search_index(cfg: ExperimentConfig, checkpoint: str, archive_path: str, out_path: str) -> dict:

@@ -25,6 +25,7 @@ from .corpus import open_artifact
 
 INDEX_MAGIC = b"CADI"
 INDEX_VERSION = 1
+MAX_BITS = 4096  # the most hyperplanes an index may have: 4x the paper's 1024
 
 
 class SearchError(Exception):
@@ -39,18 +40,11 @@ def default_window_sizes() -> tuple:
 class WindowConfig:
     """Sliding-window generation and query-length admissibility: a window
     is admissible for a query of L frames when its size is in
-    [2L/3, 4L/3]."""
+    [2L/3, 4L/3]. The sizes are strictly increasing and the stride is at
+    least 1, as the [search] schema requires."""
 
     sizes: tuple = field(default_factory=default_window_sizes)
     stride: int = 5
-
-    def __post_init__(self):
-        sizes = tuple(int(s) for s in self.sizes)
-        object.__setattr__(self, "sizes", sizes)
-        if any(b <= a for a, b in zip(sizes, sizes[1:])) or not sizes:
-            raise SearchError("window sizes must be strictly increasing")
-        if self.stride < 1:
-            raise SearchError("stride must be >= 1")
 
     def admissible_sizes(self, query_len: int) -> tuple:
         lo = 2.0 / 3.0 * query_len
@@ -282,6 +276,8 @@ def load_index(path) -> PermutedSignatureIndex:
             raise SearchError(f"corrupt index file: negative hyperplane seed {seed}")
         if N == 0 or P == 0:  # never written; only N, P >= 1 tie b and d to the file size
             raise SearchError(f"corrupt index file: {N} entries, {P} permutations")
+        if not 1 <= b <= MAX_BITS:  # bounded, b x d hyperplanes grow only linearly with the file
+            raise SearchError(f"corrupt index file: {b} bits, not in [1, {MAX_BITS}]")
         off = 4 + struct.calcsize("<IIIqII")
         refs = []
         for _ in range(N):

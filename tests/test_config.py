@@ -1,0 +1,87 @@
+"""The config schema: every value outside a key's spec ends in exit code
+2 before any data is read or any output is made, and the defaults and
+every preset meet it."""
+
+import pytest
+
+from awekit import config, corpus
+from awekit.cli import main
+from awekit.config import ConfigError, ExperimentConfig
+
+
+def outside(spec, default) -> list:
+    """Values of a key with this spec and default that break the spec."""
+    if spec.type is str and not spec.choices:
+        return []
+    values = ["bogus"] if spec.type is str else ["maybe"] if spec.type is bool else ["x"]
+    if default:
+        values.append("")
+    if spec.type is float:
+        values += ["nan", "inf"]
+    if spec.type is tuple:
+        values.append("2 1")
+    step = 0.5 if spec.type is float else 1
+    for bound, value in ((spec.ge, (spec.ge or 0) - step), (spec.gt, spec.gt),
+                         (spec.le, (spec.le or 0) + step), (spec.lt, spec.lt)):
+        if bound is not None:
+            values.append(str(value))
+    return values
+
+
+CHECKED = [(section, key) for section, keys in config.SCHEMA.items() for key, (default, spec) in keys.items()
+           if outside(spec, default)]
+
+
+@pytest.fixture
+def data_args(tmp_path, monkeypatch):
+    """--set arguments naming [data] files that exist, and loaders that fail
+    the test if a command reads them."""
+    def read(*args, **kwargs):
+        raise AssertionError("data read before the config was checked")
+
+    for name in ("load_feature_archive", "load_alignments", "load_lexicon", "load_feature_table"):
+        monkeypatch.setattr(corpus, name, read)
+    args = []
+    for key in config.DEFAULTS["data"]:
+        (tmp_path / key).write_text("")
+        args += ["--set", f"data.{key}={tmp_path / key}"]
+    return args
+
+
+@pytest.mark.parametrize("preset", [None, *sorted(config.PRESETS)])
+def test_defaults_and_presets_meet_the_schema(preset):
+    ExperimentConfig.load(None, preset=preset)  # load checks every key
+    ExperimentConfig.load(None, preset=preset, overrides={("run", "seed"): "7"})
+
+
+@pytest.mark.parametrize("section,key", CHECKED, ids=[f"{s}.{k}" for s, k in CHECKED])
+def test_value_outside_spec_exits_2_before_data_or_output(tmp_path, data_args, capsys, section, key):
+    default, spec = config.SCHEMA[section][key]
+    out = tmp_path / "run"
+    seed = [] if (section, key) == ("run", "seed") else ["--seed", "9"]
+    for value in outside(spec, default):
+        # rejected when the config is loaded, so no array, thread pool or file is made for it
+        with pytest.raises(ConfigError, match=rf"\[{section}\] {key} = "):
+            ExperimentConfig.load(None, overrides={(section, key): value})
+        assert main(["train-embed", *seed, *data_args, "--set", f"{section}.{key}={value}",
+                     "--out", str(out)]) == 2, value
+        assert f"[{section}] {key} = {value!r}" in capsys.readouterr().err
+        assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["train-embed", "index"])
+@pytest.mark.parametrize("args", [
+    ["--set", "optimizer.lr=-1"], ["--set", "training.epochs=-1"], ["--set", "objective.margin=-5"],
+    ["--set", "scheduler.patience=-1"], ["--set", "objective.confusion_threshold=7"],
+    ["--set", "run.threads=0"], ["--threads", "0"], ["--set", "search.beamwidth=0"],
+    ["--set", "scheduler.rule=bogus"], ["--set", "search.bits=0"], ["--set", "search.bits=-3"],
+    ["--set", "search.permutations=0"], ["--set", "search.stride=0"], ["--set", "optimizer.kind=bogus"],
+    ["--set", "search.bits=4097"], ["--seed", "-1"], ["--seed", str(2**63)],
+], ids=" ".join)
+def test_values_that_once_ran_or_failed_late_exit_2(tmp_path, data_args, command, args):
+    out = tmp_path / "out" / "x"
+    seed = [] if "--seed" in args else ["--seed", "9"]
+    extra = ["--checkpoint", str(tmp_path / "none.cadp"), "--archive", str(tmp_path / "none.cadf")] \
+        if command == "index" else []
+    assert main([command, *seed, *data_args, *args, *extra, "--out", str(out)]) == 2
+    assert not (tmp_path / "out").exists()

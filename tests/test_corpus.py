@@ -140,6 +140,37 @@ class TestTsvFormats:
             np.testing.assert_array_equal(back.table[p], ft.table[p])
 
 
+# Each writer's second item is named by a lone surrogate, which UTF-8
+# cannot encode, so the writer raises after writing the first.
+BAD = "b\ud800"
+HALFWAY = {
+    "archive": (corpus.save_feature_archive, [_fm("a"), _fm(BAD)]),
+    "alignments": (corpus.save_alignments,
+                   [WordAlignment("a", ((0, 3, "x"),)), WordAlignment(BAD, ((0, 3, "x"),))]),
+    "lexicon": (corpus.save_lexicon, Lexicon.from_dict({"a": ("x",), BAD: ("y",)})),
+    "feature_table": (corpus.save_feature_table, FeatureTable.from_dict(("f",), {"a": [0], BAD: [1]})),
+}
+INTACT = {
+    "archive": [_fm("a")], "alignments": [WordAlignment("a", ((0, 3, "x"),))],
+    "lexicon": Lexicon.from_dict({"a": ("x",)}), "feature_table": FeatureTable.from_dict(("f",), {"a": [0]}),
+}
+
+
+@pytest.mark.parametrize("earlier", [False, True], ids=["new", "replace"])
+@pytest.mark.parametrize("kind", list(HALFWAY))
+def test_writer_raising_halfway_leaves_no_partial_file(tmp_path, kind, earlier):
+    save, items = HALFWAY[kind]
+    path = tmp_path / "out"
+    if earlier:
+        save(path, INTACT[kind])
+        before = path.read_bytes()
+    with pytest.raises(UnicodeEncodeError):
+        save(path, items)
+    assert [p.name for p in tmp_path.iterdir()] == (["out"] if earlier else [])
+    if earlier:
+        assert path.read_bytes() == before
+
+
 class TestExtractSegments:
     def test_single_entry_within_bounds(self):
         fm = _fm(T=12)

@@ -1,15 +1,21 @@
-"""Seeded byte-flip fuzz of the three binary formats.
+"""Seeded byte-flip fuzz of the three binary formats and of checkpoint
+metadata.
 
-A small CADF feature archive, CADP checkpoint and CADI index each get
-1-3 random bytes replaced, a few hundred times. Every load must either
-succeed or raise the format's documented error, which the CLI maps to
-exit code 3; anything else would end in a traceback.
+A small CADF feature archive, CADP checkpoint, CADI index and a
+checkpoint's JSON metadata each get 1-3 random bytes replaced, a few
+hundred times. Every load must either succeed or raise the format's
+documented error, which the CLI maps to exit code 3 (or, for a metadata
+config value outside the schema, to exit code 2); anything else would
+end in a traceback.
 """
+
+import json
+import shutil
 
 import numpy as np
 import pytest
 
-from awekit import corpus, nn, search
+from awekit import config, corpus, nn, pipelines, search
 from awekit.corpus import FrameMatrix
 from awekit.search import SegmentKey
 
@@ -37,7 +43,20 @@ def _cadi(path):
     return search.load_index, search.SearchError
 
 
-@pytest.mark.parametrize("write", [_cadf, _cadp, _cadi], ids=["cadf", "cadp", "cadi"])
+def _sidecar(path):
+    cfg = config.ExperimentConfig.load(None, preset="ch5-multiview", overrides={("run", "seed"): "1"})
+    meta = {"version": config.SCHEMA_VERSION, "model": "embed", "objective": "multiview", "input_dim": 3,
+            "config": cfg.resolved(), "train_labels": ["ab", "cd"]}
+    path.write_text(json.dumps(meta, indent=1, sort_keys=True), encoding="utf-8")
+
+    def load(p):  # load_model_meta reads <checkpoint>.json
+        shutil.copyfile(p, f"{p}.json")
+        return pipelines.load_model_meta(p)
+
+    return load, (nn.CheckpointError, config.ConfigError)
+
+
+@pytest.mark.parametrize("write", [_cadf, _cadp, _cadi, _sidecar], ids=["cadf", "cadp", "cadi", "sidecar"])
 def test_flipped_bytes_load_or_raise_the_documented_error(tmp_path, write):
     path = tmp_path / "original"
     load, error = write(path)

@@ -685,6 +685,26 @@ class TestCli:
             fh.truncate(100)
         assert main(["eval-ap", *common, "--checkpoint", ckpt, "--out", str(tmp_path / "ap.json")]) == 3
 
+    @pytest.mark.parametrize("damage,code", [
+        (lambda text: text[:50], 3), (lambda text: "{}", 3), (lambda text: "[]", 3),
+        (lambda text: text.replace('"train_labels"', '"labels"'), 3),
+        (lambda text: text.replace('"input_dim": ', '"input_dim": "x", "old_input_dim": '), 3),
+        (lambda text: text.replace('"cell": "lstm"', '"cell": "foo"'), 2),
+        (lambda text: text.replace('"bits": "1024"', '"bits": "1000000"'), 2),
+    ], ids=["cut-to-50-bytes", "empty-object", "list", "no-train-labels", "input-dim-string", "cell-foo",
+        "bits-above-bound"])
+    def test_corrupt_checkpoint_metadata_exit_code(self, corpus_dir, embed_checkpoint, tmp_path, damage, code):
+        from awekit.cli import main
+
+        ckpt = tmp_path / "embed.cadp"
+        ckpt.write_bytes(open(embed_checkpoint, "rb").read())
+        meta = open(embed_checkpoint + ".json", encoding="utf-8").read()
+        assert damage(meta) != meta
+        (tmp_path / "embed.cadp.json").write_text(damage(meta), encoding="utf-8")
+        out = tmp_path / "ap.json"
+        assert main(["eval-ap", *_data_args(corpus_dir), "--checkpoint", str(ckpt), "--out", str(out)]) == code
+        assert not out.exists()
+
     def test_non_finite_loss_exit_code(self, corpus_dir, tmp_path, monkeypatch):
         from awekit.cli import main
 

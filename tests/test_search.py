@@ -248,6 +248,26 @@ class TestIndex:
         with pytest.raises(search.SearchError, match="0 entries"):
             search.load_index(path)
 
+    @pytest.mark.parametrize("bits", [search.MAX_BITS, search.MAX_BITS + 1])
+    def test_header_bits_bounded_before_any_hyperplane(self, tmp_path, monkeypatch, bits):
+        # a sound one-entry, one-permutation file whose header asks for
+        # ``bits`` hyperplanes; only the bound on b can refuse it
+        uid = b"u0"
+        data = (search.INDEX_MAGIC + struct.pack("<IIIqII", search.INDEX_VERSION, bits, 1, 1, 1, 2)
+                + struct.pack("<H", len(uid)) + uid + struct.pack("<II", 0, 10) + bytes((bits + 7) // 8)
+                + np.arange(bits, dtype="<u4").tobytes() + np.zeros(1, "<u4").tobytes()
+                + np.array([1.0, 0.0], "<f4").tobytes())
+        path = tmp_path / "wide.cadi"
+        path.write_bytes(data)
+        if bits <= search.MAX_BITS:
+            assert search.load_index(path).planes.bits == bits
+            return
+        drawn = []
+        monkeypatch.setattr(search.HyperplaneSet, "create", lambda *args: drawn.append(args))
+        with pytest.raises(search.SearchError, match=f"{bits} bits"):
+            search.load_index(path)
+        assert drawn == []
+
 
 def oracle_ranked_hits(query, index, beamwidth):
     """``query_index`` as a list of (ref, score) tuples, one per candidate."""
