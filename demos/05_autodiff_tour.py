@@ -46,7 +46,7 @@ print(f"   -log P(labels) = {float(loss.values):.4f}; grad vs FD: {err:.2e}")
 print("\n== the segmental loss marginalizes over segmentations instead")
 U = rng.standard_normal((6, 3, 2))  # frames x max segment length x vocab
 loss, grad = segmental.seg_gradient_value(U, [0, 1])
-path = segmental.viterbi_decode(U)
+path = segmental.viterbi_decode(U)[0]
 path_score = path.score(U)
 print(f"   marginal loss {loss:.4f}; best path {path.segments} scoring {path_score:.3f}")
 eps = 1e-5

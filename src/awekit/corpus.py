@@ -339,6 +339,15 @@ def load_feature_archive(path) -> list[FrameMatrix]:
 # TSV I/O
 
 
+def _int_field(path, ln: int, field: str, text: str) -> int:
+    """``text`` as an integer; CorpusError naming the file, line and field
+    otherwise."""
+    try:
+        return int(text)
+    except ValueError:
+        raise CorpusError(f"{path}:{ln}: field {field} = {text!r} is not an integer") from None
+
+
 def save_alignments(path, alignments: list[WordAlignment]):
     with open_artifact(path) as f:
         f.write("# utterance_id\tstart\tend\tlabel\n")
@@ -359,7 +368,8 @@ def load_alignments(path) -> dict[str, WordAlignment]:
             if len(parts) != 4:
                 raise CorpusError(f"{path}:{ln}: expected 4 tab-separated fields")
             uid, s, e, v = parts
-            rows.setdefault(uid, []).append((int(s), int(e), v))
+            entry = (_int_field(path, ln, "start", s), _int_field(path, ln, "end", e), v)
+            rows.setdefault(uid, []).append(entry)
     return {uid: WordAlignment(uid, tuple(entries)) for uid, entries in rows.items()}
 
 
@@ -421,7 +431,10 @@ def load_feature_table(path) -> FeatureTable:
                 name, _, val = item.rpartition("=")
                 if name not in index:
                     raise CorpusError(f"{path}:{ln}: unknown feature value {name!r}")
-                vec[index[name]] = int(val)
+                value = _int_field(path, ln, name, val)
+                if value not in (0, 1):
+                    raise CorpusError(f"{path}:{ln}: field {name} = {val!r} must be 0 or 1")
+                vec[index[name]] = value
             table[parts[0]] = vec
     if names is None:
         raise CorpusError(f"{path}: missing feature_values header")

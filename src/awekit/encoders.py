@@ -191,39 +191,46 @@ class AcousticEncoder:
                 pooled.append(ad.reshape(ad.matmul(ad.reshape(w, (1, e - s)), rows), (self.frame_width,)))
         return ad.stack(pooled, axis=0)
 
-    def pool_all_segments(self, outputs: Tensor, max_len: int):
-        """Pool every segment (start t, length s <= max_len) of one
-        utterance's (T, W) frame outputs into (n, W) rows, length-major
-        (all length-1 segments by start, then length-2, ...): the row
-        order of ``segmental.segment_grid``.
+    def pool_all_segments(self, outputs: Tensor, grid: np.ndarray) -> Tensor:
+        """Pool every segment of a batch's (B, T, W) frame outputs into
+        (n, W) rows. ``grid`` is ``segmental.segment_grid``'s (B, T', S)
+        map of segment (row b, start t, length s) to a packed row, -1 where
+        t + s runs past row b's length; its rows are numbered length-major
+        (all length-1 segments by row and start, then length-2, ...), and
+        the pooled rows come out in that order.
         """
-        T, W = outputs.values.shape
-        S = min(max_len, T)
+        B, T, W = outputs.values.shape
+        s0, b, t = np.nonzero(grid.transpose(2, 0, 1) >= 0)  # row order
+        start = b * T + t  # into the (B*T, W) frames
         mode = self.config.pooling
-        blocks = []
         if mode == "concat":
-            h = W // 2
-            for s in range(1, S + 1):
-                fw = ad.getitem(outputs, (slice(s - 1, T), slice(0, h)))
-                bw = ad.getitem(outputs, (slice(0, T - s + 1), slice(h, W)))
-                blocks.append(ad.concat([fw, bw], axis=1))
-        elif mode == "mean":
-            # window sums as differences of one cumulative sum
-            cum0 = ad.concat([ad.constant(np.zeros((1, W))), ad.cumsum_rows(outputs)], axis=0)
-            for s in range(1, S + 1):
-                hi = ad.getitem(cum0, slice(s, T + 1))
-                lo = ad.getitem(cum0, slice(0, T - s + 1))
-                blocks.append(ad.scale(ad.sub(hi, lo), 1.0 / s))
-        else:  # attention
-            r = self.attention_vector.tensor
-            scores = ad.reshape(ad.matmul(outputs, ad.reshape(r, (W, 1))), (T,))
-            for s in range(1, S + 1):
-                n = T - s + 1
-                win = np.arange(s)[None, :] + np.arange(n)[:, None]  # (n, s)
-                w8 = ad.softmax(ad.getitem(scores, win), axis=1)
-                rows = ad.getitem(outputs, win.reshape(-1))  # (n*s, W)
-                prod = ad.row_scale(rows, ad.reshape(w8, (n * s,)))
-                blocks.append(ad.sum_(ad.reshape(prod, (n, s, W)), axis=1))
+            # frame i's forward half is half-row 2i and its backward half 2i+1:
+            # segment (t, s) is [fw at t+s-1, bw at t], one gather of half-rows
+            idx = np.stack([2 * (start + s0), 2 * start + 1], axis=1)
+            rows = ad.gather_rows(ad.reshape(outputs, (2 * B * T, W // 2)), idx.reshape(-1))
+            return ad.reshape(rows, (len(start), W))
+        if mode == "mean":
+            # window sums as differences of one cumulative sum per row
+            cum = ad.concat([ad.constant(np.zeros((B, 1, W))), ad.cumsum(outputs, axis=1)], axis=1)
+            cum = ad.reshape(cum, (B * (T + 1), W))
+            lo = b * (T + 1) + t
+            hi = ad.gather_rows(cum, lo + s0 + 1)
+            return ad.mul_const(ad.sub(hi, ad.gather_rows(cum, lo)), 1.0 / (s0[:, None] + 1.0))
+        # attention: one softmax over each window, all windows of a length at once
+        frames = ad.reshape(outputs, (B * T, W))
+        r = self.attention_vector.tensor
+        scores = ad.reshape(ad.matmul(frames, ad.reshape(r, (W, 1))), (B * T,))
+        blocks = []
+        for s in range(1, grid.shape[2] + 1):
+            first = start[s0 == s - 1]
+            if not first.size:
+                break
+            n = first.size
+            win = first[:, None] + np.arange(s)  # (n, s)
+            w8 = ad.softmax(ad.getitem(scores, win), axis=1)
+            rows = ad.gather_rows(frames, win.reshape(-1))  # (n*s, W)
+            prod = ad.row_scale(rows, ad.reshape(w8, (n * s,)))
+            blocks.append(ad.sum_(ad.reshape(prod, (n, s, W)), axis=1))
         return ad.concat(blocks, axis=0)
 
     def span_embeddings(self, outputs: Tensor, spans) -> Tensor:
@@ -338,7 +345,7 @@ class WrittenEncoder:
                     if sym not in self.symbol_index:
                         raise EncoderError(f"symbol {sym!r} not in inventory")
                     ids[i, j] = self.symbol_index[sym]
-            flat = ad.embedding_lookup(self.embed_table.tensor, ids.reshape(-1))
+            flat = ad.gather_rows(self.embed_table.tensor, ids.reshape(-1))
         return ad.reshape(flat, (n, L, E)), mask
 
     def embed_sequences(self, seqs) -> Tensor:

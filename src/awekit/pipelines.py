@@ -233,10 +233,17 @@ def save_model(path, params, meta: dict):
     _dump_json(str(path) + ".json", meta)
 
 
-# The fields a checkpoint's metadata holds, by model, and their types.
+# The fields a checkpoint's metadata holds, by model, and their types; a
+# list holds strings.
 META_FIELDS = {"embed": {"objective": str, "input_dim": int, "train_labels": list},
                "asr": {"kind": str, "input_dim": int, "vocab": list, "unk": (str, type(None)),
                        "has_written": bool}}
+
+
+def _meta_type_ok(value, kind) -> bool:
+    if kind is list:
+        return isinstance(value, list) and all(isinstance(item, str) for item in value)
+    return isinstance(value, kind)
 
 
 def load_model_meta(path) -> dict:
@@ -248,7 +255,7 @@ def load_model_meta(path) -> dict:
         with open(str(path) + ".json", encoding="utf-8") as f:
             meta = json.load(f)
         fields = META_FIELDS[meta["model"]].items()
-        bad = [field for field, kind in fields if not isinstance(meta.get(field), kind)]
+        bad = [field for field, kind in fields if not _meta_type_ok(meta.get(field), kind)]
         config = {s: {k: str(meta["config"][s][k]) for k in keys} for s, keys in DEFAULTS.items()}
     except (ValueError, KeyError, TypeError) as e:  # JSONDecodeError and UnicodeDecodeError are ValueErrors
         raise nn.CheckpointError(f"{path}.json: not checkpoint metadata, {e!r}") from e
@@ -313,6 +320,13 @@ class Objective:
         self.sqrt_variant = cfg.getbool("objective", "sqrt_variant")
         self.extras = cfg.getint("objective", "extras")
         self.confusion_threshold = cfg.getfloat("objective", "confusion_threshold")
+
+    def check_schedule(self):
+        """ConfigError when k_end exceeds k, which would train with k_end
+        negatives from the first batch. Only training checks it, so
+        checkpoints saved with such a config still evaluate."""
+        if self.k_end > self.k:
+            raise ConfigError(f"[objective] k_end = {self.k_end} must not exceed k = {self.k}")
 
     def check_strategy(self, loss: str):
         """ConfigError unless the ``loss`` ("multiview" or "triplet") runs the strategy."""
@@ -487,6 +501,7 @@ def train_epochs(cfg: ExperimentConfig, outdir: str, params, lengths, batch_loss
 def train_embed(cfg: ExperimentConfig, outdir: str) -> dict:
     seed = cfg.seed
     objective = Objective(cfg)
+    objective.check_schedule()
     kind = objective.kind
     if kind != "classifier":
         objective.check_strategy(kind)

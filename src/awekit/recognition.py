@@ -10,7 +10,10 @@ the contrastive embedding loss with a live written encoder. Lexicon mode
 them from the written encoder every batch. ``train_asr`` runs the shared
 loop ``pipelines.train_epochs`` with the recognizer's batch loss and its
 dev WER. One batch loss, ``asr_batch_loss``, serves both recognizers: it
-encodes the batch and sums the per-utterance CTC or segmental losses.
+encodes the batch, then sums the per-utterance CTC losses or takes the
+segmental loss of the whole batch, whose lattices are scored, summed over
+and differentiated in one pass (see ``segmental``). Decoding encodes,
+scores and Viterbi-decodes length-sorted batches.
 """
 
 from __future__ import annotations
@@ -217,28 +220,22 @@ def _transcript_ids(model, al: cp.WordAlignment):
 
 
 def asr_batch_loss(model, fms, alignments, s_max: int, rng):
-    """(summed recognizer loss, transcript words, encoder output) of a
-    training batch. Each utterance adds its CTC loss, or its segmental
-    marginal loss with the batch's segment cap (at most ``s_max``)."""
+    """(recognizer loss summed over a training batch, transcript words,
+    encoder output). CTC adds each utterance's loss; the segmental loss is
+    one marginal loss over the batch's lattices with the batch's segment
+    cap (at most ``s_max``)."""
     out, lengths = model.f.encode([fm.frames for fm in fms], train=True, rng=rng)
-    if model.kind == "ctc":
-        _, log_probs, T = _ctc_frame_logits(model, out)
-
-        def utterance_loss(i, ids):
-            return ctc_mod.ctc_loss(ad.getitem(log_probs, slice(i * T, i * T + int(lengths[i]))), ids)
-    else:
-        s_cap = segm.batch_segment_cap(lengths, [len(alignments[fm.utterance_id]) for fm in fms], s_max)
-
-        def utterance_loss(i, ids):
-            H = ad.getitem(out, (i, slice(0, int(lengths[i]))))
-            return segm.seg_loss(segm.score_segments(model.f, H, model.pl, s_cap), ids)
+    transcripts = [_transcript_ids(model, alignments[fm.utterance_id]) for fm in fms]
+    n = sum(len(ids) for ids in transcripts)
+    if model.kind != "ctc":
+        s_cap = segm.batch_segment_cap(lengths, [len(ids) for ids in transcripts], s_max)
+        scores = segm.score_segments(model.f, out, lengths, model.pl, s_cap)
+        return segm.seg_loss(scores, transcripts), n, out
+    _, log_probs, T = _ctc_frame_logits(model, out)
     total = None
-    n = 0
-    for i, fm in enumerate(fms):
-        ids = _transcript_ids(model, alignments[fm.utterance_id])
-        piece = utterance_loss(i, ids)
+    for i, ids in enumerate(transcripts):
+        piece = ctc_mod.ctc_loss(ad.getitem(log_probs, slice(i * T, i * T + int(lengths[i]))), ids)
         total = piece if total is None else ad.add(total, piece)
-        n += len(ids)
     return total, n, out
 
 
@@ -277,16 +274,13 @@ def decode_utterances(model, fms, s_max: int, threads: int) -> list:
     order, from length-sorted batches that are each encoded once."""
     def run(batch):
         out, lengths = model.f.encode([fm.frames for fm in batch])
-        if model.kind == "ctc":
-            proj, log_probs, Tpad = _ctc_frame_logits(model, out)
+        if model.kind != "ctc":
+            paths = segm.viterbi_decode(segm.score_segments(model.f, out, lengths, model.pl, s_max))
+            return [([model.vocab.label(v) for v in path.labels()],
+                     [(v, t, t + s) for t, s, v in path.segments], None) for path in paths]
+        proj, log_probs, Tpad = _ctc_frame_logits(model, out)
         results = []
         for r, T in enumerate(lengths.tolist()):
-            if model.kind != "ctc":
-                path = segm.viterbi_decode(segm.score_segments(model.f, ad.getitem(out, (r, slice(0, T))),
-                                                               model.pl, s_max))
-                results.append(([model.vocab.label(v) for v in path.labels()],
-                                [(v, t, t + s) for t, s, v in path.segments], None))
-                continue
             rows = slice(r * Tpad, r * Tpad + T)
             spans = ctc_mod.ctc_greedy_decode_with_spans(log_probs.values[rows])
             if model.vocab.unk_index is not None:
@@ -323,6 +317,7 @@ def dev_wer(model, fms, alignments, threads: int, s_max: int) -> float:
 
 def train_asr(cfg: ExperimentConfig, outdir: str) -> dict:
     objective = Objective(cfg)
+    objective.check_schedule()
     mode = cfg.get("recognizer", "training_mode")
     if mode == "joint":
         objective.check_strategy("multiview")

@@ -105,7 +105,7 @@ def test_criterion_3_segmental_oracle():
         want = -np.log(enum_numerator(U, labels)) + np.log(enum_denominator(U))
         got = segmental.seg_marginal_loss_value(U, labels)
         worst_loss = max(worst_loss, abs(got - want) / max(abs(want), 1e-9))
-        vit = segmental.viterbi_decode(U).score(U)
+        vit = segmental.viterbi_decode(U)[0].score(U)
         vit_want = enum_viterbi_score(U)
         worst_vit = max(worst_vit, abs(vit - vit_want) / max(abs(vit_want), 1e-9))
         # gradient vs central differences

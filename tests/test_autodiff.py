@@ -129,7 +129,7 @@ def test_primitives_match_finite_differences(seed):
     def f():
         h = ad.affine(a, w, bias)
         h = ad.tanh(h)
-        e = ad.embedding_lookup(table, ids)
+        e = ad.gather_rows(table, ids)
         dist = ad.cosine_distance(ad.add(a, b), e)
         ls = ad.log_softmax(h, axis=1)
         parts = ad.concat([ls, ad.reshape(dist, (n, 1))], axis=1)
@@ -139,6 +139,30 @@ def test_primitives_match_finite_differences(seed):
 
     err = ad.grad_check(f, [a, b, w, bias, table], eps=1e-5)
     assert err <= 1e-4
+
+
+def test_gather_rows_sums_repeated_rows():
+    rng = np.random.default_rng(7)
+    x = Tensor(rng.standard_normal((5, 3)))
+    idx = np.array([4, 1, 4, 0, 1, 4])  # row 2 never gathered, row 4 three times
+    g = rng.standard_normal((6, 3))
+    with Tape() as tape:
+        out = ad.gather_rows(x, idx)
+        loss = ad.sum_(ad.mul_const(out, g))
+    tape.backward(loss)
+    np.testing.assert_array_equal(out.values, x.values[idx])
+    want = np.zeros((5, 3))
+    np.add.at(want, idx, g)
+    np.testing.assert_allclose(x.grad, want, rtol=1e-15, atol=0)
+    np.testing.assert_array_equal(x.grad[2], 0.0)
+
+
+@pytest.mark.parametrize("axis", [0, 1, 2])
+def test_cumsum_gradient(axis):
+    rng = np.random.default_rng(8)
+    x = Tensor(rng.standard_normal((2, 3, 4)))
+    w = rng.standard_normal((2, 3, 4))
+    assert ad.grad_check(lambda: ad.sum_(ad.mul_const(ad.cumsum(x, axis), w)), [x], eps=1e-5) <= 1e-6
 
 
 @pytest.mark.parametrize("seed", range(3))

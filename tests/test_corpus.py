@@ -140,6 +140,20 @@ class TestTsvFormats:
             np.testing.assert_array_equal(back.table[p], ft.table[p])
 
 
+    @pytest.mark.parametrize("start,end,field", [("x", "9", "start"), ("3", "12.5", "end"), ("", "9", "start")])
+    def test_alignment_non_integer_bound_is_a_corpus_error(self, tmp_path, start, end, field):
+        path = tmp_path / "ali.tsv"
+        path.write_text(f"# header\nu1\t0\t3\thi\nu1\t{start}\t{end}\tthere\n", encoding="utf-8")
+        with pytest.raises(corpus.CorpusError, match=rf"ali.tsv:3: field {field} = "):
+            corpus.load_alignments(path)
+
+    @pytest.mark.parametrize("value", ["q", "1.0", "", "2", "-1", "300"])
+    def test_feature_table_value_not_0_or_1_is_a_corpus_error(self, tmp_path, value):
+        path = tmp_path / "feats.tsv"
+        path.write_text(f"feature_values\tfv1,fv2\na\tfv1=1,fv2=0\nb\tfv1=0,fv2={value}\n", encoding="utf-8")
+        with pytest.raises(corpus.CorpusError, match=r"feats.tsv:3: field fv2 = "):
+            corpus.load_feature_table(path)
+
 # Each writer's second item is named by a lone surrogate, which UTF-8
 # cannot encode, so the writer raises after writing the first.
 BAD = "b\ud800"

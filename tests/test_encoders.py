@@ -6,6 +6,7 @@ import pytest
 from awekit import autodiff as ad
 from awekit import encoders as enc
 from awekit import nn
+from awekit import segmental as seg
 from awekit.autodiff import Tensor
 from awekit.corpus import FeatureTable, Lexicon, Vocabulary
 
@@ -156,6 +157,56 @@ class TestPoolSegment:
             return ad.add(ad.sum_(ad.mul(a, a)), ad.sum_(ad.mul(b, c)))
 
         assert ad.grad_check(f, [rows, att.attention_vector.tensor], eps=1e-5) <= 1e-4
+
+
+class TestPoolAllSegments:
+    """Every segment of a ragged batch, pooled at once, equals the
+    per-segment oracle, in the grid's row order."""
+
+    LENGTHS = [5, 2, 4]  # rows 1 and 2 padded in time
+
+    def _batch(self, pooling, seed=0):
+        f = small_acoustic(pooling=pooling, hidden=2)
+        rng = np.random.default_rng(seed)
+        if pooling == "attention":
+            f.attention_vector.values[...] = rng.standard_normal(4)
+        out = Tensor(rng.standard_normal((3, 6, 4)))  # T = 6 > 5: padding past every row
+        return f, out
+
+    @pytest.mark.parametrize("pooling", ["concat", "mean", "attention"])
+    def test_matches_per_segment_oracle(self, pooling):
+        f, out = self._batch(pooling)
+        grid = seg.segment_grid(self.LENGTHS, 3)
+        pooled = f.pool_all_segments(out, grid).values
+        assert pooled.shape == (np.count_nonzero(grid >= 0), 4)
+        r = f.attention_vector.tensor if f.attention_vector is not None else None
+        for b, t, s0 in zip(*np.nonzero(grid >= 0)):
+            want = pool_segment(out.values[b], t, t + s0 + 1, pooling, r).values
+            np.testing.assert_allclose(pooled[grid[b, t, s0]], want, rtol=1e-12, atol=1e-15)
+
+    @pytest.mark.parametrize("pooling", ["concat", "mean"])
+    def test_row_of_a_batch_equals_the_row_alone(self, pooling):
+        """Concat and mean pooling read a segment's own frames only, so a
+        batch row pools bit for bit as it does alone."""
+        f, out = self._batch(pooling, seed=1)
+        grid = seg.segment_grid(self.LENGTHS, 3)
+        pooled = f.pool_all_segments(out, grid).values
+        for b, T in enumerate(self.LENGTHS):
+            alone_grid = seg.segment_grid([T], 3)
+            alone = f.pool_all_segments(Tensor(out.values[b:b + 1, :T]), alone_grid).values
+            valid = alone_grid[0] >= 0
+            np.testing.assert_array_equal(pooled[grid[b, :T][valid]], alone[alone_grid[0][valid]])
+
+    @pytest.mark.parametrize("pooling", ["concat", "mean", "attention"])
+    def test_gradients_reach_only_real_frames(self, pooling):
+        f, out = self._batch(pooling, seed=2)
+        grid = seg.segment_grid(self.LENGTHS, 3)
+        w = np.random.default_rng(3).standard_normal((np.count_nonzero(grid >= 0), 4))
+        leaves = [out] + ([f.attention_vector.tensor] if f.attention_vector is not None else [])
+        assert ad.grad_check(lambda: ad.sum_(ad.mul_const(f.pool_all_segments(out, grid), w)),
+                             leaves, eps=1e-5) <= 1e-6
+        for b, T in enumerate(self.LENGTHS):
+            np.testing.assert_array_equal(out.grad[b, T:], 0.0)
 
 
 class TestWrittenEncoder:

@@ -689,10 +689,12 @@ class TestCli:
         (lambda text: text[:50], 3), (lambda text: "{}", 3), (lambda text: "[]", 3),
         (lambda text: text.replace('"train_labels"', '"labels"'), 3),
         (lambda text: text.replace('"input_dim": ', '"input_dim": "x", "old_input_dim": '), 3),
+        (lambda text: text.replace('"train_labels": [', '"train_labels": [5, '), 3),
         (lambda text: text.replace('"cell": "lstm"', '"cell": "foo"'), 2),
         (lambda text: text.replace('"bits": "1024"', '"bits": "1000000"'), 2),
-    ], ids=["cut-to-50-bytes", "empty-object", "list", "no-train-labels", "input-dim-string", "cell-foo",
-        "bits-above-bound"])
+        (lambda text: text.replace('"k_end": "0"', '"k_end": "50"'), 0),  # trainable no longer, still evaluates
+    ], ids=["cut-to-50-bytes", "empty-object", "list", "no-train-labels", "input-dim-string",
+        "train-label-int", "cell-foo", "bits-above-bound", "k-end-above-k"])
     def test_corrupt_checkpoint_metadata_exit_code(self, corpus_dir, embed_checkpoint, tmp_path, damage, code):
         from awekit.cli import main
 
@@ -703,7 +705,7 @@ class TestCli:
         (tmp_path / "embed.cadp.json").write_text(damage(meta), encoding="utf-8")
         out = tmp_path / "ap.json"
         assert main(["eval-ap", *_data_args(corpus_dir), "--checkpoint", str(ckpt), "--out", str(out)]) == code
-        assert not out.exists()
+        assert out.exists() == (code == 0)
 
     def test_non_finite_loss_exit_code(self, corpus_dir, tmp_path, monkeypatch):
         from awekit.cli import main
@@ -768,6 +770,35 @@ class TestCli:
         for key in ("train", "train_align", "dev", "dev_align", "lexicon"):
             args += ["--set", f"data.{key}={corpus_dir[key]}"]
         assert main(args) == 2
+
+    def test_k_end_above_k_exits_with_config_error_before_any_data(self, corpus_dir, tmp_path, monkeypatch):
+        from awekit.cli import main
+
+        def no_data(*args, **kwargs):
+            raise AssertionError("data read before the config check")
+
+        monkeypatch.setattr(pipelines, "load_dataset", no_data)
+        out = tmp_path / "run"
+        args = ["train-embed", *_data_args(corpus_dir), "--out", str(out),
+                "--set", "objective.k=5", "--set", "objective.k_end=50"]
+        assert main(args) == 2
+        assert not out.exists()
+
+    @pytest.mark.parametrize("key,damage", [
+        ("train_align", lambda text: text.replace("\t0\t", "\tx\t", 1)),
+        ("train_align", lambda text: text.replace("\n", "\nu\t0\t12.5\tw\n", 2)),
+        ("feature_table", lambda text: text.replace("=1", "=q", 1)),
+    ], ids=["alignment-start-x", "alignment-end-12.5", "feature-value-q"])
+    def test_non_integer_tsv_field_exits_with_data_error(self, corpus_dir, tmp_path, key, damage):
+        from awekit.cli import main
+
+        text = open(corpus_dir[key], encoding="utf-8").read()
+        bad = tmp_path / f"bad_{key}.tsv"
+        bad.write_text(damage(text), encoding="utf-8")
+        assert bad.read_text(encoding="utf-8") != text
+        args = ["train-embed", *_data_args(corpus_dir), "--out", str(tmp_path / "run"),
+                "--set", f"data.feature_table={corpus_dir['feature_table']}", "--set", f"data.{key}={bad}"]
+        assert main(args) == 3
 
     @pytest.mark.parametrize("command", ["train-embed", "train-asr"])
     @pytest.mark.parametrize("value", ["0", "-3"])

@@ -69,13 +69,21 @@ def random_scores(rng, T, S, V, scale=1.0):
     return scale * rng.standard_normal((T, S, V))
 
 
-def dense_lattice(st):
-    """(T, S, V) expansion of a packed ScoreTensor through its grid;
-    out-of-range cells (t + s > T) hold NaN, which no kernel may read."""
-    valid = st.index >= 0
-    out = np.full((*st.index.shape, st.packed.values.shape[1]), np.nan)
-    out[valid] = st.packed.values[st.index[valid]]
+def dense_lattice(st, b=0):
+    """(T_b, S, V) expansion of utterance b of a packed ScoreTensor through
+    its grid; out-of-range cells (t + s > T_b) hold NaN, which no kernel
+    may read."""
+    index = st.index[b, : int((st.index[b, :, 0] >= 0).sum())]
+    valid = index >= 0
+    out = np.full((*index.shape, st.packed.values.shape[1]), np.nan)
+    out[valid] = st.packed.values[index[valid]]
     return out
+
+
+def betas(P, grid, labels):
+    """log a_d and log b_d of a batch-of-one lattice."""
+    _, _, _, _, log_ad, _, ad_rev = seg._recursions(P, grid, [labels])
+    return log_ad[0], ad_rev[0, ::-1]
 
 
 class TestMarginalLoss:
@@ -187,8 +195,7 @@ class TestGradient:
         T, S, V = 6, 3, 2
         U = random_scores(rng, T, S, V)
         labels = [0, 1, 0]
-        P, grid, _ = seg._pack(U)
-        _, log_ad, _, log_bd = seg._recursions(P, grid, np.array(labels))
+        log_ad, log_bd = betas(*seg._pack(U), labels)
         for tau in range(1, T + 1):  # boundary between frames tau-1 and tau
             total = 0.0
             for t in range(T):
@@ -202,8 +209,7 @@ class TestGradient:
         T, S, V = 5, 2, 2
         U = random_scores(rng, T, S, V)
         labels = [0]
-        P, grid, _ = seg._pack(U)
-        _, log_ad, _, log_bd = seg._recursions(P, grid, np.array(labels))
+        log_ad, log_bd = betas(*seg._pack(U), labels)
         total = 0.0
         for t in range(T):
             for s in range(1, min(S, T - t) + 1):
@@ -224,7 +230,7 @@ class TestGradient:
 class TestViterbi:
     def test_tie_break_prefers_short_then_small_label(self):
         U = np.zeros((3, 3, 2))  # every path scores 0 per segment
-        path = seg.viterbi_decode(U)
+        path = seg.viterbi_decode(U)[0]
         assert path.segments == ((0, 1, 0), (1, 1, 0), (2, 1, 0))
 
     @pytest.mark.parametrize("seed", range(8))
@@ -232,7 +238,7 @@ class TestViterbi:
         rng = np.random.default_rng(seed)
         T, S, V = 5, 2, 2
         U = random_scores(rng, T, S, V)
-        path = seg.viterbi_decode(U)
+        path = seg.viterbi_decode(U)[0]
         assert path.score(U) == pytest.approx(enum_viterbi_score(U), abs=1e-9)
 
     def test_constant_shift_changes_only_by_path_length(self):
@@ -240,8 +246,8 @@ class TestViterbi:
         T, S, V = 6, 3, 2
         U = random_scores(rng, T, S, V)
         c = 0.37
-        base = seg.viterbi_decode(U)
-        shifted = seg.viterbi_decode(U + c)
+        base = seg.viterbi_decode(U)[0]
+        shifted = seg.viterbi_decode(U + c)[0]
         # among fixed-length paths the argmax is invariant; check via
         # enumeration restricted to the base path's segment count
         K = len(base.segments)
@@ -259,7 +265,7 @@ class TestViterbi:
     def test_viterbi_beats_random_paths(self):
         rng = np.random.default_rng(15)
         U = random_scores(rng, 7, 3, 3)
-        best = seg.viterbi_decode(U).score(U)
+        best = seg.viterbi_decode(U)[0].score(U)
         for comp in list(compositions(7, 3))[:50]:
             t = 0
             score = 0.0
@@ -296,16 +302,16 @@ class TestScoreSegments:
         enc, pl = self._make()
         pl.w.values[...] = 0.0
         pl.b.values[...] = 0.0
-        H = Tensor(np.random.default_rng(0).standard_normal((5, 4)))
-        st = seg.score_segments(enc, H, pl, max_len=3)
+        H = Tensor(np.random.default_rng(0).standard_normal((1, 5, 4)))
+        st = seg.score_segments(enc, H, [5], pl, max_len=3)
         np.testing.assert_allclose(st.packed.values, 0.0)
 
     def test_constant_rows_single_word(self):
         enc, pl = self._make(pooling="mean")
-        H = Tensor(np.tile(np.array([0.5, -1.0, 2.0, 0.25]), (4, 1)))
-        st = seg.score_segments(enc, H, pl, max_len=2)
+        H = Tensor(np.tile(np.array([0.5, -1.0, 2.0, 0.25]), (1, 4, 1)))
+        st = seg.score_segments(enc, H, [4], pl, max_len=2)
         # every pooled mean equals the constant row; scores equal w.c + b
-        c = enc.project(Tensor(H.values[:1])).values[0]
+        c = enc.project(Tensor(H.values[0, :1])).values[0]
         want = pl.w.values @ c + pl.b.values
         for row in st.packed.values:
             np.testing.assert_allclose(row, want, atol=1e-12)
@@ -315,15 +321,15 @@ class TestScoreSegments:
         enc, pl = self._make(pooling)
         if pooling == "attention":
             enc.attention_vector.values[...] = np.random.default_rng(1).standard_normal(4)
-        H = Tensor(np.random.default_rng(2).standard_normal((5, 4)))
-        st = seg.score_segments(enc, H, pl, max_len=3)
+        H = Tensor(np.random.default_rng(2).standard_normal((1, 5, 4)))
+        st = seg.score_segments(enc, H, [5], pl, max_len=3)
         dense = dense_lattice(st)
         r = enc.attention_vector.tensor if enc.attention_vector is not None else None
         for t in range(5):
             for s in range(1, 4):
                 if t + s > 5:
                     continue
-                pooled = pool_segment(H.values, t, t + s, pooling, r)
+                pooled = pool_segment(H.values[0], t, t + s, pooling, r)
                 emb = enc.project(Tensor(pooled.values[None, :])).values[0]
                 want = pl.w.values @ emb + pl.b.values
                 np.testing.assert_allclose(dense[t, s - 1], want, atol=1e-10)
@@ -333,14 +339,14 @@ class TestScoreSegments:
         enc, pl = self._make(pooling)
         if pooling == "attention":
             enc.attention_vector.values[...] = 0.3 * np.random.default_rng(3).standard_normal(4)
-        H = Tensor(np.random.default_rng(4).standard_normal((4, 4)))
+        H = Tensor(np.random.default_rng(4).standard_normal((1, 4, 4)))
         leaves = [H, pl.w.tensor, pl.b.tensor, enc.proj_w.tensor, enc.proj_b.tensor]
         if enc.attention_vector is not None:
             leaves.append(enc.attention_vector.tensor)
 
         def f():
-            st = seg.score_segments(enc, H, pl, max_len=3)
-            return seg.seg_loss(st, [1, 0])
+            st = seg.score_segments(enc, H, [4], pl, max_len=3)
+            return seg.seg_loss(st, [[1, 0]])
 
         assert ad.grad_check(f, leaves, eps=1e-5) <= 1e-4
 
@@ -354,8 +360,8 @@ class TestPackedLattice:
         rng = np.random.default_rng(seed)
         pl.w.values[...] = 3.0 * rng.standard_normal(pl.w.values.shape)
         pl.b.values[...] = -4.0  # a per-segment cost, so best paths mix segment lengths
-        H = Tensor(rng.standard_normal((5, 4)))
-        return seg.score_segments(enc, H, pl, max_len=max_len)
+        H = Tensor(rng.standard_normal((1, 5, 4)))
+        return seg.score_segments(enc, H, [5], pl, max_len=max_len)
 
     @pytest.mark.parametrize("max_len", [2, 3, 7])  # 7 > T = 5
     def test_seg_loss_equals_dense_gradient(self, max_len):
@@ -363,15 +369,121 @@ class TestPackedLattice:
         leaf = seg.ScoreTensor(Tensor(st.packed.values), st.index)
         labels = [1, 0, 2]
         with Tape() as tape:
-            loss = seg.seg_loss(leaf, labels)
+            loss = seg.seg_loss(leaf, [labels])
         tape.backward(loss)
         want_loss, want_grad = seg.seg_gradient_value(dense_lattice(st), labels)
         assert float(loss.values) == want_loss
-        valid = st.index >= 0
-        np.testing.assert_array_equal(leaf.packed.grad[st.index[valid]], want_grad[valid])
+        valid = st.index[0] >= 0
+        np.testing.assert_array_equal(leaf.packed.grad[st.index[0][valid]], want_grad[valid])
         np.testing.assert_array_equal(want_grad[~valid], 0.0)
 
     @pytest.mark.parametrize("max_len", [2, 3, 7])
     def test_viterbi_packed_equals_dense(self, max_len):
         st = self._lattice(max_len, 18)
         assert seg.viterbi_decode(st) == seg.viterbi_decode(dense_lattice(st))
+
+
+class TestBatchedLattice:
+    """One lattice kernel serves a whole ragged batch: padded in time (a
+    shorter utterance's cells read the -inf sentinel row) and in labels
+    (shorter transcripts are padded to the longest). Each utterance's
+    loss equals its batch-of-one call bit for bit."""
+
+    LENGTHS = [7, 3, 5, 1, 6]
+    LABELS = [[2, 0, 2], [1], [0, 0], [2], [1, 2, 1, 0]]
+    S, V = 3, 3
+
+    def _lattice(self, seed, scores=None):
+        grid = seg.segment_grid(self.LENGTHS, self.S)
+        rng = np.random.default_rng(seed)
+        P = rng.standard_normal((np.count_nonzero(grid >= 0), self.V)) if scores is None else scores(rng, grid)
+        return P, grid
+
+    @staticmethod
+    def _alone(P, grid, b):
+        """Utterance b's packed rows and grid as a batch of one, plus the
+        batch rows they come from."""
+        T = int((grid[b, :, 0] >= 0).sum())
+        alone = seg.segment_grid([T], grid.shape[2])
+        valid = alone[0] >= 0
+        rows = np.empty(np.count_nonzero(valid), dtype=np.intp)
+        rows[alone[0][valid]] = grid[b, :T][valid]
+        return P[rows], alone, rows
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_losses_equal_batch_of_one_and_enumeration(self, seed):
+        P, grid = self._lattice(seed)
+        losses, _ = seg._loss_and_grad(P, grid, self.LABELS)
+        st = seg.ScoreTensor(Tensor(P), grid)
+        for b, labels in enumerate(self.LABELS):
+            Pb, alone, _ = self._alone(P, grid, b)
+            assert losses[b] == seg._loss_and_grad(Pb, alone, [labels])[0][0]
+            U = dense_lattice(st, b)
+            want = -np.log(enum_numerator(U, labels)) + np.log(enum_denominator(U))
+            assert losses[b] == pytest.approx(want, rel=1e-9)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_gradient_equals_batch_of_one(self, seed):
+        P, grid = self._lattice(seed)
+        _, grad = seg._loss_and_grad(P, grid, self.LABELS)
+        for b, labels in enumerate(self.LABELS):
+            Pb, alone, rows = self._alone(P, grid, b)
+            np.testing.assert_allclose(grad[rows], seg._loss_and_grad(Pb, alone, [labels])[1],
+                                       rtol=1e-12, atol=0)
+
+    def test_seg_loss_is_one_node_summing_the_batch(self):
+        P, grid = self._lattice(5)
+        leaf = seg.ScoreTensor(Tensor(P), grid)
+        with Tape() as tape:
+            loss = seg.seg_loss(leaf, self.LABELS)
+        assert len(tape.nodes) == 1
+        tape.backward(loss)
+        losses, grad = seg._loss_and_grad(P, grid, self.LABELS)
+        assert float(loss.values) == sum(losses.tolist())
+        np.testing.assert_array_equal(leaf.packed.grad, grad)
+
+    def test_infeasible_utterance_in_a_batch_raises(self):
+        P, grid = self._lattice(6)
+        labels = [list(ids) for ids in self.LABELS]
+        labels[1] = [0, 1, 2, 0]  # 4 words in 3 frames
+        with pytest.raises(seg.InfeasibleSegmentationError):
+            seg._loss_and_grad(P, grid, labels)
+
+    @pytest.mark.parametrize("scores", [
+        lambda rng, grid: rng.standard_normal((np.count_nonzero(grid >= 0), 3)),
+        lambda rng, grid: rng.integers(-1, 2, size=(np.count_nonzero(grid >= 0), 3)).astype(float),
+        lambda rng, grid: np.zeros((np.count_nonzero(grid >= 0), 3)),
+    ], ids=["random", "integer-ties", "all-ties"])
+    def test_viterbi_equals_batch_of_one(self, scores):
+        P, grid = self._lattice(7, scores)
+        st = seg.ScoreTensor(Tensor(P), grid)
+        paths = seg.viterbi_decode(st)
+        assert len(paths) == len(self.LENGTHS)
+        for b, path in enumerate(paths):
+            Pb, alone, _ = self._alone(P, grid, b)
+            assert path == seg.viterbi_decode(seg.ScoreTensor(Tensor(Pb), alone))[0]
+            U = dense_lattice(st, b)
+            assert path == seg.viterbi_decode(U)[0]
+            assert path.score(U) == pytest.approx(enum_viterbi_score(U), abs=1e-12)
+        if not P.any():  # every path ties: all length-1 segments of label 0
+            assert all(p.segments == tuple((t, 1, 0) for t in range(T))
+                       for p, T in zip(paths, self.LENGTHS))
+
+    @pytest.mark.parametrize("pooling", ["concat", "mean", "attention"])
+    def test_end_to_end_gradients_of_a_ragged_batch(self, pooling):
+        enc, pl = TestScoreSegments()._make(pooling)
+        rng = np.random.default_rng(19)
+        if pooling == "attention":
+            enc.attention_vector.values[...] = 0.3 * rng.standard_normal(4)
+        H = Tensor(rng.standard_normal((3, 5, 4)))
+        lengths, transcripts = [4, 2, 5], [[1, 0], [2], [0, 2, 1]]
+        leaves = [H, pl.w.tensor, pl.b.tensor, enc.proj_w.tensor, enc.proj_b.tensor]
+        if enc.attention_vector is not None:
+            leaves.append(enc.attention_vector.tensor)
+
+        def f():
+            return seg.seg_loss(seg.score_segments(enc, H, lengths, pl, max_len=3), transcripts)
+
+        assert ad.grad_check(f, leaves, eps=1e-5) <= 1e-4
+        np.testing.assert_array_equal(H.grad[0, 4:], 0.0)
+        np.testing.assert_array_equal(H.grad[1, 2:], 0.0)
