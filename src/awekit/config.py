@@ -98,7 +98,8 @@ SCHEMA = {
         "lambda_emb": ("0.0", FRACTION), "lambda_reg": ("0.0", FRACTION),
         "scheme": ("additive", Spec(choices=obj.SCHEMES)), "s_max": ("32", SIZE),
         "init_checkpoint": ("", PATH), "vocab_file": ("", PATH)},
-    "search": {"bits": ("1024", Spec(int, ge=1, le=srch.MAX_BITS)), "permutations": ("16", SIZE),
+    "search": {"bits": ("1024", Spec(int, ge=1, le=srch.MAX_BITS)),
+               "permutations": ("16", Spec(int, ge=1, le=srch.MAX_PERMUTATIONS)),
                "beamwidth": ("50", SIZE), "stride": ("5", SIZE), "window_sizes": ("", Spec(tuple, ge=1)),
                "exhaustive": ("false", BOOL)},
     # an index file stores the seed as a signed 64-bit integer

@@ -4,13 +4,17 @@ Sliding-window segment generation and an index built from
 random-hyperplane bit signatures: the signatures are sorted
 lexicographically under P random bit permutations, and a query reads the
 B entries on each side of its insertion point in every sorted list.
-Candidates are scored once, in ``query_index``, by exact cosine
-similarity against the stored embeddings; a beam covering the index
-scores every entry. The ranked candidates come back as ``Hits``: entry
-ids and scores as arrays, read as (ref, score) pairs.
-``utterance_scores`` reduces them to the best admissible window of each
-utterance with array operations over entry-to-utterance and
-entry-to-size tables.
+Everything but the refs and the embeddings follows from the seed, so an
+index file (CADI version 2) stores only its header, the refs and the
+float32 embeddings, and ``load_index`` rebuilds the rest through
+``build_index``, which rounds embeddings to float32 before it signs them:
+an index in memory equals its reload. Candidates are scored once, in
+``query_index``, by exact cosine similarity against the stored
+embeddings; a beam covering the index scores every entry. The ranked
+candidates come back as ``Hits``: entry ids and scores as arrays, read
+as (ref, score) pairs. ``utterance_scores`` reduces them to the best
+admissible window of each utterance with array operations over
+entry-to-utterance and entry-to-size tables.
 """
 
 from __future__ import annotations
@@ -24,8 +28,9 @@ import numpy as np
 from .corpus import open_artifact
 
 INDEX_MAGIC = b"CADI"
-INDEX_VERSION = 1
+INDEX_VERSION = 2
 MAX_BITS = 4096  # the most hyperplanes an index may have: 4x the paper's 1024
+MAX_PERMUTATIONS = 64  # the most bit permutations an index may have: 4x the default 16
 
 
 class SearchError(Exception):
@@ -97,13 +102,6 @@ def sign_embed(vector: np.ndarray, planes: HyperplaneSet) -> np.ndarray:
     return (planes.planes @ v >= 0).astype(np.uint8)
 
 
-def sign_embed_many(vectors: np.ndarray, planes: HyperplaneSet) -> np.ndarray:
-    v = np.asarray(vectors, dtype=np.float64)
-    if (np.linalg.norm(v, axis=1) == 0).any():
-        raise SearchError("cannot sign zero vectors")
-    return (v @ planes.planes.T >= 0).astype(np.uint8)
-
-
 def hamming_fraction(sig_a: np.ndarray, sig_b: np.ndarray) -> float:
     return float(np.count_nonzero(sig_a != sig_b) / len(sig_a))
 
@@ -121,19 +119,19 @@ class SegmentKey:
     size: int
 
 
+@dataclass(frozen=True, eq=False)
 class PermutedSignatureIndex:
     """Signatures of database segments under P bit permutations, each kept
-    as a lexicographically sorted list (ties ordered by entry number)."""
+    as a lexicographically sorted list (ties ordered by entry number).
+    Made only by ``build_index``."""
 
-    def __init__(self, planes: HyperplaneSet, refs, embeddings, norms, permutations,
-                 sorted_orders, sorted_keys):
-        self.planes = planes
-        self.refs = list(refs)
-        self.embeddings = np.asarray(embeddings, dtype=np.float64)
-        self.norms = norms  # (N,) row norms of the embeddings, for cosine scoring
-        self.permutations = permutations  # (P, b) int array
-        self.sorted_orders = sorted_orders  # per permutation: entry ids in key order
-        self.sorted_keys = sorted_keys  # per permutation: packed signatures in key order, dtype S{(b+7)//8}
+    planes: HyperplaneSet
+    refs: list
+    embeddings: np.ndarray  # (N, d) float64 holding float32 values
+    norms: np.ndarray  # (N,) row norms of the embeddings, for cosine scoring
+    permutations: np.ndarray  # (P, b) int array
+    sorted_orders: list  # per permutation: entry ids in key order
+    sorted_keys: list  # per permutation: packed signatures in key order, dtype S{(b+7)//8}
 
     @property
     def size(self) -> int:
@@ -161,16 +159,18 @@ def _sorted_keys(sigs: np.ndarray, perm: np.ndarray) -> tuple[np.ndarray, np.nda
 
 def build_index(embeddings, refs, bits: int, permutations: int, seed: int) -> PermutedSignatureIndex:
     """Index segment embeddings for beamwidth lookup; deterministic in the
-    seed (hyperplanes and bit permutations both derive from it)."""
-    embeddings = np.asarray(embeddings, dtype=np.float64)
+    seed (hyperplanes and bit permutations both derive from it). The
+    embeddings are rounded to float32, as an index file stores them, before
+    anything is computed from them."""
+    embeddings = np.asarray(embeddings, dtype=np.float32).astype(np.float64)
     refs = list(refs)
     if embeddings.ndim != 2 or len(refs) != embeddings.shape[0]:
         raise SearchError("need (N, d) embeddings with one ref per row")
     norms = np.linalg.norm(embeddings, axis=1)
-    if (norms == 0).any():
-        raise SearchError("zero-norm embedding cannot be indexed")
+    if not (np.isfinite(norms) & (norms > 0)).all():  # before any hyperplane is drawn
+        raise SearchError("an embedding with zero or non-finite norm cannot be indexed")
     planes = HyperplaneSet.create(bits, embeddings.shape[1], seed)
-    sigs = sign_embed_many(embeddings, planes)
+    sigs = (embeddings @ planes.planes.T >= 0).astype(np.uint8)
     rng = np.random.default_rng(np.random.SeedSequence([int(seed), 0x7065]))
     perms = np.stack([rng.permutation(bits) for _ in range(permutations)])
     orders, keys = zip(*(_sorted_keys(sigs, perm) for perm in perms))
@@ -206,9 +206,7 @@ def query_index(query: np.ndarray, index: PermutedSignatureIndex, beamwidth: int
     if index.size == 0:
         raise SearchError("empty index")
     q = np.asarray(query, dtype=np.float64)
-    if np.linalg.norm(q) == 0:
-        raise SearchError("cannot query with a zero vector")
-    sig = sign_embed(q, index.planes)
+    sig = sign_embed(q, index.planes)  # refuses a zero vector
     chosen = np.zeros(index.size, dtype=bool)
     for perm, order, keys in zip(index.permutations, index.sorted_orders, index.sorted_keys):
         pos = int(np.searchsorted(keys, _packed_keys(sig[perm])))
@@ -241,27 +239,24 @@ def utterance_scores(hits: Hits, entry_utterance: np.ndarray, entry_size: np.nda
 
 
 def save_index(path, index: PermutedSignatureIndex):
+    """CADI version 2: magic, the header (version, bits, permutations,
+    seed, N, d), the N refs, then the N x d float32 embeddings."""
+    N, d = index.embeddings.shape
     with open_artifact(path, "wb") as f:
         f.write(INDEX_MAGIC)
-        b = index.planes.bits
-        P = index.num_permutations
-        N = index.size
-        d = index.embeddings.shape[1]
-        f.write(struct.pack("<IIIqII", INDEX_VERSION, b, P, index.planes.seed, N, d))
+        f.write(struct.pack("<IIIqII", INDEX_VERSION, index.planes.bits, index.num_permutations,
+                            index.planes.seed, N, d))
         for ref in index.refs:
             uid = ref.utterance_id.encode("utf-8")
             f.write(struct.pack("<H", len(uid)))
             f.write(uid)
             f.write(struct.pack("<II", ref.start, ref.size))
-        sigs = sign_embed_many(index.embeddings, index.planes)
-        f.write(np.packbits(sigs, axis=1).tobytes())
-        f.write(index.permutations.astype("<u4").tobytes())
-        for order in index.sorted_orders:
-            f.write(order.astype("<u4").tobytes())
         f.write(index.embeddings.astype("<f4").tobytes())
 
 
 def load_index(path) -> PermutedSignatureIndex:
+    """Parse a CADI version 2 file and rebuild its index with
+    ``build_index``. The header is checked before anything is drawn."""
     with open(path, "rb") as f:
         data = f.read()
     if data[:4] != INDEX_MAGIC:
@@ -271,13 +266,16 @@ def load_index(path) -> PermutedSignatureIndex:
     try:
         version, b, P, seed, N, d = struct.unpack_from("<IIIqII", data, 4)
         if version != INDEX_VERSION:
-            raise SearchError(f"unsupported index version {version}")
+            raise SearchError(f"unsupported index version {version}; rebuild the file with `awekit index`")
         if seed < 0:  # stored signed; SeedSequence takes only non-negative seeds
             raise SearchError(f"corrupt index file: negative hyperplane seed {seed}")
-        if N == 0 or P == 0:  # never written; only N, P >= 1 tie b and d to the file size
-            raise SearchError(f"corrupt index file: {N} entries, {P} permutations")
-        if not 1 <= b <= MAX_BITS:  # bounded, b x d hyperplanes grow only linearly with the file
+        if N == 0:  # never written; only N >= 1 ties d to the file size
+            raise SearchError(f"corrupt index file: {N} entries")
+        # bounded: nothing else in the file ties b or P to its size
+        if not 1 <= b <= MAX_BITS:
             raise SearchError(f"corrupt index file: {b} bits, not in [1, {MAX_BITS}]")
+        if not 1 <= P <= MAX_PERMUTATIONS:
+            raise SearchError(f"corrupt index file: {P} permutations, not in [1, {MAX_PERMUTATIONS}]")
         off = 4 + struct.calcsize("<IIIqII")
         refs = []
         for _ in range(N):
@@ -288,33 +286,10 @@ def load_index(path) -> PermutedSignatureIndex:
             start, size = struct.unpack_from("<II", data, off)
             off += 8
             refs.append(SegmentKey(uid, start, size))
-        row_bytes = (b + 7) // 8
-        packed = np.frombuffer(data, dtype=np.uint8, count=N * row_bytes, offset=off).reshape(N, row_bytes)
-        sigs = np.unpackbits(packed, axis=1)[:, :b]
-        off += N * row_bytes
-        perms = np.frombuffer(data, dtype="<u4", count=P * b, offset=off).reshape(P, b).astype(np.intp)
-        off += 4 * P * b
-        sorted_orders = []
-        for _ in range(P):
-            order = np.frombuffer(data, dtype="<u4", count=N, offset=off).astype(np.intp)
-            off += 4 * N
-            sorted_orders.append(order)
-        emb = np.frombuffer(data, dtype="<f4", count=N * d, offset=off).reshape(N, d).astype(np.float64)
+        emb = np.frombuffer(data, dtype="<f4", count=N * d, offset=off).reshape(N, d)
         off += 4 * N * d
     except (struct.error, ValueError) as e:
         raise SearchError(f"truncated or corrupt index file: {e}") from e
     if off != len(data):
         raise SearchError("trailing bytes in index file")
-    norms = np.linalg.norm(emb, axis=1)
-    if not (np.isfinite(norms) & (norms > 0)).all():
-        raise SearchError("corrupt index file: an embedding with zero or non-finite norm")
-    if not (np.sort(perms, axis=1) == np.arange(b)).all():
-        raise SearchError("corrupt index file: a bit permutation is not a permutation of the bits")
-    sorted_keys = []
-    for p in range(P):
-        order, keys = _sorted_keys(sigs, perms[p])
-        if not np.array_equal(order, sorted_orders[p]):
-            raise SearchError(f"corrupt index file: sort order {p} is not the signature order")
-        sorted_keys.append(keys)
-    planes = HyperplaneSet.create(b, d, seed)  # drawn only once the file is known to be sound
-    return PermutedSignatureIndex(planes, refs, emb, norms, perms, sorted_orders, sorted_keys)
+    return build_index(emb, refs, b, P, seed)

@@ -281,9 +281,17 @@ class TestDtwAp:
         labels = [s.label for _, s in segments]
         pairs = [(i, j) for i in range(len(frames)) for j in range(i + 1, len(frames))]
         assert len(pairs) > 2000
-        one_by_one = [dtw.dtw_cost_batch([(frames[i], frames[j])], "cosine") for i, j in pairs]
-        raw = np.array([c[0] for c, _ in one_by_one])
-        norm = raw / np.array([s[0] for _, s in one_by_one])
+        # the kernel over dtw_ap's length-sorted chunks of 2,000 pairs, scattered
+        # back to pair order: the same block products, so the same bits on any BLAS
+        lengths = np.array([len(x) for x in frames])
+        first, second = np.array(pairs).T
+        order = np.lexsort((lengths[second], lengths[first]))
+        raw, steps = np.empty(len(pairs)), np.empty(len(pairs), dtype=np.int64)
+        for c0 in range(0, len(pairs), 2000):
+            chunk = order[c0 : c0 + 2000]
+            raw[chunk], steps[chunk] = dtw.dtw_cost_batch(
+                [(frames[first[p]], frames[second[p]]) for p in chunk], "cosine")
+        norm = raw / steps
         same = [labels[i] == labels[j] for i, j in pairs]
         for run in (0, 1):  # each run scores the raw, then the normalized costs
             assert seen[2 * run][0].tobytes() == raw.tobytes()

@@ -663,12 +663,10 @@ class TestCli:
                  "--queries", corpus_dir["dev"], "--query-align", corpus_dir["dev_align"],
                  "--out", str(tmp_path / "q.json")]
         good = index.read_bytes()
-        loaded = search.load_index(index)
-        n, d = loaded.embeddings.shape
-        first_order_entry = len(good) - 4 * n * d - 4 * loaded.num_permutations * n
-        corrupt = bytearray(good)
-        corrupt[first_order_entry : first_order_entry + 4] = (99999).to_bytes(4, "little")
-        index.write_bytes(bytes(corrupt))
+        n, d = search.load_index(index).embeddings.shape
+        version_1 = bytearray(good)
+        version_1[4:8] = (1).to_bytes(4, "little")
+        index.write_bytes(bytes(version_1))
         assert main(query) == 3
         index.write_bytes(good[:-3])
         assert main(query) == 3
@@ -684,6 +682,26 @@ class TestCli:
         with open(ckpt, "r+b") as fh:
             fh.truncate(100)
         assert main(["eval-ap", *common, "--checkpoint", ckpt, "--out", str(tmp_path / "ap.json")]) == 3
+
+    def test_index_with_nan_embedding_exit_code(self, corpus_dir, tmp_path, capsys):
+        # a checkpoint whose weights hold a NaN embeds every window as NaN
+        from awekit import nn
+        from awekit.cli import main
+
+        cfg = small_cfg(corpus_dir, {("training", "epochs"): "0"})
+        ckpt = pipelines.train_embed(cfg, tmp_path / "emb")["checkpoint"]
+        params = [nn.Parameter(name, values) for name, values in nn.load_checkpoint(ckpt).items()]
+        params[0].values.flat[0] = np.nan
+        nn.save_checkpoint(ckpt, params)
+        args = ["--seed", "9"]
+        for key in ("train", "train_align", "dev", "dev_align", "lexicon"):
+            args += ["--set", f"data.{key}={corpus_dir[key]}"]
+        out = tmp_path / "out"
+        out.mkdir()
+        assert main(["index", *args, "--checkpoint", ckpt, "--archive", corpus_dir["dev"],
+                     "--out", str(out / "dev.cadi")]) == 3
+        assert list(out.iterdir()) == []
+        assert "zero or non-finite norm" in capsys.readouterr().err
 
     @pytest.mark.parametrize("damage,code", [
         (lambda text: text[:50], 3), (lambda text: "{}", 3), (lambda text: "[]", 3),
