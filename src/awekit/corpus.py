@@ -1,5 +1,6 @@
 """Data model and I/O: feature archives, alignments, lexicons, feature
-tables, vocabularies, plus segment extraction, span merging, and
+tables, vocabularies, plus segment extraction, span merging (into a
+``WordAlignment`` whose labels are space-joined word sequences), and
 SpecAugment-style masking.
 
 All container types are immutable after construction and validate their
@@ -137,25 +138,6 @@ class WordAlignment:
             )
         if self.entries and self.entries[-1][1] > fm.num_frames:
             raise AlignmentMismatchError(f"{self.utterance_id}: alignment exceeds {fm.num_frames} frames")
-
-
-@dataclass(frozen=True)
-class SpanAlignment:
-    """Like WordAlignment but each entry carries a word-label sequence."""
-
-    utterance_id: str
-    entries: tuple
-
-    def __post_init__(self):
-        entries = tuple((int(s), int(e), tuple(str(w) for w in vs)) for s, e, vs in self.entries)
-        object.__setattr__(self, "entries", entries)
-        _check_entries(self.utterance_id, entries)
-        for _, _, vs in entries:
-            if len(vs) == 0:
-                raise CorpusError(f"{self.utterance_id}: empty span label sequence")
-
-    def __len__(self):
-        return len(self.entries)
 
 
 @dataclass(frozen=True)
@@ -458,12 +440,12 @@ def extract_segments(fm: FrameMatrix, al: WordAlignment, min_frames: int, max_fr
     ]
 
 
-def merge_spans(al: WordAlignment, rng: np.random.Generator) -> SpanAlignment:
+def merge_spans(al: WordAlignment, rng: np.random.Generator) -> WordAlignment:
     """Randomly merge adjacent entries into multi-word spans.
 
     Draws r uniformly from the integers {ceil((L-1)/2), ..., L-1}, removes
-    r distinct boundaries chosen uniformly, and concatenates the labels of
-    merged neighbors. L=1 passes through unchanged.
+    r distinct boundaries chosen uniformly, and labels each merged span
+    with its words joined by spaces. L=1 passes through unchanged.
     """
     L = len(al.entries)
     if L == 0:
@@ -477,7 +459,7 @@ def merge_spans(al: WordAlignment, rng: np.random.Generator) -> SpanAlignment:
             spans[b][1] = spans[b + 1][1]
             spans[b][2].extend(spans[b + 1][2])
             del spans[b + 1]
-    return SpanAlignment(al.utterance_id, tuple((s, e, tuple(vs)) for s, e, vs in spans))
+    return WordAlignment(al.utterance_id, tuple((s, e, " ".join(vs)) for s, e, vs in spans))
 
 
 def spec_augment(
@@ -487,15 +469,13 @@ def spec_augment(
     m_f: int = 1,
     f_max: int = 9,
     m_t: int = 1,
-    max_retries: int = 10,
 ) -> FrameMatrix:
     """Frequency/time masking with word protection.
 
     Applies ``m_f`` frequency masks of width F ~ U{0..f_max} and ``m_t``
     time masks of width W ~ U{0..floor(t_min/2)} where t_min is the
-    shortest aligned word; masked cells become 0. A time mask that would
-    cover an entire word is resampled (bounded retries, then skipped) --
-    with the spec'd width cap this cannot trigger, but the guard stays.
+    shortest aligned word; masked cells become 0. The width cap keeps a
+    time mask shorter than every word, so no word is masked whole.
     Draw order: frequency masks first, then time masks.
     """
     if len(al.entries) == 0:
@@ -514,15 +494,10 @@ def spec_augment(
 
     t_cap = t_min // 2
     for _ in range(m_t):
-        for _ in range(max_retries):
-            width = int(rng.integers(0, t_cap + 1))
-            if width == 0:
-                break
+        width = int(rng.integers(0, t_cap + 1))
+        if width:
             t0 = int(rng.integers(0, T - width + 1))
-            covers_word = any(t0 <= s and e <= t0 + width for s, e, _ in al.entries)
-            if not covers_word:
-                frames[t0 : t0 + width, :] = 0.0
-                break
+            frames[t0 : t0 + width, :] = 0.0
     return FrameMatrix(fm.utterance_id, frames, fm.frames_per_second)
 
 

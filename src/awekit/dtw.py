@@ -1,4 +1,5 @@
-"""Dynamic time warping between frame sequences.
+"""Dynamic time warping between frame sequences under the cosine frame
+distance (1 - cos, with cos 0 at a zero-norm frame).
 
 The cost matrix uses infinite borders with C[0,0] = 0 and the symmetric
 3-move predecessor set {(i-1,j), (i,j-1), (i-1,j-1)}. ``dtw_cost_batch``
@@ -10,14 +11,11 @@ cells i + j = k of every pair in a chunk, from three rolling diagonals
 and a pair-first distance cube, built a block of pairs at a time: one
 batched product of the block's padded frames (which can round differently
 from a pair's own product, so a cost can move in its last bits with its
-block mates), then the rest of the frame distance from per-sequence norm
-tables. Callers sort pairs by length before chunking, so little is
-padded. ``dtw_cost`` runs the kernel on one pair.
+block mates), then the division by per-sequence norm tables. Callers sort
+pairs by length before chunking, so little is padded. ``dtw_cost`` runs
+the kernel on one pair.
 """
-
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,30 +24,17 @@ from .autodiff import zero_norm_events
 _BLOCK = 128  # pairs per distance-cube product: bounds its temporaries
 
 
-@dataclass(frozen=True)
-class DtwConfig:
-    frame_distance: str = "cosine"  # cosine | euclidean
-    normalization: str = "none"  # none | path-length
-
-    def __post_init__(self):
-        if self.frame_distance not in ("cosine", "euclidean"):
-            raise ValueError(f"unknown frame distance {self.frame_distance!r}")
-        if self.normalization not in ("none", "path-length"):
-            raise ValueError(f"unknown normalization {self.normalization!r}")
-
-
-def dtw_cost(x: np.ndarray, y: np.ndarray, cfg: DtwConfig = DtwConfig()) -> float:
-    """Optimal monotone alignment cost between two frame sequences: the
+def dtw_cost(x: np.ndarray, y: np.ndarray) -> float:
+    """Raw optimal monotone alignment cost between two frame sequences: the
     batch kernel on one pair.
 
-    Zero-norm frames under the cosine distance score distance 1 against
-    everything and bump the shared zero-norm event counter.
+    Zero-norm frames score distance 1 against everything and bump the
+    shared zero-norm event counter.
     """
-    costs, steps = dtw_cost_batch([(x, y)], cfg.frame_distance)
-    return float(costs[0] / steps[0] if cfg.normalization == "path-length" else costs[0])
+    return float(dtw_cost_batch([(x, y)])[0][0])
 
 
-def dtw_cost_batch(pairs, distance: str = "cosine", chunk: int = 2048) -> tuple[np.ndarray, np.ndarray]:
+def dtw_cost_batch(pairs, chunk: int = 2048) -> tuple[np.ndarray, np.ndarray]:
     """DTW costs C[N,M] and optimal-path step counts for many (x, y) pairs.
 
     The one DTW recurrence, vectorized across pairs (padded to the
@@ -70,21 +55,19 @@ def dtw_cost_batch(pairs, distance: str = "cosine", chunk: int = 2048) -> tuple[
         raise ValueError("frame matrices must be 2-D with equal feature dims")
     sx = np.array([slot[id(x)] for x, _ in pairs], dtype=np.intp)
     sy = np.array([slot[id(y)] for _, y in pairs], dtype=np.intp)
-    # per sequence, padded: the frames, the norm terms of the frame distance (squared
-    # norms, or norms with 1 at zero-norm frames and at padding) and the nonzero-norm mask
-    euclidean = distance == "euclidean"
+    # per sequence, padded: the frames, the norms (1 at zero-norm frames and at
+    # padding) and the nonzero-norm mask
     lens = np.array([len(x) for x in frames], dtype=np.intp)
     table = np.zeros((len(frames), max(2, lens.max(initial=0)), frames[0].shape[1]))
-    scale = np.full(table.shape[:2], 0.0 if euclidean else 1.0)
+    scale = np.ones(table.shape[:2])
     ok = np.zeros(scale.shape, dtype=bool)
     for s, x in enumerate(frames):
         table[s, : len(x)] = x
-        n = (x * x).sum(1) if euclidean else np.linalg.norm(x, axis=1)
+        n = np.linalg.norm(x, axis=1)
         ok[s, : len(x)] = n > 0
-        scale[s, : len(x)] = n if euclidean else np.where(n > 0, n, 1.0)
-    if not euclidean:  # cells with a zero-norm operand score distance 1
-        nonzero = ok.sum(1)
-        zero_norm_events.add(int((lens[sx] * lens[sy] - nonzero[sx] * nonzero[sy]).sum()))
+        scale[s, : len(x)] = np.where(n > 0, n, 1.0)
+    nonzero = ok.sum(1)  # cells with a zero-norm operand score distance 1
+    zero_norm_events.add(int((lens[sx] * lens[sy] - nonzero[sx] * nonzero[sy]).sum()))
     for c0 in range(0, len(pairs), chunk):
         P = min(chunk, len(pairs) - c0)
         ns, ms = lens[sx[c0 : c0 + P]], lens[sy[c0 : c0 + P]]
@@ -96,14 +79,9 @@ def dtw_cost_batch(pairs, distance: str = "cosine", chunk: int = 2048) -> tuple[
             # at least 2 x 2, so that a 1-frame side takes the same BLAS routine as the rest
             n, m = max(2, int(lens[a].max())), max(2, int(lens[b].max()))
             blk = np.matmul(table[a, :n], table[b, :m].transpose(0, 2, 1))
-            if euclidean:  # sqrt(max(|x|^2 + |y|^2 - 2 x.y, 0))
-                blk *= 2.0
-                np.subtract(scale[a, :n, None] + scale[b, None, :m], blk, out=blk)
-                np.sqrt(np.maximum(blk, 0.0, out=blk), out=blk)
-            else:  # 1 - cos, with cos 0 at a zero-norm frame
-                blk /= scale[a, :n, None] * scale[b, None, :m]
-                np.copyto(blk, 0.0, where=~(ok[a, :n, None] & ok[b, None, :m]))
-                np.subtract(1.0, blk, out=blk)
+            blk /= scale[a, :n, None] * scale[b, None, :m]
+            np.copyto(blk, 0.0, where=~(ok[a, :n, None] & ok[b, None, :m]))
+            np.subtract(1.0, blk, out=blk)
             d[b0 : b0 + len(a), :n, :m] = blk
         # C[i, k - i] and its step count are row i of D[k % 3] and S[k % 3]. Rows are
         # written only on later diagonals: borders keep their inf once C[0, 0] is spent.

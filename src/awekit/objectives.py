@@ -11,11 +11,12 @@ v and written embeddings g(.), the three multi-view terms average hinge
 values [margin + d(f(X), g(v)) - d(negative pair)]_+ over a negative set:
 term 0 contrasts f(X) against other labels' g(v'), term 1 contrasts g(v)
 against other g(v'), term 2 contrasts g(v) against other segments f(X').
+``multiview_loss`` takes a batch as plain arguments: the segment
+embeddings and their labels, the sorted batch vocabulary and its written
+embeddings, then the margin, k negatives per item and the strategy.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -30,33 +31,6 @@ class ObjectiveError(Exception):
 # The negative-selection strategies each embedding loss runs.
 STRATEGIES = {"multiview": ("hard", "semi-hard", "uniform"),
               "triplet": ("uniform", "confusion", "offending")}
-
-
-@dataclass(frozen=True)
-class SamplingConfig:
-    """Negative-sampling policy: k >= 1 negatives per item and the selection
-    strategy."""
-
-    k: int = 10
-    strategy: str = "hard"
-
-
-@dataclass
-class MultiViewBatch:
-    """Paired acoustic-segment embeddings and labels plus the batch
-    vocabulary (unique labels and any extras, sorted for determinism)."""
-
-    acoustic: Tensor  # (n, d)
-    labels: list
-    vocab: list  # sorted batch vocabulary
-    word_embeddings: Tensor  # (|vocab|, d), rows aligned with vocab
-
-    def __post_init__(self):
-        if sorted(self.vocab) != list(self.vocab):
-            raise ObjectiveError("batch vocabulary must be sorted")
-        missing = set(self.labels) - set(self.vocab)
-        if missing:
-            raise ObjectiveError(f"labels missing from batch vocabulary: {missing}")
 
 
 def batch_vocabulary(labels, full_vocab=None, extras: int = 0,
@@ -198,53 +172,61 @@ def _select_topk(dist: np.ndarray, candidates: np.ndarray, k: int, semi_hard: bo
 
 
 def multiview_loss(
-    batch: MultiViewBatch,
+    acoustic: Tensor,
+    labels: list,
+    vocab: list,
+    word_embeddings: Tensor,
     margin: float,
-    sampling: SamplingConfig,
+    k: int,
+    strategy: str = "hard",
     terms=(0, 2),
     sqrt_variant: bool = False,
     rng: np.random.Generator | None = None,
 ) -> Tensor:
     """Contrastive multi-view objective over a batch.
 
+    ``acoustic`` holds the (n, d) segment embeddings with their ``labels``;
+    ``word_embeddings`` holds one (|vocab|, d) row per word of the sorted
+    batch ``vocab``, which contains every label (``batch_vocabulary``).
     Sums the selected loss ``terms`` (distinct members of {0, 1, 2}) over
-    items; each term averages its hinge values over the selected negative
-    set (empty sets contribute 0). With ``sqrt_variant`` each per-item
-    term value is taken to the power 0.5.
+    items; each term averages its hinge values over up to ``k`` negatives
+    picked by ``strategy`` (hard, semi-hard or uniform; empty sets
+    contribute 0). With ``sqrt_variant`` each per-item term value is taken
+    to the power 0.5.
     ``isolated`` vs ``contextual`` training differ only in how the batch's
     acoustic embeddings were produced (whole-segment encoding vs pooling
     inside utterances); this function sees only the embeddings.
     """
     terms = tuple(terms)
-    if sampling.strategy == "confusion":
+    if strategy == "confusion":
         raise ObjectiveError("confusion sampling applies to single-view triplets only")
-    if sampling.strategy == "uniform" and rng is None:
+    if strategy == "uniform" and rng is None:
         raise ObjectiveError("uniform sampling needs an rng")
-    n = len(batch.labels)
+    n = len(labels)
     if n == 0:
         raise ObjectiveError("empty batch")
-    col = {v: j for j, v in enumerate(batch.vocab)}
-    label_idx = np.array([col[v] for v in batch.labels], dtype=np.intp)
-    labels_arr = np.asarray(batch.labels)
+    col = {v: j for j, v in enumerate(vocab)}
+    label_idx = np.array([col[v] for v in labels], dtype=np.intp)
+    labels_arr = np.asarray(labels)
 
-    d_aw = ad.cosine_distance_matrix(batch.acoustic, batch.word_embeddings)  # (n, V)
-    d_ww = ad.cosine_distance_matrix(batch.word_embeddings, batch.word_embeddings) if 1 in terms else None
+    d_aw = ad.cosine_distance_matrix(acoustic, word_embeddings)  # (n, V)
+    d_ww = ad.cosine_distance_matrix(word_embeddings, word_embeddings) if 1 in terms else None
     pos = ad.getitem(d_aw, (np.arange(n), label_idx))  # (n,)
 
-    semi = sampling.strategy == "semi-hard"
-    uni = sampling.strategy == "uniform"
+    semi = strategy == "semi-hard"
+    uni = strategy == "uniform"
     pieces = []  # per term: (hinge values weighted by 1/k, per-item slot)
     for ti, term in enumerate(terms):
         picked, sels = [], []
         for i in range(n):
             li = label_idx[i]
             if term in (0, 1):
-                cand = np.nonzero(np.arange(len(batch.vocab)) != li)[0]
+                cand = np.nonzero(np.arange(len(vocab)) != li)[0]
                 dvec = d_aw.values[i] if term == 0 else d_ww.values[li]
             else:
-                cand = np.nonzero(labels_arr != batch.labels[i])[0]
+                cand = np.nonzero(labels_arr != labels[i])[0]
                 dvec = d_aw.values[:, li]
-            sel = _select_topk(dvec, cand, sampling.k, semi, float(pos.values[i]), uni, rng)
+            sel = _select_topk(dvec, cand, k, semi, float(pos.values[i]), uni, rng)
             if len(sel):
                 picked.append(i)
                 sels.append(sel)

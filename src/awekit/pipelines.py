@@ -352,10 +352,8 @@ class Objective:
             word_embs = g.embed_sequences(seqs)
         else:
             word_embs = g.embed_words(vocab_words, lexicon)
-        batch = obj.MultiViewBatch(acoustic, labels, vocab_words, word_embs)
-        sampling = obj.SamplingConfig(k=k, strategy=self.strategy)
-        loss = obj.multiview_loss(batch, self.margin, sampling, terms=self.terms,
-                                  sqrt_variant=self.sqrt_variant, rng=rng)
+        loss = obj.multiview_loss(acoustic, labels, vocab_words, word_embs, self.margin, k, self.strategy,
+                                  self.terms, self.sqrt_variant, rng)
         return ad.scale(loss, 1.0 / max(1, len(labels)))
 
 
@@ -553,11 +551,9 @@ def train_embed(cfg: ExperimentConfig, outdir: str) -> dict:
             if use_augment:
                 fms = [cp.spec_augment(fm, al, rngs["augment"]) for fm, al in zip(fms, aligns)]
             out, _ = f.encode([fm.frames for fm in fms], train=True, rng=rngs["dropout"])
-            entries = [al.entries for al in aligns]
             if objective.spans:
-                entries = [[(s, e, " ".join(vs)) for s, e, vs in cp.merge_spans(al, rngs["spans"]).entries]
-                           for al in aligns]
-            items, labels = word_span_items(entries, min_f, max_f)
+                aligns = [cp.merge_spans(al, rngs["spans"]) for al in aligns]
+            items, labels = word_span_items([al.entries for al in aligns], min_f, max_f)
             if not items:
                 return ad.constant(0.0)
             acoustic = f.span_embeddings(out, items)
@@ -625,21 +621,16 @@ def _triplet_batch_loss(objective, f, train_segments, batch_ids, by_label, label
         j = i
         while j == i:
             j = pool[int(sample_rng.integers(0, len(pool)))]
-        if objective.strategy == "offending":
+        if objective.strategy == "confusion":
+            lab = sorted_labels[confusion.sample_different(label_index[label], sample_rng)]
+            negs = [by_label[lab][int(sample_rng.integers(0, len(by_label[lab])))]]
+        else:  # uniform: one draw; offending: k draws
             negs = []
-            for _ in range(objective.k):
+            for _ in range(objective.k if objective.strategy == "offending" else 1):
                 lab = label
                 while lab == label:
                     lab = all_labels[int(sample_rng.integers(0, len(all_labels)))]
                 negs.append(by_label[lab][int(sample_rng.integers(0, len(by_label[lab])))])
-        elif objective.strategy == "confusion":
-            lab = sorted_labels[confusion.sample_different(label_index[label], sample_rng)]
-            negs = [by_label[lab][int(sample_rng.integers(0, len(by_label[lab])))]]
-        else:  # uniform
-            lab = label
-            while lab == label:
-                lab = all_labels[int(sample_rng.integers(0, len(all_labels)))]
-            negs = [by_label[lab][int(sample_rng.integers(0, len(by_label[lab])))]]
         triplets.append((i, j, negs))
         seg_ids.update([i, j], negs)
     if not triplets:

@@ -162,7 +162,8 @@ def build_index(embeddings, refs, bits: int, permutations: int, seed: int) -> Pe
     seed (hyperplanes and bit permutations both derive from it). The
     embeddings are rounded to float32, as an index file stores them, before
     anything is computed from them."""
-    embeddings = np.asarray(embeddings, dtype=np.float32).astype(np.float64)
+    with np.errstate(invalid="ignore", over="ignore"):  # the norm check below refuses such rows
+        embeddings = np.asarray(embeddings, dtype=np.float32).astype(np.float64)
     refs = list(refs)
     if embeddings.ndim != 2 or len(refs) != embeddings.shape[0]:
         raise SearchError("need (N, d) embeddings with one ref per row")

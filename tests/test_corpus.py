@@ -8,7 +8,6 @@ from awekit.corpus import (
     FeatureTable,
     FrameMatrix,
     Lexicon,
-    SpanAlignment,
     Vocabulary,
     WordAlignment,
 )
@@ -35,10 +34,6 @@ class TestTypes:
     def test_alignment_allows_gaps(self):
         al = WordAlignment("u", ((0, 3, "a"), (5, 8, "b")))
         assert al.labels() == ["a", "b"]
-
-    def test_span_alignment_rejects_empty_labels(self):
-        with pytest.raises(corpus.CorpusError):
-            SpanAlignment("u", ((0, 3, ()),))
 
     def test_lexicon_rejects_empty_pronunciation(self):
         with pytest.raises(corpus.CorpusError):
@@ -139,6 +134,14 @@ class TestTsvFormats:
         for p in ft.table:
             np.testing.assert_array_equal(back.table[p], ft.table[p])
 
+    def test_feature_table_row_leaving_out_a_value_reads_it_as_0(self, tmp_path):
+        # a row lists the values it sets; one that lists none is all zeros
+        path = tmp_path / "feats.tsv"
+        path.write_text("feature_values\tfv1,fv2,fv3\na\tfv2=1\nb\tfv3=0,fv1=1\nc\t\n", encoding="utf-8")
+        ft = corpus.load_feature_table(path)
+        assert ft.feature_names == ("fv1", "fv2", "fv3")
+        assert {p: ft.table[p].tolist() for p in "abc"} == {"a": [0, 1, 0], "b": [1, 0, 0], "c": [0, 0, 0]}
+
 
     @pytest.mark.parametrize("start,end,field", [("x", "9", "start"), ("3", "12.5", "end"), ("", "9", "start")])
     def test_alignment_non_integer_bound_is_a_corpus_error(self, tmp_path, start, end, field):
@@ -225,12 +228,12 @@ class TestMergeSpans:
     def test_single_entry_passthrough(self):
         al = WordAlignment("u", ((2, 7, "cat"),))
         sp = corpus.merge_spans(al, np.random.default_rng(0))
-        assert sp.entries == ((2, 7, ("cat",)),)
+        assert sp.entries == ((2, 7, "cat"),)
 
     def test_two_entries_forced_merge(self):
         al = WordAlignment("u", ((0, 3, "a"), (3, 8, "b")))
         sp = corpus.merge_spans(al, np.random.default_rng(0))
-        assert sp.entries == ((0, 8, ("a", "b")),)
+        assert sp == WordAlignment("u", ((0, 8, "a b"),))
 
     def test_entry_count_range_over_many_seeds(self):
         # L=5: r ranges over {2,3,4} so the result has 1..3 spans
@@ -247,6 +250,20 @@ class TestMergeSpans:
         b = corpus.merge_spans(al, np.random.default_rng(42))
         assert a.entries == b.entries
 
+    def test_spans_follow_the_merged_entries_in_order(self):
+        # each span runs from its first word's start to its last word's end
+        # and is labeled with those words, in order, joined by single spaces
+        al = WordAlignment("u", tuple((i * 4, i * 4 + 3, f"w{i}") for i in range(7)))
+        for seed in range(50):
+            sp = corpus.merge_spans(al, np.random.default_rng(seed))
+            i = 0
+            for s, e, label in sp.entries:
+                words = label.split(" ")
+                assert words == al.labels()[i : i + len(words)]
+                assert (s, e) == (al.entries[i][0], al.entries[i + len(words) - 1][1])
+                i += len(words)
+            assert i == len(al)
+
     def test_preserves_coverage_and_label_multiset(self):
         rng = np.random.default_rng(11)
         for seed in range(50):
@@ -260,7 +277,7 @@ class TestMergeSpans:
             sp = corpus.merge_spans(al, np.random.default_rng(seed))
             covered = sum(e - s for s, e, _ in sp.entries)
             assert covered == sum(e - s for s, e, _ in al.entries)
-            flat = [w for _, _, vs in sp.entries for w in vs]
+            flat = [w for v in sp.labels() for w in v.split(" ")]
             assert sorted(flat) == sorted(al.labels())
 
 
@@ -309,6 +326,17 @@ class TestSpecAugment:
             out = corpus.spec_augment(fm, al, np.random.default_rng(seed))
             for s, e, _ in al.entries:
                 assert np.abs(out.frames[s:e]).sum() > 0
+
+    def test_time_mask_at_most_half_the_shortest_word(self):
+        # the width cap t_min // 2 (here 5 // 2) is what keeps every word
+        # partly unmasked; over many seeds the mask reaches it, never more
+        fm = _fm(T=50, D=12, seed=5)
+        al = WordAlignment("u1", ((0, 5, "a"), (5, 20, "b"), (20, 50, "c")))
+        widths = set()
+        for seed in range(200):
+            out = corpus.spec_augment(fm, al, np.random.default_rng(seed), m_f=0)
+            widths.add(int((np.abs(out.frames).sum(axis=1) == 0).sum()))
+        assert widths == {0, 1, 2}
 
     def test_empty_alignment_rejected(self):
         with pytest.raises(corpus.CorpusError):

@@ -8,7 +8,6 @@ import pytest
 
 from awekit import dtw, pipelines, synth
 from awekit.config import ExperimentConfig
-from awekit.dtw import DtwConfig
 
 
 def enumerate_paths(n, m):
@@ -30,14 +29,11 @@ def enumerate_paths(n, m):
     return paths
 
 
-def oracle_frame_distances(x, y, kind):
-    """All-pairs frame distance matrix, N x M, computed from scratch for
-    each pair; zero-norm frames score distance 1 under the cosine."""
+def oracle_frame_distances(x, y):
+    """All-pairs cosine frame distance matrix, N x M, computed from scratch
+    for each pair; zero-norm frames score distance 1."""
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
-    if kind == "euclidean":
-        sq = (x * x).sum(1)[:, None] + (y * y).sum(1)[None, :] - 2.0 * (x @ y.T)
-        return np.sqrt(np.maximum(sq, 0.0))
     nx = np.linalg.norm(x, axis=1)
     ny = np.linalg.norm(y, axis=1)
     ok = (nx > 0)[:, None] & (ny > 0)[None, :]
@@ -46,12 +42,12 @@ def oracle_frame_distances(x, y, kind):
     return 1.0 - cos
 
 
-def oracle_dtw_batch(pairs, cfg, chunk):
+def oracle_dtw_batch(pairs, normalization, chunk):
     """Reference recurrence: a two-row buffer with pairs on the first
     axis, the predecessor chosen by ``np.argmin`` over the stacked
     (diagonal, up, left) costs, and its step count carried alongside."""
     out = np.empty(len(pairs))
-    track_steps = cfg.normalization == "path-length"
+    track_steps = normalization == "path-length"
     for c0 in range(0, len(pairs), chunk):
         sub = pairs[c0 : c0 + chunk]
         P = len(sub)
@@ -60,7 +56,7 @@ def oracle_dtw_batch(pairs, cfg, chunk):
         n_max, m_max = int(ns.max()), int(ms.max())
         d = np.zeros((P, n_max, m_max))
         for p, (x, y) in enumerate(sub):
-            d[p, : len(x), : len(y)] = oracle_frame_distances(x, y, cfg.frame_distance)
+            d[p, : len(x), : len(y)] = oracle_frame_distances(x, y)
         prev = np.full((P, m_max + 1), np.inf)
         prev[:, 0] = 0.0
         cur = np.empty((P, m_max + 1))
@@ -85,12 +81,12 @@ def oracle_dtw_batch(pairs, cfg, chunk):
     return out
 
 
-def brute_force_cost(x, y, cfg):
-    d = oracle_frame_distances(x, y, cfg.frame_distance)
+def brute_force_cost(x, y, normalization):
+    d = oracle_frame_distances(x, y)
     best = np.inf
     for path in enumerate_paths(len(x), len(y)):
         cost = sum(d[i - 1, j - 1] for i, j in path)
-        if cfg.normalization == "path-length":
+        if normalization == "path-length":
             cost /= len(path)
         best = min(best, cost)
     return best
@@ -100,25 +96,22 @@ class TestDtwCost:
     def test_self_alignment_is_zero(self):
         rng = np.random.default_rng(0)
         x = rng.standard_normal((7, 5))
-        assert dtw.dtw_cost(x, x, DtwConfig("cosine")) == pytest.approx(0.0, abs=1e-12)
+        assert dtw.dtw_cost(x, x) == pytest.approx(0.0, abs=1e-12)
 
     def test_single_frame_pair_is_frame_distance(self):
         x = np.array([[1.0, 0.0]])
         y = np.array([[0.0, 1.0]])
-        assert dtw.dtw_cost(x, y, DtwConfig("cosine")) == pytest.approx(1.0)
-        assert dtw.dtw_cost(x, y, DtwConfig("euclidean")) == pytest.approx(np.sqrt(2))
+        assert dtw.dtw_cost(x, y) == pytest.approx(1.0)
 
-    @pytest.mark.parametrize("distance", ["cosine", "euclidean"])
     @pytest.mark.parametrize("normalization", ["none", "path-length"])
-    def test_matches_enumeration_on_small_inputs(self, distance, normalization):
+    def test_matches_enumeration_on_small_inputs(self, normalization):
         rng = np.random.default_rng(1)
-        cfg = DtwConfig(distance, normalization)
         for _ in range(60):
             n, m = rng.integers(1, 5, size=2)
             x = rng.standard_normal((n, 3))
             y = rng.standard_normal((m, 3))
-            got = dtw.dtw_cost(x, y, cfg)
-            want = brute_force_cost(x, y, cfg)
+            got = _normalized(*dtw.dtw_cost_batch([(x, y)]), normalization)[0]
+            want = brute_force_cost(x, y, normalization)
             # unnormalized DP is exact; normalized optimum may differ since
             # the DP normalizes the unnormalized-optimal path
             if normalization == "none":
@@ -170,30 +163,42 @@ class TestDtwCost:
         zero_norm_events.reset()
         x = np.array([[0.0, 0.0]])
         y = np.array([[1.0, 0.0]])
-        assert dtw.dtw_cost(x, y, DtwConfig("cosine")) == pytest.approx(1.0)
+        assert dtw.dtw_cost(x, y) == pytest.approx(1.0)
         assert zero_norm_events.count == 1
 
+    def test_cost_ignores_frame_scale(self):
+        # the frame distance is the cosine: rescaling each frame by a
+        # positive factor leaves every cell, and so the optimal path and
+        # its cost, unchanged up to rounding
+        rng = np.random.default_rng(3)
+        x = rng.standard_normal((6, 4))
+        y = rng.standard_normal((9, 4))
+        scaled = y * rng.uniform(0.1, 10.0, size=(9, 1))
+        (c0,), (s0,) = dtw.dtw_cost_batch([(x, y)])
+        (c1,), (s1,) = dtw.dtw_cost_batch([(x, scaled)])
+        assert c1 == pytest.approx(c0, rel=1e-12)
+        assert s1 == s0
+        assert dtw.dtw_cost(x, scaled) == c1
 
-def _normalized(costs, steps, cfg):
-    return costs / steps if cfg.normalization == "path-length" else costs
+
+def _normalized(costs, steps, normalization):
+    return costs / steps if normalization == "path-length" else costs
 
 
 class TestDtwBatch:
     @pytest.mark.parametrize("normalization", ["none", "path-length"])
     def test_batch_equals_scalar(self, normalization):
         rng = np.random.default_rng(5)
-        cfg = DtwConfig("cosine", normalization)
         pairs = []
         for _ in range(40):
             n, m = rng.integers(1, 9, size=2)
             pairs.append((rng.standard_normal((n, 3)), rng.standard_normal((m, 3))))
-        got = _normalized(*dtw.dtw_cost_batch(pairs, cfg.frame_distance, chunk=7), cfg)
-        want = np.array([dtw.dtw_cost(x, y, cfg) for x, y in pairs])
+        got = _normalized(*dtw.dtw_cost_batch(pairs, chunk=7), normalization)
+        want = np.concatenate([_normalized(*dtw.dtw_cost_batch([pair]), normalization) for pair in pairs])
         np.testing.assert_array_equal(got, want)
 
-    @pytest.mark.parametrize("distance", ["cosine", "euclidean"])
     @pytest.mark.parametrize("chunk", [1, 2, 37, 2048])
-    def test_bit_identical_to_reference_recurrence(self, distance, chunk):
+    def test_bit_identical_to_reference_recurrence(self, chunk):
         # rounded frames make equal predecessor costs (ties) and zero-norm
         # frames common; sequences recur across pairs, as in dtw_ap
         rng = np.random.default_rng(17)
@@ -203,24 +208,20 @@ class TestDtwBatch:
         # in different pairs
         shaped = [(one, wide), (tall, one), (one, one), (wide, one), (tall, wide), (one, tall), (wide, tall)]
         pairs = shaped + [(pool[a], pool[b]) for a, b in rng.integers(0, len(pool), size=(300, 2))]
-        costs, steps = dtw.dtw_cost_batch(pairs, distance, chunk=chunk)
+        costs, steps = dtw.dtw_cost_batch(pairs, chunk=chunk)
         for normalization in ("none", "path-length"):
-            cfg = DtwConfig(distance, normalization)
-            want = oracle_dtw_batch(pairs, cfg, chunk=64)
-            assert _normalized(costs, steps, cfg).tobytes() == want.tobytes()
+            want = oracle_dtw_batch(pairs, normalization, chunk=64)
+            assert _normalized(costs, steps, normalization).tobytes() == want.tobytes()
 
-    @pytest.mark.parametrize("distance", ["cosine", "euclidean"])
-    def test_unrounded_frames_match_per_pair_and_oracle_within_rounding(self, distance):
+    def test_unrounded_frames_match_per_pair_and_oracle_within_rounding(self):
         # unrounded frames round in every product, and a block's padded
         # product rounds differently from the product at a pair's own shape
         # (from the oracle's per-pair product, and with other chunk mates), so
-        # costs agree to a tolerance: a cosine cell is off by a few ulp of its
-        # distance (rtol 1e-12 on costs up to ~260 cells), and a euclidean
-        # cell of two near-equal frames by the square root of a rounding
-        # error of ~1e-14 in |x|^2 + |y|^2 - 2 x.y, about 1e-7 (atol 1e-6).
+        # costs agree to a tolerance: a cell is off by a few ulp of its
+        # distance (rtol 1e-12 on costs up to ~260 cells).
         # Step counts stay exact: no two predecessor costs are that close.
         # Sequences recur across pairs, as in dtw_ap
-        tol = {"rtol": 1e-12, "atol": 1e-12 if distance == "cosine" else 1e-6}
+        tol = {"rtol": 1e-12, "atol": 1e-12}
         rng = np.random.default_rng(29)
         for dim in (12, 40):
             lengths = [1, 1, 2, 130, *rng.integers(1, 131, size=16)]
@@ -230,17 +231,17 @@ class TestDtwBatch:
             pool.append(np.zeros((3, dim)))
             pairs = [(pool[a], pool[b]) for a, b in rng.integers(0, len(pool), size=(90, 2))]
             pairs += [(pool[0], pool[3]), (pool[3], pool[1]), (pool[0], pool[1]), (pool[-1], pool[0])]
-            alone = [dtw.dtw_cost_batch([pair], distance) for pair in pairs]
+            alone = [dtw.dtw_cost_batch([pair]) for pair in pairs]
             alone_costs = np.array([c[0] for c, _ in alone])
             alone_steps = np.array([s[0] for _, s in alone])
-            want = {norm: oracle_dtw_batch(pairs, DtwConfig(distance, norm), chunk=len(pairs))
+            want = {norm: oracle_dtw_batch(pairs, norm, chunk=len(pairs))
                     for norm in ("none", "path-length")}
             for chunk in (1, 37, 2048):
-                costs, steps = dtw.dtw_cost_batch(pairs, distance, chunk=chunk)
+                costs, steps = dtw.dtw_cost_batch(pairs, chunk=chunk)
                 np.testing.assert_allclose(costs, alone_costs, **tol)
                 assert steps.tobytes() == alone_steps.tobytes()
                 for norm, w in want.items():
-                    np.testing.assert_allclose(_normalized(costs, steps, DtwConfig(distance, norm)), w, **tol)
+                    np.testing.assert_allclose(_normalized(costs, steps, norm), w, **tol)
 
     def test_zero_norm_events_counted_once_per_cell(self):
         from awekit.autodiff import zero_norm_events
@@ -290,7 +291,7 @@ class TestDtwAp:
         for c0 in range(0, len(pairs), 2000):
             chunk = order[c0 : c0 + 2000]
             raw[chunk], steps[chunk] = dtw.dtw_cost_batch(
-                [(frames[first[p]], frames[second[p]]) for p in chunk], "cosine")
+                [(frames[first[p]], frames[second[p]]) for p in chunk])
         norm = raw / steps
         same = [labels[i] == labels[j] for i, j in pairs]
         for run in (0, 1):  # each run scores the raw, then the normalized costs

@@ -6,7 +6,7 @@ import pytest
 from awekit import autodiff as ad
 from awekit import objectives as obj
 from awekit.autodiff import Tensor
-from awekit.objectives import ConfusionMatrix, MultiViewBatch, SamplingConfig
+from awekit.objectives import ConfusionMatrix
 
 
 def cosd(a, b):
@@ -183,7 +183,7 @@ def _random_batch(seed, n=6, d=5, num_labels=3):
     vocab = sorted(set(labels))
     A = rng.standard_normal((n, d))
     W = rng.standard_normal((len(vocab), d))
-    batch = MultiViewBatch(Tensor(A), labels, vocab, Tensor(W))
+    batch = (Tensor(A), labels, vocab, Tensor(W))  # multiview_loss's first four arguments
     return batch, A, labels, W, vocab
 
 
@@ -191,15 +191,14 @@ class TestMultiView:
     def test_single_unique_label_gives_zero(self):
         rng = np.random.default_rng(7)
         A = rng.standard_normal((3, 4))
-        batch = MultiViewBatch(Tensor(A), ["w", "w", "w"], ["w"], Tensor(rng.standard_normal((1, 4))))
-        loss = obj.multiview_loss(batch, 0.4, SamplingConfig(k=2), terms=(0, 1, 2))
+        W = rng.standard_normal((1, 4))
+        loss = obj.multiview_loss(Tensor(A), ["w", "w", "w"], ["w"], Tensor(W), 0.4, 2, terms=(0, 1, 2))
         assert float(loss.values) == 0.0
 
     def test_well_separated_pairs_give_zero(self):
         A = np.array([[1.0, 0.0], [0.0, 1.0]])
         W = np.array([[1.0, 0.0], [0.0, 1.0]])
-        batch = MultiViewBatch(Tensor(A), ["a", "b"], ["a", "b"], Tensor(W))
-        loss = obj.multiview_loss(batch, 0.4, SamplingConfig(k=1), terms=(0, 2))
+        loss = obj.multiview_loss(Tensor(A), ["a", "b"], ["a", "b"], Tensor(W), 0.4, 1, terms=(0, 2))
         assert float(loss.values) == pytest.approx(0.0)
 
     @pytest.mark.parametrize("strategy", ["hard", "semi-hard"])
@@ -208,68 +207,63 @@ class TestMultiView:
     def test_matches_exhaustive_oracle(self, strategy, terms, sqrt_variant):
         for seed in range(4):
             batch, A, labels, W, vocab = _random_batch(seed)
-            loss = obj.multiview_loss(batch, 0.4, SamplingConfig(k=2, strategy=strategy),
-                                      terms=terms, sqrt_variant=sqrt_variant)
+            loss = obj.multiview_loss(*batch, 0.4, 2, strategy, terms=terms, sqrt_variant=sqrt_variant)
             want = multiview_oracle(A, labels, W, vocab, 0.4, 2, strategy, terms, sqrt_variant)
             assert float(loss.values) == pytest.approx(want, abs=1e-10)
 
     def test_k_covering_everything_equals_exhaustive(self):
         batch, A, labels, W, vocab = _random_batch(11)
-        a = obj.multiview_loss(batch, 0.4, SamplingConfig(k=999), terms=(0, 2))
+        a = obj.multiview_loss(*batch, 0.4, 999, terms=(0, 2))
         want = multiview_oracle(A, labels, W, vocab, 0.4, 999, "hard", (0, 2), False)
         assert float(a.values) == pytest.approx(want)
 
     def test_batch_permutation_invariance(self):
         batch, A, labels, W, vocab = _random_batch(12)
         perm = np.random.default_rng(0).permutation(len(labels))
-        batch2 = MultiViewBatch(Tensor(A[perm]), [labels[p] for p in perm], vocab, Tensor(W))
-        a = float(obj.multiview_loss(batch, 0.45, SamplingConfig(k=2), terms=(0, 1, 2)).values)
-        b = float(obj.multiview_loss(batch2, 0.45, SamplingConfig(k=2), terms=(0, 1, 2)).values)
+        batch2 = (Tensor(A[perm]), [labels[p] for p in perm], vocab, Tensor(W))
+        a = float(obj.multiview_loss(*batch, 0.45, 2, terms=(0, 1, 2)).values)
+        b = float(obj.multiview_loss(*batch2, 0.45, 2, terms=(0, 1, 2)).values)
         assert a == pytest.approx(b, abs=1e-12)
 
     def test_loss_nonnegative(self):
         for seed in range(6):
             batch, *_ = _random_batch(seed, n=5)
-            loss = obj.multiview_loss(batch, 0.4, SamplingConfig(k=3), terms=(0, 1, 2))
+            loss = obj.multiview_loss(*batch, 0.4, 3, terms=(0, 1, 2))
             assert float(loss.values) >= 0.0
 
     def test_semi_hard_empty_sets_contribute_zero(self):
         # all negatives closer than the positive: semi-hard excludes them all
         A = np.array([[1.0, 0.0]])
         W = np.array([[0.0, 1.0], [1.0, 0.0]])  # "a" orthogonal, "b" aligned
-        batch = MultiViewBatch(Tensor(A), ["a"], ["a", "b"], Tensor(W))
-        loss = obj.multiview_loss(batch, 0.4, SamplingConfig(k=5, strategy="semi-hard"), terms=(0,))
+        loss = obj.multiview_loss(Tensor(A), ["a"], ["a", "b"], Tensor(W), 0.4, 5, "semi-hard", terms=(0,))
         assert float(loss.values) == 0.0
 
     def test_uniform_sampling_seeded(self):
         batch, *_ = _random_batch(13)
-        cfg = SamplingConfig(k=2, strategy="uniform")
-        a = float(obj.multiview_loss(batch, 0.4, cfg, terms=(0, 2), rng=np.random.default_rng(5)).values)
-        b = float(obj.multiview_loss(batch, 0.4, cfg, terms=(0, 2), rng=np.random.default_rng(5)).values)
+        a = float(obj.multiview_loss(*batch, 0.4, 2, "uniform", terms=(0, 2), rng=np.random.default_rng(5)).values)
+        b = float(obj.multiview_loss(*batch, 0.4, 2, "uniform", terms=(0, 2), rng=np.random.default_rng(5)).values)
         assert a == pytest.approx(b)
 
     def test_confusion_strategy_rejected(self):
         batch, *_ = _random_batch(14)
         with pytest.raises(obj.ObjectiveError):
-            obj.multiview_loss(batch, 0.4, SamplingConfig(k=2, strategy="confusion"))
+            obj.multiview_loss(*batch, 0.4, 2, "confusion")
 
     def test_gradients_off_kinks(self):
         batch, A, labels, W, vocab = _random_batch(15, n=4, d=3)
-        a_t, w_t = batch.acoustic, batch.word_embeddings
+        a_t, w_t = batch[0], batch[3]
 
         def f():
-            b = MultiViewBatch(a_t, labels, vocab, w_t)
-            return obj.multiview_loss(b, 0.37, SamplingConfig(k=2), terms=(0, 1, 2))
+            return obj.multiview_loss(a_t, labels, vocab, w_t, 0.37, 2, terms=(0, 1, 2))
 
         assert ad.grad_check(f, [a_t, w_t], eps=1e-5) <= 1e-4
 
     def test_sqrt_variant_gradient(self):
         batch, A, labels, W, vocab = _random_batch(16, n=4, d=3)
-        a_t, w_t = batch.acoustic, batch.word_embeddings
+        a_t, w_t = batch[0], batch[3]
 
         def f():
-            b = MultiViewBatch(a_t, labels, vocab, w_t)
-            return obj.multiview_loss(b, 0.42, SamplingConfig(k=2), terms=(0, 2), sqrt_variant=True)
+            return obj.multiview_loss(a_t, labels, vocab, w_t, 0.42, 2, terms=(0, 2), sqrt_variant=True)
 
         assert ad.grad_check(f, [a_t, w_t], eps=1e-5) <= 1e-4
 

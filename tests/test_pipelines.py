@@ -4,12 +4,14 @@ search, decoding, and determinism across reruns and thread counts."""
 import json
 import os
 import signal
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from awekit import autodiff as ad
 from awekit import corpus as cp
-from awekit import pipelines, recognition, search, synth
+from awekit import objectives, pipelines, recognition, search, synth
 from awekit.config import ConfigError, ExperimentConfig
 
 
@@ -263,6 +265,59 @@ class TestTrainEmbed:
         a1 = pipelines.eval_ap(cfg1, r1["checkpoint"], tmp_path / "ap1.json")
         a4 = pipelines.eval_ap(cfg4, r4["checkpoint"], tmp_path / "ap4.json")
         assert a1["acoustic_ap"] == a4["acoustic_ap"]
+
+
+class _MeanFrameEmbedder:
+    """Embeds a segment as its mean frame."""
+
+    def embed_segments_isolated(self, frames, train, rng):
+        return ad.constant(np.stack([fr.mean(axis=0) for fr in frames]))
+
+
+def _triplet_loss(strategy, k, seed):
+    """One triplet batch over 12 segments of 4 words; a segment's frames
+    read (word id + 1, segment index + 1)."""
+    words = ["a", "b", "c", "d"]
+    train_segments, by_label = [], {}
+    for idx in range(12):
+        word = words[idx % 4]
+        fm = cp.FrameMatrix(f"u{idx}", np.tile([words.index(word) + 1.0, idx + 1.0], (3, 1)))
+        train_segments.append((fm, cp.SegmentRef(fm.utterance_id, 0, 3, word)))
+        by_label.setdefault(word, []).append(idx)
+    objective = SimpleNamespace(strategy=strategy, k=k, margin=0.4)
+    rngs = {"sampling": np.random.default_rng(seed), "dropout": np.random.default_rng(0)}
+    loss = pipelines._triplet_batch_loss(objective, _MeanFrameEmbedder(), train_segments, list(range(12)),
+                                         by_label, {w: i for i, w in enumerate(words)}, None, rngs)
+    return loss, rngs["sampling"]
+
+
+class TestTripletSampling:
+    def test_uniform_is_offending_with_one_draw(self):
+        for seed in range(5):
+            uniform, uniform_rng = _triplet_loss("uniform", 3, seed)
+            offending, offending_rng = _triplet_loss("offending", 1, seed)
+            assert uniform.values.tobytes() == offending.values.tobytes()
+            assert uniform_rng.bit_generator.state == offending_rng.bit_generator.state
+
+    @pytest.mark.parametrize("strategy,k,scorer", [
+        ("uniform", 3, "cos_hinge_triplet"), ("offending", 3, "most_offending_triplet")])
+    def test_negatives_are_k_other_word_segments(self, monkeypatch, strategy, k, scorer):
+        # uniform scores each anchor against one negative, offending against k;
+        # every negative is a segment of another word
+        seen = []
+        original = getattr(objectives, scorer)
+
+        def record(anchor, same, negatives, margin):
+            seen.append((anchor.values[0], same.values[0], np.atleast_2d(negatives.values)[:, 0]))
+            return original(anchor, same, negatives, margin)
+
+        monkeypatch.setattr(objectives, scorer, record)
+        _triplet_loss(strategy, k, seed=3)
+        assert len(seen) == 24  # each of the 12 anchors and its mirrored triplet
+        for anchor_word, same_word, negative_words in seen:
+            assert same_word == anchor_word
+            assert len(negative_words) == (k if strategy == "offending" else 1)
+            assert (negative_words != anchor_word).all()
 
 
 def _nan_on_second_call(monkeypatch, owner, name):

@@ -1,6 +1,7 @@
 """Sliding windows, LSH signatures, index lookup vs exhaustive search."""
 
 import struct
+import warnings
 
 import numpy as np
 import pytest
@@ -227,6 +228,19 @@ class TestIndex:
         path.write_bytes(bytes(data))
         with pytest.raises(search.SearchError, match="zero or non-finite norm"):
             search.load_index(path)
+
+    # beyond float32's range, a quiet NaN, and a signalling NaN: rounding to
+    # float32 warns on the first and the last unless told not to
+    SIGNALLING_NAN = np.array([0x7FF0_0000_0000_0001], dtype=np.uint64).view(np.float64)
+
+    @pytest.mark.parametrize("value", [1e300, float("nan"), SIGNALLING_NAN], ids=["1e300", "nan", "snan"])
+    def test_non_finite_after_rounding_rejected_without_a_warning(self, value):
+        emb, refs = _random_db(np.random.default_rng(19), n=4, d=3)
+        emb[2, 1:2] = value
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(search.SearchError, match="zero or non-finite norm"):
+                search.build_index(emb, refs, bits=16, permutations=2, seed=1)
 
     @pytest.mark.parametrize("N, P, b, d", [(0, 0, 2**31, 2**31), (0, 1, 8, 2**31)])
     def test_header_without_entries_or_permutations_rejected(self, tmp_path, N, P, b, d):
