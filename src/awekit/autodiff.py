@@ -214,7 +214,8 @@ def gather_rows(x: Tensor, idx) -> Tensor:
     """Rows ``idx`` of a 2-D tensor (an embedding lookup, say), repeats
     allowed. The backward sums the gradients of repeated rows in one
     ``np.add.reduceat`` over a stable sort of ``idx``, in the order the
-    rows were gathered, far faster than ``np.add.at`` on many rows."""
+    rows were gathered, far faster than ``np.add.at`` on many rows, and
+    adds the sums into ``x.grad`` in place, as ``getitem`` does."""
     idx = np.asarray(idx, dtype=np.intp)
     out = Tensor(x.values[idx])
 
@@ -222,9 +223,10 @@ def gather_rows(x: Tensor, idx) -> Tensor:
         order = np.argsort(idx, kind="stable")
         ordered = idx[order]
         first = np.flatnonzero(np.r_[True, ordered[1:] != ordered[:-1]])
-        full = np.zeros_like(x.values)
-        full[ordered[first]] = np.add.reduceat(g[order], first, axis=0)
-        return (full,)
+        if x.grad is None:
+            x.grad = np.zeros_like(x.values)
+        x.grad[ordered[first]] += np.add.reduceat(g[order], first, axis=0)
+        return (None,)
 
     return _record(out, (x,), bwd)
 
@@ -346,16 +348,6 @@ def concat(tensors, axis: int = 0) -> Tensor:
     return _record(out, tuple(tensors), bwd)
 
 
-def stack(tensors, axis: int = 0) -> Tensor:
-    tensors = list(tensors)
-    out = Tensor(np.stack([t.values for t in tensors], axis=axis))
-
-    def bwd(g):
-        return tuple(np.moveaxis(g, axis, 0))
-
-    return _record(out, tuple(tensors), bwd)
-
-
 def sum_(x: Tensor, axis: int | None = None) -> Tensor:
     out = Tensor(x.values.sum(axis=axis))
     shape = x.values.shape
@@ -366,12 +358,6 @@ def sum_(x: Tensor, axis: int | None = None) -> Tensor:
         return (np.broadcast_to(np.expand_dims(g, axis), shape).copy(),)
 
     return _record(out, (x,), bwd)
-
-
-def cumsum(x: Tensor, axis: int) -> Tensor:
-    """Cumulative sum along ``axis``; backward is the reversed cumulative sum."""
-    out = Tensor(np.cumsum(x.values, axis=axis))
-    return _record(out, (x,), lambda g: (np.flip(np.cumsum(np.flip(g, axis), axis=axis), axis),))
 
 
 def row_scale(x: Tensor, w: Tensor) -> Tensor:

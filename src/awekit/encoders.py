@@ -6,13 +6,18 @@ per-frame output is the concatenation of both directions' hidden states
 -- "concat" takes the forward state at end-1 next to the backward state
 at start, "mean" averages the rows, "attention" uses a softmax over a
 learned scoring vector -- and then projects to the embedding dimension.
+``pool_spans`` is the one pooling function: it pools a batch of spans
+given as arrays, and serves word embeddings, the written encoder, the
+segmental recognizer's segment scores and the CTC recognizer's span
+embeddings.
 
 The written encoder embeds a symbol sequence (characters, phones, or
 binary distinctive-feature vectors mapped through a linear layer, i.e.
 a sum of feature embeddings), runs one bidirectional recurrent layer,
-pools by concatenation of the final states, and projects into the same
-space. It shares the acoustic encoder's projection whenever the widths
-match and there is no fully-connected stack.
+pools each whole sequence by concatenation (its final states), and
+projects into the same space. It shares the acoustic encoder's
+projection whenever the widths match and there is no fully-connected
+stack.
 """
 
 from __future__ import annotations
@@ -26,6 +31,7 @@ from . import autodiff as ad
 from . import nn
 from .autodiff import Tensor
 from .corpus import FeatureTable, Lexicon, Vocabulary, phones_to_feature_rows
+from .metrics import unit_rows
 
 FC_DIM = 256  # width of the optional fully-connected layers
 CELLS = {"lstm": nn.LstmParams, "gru": nn.GruParams}  # the recurrent cells of the acoustic encoder
@@ -50,9 +56,44 @@ def pad_and_mask(arrays, pad_multiple: int = 1):
     return out, mask, lengths
 
 
-def unit_rows(x: np.ndarray) -> np.ndarray:
-    norms = np.linalg.norm(x, axis=-1, keepdims=True)
-    return x / np.where(norms > 0, norms, 1.0)
+def pool_spans(outputs: Tensor, rows, starts, lengths, mode: str, attention: Tensor | None = None) -> Tensor:
+    """Pool spans of (B, T, W) frame outputs into (n, W) rows, in span order.
+
+    Span i covers frames [starts[i], starts[i] + lengths[i]) of batch row
+    rows[i]; lengths are at least 1. "concat" takes the forward half
+    (columns [:W/2]) of the last frame next to the backward half of the
+    first, in one gather of half-rows. "mean" and "attention" gather the
+    spans of one length as one (n, s, W) block and average it, plainly or
+    weighted by a softmax of the frames' scores against ``attention``.
+    """
+    B, T, W = outputs.values.shape
+    first = np.asarray(rows, dtype=np.intp) * T + np.asarray(starts, dtype=np.intp)  # into (B*T, W)
+    lengths = np.asarray(lengths, dtype=np.intp)
+    if mode == "concat":
+        # frame i's forward half is half-row 2i and its backward half 2i+1
+        idx = np.stack([2 * (first + lengths - 1), 2 * first + 1], axis=1)
+        pooled = ad.gather_rows(ad.reshape(outputs, (2 * B * T, W // 2)), idx.reshape(-1))
+        return ad.reshape(pooled, (len(first), W))
+    frames = ad.reshape(outputs, (B * T, W))
+    if mode == "attention":
+        scores = ad.reshape(ad.matmul(frames, ad.reshape(attention, (W, 1))), (B * T,))
+    blocks, order = [], []
+    # one block per span length, ascending; not np.unique, which imports
+    # numpy.ma on first use (about 1.5 MB more peak memory in asr-train)
+    for s in sorted(set(lengths.tolist())):
+        sel = np.flatnonzero(lengths == s)
+        win = first[sel, None] + np.arange(s)  # (n, s) frame indices
+        gathered = ad.gather_rows(frames, win.reshape(-1))  # (n*s, W)
+        if mode == "attention":
+            weights = ad.softmax(ad.getitem(scores, win), axis=1)
+            gathered = ad.row_scale(gathered, ad.reshape(weights, (win.size,)))
+        block = ad.reshape(gathered, (len(sel), s, W))
+        blocks.append(ad.mean(block, axis=1) if mode == "mean" else ad.sum_(block, axis=1))
+        order.append(sel)
+    pooled = ad.concat(blocks, axis=0)
+    if (np.diff(lengths) < 0).any():  # the blocks hold the spans in length order
+        pooled = ad.gather_rows(pooled, np.argsort(np.concatenate(order)))
+    return pooled
 
 
 # ---------------------------------------------------------------------------
@@ -148,15 +189,16 @@ class AcousticEncoder:
         outputs, out_mask = self.encode_padded(Tensor(x), mask, train=train, rng=rng)
         return outputs, out_mask.sum(axis=1).astype(int)
 
-    # -- boundary bookkeeping for subsampled outputs
-
-    def map_start(self, s: int) -> int:
-        return s // self.config.subsample
-
-    def map_end(self, e: int) -> int:
-        return -(-e // self.config.subsample)
-
     # -- pooling + projection
+
+    def output_spans(self, spans) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(rows, starts, lengths) in output frames of (row, start, end)
+        spans given in input frames: a span covers every output frame that
+        one of its input frames falls into."""
+        r, s, e = np.array(spans, dtype=np.intp).reshape(-1, 3).T
+        q = self.config.subsample
+        starts = s // q
+        return r, starts, -(-e // q) - starts
 
     def project(self, pooled: Tensor) -> Tensor:
         h = pooled
@@ -164,80 +206,15 @@ class AcousticEncoder:
             h = ad.relu(ad.affine(h, w.tensor, b.tensor))
         return ad.affine(h, self.proj_w.tensor, self.proj_b.tensor)
 
-    def pool_batch(self, outputs: Tensor, segments) -> Tensor:
-        """Pool many segments out of batched frame outputs.
-
-        ``segments`` is a list of (batch_row, start, end) in *output* frame
-        coordinates (already subsample-mapped). Returns (n, W) pooled rows.
-        """
-        mode = self.config.pooling
-        if mode == "concat":
-            h = self.frame_width // 2
-            b_idx = np.array([b for b, _, _ in segments], dtype=np.intp)
-            s_idx = np.array([s for _, s, _ in segments], dtype=np.intp)
-            e_idx = np.array([e for _, _, e in segments], dtype=np.intp)
-            fw = ad.getitem(outputs, (b_idx, e_idx - 1, slice(0, h)))
-            bw = ad.getitem(outputs, (b_idx, s_idx, slice(h, 2 * h)))
-            return ad.concat([fw, bw], axis=1)
-        pooled = []
+    def pool(self, outputs: Tensor, rows, starts, lengths) -> Tensor:
+        """``pool_spans`` with the configured mode and attention vector."""
         r = self.attention_vector.tensor if self.attention_vector is not None else None
-        for b, s, e in segments:
-            rows = ad.getitem(outputs, (b, slice(s, e)))
-            if mode == "mean":
-                pooled.append(ad.mean(rows, axis=0))
-            else:
-                scores = ad.reshape(ad.matmul(rows, ad.reshape(r, (self.frame_width, 1))), (e - s,))
-                w = ad.softmax(scores, axis=0)
-                pooled.append(ad.reshape(ad.matmul(ad.reshape(w, (1, e - s)), rows), (self.frame_width,)))
-        return ad.stack(pooled, axis=0)
-
-    def pool_all_segments(self, outputs: Tensor, grid: np.ndarray) -> Tensor:
-        """Pool every segment of a batch's (B, T, W) frame outputs into
-        (n, W) rows. ``grid`` is ``segmental.segment_grid``'s (B, T', S)
-        map of segment (row b, start t, length s) to a packed row, -1 where
-        t + s runs past row b's length; its rows are numbered length-major
-        (all length-1 segments by row and start, then length-2, ...), and
-        the pooled rows come out in that order.
-        """
-        B, T, W = outputs.values.shape
-        s0, b, t = np.nonzero(grid.transpose(2, 0, 1) >= 0)  # row order
-        start = b * T + t  # into the (B*T, W) frames
-        mode = self.config.pooling
-        if mode == "concat":
-            # frame i's forward half is half-row 2i and its backward half 2i+1:
-            # segment (t, s) is [fw at t+s-1, bw at t], one gather of half-rows
-            idx = np.stack([2 * (start + s0), 2 * start + 1], axis=1)
-            rows = ad.gather_rows(ad.reshape(outputs, (2 * B * T, W // 2)), idx.reshape(-1))
-            return ad.reshape(rows, (len(start), W))
-        if mode == "mean":
-            # window sums as differences of one cumulative sum per row
-            cum = ad.concat([ad.constant(np.zeros((B, 1, W))), ad.cumsum(outputs, axis=1)], axis=1)
-            cum = ad.reshape(cum, (B * (T + 1), W))
-            lo = b * (T + 1) + t
-            hi = ad.gather_rows(cum, lo + s0 + 1)
-            return ad.mul_const(ad.sub(hi, ad.gather_rows(cum, lo)), 1.0 / (s0[:, None] + 1.0))
-        # attention: one softmax over each window, all windows of a length at once
-        frames = ad.reshape(outputs, (B * T, W))
-        r = self.attention_vector.tensor
-        scores = ad.reshape(ad.matmul(frames, ad.reshape(r, (W, 1))), (B * T,))
-        blocks = []
-        for s in range(1, grid.shape[2] + 1):
-            first = start[s0 == s - 1]
-            if not first.size:
-                break
-            n = first.size
-            win = first[:, None] + np.arange(s)  # (n, s)
-            w8 = ad.softmax(ad.getitem(scores, win), axis=1)
-            rows = ad.gather_rows(frames, win.reshape(-1))  # (n*s, W)
-            prod = ad.row_scale(rows, ad.reshape(w8, (n * s,)))
-            blocks.append(ad.sum_(ad.reshape(prod, (n, s, W)), axis=1))
-        return ad.concat(blocks, axis=0)
+        return pool_spans(outputs, rows, starts, lengths, self.config.pooling, r)
 
     def span_embeddings(self, outputs: Tensor, spans) -> Tensor:
         """Pool and project (row, start, end) spans of ``outputs`` given in
         *input* frames: (n, d)."""
-        return self.project(self.pool_batch(
-            outputs, [(r, self.map_start(s), self.map_end(e)) for r, s, e in spans]))
+        return self.project(self.pool(outputs, *self.output_spans(spans)))
 
     def embed_segments_isolated(self, segment_frames, train: bool = False,
                                 rng: np.random.Generator | None = None) -> Tensor:
@@ -354,11 +331,8 @@ class WrittenEncoder:
         fw_out = nn.run_recurrent_layer(self.fw, x, mask)
         bw_out = nn.run_recurrent_layer(self.bw, x, mask, reverse=True)
         n = len(seqs)
-        last = np.array([int(mask[i].sum()) - 1 for i in range(n)], dtype=np.intp)
-        rows = np.arange(n, dtype=np.intp)
-        fw_final = ad.getitem(fw_out, (rows, last))
-        bw_first = ad.getitem(bw_out, (rows, np.zeros(n, dtype=np.intp)))
-        pooled = ad.concat([fw_final, bw_first], axis=1)
+        pooled = pool_spans(ad.concat([fw_out, bw_out], axis=2), np.arange(n), 0, [len(s) for s in seqs],
+                            "concat")
         return ad.affine(pooled, self.proj_w.tensor, self.proj_b.tensor)
 
     def embed_words(self, words, lexicon: Lexicon | None = None) -> Tensor:

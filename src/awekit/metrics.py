@@ -59,19 +59,11 @@ def average_precision(distances, is_same) -> float:
     return float((precision * delta_recall).sum())
 
 
-def cosine_distances_condensed(embeddings: np.ndarray) -> np.ndarray:
-    """Upper-triangle (i<j) cosine distances for rows of an (N, D) matrix."""
-    x = np.asarray(embeddings, dtype=np.float64)
-    norms = np.linalg.norm(x, axis=1)
-    safe = np.where(norms > 0, norms, 1.0)
-    xn = x / safe[:, None]
-    cos = xn @ xn.T
-    bad = norms == 0
-    if bad.any():
-        cos[bad, :] = 0.0
-        cos[:, bad] = 0.0
-    iu = np.triu_indices(len(x), k=1)
-    return 1.0 - cos[iu]
+def unit_rows(x: np.ndarray) -> np.ndarray:
+    """Rows scaled to unit norm; a zero row stays zero, so its cosines are
+    0 and its cosine distances exactly 1."""
+    norms = np.linalg.norm(x, axis=-1, keepdims=True)
+    return x / np.where(norms > 0, norms, 1.0)
 
 
 def acoustic_ap(embeddings, labels) -> float:
@@ -79,10 +71,10 @@ def acoustic_ap(embeddings, labels) -> float:
     labels = np.asarray(labels)
     if len(labels) < 2:
         raise MetricError("need at least two segments")
-    dists = cosine_distances_condensed(np.asarray(embeddings))
+    x = unit_rows(np.asarray(embeddings, dtype=np.float64))
     iu = np.triu_indices(len(labels), k=1)
     same = labels[iu[0]] == labels[iu[1]]
-    return average_precision(dists, same)
+    return average_precision(1.0 - (x @ x.T)[iu], same)
 
 
 def cross_view_ap(acoustic_embeddings, acoustic_labels, word_embeddings, word_labels) -> float:
@@ -91,14 +83,7 @@ def cross_view_ap(acoustic_embeddings, acoustic_labels, word_embeddings, word_la
     w = np.asarray(word_embeddings, dtype=np.float64)
     if len(w) < 1 or len(a) < 1:
         raise MetricError("need at least one segment and one word")
-    na = np.linalg.norm(a, axis=1)
-    nw = np.linalg.norm(w, axis=1)
-    an = a / np.where(na > 0, na, 1.0)[:, None]
-    wn = w / np.where(nw > 0, nw, 1.0)[:, None]
-    cos = an @ wn.T
-    cos[na == 0, :] = 0.0
-    cos[:, nw == 0] = 0.0
-    dist = 1.0 - cos
+    dist = 1.0 - unit_rows(a) @ unit_rows(w).T
     same = np.asarray(acoustic_labels)[:, None] == np.asarray(word_labels)[None, :]
     return average_precision(dist.ravel(), same.ravel())
 

@@ -172,16 +172,17 @@ def build_acoustic_encoder(cfg: ExperimentConfig, input_dim: int, rng) -> enc.Ac
     return enc.AcousticEncoder(config, rng)
 
 
-def _symbol_inventory(ds: Dataset, labels) -> list:
-    if ds.lexicon is not None:
-        chars = {ch for w in ds.lexicon.pronunciations for ch in w}
+def _symbol_inventory(lexicon, labels) -> list:
+    if lexicon is not None:
+        chars = {ch for w in lexicon.pronunciations for ch in w}
     else:
         chars = set()
     chars.update(ch for w in labels for ch in w)
     return sorted(chars)
 
 
-def build_written_encoder(cfg: ExperimentConfig, ds: Dataset, labels, f: enc.AcousticEncoder, rng):
+def build_written_encoder(cfg: ExperimentConfig, lexicon, feature_table, labels, f: enc.AcousticEncoder,
+                          rng):
     mode = cfg.get("written", "mode")
     wcfg = enc.WrittenEncoderConfig(
         mode=mode,
@@ -193,17 +194,14 @@ def build_written_encoder(cfg: ExperimentConfig, ds: Dataset, labels, f: enc.Aco
     if 2 * wcfg.hidden == f.frame_width and not f.fc:
         shared = (f.proj_w, f.proj_b)
     symbols = None
-    feature_table = None
     if mode == "char":
-        symbols = _symbol_inventory(ds, labels)
+        symbols = _symbol_inventory(lexicon, labels)
     elif mode == "phone":
-        if ds.lexicon is None:
+        if lexicon is None:
             raise ConfigError("phone mode needs [data] lexicon")
-        symbols = ds.lexicon.symbols()
-    else:
-        if ds.feature_table is None:
-            raise ConfigError("feature mode needs [data] feature_table")
-        feature_table = ds.feature_table
+        symbols = lexicon.symbols()
+    elif feature_table is None:
+        raise ConfigError("feature mode needs [data] feature_table")
     return enc.WrittenEncoder(wcfg, rng, symbols=symbols, feature_table=feature_table,
                               shared_projection=shared)
 
@@ -285,8 +283,8 @@ def rebuild_encoders(meta: dict, written_labels):
     lexicon = _load_if_exists(cfg, "lexicon", cp.load_lexicon)
     g = None
     if written_labels is not None:
-        ds = Dataset([], {}, [], {}, lexicon, _load_if_exists(cfg, "feature_table", cp.load_feature_table))
-        g = build_written_encoder(cfg, ds, written_labels, f, rng)
+        feature_table = _load_if_exists(cfg, "feature_table", cp.load_feature_table)
+        g = build_written_encoder(cfg, lexicon, feature_table, written_labels, f, rng)
     return cfg, f, g, lexicon
 
 
@@ -523,7 +521,7 @@ def train_embed(cfg: ExperimentConfig, outdir: str) -> dict:
     params = f.parameters()
     g = None
     if kind == "multiview":
-        g = build_written_encoder(cfg, ds, train_labels, f, init_rng)
+        g = build_written_encoder(cfg, ds.lexicon, ds.feature_table, train_labels, f, init_rng)
         params = params + g.parameters()
     elif kind == "classifier" and f.config.embed_dim != len(train_labels):
         raise ConfigError(

@@ -13,7 +13,11 @@ dev WER. One batch loss, ``asr_batch_loss``, serves both recognizers: it
 encodes the batch, then sums the per-utterance CTC losses or takes the
 segmental loss of the whole batch, whose lattices are scored, summed over
 and differentiated in one pass (see ``segmental``). Decoding encodes,
-scores and Viterbi-decodes length-sorted batches.
+scores and Viterbi-decodes length-sorted batches. Word spans for joint
+training and projection rescaling are embedded through
+``encoders.pool_spans``: a CTC model projects every frame and mean-pools
+the span's output frames, a segmental model pools with its configured
+mode and then projects.
 """
 
 from __future__ import annotations
@@ -121,7 +125,7 @@ def build_recognizer(cfg: ExperimentConfig, ds: Dataset, input_dim: int):
     f = build_acoustic_encoder(cfg, input_dim, init_rng)
     g = None
     if pretrained or cfg.get("recognizer", "lexicon_mode") == "dynamic":
-        g = build_written_encoder(cfg, ds, labels, f, init_rng)
+        g = build_written_encoder(cfg, ds.lexicon, ds.feature_table, labels, f, init_rng)
     if pretrained:
         nn.assign_from_checkpoint(f.parameters() + g.parameters(), nn.load_checkpoint(init_ckpt),
                                   strict=False)
@@ -196,8 +200,7 @@ def _span_embeddings(model, out: Tensor, spans) -> Tensor:
         return f.span_embeddings(out, spans)
     B, T, W = out.values.shape
     proj = ad.reshape(f.project(ad.reshape(out, (B * T, W))), (B, T, -1))
-    return ad.stack([ad.mean(ad.getitem(proj, (r, slice(f.map_start(s), f.map_end(e)))), axis=0)
-                     for r, s, e in spans], axis=0)
+    return enc.pool_spans(proj, *f.output_spans(spans), "mean")
 
 
 def _ctc_frame_logits(model, out: Tensor):

@@ -12,8 +12,10 @@ u_{t,s,v} live in the log domain; the marginal log loss is
 A batch's lattices have one layout: packed (n, V) score rows, one per
 valid segment (b, t, s) with t + s <= T_b, plus the (B, T, S) grid from
 ``segment_grid`` that maps (b, t, s-1) to a row and holds -1 where a
-segment runs past its utterance. The kernels append one row of -inf,
-which those -1 cells read, so padding drops out of every sum and max.
+segment runs past its utterance. ``score_segments`` pools every segment
+of the batch with one ``encoders.pool_spans`` call, in packed row order.
+The kernels append one row of -inf, which those -1 cells read, so
+padding drops out of every sum and max.
 One log-space forward recursion, one time loop over the batch's longest
 utterance, computes the alphas of every utterance. Transcripts are
 padded to the longest: column k reads only column k-1, so padding
@@ -77,7 +79,8 @@ def score_segments(encoder, outputs: Tensor, lengths, prediction_layer, max_len:
     prediction layer's matrix.
     """
     grid = segment_grid(lengths, max_len)
-    embedded = encoder.project(encoder.pool_all_segments(outputs, grid))  # (n, d)
+    s0, b, t = np.nonzero(grid.transpose(2, 0, 1) >= 0)  # the segment of each packed row
+    embedded = encoder.project(encoder.pool(outputs, b, t, s0 + 1))  # (n, d)
     w = prediction_layer.weight_tensor()  # (V, d)
     packed = ad.affine(embedded, ad.transpose(w), prediction_layer.b.tensor)
     return ScoreTensor(packed, grid)

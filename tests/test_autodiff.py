@@ -157,12 +157,27 @@ def test_gather_rows_sums_repeated_rows():
     np.testing.assert_array_equal(x.grad[2], 0.0)
 
 
-@pytest.mark.parametrize("axis", [0, 1, 2])
-def test_cumsum_gradient(axis):
-    rng = np.random.default_rng(8)
-    x = Tensor(rng.standard_normal((2, 3, 4)))
-    w = rng.standard_normal((2, 3, 4))
-    assert ad.grad_check(lambda: ad.sum_(ad.mul_const(ad.cumsum(x, axis), w)), [x], eps=1e-5) <= 1e-6
+@pytest.mark.parametrize("gather_last", [False, True])
+def test_gather_rows_gradient_adds_to_another_use(gather_last):
+    """``x`` read by ``gather_rows`` with repeats and by a second op: its
+    gradient is the sum of both, whichever backward runs first."""
+    rng = np.random.default_rng(9)
+    x = Tensor(rng.standard_normal((5, 3)))
+    idx = np.array([3, 0, 3, 3, 1])
+    g = rng.standard_normal((5, 3))
+    w = rng.standard_normal((5, 3))
+    with Tape() as tape:
+        if gather_last:  # the tape runs backward: the gather's backward first
+            other = ad.mul_const(x, w)
+            gathered = ad.gather_rows(x, idx)
+        else:
+            gathered = ad.gather_rows(x, idx)
+            other = ad.mul_const(x, w)
+        loss = ad.add(ad.sum_(ad.mul_const(gathered, g)), ad.sum_(other))
+    tape.backward(loss)
+    want = w.copy()
+    np.add.at(want, idx, g)
+    np.testing.assert_allclose(x.grad, want, rtol=1e-15, atol=0)
 
 
 @pytest.mark.parametrize("seed", range(3))
@@ -178,17 +193,6 @@ def test_cosine_distance_matrix_matches_rowwise(seed):
     a, b = Tensor(A), Tensor(B)
     err = ad.grad_check(lambda: ad.sum_(ad.tanh(ad.cosine_distance_matrix(a, b))), [a, b], eps=1e-5)
     assert err <= 1e-4
-
-
-def test_stack_getitem_roundtrip_grads():
-    rng = np.random.default_rng(2)
-    x = Tensor(rng.standard_normal((3, 4, 2)))
-
-    def f():
-        rows = [ad.getitem(x, (slice(None), t)) for t in range(4)]
-        return ad.sum_(ad.mul(ad.stack(rows, axis=1), ad.stack(rows, axis=1)))
-
-    assert ad.grad_check(f, [x], eps=1e-5) <= 1e-4
 
 
 def test_dropout_semantics():

@@ -6,10 +6,12 @@ must be used somewhere: in ``src``, ``tests``, ``demos`` or
 ``benchmarks``. It must also be used outside ``tests``, unless it is on
 the allowlist below: oracles used only by tests live in ``tests/``. A
 method is used by an attribute use (``x.name``); a top-level function or
-class by its bare name (``name``) or through an imported module
-(``module.name``). So a local variable or a method that happens to share
-a definition's name does not count, and neither does a mention in a
-comment, docstring or string. Dunder names are exempt.
+class by its bare name (``name``) or through a module that an awekit
+import binds (``module.name`` after ``from . import module``,
+``from awekit import module`` or ``import awekit.module as module``). So
+a local variable, a method or a numpy function that happens to share a
+definition's name (``np.stack``) does not count, and neither does a
+mention in a comment, docstring or string. Dunder names are exempt.
 
 Every key of ``config.DEFAULTS`` must be set by a preset, or named in
 ``tests``, ``demos`` or ``benchmarks`` as a ``("section", "key")`` pair
@@ -55,18 +57,31 @@ def _definitions(tree):
                         yield "method", item.name
 
 
+def _awekit_modules(tree):
+    """Names a file's awekit imports bind: ``from . import x``, ``from
+    awekit import x``, ``import awekit.x as y``, ``import awekit``."""
+    bound = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.level == 1 and node.module is None
+                                                 or node.level == 0 and node.module == "awekit"):
+            bound.update(a.asname or a.name for a in node.names)
+        elif isinstance(node, ast.Import):
+            bound.update((a.asname or a.name).split(".")[0] for a in node.names
+                         if a.name.split(".")[0] == "awekit")
+    return bound
+
+
 def _uses(tops, skip=()):
     """(kind, name) -> number of uses: "method" for every attribute use
     ``x.name``, "top" for every bare name and every ``module.name`` through
-    a name the same file imports."""
+    a name an awekit import of the same file binds."""
     uses = collections.Counter()
     for top in tops:
         for path in sorted((ROOT / top).rglob("*.py")):
             if path in skip:
                 continue
             tree = ast.parse(path.read_text(encoding="utf-8"))
-            imported = {(a.asname or a.name).split(".")[0] for node in ast.walk(tree)
-                        if isinstance(node, (ast.Import, ast.ImportFrom)) for a in node.names}
+            imported = _awekit_modules(tree)
             for node in ast.walk(tree):
                 if isinstance(node, ast.Name):
                     uses["top", node.id] += 1

@@ -97,15 +97,14 @@ class TestEncodeUtterance:
         T_a = int(out_mask[0].sum())
         assert T_a == -(-10 // 4) == 3
         np.testing.assert_allclose(out.values[0, :T_a], solo, atol=1e-12)
-        assert f.map_start(5) == 1 and f.map_end(10) == 3
+        rows, starts, lengths = f.output_spans([(0, 5, 10)])  # output frames [1, 3)
+        assert rows.tolist() == [0] and starts.tolist() == [1] and lengths.tolist() == [2]
 
 
 def pool_one(pooling, rows, start, end, attention=None):
-    """``pool_batch`` of one [start, end) slice of (T, W) frame outputs."""
-    f = small_acoustic(pooling=pooling, hidden=rows.shape[1] // 2)
-    if attention is not None:
-        f.attention_vector.values[...] = attention
-    return f.pool_batch(Tensor(rows[None]), [(0, start, end)]).values[0]
+    """``pool_spans`` of one [start, end) slice of (T, W) frame outputs."""
+    r = None if attention is None else Tensor(attention)
+    return enc.pool_spans(Tensor(rows[None]), [0], [start], [end - start], pooling, r).values[0]
 
 
 class TestPoolSegment:
@@ -135,33 +134,60 @@ class TestPoolSegment:
         with pytest.raises(enc.EncoderError):
             pool_segment(np.zeros((3, 4)), 2, 2, "mean")
 
-    def test_pool_batch_concat_matches_single(self):
-        f = small_acoustic(pooling="concat", hidden=3)
-        rng = np.random.default_rng(5)
-        x, mask, _ = enc.pad_and_mask([rng.standard_normal((6, 3))])
-        out, _ = f.encode_padded(Tensor(x), mask)
-        batch = f.pool_batch(out, [(0, 1, 4)])
-        single = pool_segment(out.values[0], 1, 4, "concat")
-        np.testing.assert_allclose(batch.values[0], single.values, atol=1e-12)
 
-    def test_pool_gradients(self):
-        rng = np.random.default_rng(6)
-        rows = Tensor(rng.standard_normal((1, 5, 4)))
-        att, mean, concat = (small_acoustic(pooling=p, hidden=2) for p in ("attention", "mean", "concat"))
-        att.attention_vector.values[...] = rng.standard_normal(4)
+class TestPoolSpans:
+    """``pool_spans`` equals the per-segment oracle span by span, in span
+    order: bit for bit for concat and mean, which add the same frames in
+    the same order."""
 
-        def f():
-            a = att.pool_batch(rows, [(0, 0, 3)])
-            b = mean.pool_batch(rows, [(0, 2, 5)])
-            c = concat.pool_batch(rows, [(0, 1, 3)])
-            return ad.add(ad.sum_(ad.mul(a, a)), ad.sum_(ad.mul(b, c)))
+    # (row, start, end) spans of a (3, 6, 4) batch
+    SPANS = {
+        "sorted-lengths": [(0, 0, 1), (2, 3, 4), (1, 0, 2), (0, 2, 5), (2, 1, 4)],
+        "unsorted": [(1, 0, 4), (0, 2, 3), (2, 1, 6), (0, 0, 2), (1, 5, 6)],
+        "mixed-lengths": [(2, 0, 6), (0, 3, 4), (1, 1, 3), (1, 0, 6), (0, 0, 5), (2, 2, 3)],
+        "overlapping-repeated": [(0, 1, 4), (0, 2, 5), (0, 1, 4), (1, 0, 3), (0, 1, 4), (0, 3, 4)],
+    }
 
-        assert ad.grad_check(f, [rows, att.attention_vector.tensor], eps=1e-5) <= 1e-4
+    @staticmethod
+    def _batch(mode, seed=0):
+        rng = np.random.default_rng(seed)
+        out = Tensor(rng.standard_normal((3, 6, 4)))
+        r = Tensor(rng.standard_normal(4)) if mode == "attention" else None
+        return out, r
+
+    @pytest.mark.parametrize("case", sorted(SPANS))
+    @pytest.mark.parametrize("mode", ["concat", "mean", "attention"])
+    def test_matches_per_segment_oracle(self, mode, case):
+        out, r = self._batch(mode)
+        rows, starts, ends = np.array(self.SPANS[case]).T
+        pooled = enc.pool_spans(out, rows, starts, ends - starts, mode, r).values
+        want = np.stack([pool_segment(out.values[b], s, e, mode, r).values for b, s, e in self.SPANS[case]])
+        if mode == "attention":
+            np.testing.assert_allclose(pooled, want, rtol=1e-12, atol=1e-15)
+        else:
+            np.testing.assert_array_equal(pooled, want)
+
+    @pytest.mark.parametrize("mode", ["concat", "mean", "attention"])
+    def test_gradients(self, mode):
+        """Repeated and overlapping spans sum their gradients into the
+        frames they share."""
+        out, r = self._batch(mode, seed=1)
+        rows, starts, ends = np.array(self.SPANS["overlapping-repeated"]).T
+        w = np.random.default_rng(2).standard_normal((len(rows), 4))
+        leaves = [out] + ([r] if r is not None else [])
+
+        def loss():
+            pooled = enc.pool_spans(out, rows, starts, ends - starts, mode, r)
+            return ad.sum_(ad.tanh(ad.mul_const(pooled, w)))
+
+        assert ad.grad_check(loss, leaves, eps=1e-5) <= 1e-6
 
 
-class TestPoolAllSegments:
-    """Every segment of a ragged batch, pooled at once, equals the
-    per-segment oracle, in the grid's row order."""
+class TestPoolSegmentGrid:
+    """Every segment of a ragged batch, pooled at once through
+    ``AcousticEncoder.pool`` with the (row, start, length) arrays of
+    ``segmental.segment_grid``, equals the per-segment oracle, in the
+    grid's row order."""
 
     LENGTHS = [5, 2, 4]  # rows 1 and 2 padded in time
 
@@ -173,11 +199,16 @@ class TestPoolAllSegments:
         out = Tensor(rng.standard_normal((3, 6, 4)))  # T = 6 > 5: padding past every row
         return f, out
 
+    @staticmethod
+    def _pool_grid(f, out, grid):
+        s0, b, t = np.nonzero(grid.transpose(2, 0, 1) >= 0)
+        return f.pool(out, b, t, s0 + 1)
+
     @pytest.mark.parametrize("pooling", ["concat", "mean", "attention"])
     def test_matches_per_segment_oracle(self, pooling):
         f, out = self._batch(pooling)
         grid = seg.segment_grid(self.LENGTHS, 3)
-        pooled = f.pool_all_segments(out, grid).values
+        pooled = self._pool_grid(f, out, grid).values
         assert pooled.shape == (np.count_nonzero(grid >= 0), 4)
         r = f.attention_vector.tensor if f.attention_vector is not None else None
         for b, t, s0 in zip(*np.nonzero(grid >= 0)):
@@ -190,10 +221,10 @@ class TestPoolAllSegments:
         batch row pools bit for bit as it does alone."""
         f, out = self._batch(pooling, seed=1)
         grid = seg.segment_grid(self.LENGTHS, 3)
-        pooled = f.pool_all_segments(out, grid).values
+        pooled = self._pool_grid(f, out, grid).values
         for b, T in enumerate(self.LENGTHS):
             alone_grid = seg.segment_grid([T], 3)
-            alone = f.pool_all_segments(Tensor(out.values[b:b + 1, :T]), alone_grid).values
+            alone = self._pool_grid(f, Tensor(out.values[b:b + 1, :T]), alone_grid).values
             valid = alone_grid[0] >= 0
             np.testing.assert_array_equal(pooled[grid[b, :T][valid]], alone[alone_grid[0][valid]])
 
@@ -203,7 +234,7 @@ class TestPoolAllSegments:
         grid = seg.segment_grid(self.LENGTHS, 3)
         w = np.random.default_rng(3).standard_normal((np.count_nonzero(grid >= 0), 4))
         leaves = [out] + ([f.attention_vector.tensor] if f.attention_vector is not None else [])
-        assert ad.grad_check(lambda: ad.sum_(ad.mul_const(f.pool_all_segments(out, grid), w)),
+        assert ad.grad_check(lambda: ad.sum_(ad.mul_const(self._pool_grid(f, out, grid), w)),
                              leaves, eps=1e-5) <= 1e-6
         for b, T in enumerate(self.LENGTHS):
             np.testing.assert_array_equal(out.grad[b, T:], 0.0)

@@ -102,6 +102,30 @@ class TestDiscriminationAp:
         got = metrics.cross_view_ap(a, alabels, w, wlabels)
         assert got == pytest.approx(want)
 
+    def test_zero_rows_are_at_distance_one(self):
+        """A zero-norm embedding stays zero when normalized, so its cosine
+        distance to every row is exactly 1, in both APs."""
+        rng = np.random.default_rng(4)
+        a = rng.standard_normal((6, 3))
+        a[[1, 4]] = 0.0
+        alabels = ["x", "y", "x", "y", "x", "y"]
+        w = np.vstack([rng.standard_normal(3), np.zeros(3)])
+        wlabels = ["x", "y"]
+        dist = 1.0 - metrics.unit_rows(a) @ metrics.unit_rows(w).T
+        assert (dist[[1, 4]] == 1.0).all() and (dist[:, 1] == 1.0).all()
+
+        def oracle(u, v):
+            nu, nv = np.linalg.norm(u), np.linalg.norm(v)
+            return 1.0 if nu == 0 or nv == 0 else 1 - u @ v / (nu * nv)
+
+        pairs = [(i, j) for i in range(6) for j in range(i + 1, 6)]
+        want = brute_force_ap([oracle(a[i], a[j]) for i, j in pairs],
+                              [alabels[i] == alabels[j] for i, j in pairs])
+        assert metrics.acoustic_ap(a, alabels) == pytest.approx(want)
+        want = brute_force_ap([oracle(a[i], w[j]) for i in range(6) for j in range(2)],
+                              [alabels[i] == wlabels[j] for i in range(6) for j in range(2)])
+        assert metrics.cross_view_ap(a, alabels, w, wlabels) == pytest.approx(want)
+
 
 def _dense_results(scores, truth, hours=1.0, types=None):
     q = [f"q{i}" for i in range(len(scores))]

@@ -16,6 +16,13 @@ def sigmoid(x):
     return ad._record(Tensor(v), (x,), lambda g: (g * v * (1.0 - v),))
 
 
+def stack(tensors, axis: int = 0):
+    """Tensors of one shape stacked along a new ``axis``."""
+    tensors = list(tensors)
+    out = Tensor(np.stack([t.values for t in tensors], axis=axis))
+    return ad._record(out, tuple(tensors), lambda g: tuple(np.moveaxis(g, axis, 0)))
+
+
 def masked_blend(new, old, m):
     """new*m + old*(1-m) for a constant 0/1 mask (state carry at padding)."""
     m = np.asarray(m, dtype=np.float64)
@@ -69,6 +76,17 @@ def _zero_gru(d, h):
     for q in p.parameters():
         q.values[...] = 0.0
     return p
+
+
+def test_stack_getitem_roundtrip_grads():
+    rng = np.random.default_rng(2)
+    x = Tensor(rng.standard_normal((3, 4, 2)))
+
+    def f():
+        rows = [ad.getitem(x, (slice(None), t)) for t in range(4)]
+        return ad.sum_(ad.mul(stack(rows, axis=1), stack(rows, axis=1)))
+
+    assert ad.grad_check(f, [x], eps=1e-5) <= 1e-4
 
 
 class TestLstmCell:
@@ -198,7 +216,7 @@ class TestRecurrentLayer:
                 h_new = _gru_from_gates(gx, ad.getitem(cand, (slice(None), t)), h, p)
             h = masked_blend(h_new, h, m)
             outputs[t] = ad.mul_const(h, m)
-        return ad.stack(outputs, axis=1)
+        return stack(outputs, axis=1)
 
     # lengths of the batch rows (the padded length is the longest) and the
     # factor on every weight; a large factor saturates tanh and the sigmoids

@@ -533,7 +533,7 @@ class TestRecognition:
         report = recognition.train_asr(cfg, tmp_path / "frozen")
         model, meta, _ = recognition.rebuild_recognizer(report["checkpoint"])
         f2, g2, _, _ = pipelines.rebuild_embed_model(emb["checkpoint"])
-        from awekit.encoders import PredictionLayer, unit_rows
+        from awekit.metrics import unit_rows
         import awekit.corpus as cp
 
         lex = cp.load_lexicon(corpus_dir["lexicon"])
