@@ -31,8 +31,11 @@ class ZeroNormCounter:
     """Counts cosine-distance evaluations that hit a zero-norm operand.
 
     Such pairs get distance 1 with zero gradient instead of NaN; the count
-    makes the event observable (e.g. silence-only segments). Worker
-    threads add to it, so ``add`` holds a lock.
+    makes the event observable (e.g. silence-only segments). Each pair of
+    a distance matrix counts, scored or not: a triplet batch takes one
+    (m, m) matrix over its segments, so every pair of it with a zero-norm
+    row counts, the diagonal included. Worker threads add to it, so
+    ``add`` holds a lock.
     """
 
     def __init__(self):
@@ -395,47 +398,11 @@ def mean(x: Tensor, axis: int) -> Tensor:
 # Cosine distance
 
 
-def _cosine_forward(av, bv):
-    na = np.linalg.norm(av, axis=-1)
-    nb = np.linalg.norm(bv, axis=-1)
-    ok = (na > 0) & (nb > 0)
-    n_bad = int(np.size(ok) - np.count_nonzero(ok))
-    if n_bad:
-        zero_norm_events.add(n_bad)
-    denom = np.where(ok, na * nb, 1.0)
-    cos = np.where(ok, (av * bv).sum(axis=-1) / denom, 0.0)
-    return cos, na, nb, ok
-
-
-def cosine_distance(a: Tensor, b: Tensor) -> Tensor:
-    """Rowwise cosine distance 1 - a.b/(|a||b|) for (..., D) operands.
-
-    Zero-norm rows yield distance 1 and contribute no gradient; each such
-    pair bumps ``zero_norm_events``.
-    """
-    if a.values.shape != b.values.shape:
-        raise ValueError("cosine_distance: shape mismatch")
-    av, bv = a.values, b.values
-    cos, na, nb, ok = _cosine_forward(av, bv)
-    out = Tensor(1.0 - cos)
-
-    def bwd(g):
-        # d(1-cos)/da = -(b/(|a||b|) - cos*a/|a|^2); masked where degenerate
-        w = np.where(ok, g, 0.0)[..., None]
-        sa = np.where(ok, na, 1.0)[..., None]
-        sb = np.where(ok, nb, 1.0)[..., None]
-        c = cos[..., None]
-        ga = -w * (bv / (sa * sb) - c * av / (sa * sa))
-        gb = -w * (av / (sa * sb) - c * bv / (sb * sb))
-        return ga, gb
-
-    return _record(out, (a, b), bwd)
-
-
 def cosine_distance_matrix(a: Tensor, b: Tensor) -> Tensor:
-    """All-pairs cosine distance: (N, D) x (M, D) -> (N, M).
+    """All-pairs cosine distance 1 - a.b/(|a||b|): (N, D) x (M, D) -> (N, M).
 
-    Same zero-norm policy as ``cosine_distance``, applied per pair.
+    A pair with a zero-norm row gets distance 1 and contributes no
+    gradient; each such pair bumps ``zero_norm_events``.
     """
     av, bv = a.values, b.values
     if av.ndim != 2 or bv.ndim != 2 or av.shape[1] != bv.shape[1]:

@@ -1,7 +1,8 @@
 """Embedding-training losses.
 
 Covers the word-classifier cross entropy, single-view triplets (uniform,
-confusion-matrix, and most-offending negative selection), the multi-view
+confusion-matrix, and most-offending negative selection, all scored by
+``triplet_loss`` from one distance matrix over a batch), the multi-view
 contrastive objective with its three terms and hard/semi-hard/uniform
 negative sampling, the square-root per-term variant, the written-embedding
 regularizer for prediction layers, and joint-objective combination.
@@ -65,33 +66,24 @@ def cross_entropy_batch(logits: Tensor, label_indices) -> Tensor:
 # Single-view triplets
 
 
-def _as_row(t: Tensor) -> Tensor:
-    return t if t.values.ndim == 2 else ad.reshape(t, (1, -1))
+def triplet_loss(dist: Tensor, anchors, positives, negatives, margin: float) -> Tensor:
+    """Summed cosine hinge [margin + d(a, p) - d(a, n)]_+ over t triplets.
 
-
-def cos_hinge_triplet(e_a: Tensor, e_s: Tensor, e_d: Tensor, margin: float) -> Tensor:
-    """[margin + d(anchor, same) - d(anchor, different)]_+ (cosine)."""
-    a, s, d = _as_row(e_a), _as_row(e_s), _as_row(e_d)
-    pos = ad.cosine_distance(a, s)
-    neg = ad.cosine_distance(a, d)
-    return ad.sum_(ad.relu(ad.add(ad.sub(pos, neg), margin)))
-
-
-def most_offending_triplet(e_a: Tensor, e_s: Tensor, negatives: Tensor, margin: float) -> Tensor:
-    """Triplet loss against the candidate negative closest to the anchor.
-
-    ``negatives`` is (m, d); the minimizer of d(anchor, candidate) is
-    selected (ties broken by candidate index). Candidate subsampling, when
-    used, happens upstream.
+    ``dist`` is an (m, m) distance tensor over a batch's segments;
+    ``anchors`` and ``positives`` are (t,) row indices and ``negatives`` a
+    (t, c) array of candidate rows. Each anchor is scored against its
+    candidate closest to it (``np.argmin``, so ties go to the first): c = 1
+    is the plain triplet, c = k the most-offending one.
     """
-    if negatives.values.ndim != 2 or negatives.values.shape[0] == 0:
-        raise ObjectiveError("need a non-empty (m, d) candidate matrix")
-    a = _as_row(e_a)
-    dists = ad.cosine_distance_matrix(a, negatives)  # (1, m)
-    best = int(np.argmin(dists.values[0]))  # np.argmin takes the first tie
-    pos = ad.cosine_distance(a, _as_row(e_s))
-    neg = ad.getitem(dists, (0, best))
-    return ad.sum_(ad.relu(ad.add(ad.sub(ad.sum_(pos), ad.sum_(neg)), margin)))
+    anchors = np.asarray(anchors, dtype=np.intp)
+    positives = np.asarray(positives, dtype=np.intp)
+    negatives = np.asarray(negatives, dtype=np.intp)
+    if negatives.ndim != 2 or negatives.shape[1] == 0:
+        raise ObjectiveError("need a non-empty (t, c) candidate array")
+    closest = np.argmin(dist.values[anchors[:, None], negatives], axis=1)
+    pos = ad.getitem(dist, (anchors, positives))
+    neg = ad.getitem(dist, (anchors, negatives[np.arange(len(anchors)), closest]))
+    return ad.sum_(ad.relu(ad.add(ad.sub(pos, neg), margin)))
 
 
 class ConfusionMatrix:
@@ -118,21 +110,14 @@ class ConfusionMatrix:
         self.matrix[...] = 1.0
         np.fill_diagonal(self.matrix, 0.0)
 
-    def update(self, anchor_label: int, diff_label: int, e_a, e_s, e_d):
+    def update(self, anchor_label: int, diff_label: int, d_as: float, d_ad: float):
+        """Record a triplet from its distances d(anchor, same) and
+        d(anchor, different)."""
         if anchor_label == diff_label:
             raise ObjectiveError("anchor and different labels must differ")
-        e_a = np.asarray(e_a, dtype=np.float64)
-        e_s = np.asarray(e_s, dtype=np.float64)
-        e_d = np.asarray(e_d, dtype=np.float64)
-
-        def cos(u, v):
-            nu, nv = np.linalg.norm(u), np.linalg.norm(v)
-            return u @ v / (nu * nv) if nu > 0 and nv > 0 else 0.0
-
-        cos_ad = cos(e_a, e_d)
-        if (1.0 - cos_ad) <= (1.0 - cos(e_a, e_s)) + self.threshold:
-            self.matrix[anchor_label, diff_label] += cos_ad
-            self.matrix[diff_label, anchor_label] += cos_ad
+        if d_ad <= d_as + self.threshold:
+            self.matrix[anchor_label, diff_label] += 1.0 - d_ad
+            self.matrix[diff_label, anchor_label] += 1.0 - d_ad
 
     def pmf(self, anchor_label: int) -> np.ndarray:
         row = np.clip(self.matrix[anchor_label], 0.0, None)

@@ -21,7 +21,9 @@ take their loss settings from it.
 (a non-finite batch loss raises FloatingPointError first), the
 [scheduler] rule, reset-to-best on a plateau, ``train_log.jsonl``, and
 the best epoch's weights at the end. Each trainer passes in its batch
-lengths, its batch loss and its per-epoch dev evaluation.
+lengths, its batch loss and its per-epoch dev evaluation. A triplet batch
+embeds its segments once and scores every triplet, mirrors included,
+from their one cosine distance matrix.
 
 Every pipeline is deterministic given (config, seed, inputs): random
 streams derive from the master seed per component, batch formation is
@@ -633,31 +635,21 @@ def _triplet_batch_loss(objective, f, train_segments, batch_ids, by_label, label
         seg_ids.update([i, j], negs)
     if not triplets:
         return ad.constant(0.0)
-    seg_ids = sorted(seg_ids)
-    row = {s: r for r, s in enumerate(seg_ids)}
+    seg_ids = np.array(sorted(seg_ids))
     frames = _segment_frames(train_segments[s] for s in seg_ids)
     embs = f.embed_segments_isolated(frames, train=True, rng=rngs["dropout"])
-    margin = objective.margin
-    losses = []
-    for a, s, negs in triplets:
-        ea = ad.getitem(embs, row[a])
-        es = ad.getitem(embs, row[s])
-        if len(negs) == 1:
-            ed = ad.getitem(embs, row[negs[0]])
-            losses.append(obj.cos_hinge_triplet(ea, es, ed, margin))
-            losses.append(obj.cos_hinge_triplet(es, ea, ed, margin))
-        else:
-            nd = ad.getitem(embs, np.array([row[n] for n in negs], dtype=np.intp))
-            losses.append(obj.most_offending_triplet(ea, es, nd, margin))
-            losses.append(obj.most_offending_triplet(es, ea, nd, margin))
-        if confusion is not None:
-            la = label_index[train_segments[a][1].label]
-            ld = label_index[train_segments[negs[0]][1].label]
-            confusion.update(la, ld, embs.values[row[a]], embs.values[row[s]], embs.values[row[negs[0]]])
-    total = losses[0]
-    for piece in losses[1:]:
-        total = ad.add(total, piece)
-    return ad.scale(total, 1.0 / len(losses))
+    dist = ad.cosine_distance_matrix(embs, embs)
+    # segment ids to rows of embs and dist
+    anchors, same = np.searchsorted(seg_ids, [(i, j) for i, j, _ in triplets]).T
+    negs = np.searchsorted(seg_ids, [n for _, _, n in triplets])
+    if confusion is not None:
+        for (i, _, (n,)), ra, rs, rn in zip(triplets, anchors, same, negs[:, 0]):
+            confusion.update(label_index[train_segments[i][1].label], label_index[train_segments[n][1].label],
+                             dist.values[ra, rs], dist.values[ra, rn])
+    # each triplet and its mirror, the same-word segment as anchor
+    loss = obj.triplet_loss(dist, np.concatenate([anchors, same]), np.concatenate([same, anchors]),
+                            np.concatenate([negs, negs]), objective.margin)
+    return ad.scale(loss, 1.0 / (2 * len(triplets)))
 
 
 # ---------------------------------------------------------------------------

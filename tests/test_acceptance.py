@@ -144,13 +144,15 @@ def test_criterion_4_every_loss_gradient():
     worst["classifier"] = ad.grad_check(
         lambda: obj.cross_entropy_batch(logits, [1, 4, 0]), [logits], eps=1e-5)
 
-    a, s, d = (Tensor(rng.standard_normal(6)) for _ in range(3))
+    E = Tensor(rng.standard_normal((3, 6)))  # anchor, positive, negative
     worst["cos-hinge"] = ad.grad_check(
-        lambda: obj.cos_hinge_triplet(a, s, d, 0.37), [a, s, d], eps=1e-5)
+        lambda: obj.triplet_loss(ad.cosine_distance_matrix(E, E), [0], [1], [[2]], 0.37), [E], eps=1e-5)
 
-    negs = Tensor(rng.standard_normal((5, 6)))
+    # the same anchor and positive, then 5 candidates
+    E5 = Tensor(np.vstack([E.values[:2], rng.standard_normal((5, 6))]))
     worst["most-offending"] = ad.grad_check(
-        lambda: obj.most_offending_triplet(a, s, negs, 0.43), [a, s, negs], eps=1e-5)
+        lambda: obj.triplet_loss(ad.cosine_distance_matrix(E5, E5), [0], [1], [np.arange(2, 7)], 0.43),
+        [E5], eps=1e-5)
 
     labels = ["w0", "w1", "w0", "w2"]
     vocab = ["w0", "w1", "w2"]

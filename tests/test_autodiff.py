@@ -18,8 +18,8 @@ def test_softmax_uniform_logits():
 def test_cosine_distance_self_is_zero():
     rng = np.random.default_rng(0)
     a = Tensor(rng.standard_normal((5, 8)))
-    d = ad.cosine_distance(a, a)
-    np.testing.assert_allclose(d.values, 0.0, atol=1e-12)
+    d = ad.cosine_distance_matrix(a, a)
+    np.testing.assert_allclose(np.diag(d.values), 0.0, atol=1e-12)
 
 
 def test_hinge_gradient_signs():
@@ -35,11 +35,13 @@ def test_cosine_distance_zero_norm_policy():
     a = Tensor(np.array([[0.0, 0.0], [1.0, 0.0]]))
     b = Tensor(np.array([[1.0, 1.0], [0.0, 1.0]]))
     with Tape() as tape:
-        d = ad.sum_(ad.cosine_distance(a, b))
+        dist = ad.cosine_distance_matrix(a, b)
+        d = ad.sum_(ad.getitem(dist, (np.arange(2), np.arange(2))))  # the pairs (a_i, b_i)
     tape.backward(d)
     np.testing.assert_allclose(d.values, 1.0 + 1.0)  # degenerate pair scores 1
     np.testing.assert_allclose(a.grad[0], 0.0)  # and contributes no gradient
-    assert ad.zero_norm_events.count == 1
+    np.testing.assert_allclose(dist.values[0], 1.0)
+    assert ad.zero_norm_events.count == 2  # every pair of the matrix with a_0, scored or not
 
 
 def test_zero_norm_counter_loses_no_update_across_threads():
@@ -130,7 +132,7 @@ def test_primitives_match_finite_differences(seed):
         h = ad.affine(a, w, bias)
         h = ad.tanh(h)
         e = ad.gather_rows(table, ids)
-        dist = ad.cosine_distance(ad.add(a, b), e)
+        dist = ad.getitem(ad.cosine_distance_matrix(ad.add(a, b), e), (np.arange(n), np.arange(n)))
         ls = ad.log_softmax(h, axis=1)
         parts = ad.concat([ls, ad.reshape(dist, (n, 1))], axis=1)
         total = ad.add(ad.add(ad.sum_(parts), ad.sum_(ad.relu(ls))),

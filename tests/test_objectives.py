@@ -51,31 +51,55 @@ class TestCrossEntropy:
         assert ad.grad_check(lambda: obj.cross_entropy_batch(z, [1, 0, 3]), [z], eps=1e-5) <= 1e-4
 
 
+def triplet(a, s, negs, margin):
+    """``triplet_loss`` of one anchor ``a``, its positive ``s`` and the (c, D)
+    candidates ``negs``, over the distance matrix of their stacked rows."""
+    negs = np.atleast_2d(negs)
+    E = Tensor(np.vstack([a, s, negs]))
+    return float(obj.triplet_loss(ad.cosine_distance_matrix(E, E), [0], [1],
+                                  [np.arange(2, 2 + len(negs))], margin).values)
+
+
+def hinge_oracle(a, s, negs, margin):
+    """The hinge against the candidate closest to ``a``, ties to the first."""
+    best = min(range(len(negs)), key=lambda j: (cosd(a, negs[j]), j))
+    return max(0.0, margin + cosd(a, s) - cosd(a, negs[best]))
+
+
 class TestCosHingeTriplet:
     def test_opposite_negative_inactive(self):
-        a = Tensor(np.array([1.0, 2.0, -0.5]))
-        loss = obj.cos_hinge_triplet(a, a, ad.scale(a, -1.0), margin=0.4)
-        assert float(loss.values) == pytest.approx(0.0)
+        a = np.array([1.0, 2.0, -0.5])
+        assert triplet(a, a, -a, margin=0.4) == pytest.approx(0.0)
 
     def test_equal_distances_give_margin(self):
         a = np.array([1.0, 0.0])
         s = np.array([0.0, 1.0])
         d = np.array([0.0, 1.0])
-        loss = obj.cos_hinge_triplet(Tensor(a), Tensor(s), Tensor(d), margin=0.4)
-        assert float(loss.values) == pytest.approx(0.4)
+        assert triplet(a, s, d, margin=0.4) == pytest.approx(0.4)
 
     def test_matches_hand_formula(self):
         rng = np.random.default_rng(3)
         for _ in range(20):
             a, s, d = rng.standard_normal((3, 5))
             want = max(0.0, 0.5 + cosd(a, s) - cosd(a, d))
-            got = float(obj.cos_hinge_triplet(Tensor(a), Tensor(s), Tensor(d), 0.5).values)
-            assert got == pytest.approx(want)
+            assert triplet(a, s, d, 0.5) == pytest.approx(want)
+
+    def test_batch_sums_its_triplets(self):
+        # rows repeat across triplets and roles, as mirrored triplets do
+        rng = np.random.default_rng(7)
+        E = rng.standard_normal((6, 4))
+        anchors, positives = np.array([0, 1, 2, 1]), np.array([1, 0, 3, 0])
+        negatives = np.array([[4, 5], [5, 2], [0, 4], [3, 3]])
+        got = obj.triplet_loss(ad.cosine_distance_matrix(Tensor(E), Tensor(E)), anchors, positives,
+                               negatives, 0.6)
+        want = sum(hinge_oracle(E[a], E[p], E[n], 0.6) for a, p, n in zip(anchors, positives, negatives))
+        assert float(got.values) == pytest.approx(want)
 
     def test_gradient_off_kink(self):
         rng = np.random.default_rng(4)
-        a, s, d = (Tensor(rng.standard_normal(4)) for _ in range(3))
-        err = ad.grad_check(lambda: obj.cos_hinge_triplet(a, s, d, 0.9), [a, s, d], eps=1e-5)
+        E = Tensor(rng.standard_normal((3, 4)))
+        err = ad.grad_check(lambda: obj.triplet_loss(ad.cosine_distance_matrix(E, E), [0], [1], [[2]], 0.9),
+                            [E], eps=1e-5)
         assert err <= 1e-4
 
 
@@ -83,19 +107,14 @@ class TestMostOffending:
     def test_single_candidate_equals_plain_triplet(self):
         rng = np.random.default_rng(5)
         a, s, d = rng.standard_normal((3, 4))
-        got = obj.most_offending_triplet(Tensor(a), Tensor(s), Tensor(d[None, :]), 0.4)
-        want = obj.cos_hinge_triplet(Tensor(a), Tensor(s), Tensor(d), 0.4)
-        assert float(got.values) == pytest.approx(float(want.values))
+        assert triplet(a, s, d[None, :], 0.4) == pytest.approx(max(0.0, 0.4 + cosd(a, s) - cosd(a, d)))
 
     def test_selects_brute_force_argmin(self):
         rng = np.random.default_rng(6)
         for _ in range(20):
             a, s = rng.standard_normal((2, 6))
             negs = rng.standard_normal((8, 6))
-            best = min(range(8), key=lambda j: (cosd(a, negs[j]), j))
-            want = max(0.0, 0.3 + cosd(a, s) - cosd(a, negs[best]))
-            got = float(obj.most_offending_triplet(Tensor(a), Tensor(s), Tensor(negs), 0.3).values)
-            assert got == pytest.approx(want)
+            assert triplet(a, s, negs, 0.3) == pytest.approx(hinge_oracle(a, s, negs, 0.3))
 
     def test_equal_violations_share_value(self):
         a = np.array([1.0, 0.0])
@@ -103,12 +122,12 @@ class TestMostOffending:
         # scaled copies share the same cosine distance: both violate equally
         negs = np.array([[1.0, 0.1], [2.0, 0.2]])
         common_hinge = 0.4 + 0.0 - cosd(a, negs[0])
-        got = float(obj.most_offending_triplet(Tensor(a), Tensor(s), Tensor(negs), 0.4).values)
-        assert got == pytest.approx(common_hinge)
+        assert triplet(a, s, negs, 0.4) == pytest.approx(common_hinge)
 
     def test_empty_candidates_rejected(self):
+        dist = ad.cosine_distance_matrix(Tensor(np.ones((2, 3))), Tensor(np.ones((2, 3))))
         with pytest.raises(obj.ObjectiveError):
-            obj.most_offending_triplet(Tensor(np.ones(3)), Tensor(np.ones(3)), Tensor(np.zeros((0, 3))), 0.4)
+            obj.triplet_loss(dist, [0], [1], np.zeros((1, 0), dtype=int), 0.4)
 
 
 class TestConfusionMatrix:
@@ -123,7 +142,7 @@ class TestConfusionMatrix:
         a = np.array([1.0, 0.0])
         s = np.array([1.0, 0.1])
         d = np.array([-1.0, 0.0])  # d(a,d)=2 > d(a,s)+0.6
-        cm.update(0, 1, a, s, d)
+        cm.update(0, 1, cosd(a, s), cosd(a, d))
         np.testing.assert_array_equal(cm.matrix, before)
 
     def test_forced_violations_match_hand_pmf(self):
@@ -132,8 +151,8 @@ class TestConfusionMatrix:
         s = np.array([1.0, 0.0])
         d1 = np.array([1.0, 0.001])  # cos ~1, violates
         d2 = np.array([0.8, 0.6])  # cos 0.8, violates
-        cm.update(0, 1, a, s, d1)
-        cm.update(0, 2, a, s, d2)
+        cm.update(0, 1, cosd(a, s), cosd(a, d1))
+        cm.update(0, 2, cosd(a, s), cosd(a, d2))
         cos1 = a @ d1 / np.linalg.norm(d1)
         row = np.array([0.0, 1.0 + cos1, 1.0 + 0.8])
         np.testing.assert_allclose(cm.pmf(0), row / row.sum(), atol=1e-9)

@@ -299,25 +299,30 @@ class TestTripletSampling:
             assert uniform.values.tobytes() == offending.values.tobytes()
             assert uniform_rng.bit_generator.state == offending_rng.bit_generator.state
 
-    @pytest.mark.parametrize("strategy,k,scorer", [
-        ("uniform", 3, "cos_hinge_triplet"), ("offending", 3, "most_offending_triplet")])
-    def test_negatives_are_k_other_word_segments(self, monkeypatch, strategy, k, scorer):
+    @pytest.mark.parametrize("strategy,k", [("uniform", 3), ("offending", 3)])
+    def test_negatives_are_k_other_word_segments(self, monkeypatch, strategy, k):
         # uniform scores each anchor against one negative, offending against k;
         # every negative is a segment of another word
-        seen = []
-        original = getattr(objectives, scorer)
+        seen = {}
+        matrix, loss = ad.cosine_distance_matrix, objectives.triplet_loss
 
-        def record(anchor, same, negatives, margin):
-            seen.append((anchor.values[0], same.values[0], np.atleast_2d(negatives.values)[:, 0]))
-            return original(anchor, same, negatives, margin)
+        def record_matrix(a, b):
+            seen["words"] = a.values[:, 0]  # a row's word id + 1
+            return matrix(a, b)
 
-        monkeypatch.setattr(objectives, scorer, record)
+        def record_loss(dist, anchors, positives, negatives, margin):
+            seen.update(anchors=anchors, positives=positives, negatives=negatives)
+            return loss(dist, anchors, positives, negatives, margin)
+
+        monkeypatch.setattr(ad, "cosine_distance_matrix", record_matrix)
+        monkeypatch.setattr(objectives, "triplet_loss", record_loss)
         _triplet_loss(strategy, k, seed=3)
-        assert len(seen) == 24  # each of the 12 anchors and its mirrored triplet
-        for anchor_word, same_word, negative_words in seen:
-            assert same_word == anchor_word
-            assert len(negative_words) == (k if strategy == "offending" else 1)
-            assert (negative_words != anchor_word).all()
+        words = seen["words"]
+        anchor_words = words[seen["anchors"]]
+        assert len(anchor_words) == 24  # each of the 12 anchors and its mirrored triplet
+        assert (words[seen["positives"]] == anchor_words).all()
+        assert seen["negatives"].shape == (24, k if strategy == "offending" else 1)
+        assert (words[seen["negatives"]] != anchor_words[:, None]).all()
 
 
 def _nan_on_second_call(monkeypatch, owner, name):
