@@ -269,19 +269,6 @@ def sqrt(x: Tensor) -> Tensor:
     return _record(out, (x,), bwd)
 
 
-def softmax(x: Tensor, axis: int = -1) -> Tensor:
-    z = x.values - x.values.max(axis=axis, keepdims=True)
-    e = np.exp(z)
-    v = e / e.sum(axis=axis, keepdims=True)
-    out = Tensor(v)
-
-    def bwd(g):
-        dot = (g * v).sum(axis=axis, keepdims=True)
-        return (v * (g - dot),)
-
-    return _record(out, (x,), bwd)
-
-
 def log_softmax(x: Tensor, axis: int = -1) -> Tensor:
     z = x.values - x.values.max(axis=axis, keepdims=True)
     lse = np.log(np.exp(z).sum(axis=axis, keepdims=True))
@@ -361,19 +348,6 @@ def sum_(x: Tensor, axis: int | None = None) -> Tensor:
         return (np.broadcast_to(np.expand_dims(g, axis), shape).copy(),)
 
     return _record(out, (x,), bwd)
-
-
-def row_scale(x: Tensor, w: Tensor) -> Tensor:
-    """Scale each row of (N, D) ``x`` by the matching entry of (N,) ``w``."""
-    if x.values.ndim != 2 or w.values.shape != (x.values.shape[0],):
-        raise ValueError("row_scale: need (N, D) and (N,)")
-    out = Tensor(x.values * w.values[:, None])
-    xv, wv = x.values, w.values
-
-    def bwd(g):
-        return g * wv[:, None], (g * xv).sum(axis=1)
-
-    return _record(out, (x, w), bwd)
 
 
 def segment_sum(x: Tensor, segment_ids, num_segments: int) -> Tensor:

@@ -71,7 +71,7 @@ SCHEMA = {
     "data": {k: ("", PATH) for k in ("train", "train_align", "dev", "dev_align", "lexicon", "feature_table")},
     "encoder": {"cell": ("lstm", Spec(choices=tuple(enc.CELLS))), "layers": ("2", SIZE),
                 "hidden": ("128", SIZE), "dropout": ("0.0", Spec(float, ge=0, lt=1)),
-                "pooling": ("concat", Spec(choices=("concat", "mean", "attention"))),
+                "pooling": ("concat", Spec(choices=("concat", "mean"))),
                 "embed_dim": ("64", SIZE), "subsample": ("1", SIZE), "fc_layers": ("0", COUNT)},
     "written": {"mode": ("char", Spec(choices=("char", "phone", "feature"))),
                 "symbol_embed_dim": ("64", SIZE), "hidden": ("128", SIZE)},
@@ -81,12 +81,11 @@ SCHEMA = {
         "k": ("10", SIZE), "k_end": ("0", COUNT), "terms": ("0,2", Spec(tuple, ge=0, le=2)),
         "strategy": ("hard", Spec(choices=tuple(sorted(set().union(*obj.STRATEGIES.values()))))),
         "sqrt_variant": ("false", BOOL), "extras": ("0", COUNT), "contextual": ("false", BOOL),
-        "spans": ("false", BOOL), "confusion_threshold": ("0.6", COSINE_GAP)},
+        "confusion_threshold": ("0.6", COSINE_GAP)},
     "optimizer": {"kind": ("adam", Spec(choices=("adam", "sgd"))), "lr": ("0.0005", Spec(float, gt=0)),
                   "momentum": ("0.9", Spec(float, ge=0, lt=1))},
     "scheduler": {"patience": ("5", COUNT), "factor": ("0.1", Spec(float, gt=0, le=1)),
-                  "min_lr": ("1e-8", Spec(float, ge=0)),
-                  "rule": ("metric", Spec(choices=("metric", "loss-heuristic")))},
+                  "min_lr": ("1e-8", Spec(float, ge=0))},
     "training": {"epochs": ("30", COUNT), "batch_size": ("32", SIZE), "min_frames": ("2", SIZE),
                  "max_frames": ("200", SIZE), "spec_augment": ("false", BOOL),
                  "stop_at_wer": ("0", Spec(float, ge=0))},

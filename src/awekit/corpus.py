@@ -1,7 +1,6 @@
 """Data model and I/O: feature archives, alignments, lexicons, feature
-tables, vocabularies, plus segment extraction, span merging (into a
-``WordAlignment`` whose labels are space-joined word sequences), and
-SpecAugment-style masking.
+tables, vocabularies, plus segment extraction and SpecAugment-style
+masking.
 
 All container types are immutable after construction and validate their
 invariants up front. Frame intervals use exclusive end indices
@@ -11,7 +10,6 @@ throughout.
 from __future__ import annotations
 
 import contextlib
-import math
 import os
 import struct
 import uuid
@@ -438,28 +436,6 @@ def extract_segments(fm: FrameMatrix, al: WordAlignment, min_frames: int, max_fr
         for s, e, v in al.entries
         if min_frames <= e - s <= max_frames
     ]
-
-
-def merge_spans(al: WordAlignment, rng: np.random.Generator) -> WordAlignment:
-    """Randomly merge adjacent entries into multi-word spans.
-
-    Draws r uniformly from the integers {ceil((L-1)/2), ..., L-1}, removes
-    r distinct boundaries chosen uniformly, and labels each merged span
-    with its words joined by spaces. L=1 passes through unchanged.
-    """
-    L = len(al.entries)
-    if L == 0:
-        raise CorpusError("merge_spans: empty alignment")
-    spans = [[s, e, [v]] for s, e, v in al.entries]
-    if L > 1:
-        lo = math.ceil((L - 1) / 2)
-        r = int(rng.integers(lo, L))  # upper bound L-1 inclusive
-        removed = sorted(rng.choice(L - 1, size=r, replace=False), reverse=True)
-        for b in removed:  # boundary b sits between entries b and b+1
-            spans[b][1] = spans[b + 1][1]
-            spans[b][2].extend(spans[b + 1][2])
-            del spans[b + 1]
-    return WordAlignment(al.utterance_id, tuple((s, e, " ".join(vs)) for s, e, vs in spans))
 
 
 def spec_augment(

@@ -4,8 +4,8 @@ The acoustic encoder is a stacked bidirectional recurrent network whose
 per-frame output is the concatenation of both directions' hidden states
 (width 2*hidden). A segment embedding pools those rows over [start, end)
 -- "concat" takes the forward state at end-1 next to the backward state
-at start, "mean" averages the rows, "attention" uses a softmax over a
-learned scoring vector -- and then projects to the embedding dimension.
+at start, "mean" averages the rows -- and then projects to the embedding
+dimension.
 ``pool_spans`` is the one pooling function: it pools a batch of spans
 given as arrays, and serves word embeddings, the written encoder, the
 segmental recognizer's segment scores and the CTC recognizer's span
@@ -56,15 +56,14 @@ def pad_and_mask(arrays, pad_multiple: int = 1):
     return out, mask, lengths
 
 
-def pool_spans(outputs: Tensor, rows, starts, lengths, mode: str, attention: Tensor | None = None) -> Tensor:
+def pool_spans(outputs: Tensor, rows, starts, lengths, mode: str) -> Tensor:
     """Pool spans of (B, T, W) frame outputs into (n, W) rows, in span order.
 
     Span i covers frames [starts[i], starts[i] + lengths[i]) of batch row
     rows[i]; lengths are at least 1. "concat" takes the forward half
     (columns [:W/2]) of the last frame next to the backward half of the
-    first, in one gather of half-rows. "mean" and "attention" gather the
-    spans of one length as one (n, s, W) block and average it, plainly or
-    weighted by a softmax of the frames' scores against ``attention``.
+    first, in one gather of half-rows. "mean" gathers the spans of one
+    length as one (n, s, W) block and averages it.
     """
     B, T, W = outputs.values.shape
     first = np.asarray(rows, dtype=np.intp) * T + np.asarray(starts, dtype=np.intp)  # into (B*T, W)
@@ -75,8 +74,6 @@ def pool_spans(outputs: Tensor, rows, starts, lengths, mode: str, attention: Ten
         pooled = ad.gather_rows(ad.reshape(outputs, (2 * B * T, W // 2)), idx.reshape(-1))
         return ad.reshape(pooled, (len(first), W))
     frames = ad.reshape(outputs, (B * T, W))
-    if mode == "attention":
-        scores = ad.reshape(ad.matmul(frames, ad.reshape(attention, (W, 1))), (B * T,))
     blocks, order = [], []
     # one block per span length, ascending; not np.unique, which imports
     # numpy.ma on first use (about 1.5 MB more peak memory in asr-train)
@@ -84,11 +81,7 @@ def pool_spans(outputs: Tensor, rows, starts, lengths, mode: str, attention: Ten
         sel = np.flatnonzero(lengths == s)
         win = first[sel, None] + np.arange(s)  # (n, s) frame indices
         gathered = ad.gather_rows(frames, win.reshape(-1))  # (n*s, W)
-        if mode == "attention":
-            weights = ad.softmax(ad.getitem(scores, win), axis=1)
-            gathered = ad.row_scale(gathered, ad.reshape(weights, (win.size,)))
-        block = ad.reshape(gathered, (len(sel), s, W))
-        blocks.append(ad.mean(block, axis=1) if mode == "mean" else ad.sum_(block, axis=1))
+        blocks.append(ad.mean(ad.reshape(gathered, (len(sel), s, W)), axis=1))
         order.append(sel)
     pooled = ad.concat(blocks, axis=0)
     if (np.diff(lengths) < 0).any():  # the blocks hold the spans in length order
@@ -107,7 +100,7 @@ class AcousticEncoderConfig:
     layers: int = 2
     hidden: int = 128  # per direction
     dropout: float = 0.0
-    pooling: str = "concat"  # concat | mean | attention
+    pooling: str = "concat"  # concat | mean
     embed_dim: int = 64
     subsample: int = 1  # mean-pool stride over frame outputs
     fc_layers: int = 0  # optional ReLU stack of width FC_DIM before the projection
@@ -127,9 +120,6 @@ class AcousticEncoder:
             self.cells.append((fw, bw))
             in_dim = 2 * config.hidden
         self.frame_width = 2 * config.hidden
-        self.attention_vector = None
-        if config.pooling == "attention":
-            self.attention_vector = nn.Parameter("f.attention", np.zeros(self.frame_width))
         self.fc = []
         fc_in = self.frame_width
         for i in range(config.fc_layers):
@@ -145,8 +135,6 @@ class AcousticEncoder:
         for fw, bw in self.cells:
             out.extend(fw.parameters())
             out.extend(bw.parameters())
-        if self.attention_vector is not None:
-            out.append(self.attention_vector)
         for w, b in self.fc:
             out.extend([w, b])
         out.extend([self.proj_w, self.proj_b])
@@ -207,9 +195,8 @@ class AcousticEncoder:
         return ad.affine(h, self.proj_w.tensor, self.proj_b.tensor)
 
     def pool(self, outputs: Tensor, rows, starts, lengths) -> Tensor:
-        """``pool_spans`` with the configured mode and attention vector."""
-        r = self.attention_vector.tensor if self.attention_vector is not None else None
-        return pool_spans(outputs, rows, starts, lengths, self.config.pooling, r)
+        """``pool_spans`` with the configured mode."""
+        return pool_spans(outputs, rows, starts, lengths, self.config.pooling)
 
     def span_embeddings(self, outputs: Tensor, spans) -> Tensor:
         """Pool and project (row, start, end) spans of ``outputs`` given in

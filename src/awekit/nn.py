@@ -408,31 +408,6 @@ class PlateauScheduler:
         return SchedulerDecision(self.lr, False, False, False, False)
 
 
-class LossPlateauHeuristic:
-    """Batch-loss plateau rule: an epoch is a plateau when 99% of its mean
-    batch loss still exceeds the running mean over the previous 3 epochs;
-    3 consecutive plateau epochs trigger a decay."""
-
-    def __init__(self, lr: float, factor: float = 0.1):
-        self.lr = lr
-        self.factor = factor
-        self.history: list[float] = []
-        self.plateau_run = 0
-
-    def update(self, epoch_mean_loss: float) -> float:
-        if len(self.history) >= 3:
-            running = float(np.mean(self.history[-3:]))
-            if 0.99 * epoch_mean_loss > running:
-                self.plateau_run += 1
-            else:
-                self.plateau_run = 0
-            if self.plateau_run >= 3:
-                self.lr *= self.factor
-                self.plateau_run = 0
-        self.history.append(epoch_mean_loss)
-        return self.lr
-
-
 # ---------------------------------------------------------------------------
 # Checkpoints
 
@@ -483,6 +458,8 @@ def load_checkpoint(path) -> dict[str, np.ndarray]:
             n = int(np.prod(shape)) if ndim else 1
             arr = np.frombuffer(data, dtype="<f4", count=n, offset=off).reshape(shape)
             off += 4 * n
+            if not np.isfinite(arr).all():  # before the cast, which warns on a signalling NaN
+                raise CheckpointError(f"{name}: non-finite weights")
             out[name] = arr.astype(np.float64)
     except (struct.error, ValueError) as e:
         raise CheckpointError(f"truncated or corrupt checkpoint: {e}") from e

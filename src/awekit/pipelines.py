@@ -19,7 +19,7 @@ take their loss settings from it.
 ``train_epochs`` is the one training loop, run by ``train_embed`` and
 ``recognition.train_asr``: length-bucketed batches, the optimizer step
 (a non-finite batch loss raises FloatingPointError first), the
-[scheduler] rule, reset-to-best on a plateau, ``train_log.jsonl``, and
+plateau scheduler, reset-to-best on a plateau, ``train_log.jsonl``, and
 the best epoch's weights at the end. Each trainer passes in its batch
 lengths, its batch loss and its per-epoch dev evaluation. A triplet batch
 embeds its segments once and scores every triplet, mirrors included,
@@ -311,7 +311,6 @@ class Objective:
     def __init__(self, cfg: ExperimentConfig):
         self.kind = cfg.get("objective", "kind")
         self.contextual = cfg.getbool("objective", "contextual")
-        self.spans = cfg.getbool("objective", "spans")
         self.margin = cfg.getfloat("objective", "margin")
         self.k = cfg.getint("objective", "k")
         self.k_end = cfg.getint("objective", "k_end")
@@ -344,14 +343,9 @@ class Objective:
     def multiview_loss(self, acoustic: Tensor, labels, g, lexicon, full_vocab, k: int, rng) -> Tensor:
         """Contrastive multi-view loss of a batch, averaged over its
         segments. The batch vocabulary adds ``extras`` words of
-        ``full_vocab``; with [objective] spans, a label is a space-joined
-        word sequence whose written view encodes the concatenated symbols."""
+        ``full_vocab``."""
         vocab_words = obj.batch_vocabulary(labels, full_vocab, self.extras, rng)
-        if self.spans:
-            seqs = [sum((g.resolve(w, lexicon) for w in v.split(" ")), ()) for v in vocab_words]
-            word_embs = g.embed_sequences(seqs)
-        else:
-            word_embs = g.embed_words(vocab_words, lexicon)
+        word_embs = g.embed_words(vocab_words, lexicon)
         loss = obj.multiview_loss(acoustic, labels, vocab_words, word_embs, self.margin, k, self.strategy,
                                   self.terms, self.sqrt_variant, rng)
         return ad.scale(loss, 1.0 / max(1, len(labels)))
@@ -444,14 +438,12 @@ def train_epochs(cfg: ExperimentConfig, outdir: str, params, lengths, batch_loss
     ``evaluate()`` returns ``(metric, fields, stop)``: the dev metric
     (higher is better with ``mode`` "max", lower with "min"), the fields
     it adds to the epoch's ``train_log.jsonl`` line, and whether to stop.
-    The learning rate follows the [scheduler] rule; the first epoch with
-    the best metric is kept, and a metric plateau resets to it."""
+    The learning rate follows the plateau scheduler on that metric; the
+    first epoch with the best metric is kept, and a metric plateau resets
+    to it."""
     optimizer = build_optimizer(cfg)
-    factor = cfg.getfloat("scheduler", "factor")
-    scheduler = nn.PlateauScheduler(optimizer.lr, cfg.getint("scheduler", "patience"), factor,
-                                    cfg.getfloat("scheduler", "min_lr"), mode)
-    loss_rule = nn.LossPlateauHeuristic(optimizer.lr, factor) \
-        if cfg.get("scheduler", "rule") == "loss-heuristic" else None
+    scheduler = nn.PlateauScheduler(optimizer.lr, cfg.getint("scheduler", "patience"),
+                                    cfg.getfloat("scheduler", "factor"), cfg.getfloat("scheduler", "min_lr"), mode)
     shuffle_rng = component_rng(cfg.seed, "shuffle")
     batch_size = cfg.getint("training", "batch_size")
     best_snap = _snapshot(params)
@@ -477,7 +469,7 @@ def train_epochs(cfg: ExperimentConfig, outdir: str, params, lengths, batch_loss
             mean_loss = epoch_loss / max(1, len(batches))
             metric, fields, stop = evaluate()
             decision = scheduler.update(metric)
-            optimizer.lr = decision.lr if loss_rule is None else loss_rule.update(mean_loss)
+            optimizer.lr = decision.lr
             if decision.improved or best_metric is None:
                 best_metric = metric
                 best_snap = _snapshot(params)
@@ -533,7 +525,7 @@ def train_embed(cfg: ExperimentConfig, outdir: str) -> dict:
         # contextual batches are utterances, which only the multi-view loss trains on
         raise ConfigError(f"[objective] contextual = true needs kind multiview, not {kind!r}")
 
-    rngs = {name: component_rng(seed, name) for name in ("sampling", "dropout", "augment", "spans")}
+    rngs = {name: component_rng(seed, name) for name in ("sampling", "dropout", "augment")}
     label_index = {w: i for i, w in enumerate(train_labels)}
     confusion = obj.ConfusionMatrix(len(train_labels), objective.confusion_threshold) \
         if (kind == "triplet" and objective.strategy == "confusion") else None
@@ -551,8 +543,6 @@ def train_embed(cfg: ExperimentConfig, outdir: str) -> dict:
             if use_augment:
                 fms = [cp.spec_augment(fm, al, rngs["augment"]) for fm, al in zip(fms, aligns)]
             out, _ = f.encode([fm.frames for fm in fms], train=True, rng=rngs["dropout"])
-            if objective.spans:
-                aligns = [cp.merge_spans(al, rngs["spans"]) for al in aligns]
             items, labels = word_span_items([al.entries for al in aligns], min_f, max_f)
             if not items:
                 return ad.constant(0.0)

@@ -10,11 +10,6 @@ from awekit import autodiff as ad
 from awekit.autodiff import Tape, Tensor
 
 
-def test_softmax_uniform_logits():
-    out = ad.softmax(Tensor(np.zeros(4)))
-    np.testing.assert_allclose(out.values, [0.25, 0.25, 0.25, 0.25])
-
-
 def test_cosine_distance_self_is_zero():
     rng = np.random.default_rng(0)
     a = Tensor(rng.standard_normal((5, 8)))
@@ -136,7 +131,7 @@ def test_primitives_match_finite_differences(seed):
         ls = ad.log_softmax(h, axis=1)
         parts = ad.concat([ls, ad.reshape(dist, (n, 1))], axis=1)
         total = ad.add(ad.add(ad.sum_(parts), ad.sum_(ad.relu(ls))),
-                       ad.sum_(ad.sqrt(ad.softmax(ad.mean(h, axis=0)))))
+                       ad.sum_(ad.sqrt(ad.add(ad.mean(h, axis=0), 1.5))))  # tanh means + 1.5 > 0
         return total
 
     err = ad.grad_check(f, [a, b, w, bias, table], eps=1e-5)

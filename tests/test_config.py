@@ -85,3 +85,50 @@ def test_values_that_once_ran_or_failed_late_exit_2(tmp_path, data_args, command
         if command == "index" else []
     assert main([command, *seed, *data_args, *args, *extra, "--out", str(out)]) == 2
     assert not (tmp_path / "out").exists()
+
+
+@pytest.fixture(scope="module")
+def zero_epoch_run(tmp_path_factory):
+    """--set arguments naming a tiny synthetic corpus, and the checkpoint of
+    a 0-epoch train-embed run on it."""
+    from awekit import pipelines, synth
+
+    spec = synth.SyntheticSpec(vocab_size=4, num_train=12, num_eval=8, words_per_utterance=(1, 2),
+                               base_duration=(8, 12))
+    paths = synth.write_corpus(synth.generate_corpus(spec, seed=3), tmp_path_factory.mktemp("corpus"))
+    overrides = {("encoder", "layers"): "1", ("encoder", "hidden"): "8", ("training", "epochs"): "0",
+                 **{("data", key): paths[key] for key in ("train", "train_align", "dev", "dev_align", "lexicon")}}
+    args = ["--seed", "9"]
+    for (section, key), value in overrides.items():
+        args += ["--set", f"{section}.{key}={value}"]
+    cfg = ExperimentConfig.load(None, overrides={**overrides, ("run", "seed"): "9"})
+    return args, pipelines.train_embed(cfg, tmp_path_factory.mktemp("emb"))["checkpoint"]
+
+
+@pytest.mark.parametrize("section,key,value,echoed,code", [
+    ("encoder", "pooling", "attention", "attention", 2),  # a value that was removed
+    ("objective", "spans", "true", "true", 0),  # removed keys, even at their old defaults
+    ("scheduler", "rule", "metric", "loss-heuristic", 0),
+], ids=["pooling-attention", "objective-spans", "scheduler-rule"])
+def test_removed_values_exit_2_and_old_checkpoints_evaluate(zero_epoch_run, tmp_path, section, key, value,
+                                                            echoed, code):
+    """A config that names a removed key, or sets a removed value, exits
+    with code 2 and writes nothing. A checkpoint whose echoed config holds
+    a removed key still evaluates, since only the keys of DEFAULTS are read;
+    one that echoes a removed value fails the schema check."""
+    import json
+
+    args, checkpoint = zero_epoch_run
+    out = tmp_path / "run"
+    assert main(["train-embed", *args, "--set", f"{section}.{key}={value}", "--out", str(out)]) == 2
+    assert not out.exists()
+
+    ckpt = tmp_path / "old" / "embed.cadp"
+    ckpt.parent.mkdir()
+    ckpt.write_bytes(open(checkpoint, "rb").read())
+    meta = json.load(open(checkpoint + ".json", encoding="utf-8"))
+    meta["config"][section][key] = echoed
+    (tmp_path / "old" / "embed.cadp.json").write_text(json.dumps(meta), encoding="utf-8")
+    report = tmp_path / "ap" / "ap.json"
+    assert main(["eval-ap", *args, "--checkpoint", str(ckpt), "--out", str(report)]) == code
+    assert report.exists() == (code == 0)

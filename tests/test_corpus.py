@@ -224,63 +224,6 @@ class TestExtractSegments:
             corpus.extract_segments(_fm("u1"), WordAlignment("other", ((0, 2, "x"),)), 1, 10)
 
 
-class TestMergeSpans:
-    def test_single_entry_passthrough(self):
-        al = WordAlignment("u", ((2, 7, "cat"),))
-        sp = corpus.merge_spans(al, np.random.default_rng(0))
-        assert sp.entries == ((2, 7, "cat"),)
-
-    def test_two_entries_forced_merge(self):
-        al = WordAlignment("u", ((0, 3, "a"), (3, 8, "b")))
-        sp = corpus.merge_spans(al, np.random.default_rng(0))
-        assert sp == WordAlignment("u", ((0, 8, "a b"),))
-
-    def test_entry_count_range_over_many_seeds(self):
-        # L=5: r ranges over {2,3,4} so the result has 1..3 spans
-        al = WordAlignment("u", tuple((i * 4, i * 4 + 4, f"w{i}") for i in range(5)))
-        counts = set()
-        for seed in range(1000):
-            sp = corpus.merge_spans(al, np.random.default_rng(seed))
-            counts.add(len(sp))
-        assert counts == {1, 2, 3}
-
-    def test_same_seed_same_output(self):
-        al = WordAlignment("u", tuple((i * 3, i * 3 + 3, f"w{i}") for i in range(6)))
-        a = corpus.merge_spans(al, np.random.default_rng(42))
-        b = corpus.merge_spans(al, np.random.default_rng(42))
-        assert a.entries == b.entries
-
-    def test_spans_follow_the_merged_entries_in_order(self):
-        # each span runs from its first word's start to its last word's end
-        # and is labeled with those words, in order, joined by single spaces
-        al = WordAlignment("u", tuple((i * 4, i * 4 + 3, f"w{i}") for i in range(7)))
-        for seed in range(50):
-            sp = corpus.merge_spans(al, np.random.default_rng(seed))
-            i = 0
-            for s, e, label in sp.entries:
-                words = label.split(" ")
-                assert words == al.labels()[i : i + len(words)]
-                assert (s, e) == (al.entries[i][0], al.entries[i + len(words) - 1][1])
-                i += len(words)
-            assert i == len(al)
-
-    def test_preserves_coverage_and_label_multiset(self):
-        rng = np.random.default_rng(11)
-        for seed in range(50):
-            entries, pos = [], 0
-            n = int(rng.integers(1, 9))
-            for i in range(n):
-                ln = int(rng.integers(1, 6))
-                entries.append((pos, pos + ln, f"w{i % 3}"))
-                pos += ln
-            al = WordAlignment("u", tuple(entries))
-            sp = corpus.merge_spans(al, np.random.default_rng(seed))
-            covered = sum(e - s for s, e, _ in sp.entries)
-            assert covered == sum(e - s for s, e, _ in al.entries)
-            flat = [w for v in sp.labels() for w in v.split(" ")]
-            assert sorted(flat) == sorted(al.labels())
-
-
 class TestSpecAugment:
     def test_zero_width_masks_identity(self):
         fm = _fm(T=6, D=4)

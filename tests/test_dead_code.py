@@ -17,6 +17,12 @@ Every key of ``config.DEFAULTS`` must be set by a preset, or named in
 ``tests``, ``demos`` or ``benchmarks`` as a ``("section", "key")`` pair
 or a ``"section.key"`` string, unless it is on the allowlist of keys kept
 at their defaults.
+
+Every value a run can select besides a key's default (each other choice
+of a ``choices`` key, and the other value of a bool key) must be set by a
+preset, a demo, a benchmark workload or an acceptance criterion, unless it
+is on the allowlist of values with their reasons. Unit tests alone do not
+count, so a new value either joins a recipe or is kept on purpose.
 """
 
 import ast
@@ -42,6 +48,23 @@ TEST_ONLY_ALLOWED = {
 # hyperparameters every run keeps at their defaults.
 UNSET_KEYS_ALLOWED = {
     ("recognizer", "unit_normalize"): "prediction rows from written embeddings start at unit norm",
+}
+
+# Where a recipe sets a value, besides config.PRESETS.
+RECIPE_FILES = ("demos/*.py", "benchmarks/awebench/workloads.py", "tests/test_acceptance.py")
+
+# Non-default values no recipe sets: each is kept for the reason given.
+UNSET_VALUES_ALLOWED = {
+    ("written", "mode", "feature"): "distinctive-feature written input, for multilingual training "
+                                    "(ROADMAP item 5)",
+    ("objective", "strategy", "uniform"): "the plain triplet and uniform multi-view negatives, the "
+                                          "one-draw case of offending and hard sampling",
+    ("recognizer", "lexicon_mode", "dynamic"): "prediction rows generated by the written encoder "
+                                               "on every batch",
+    ("recognizer", "unit_normalize", "false"): "criterion 8b's probes set it (ROADMAP item 0)",
+    ("recognizer", "scheme", "convex"): "criterion 4 grad-checks objectives.combine_joint with it, "
+                                        "called directly rather than through the config",
+    ("search", "exhaustive", "true"): "the exact-search baseline that beamwidth lookup approximates",
 }
 
 
@@ -159,3 +182,51 @@ def unexercised_config_keys():
 
 def test_every_config_key_is_exercised():
     assert unexercised_config_keys() == []
+
+
+def _non_default_values():
+    """(section, key, value) for every value a run can select besides
+    the key's default."""
+    for section, keys in config.SCHEMA.items():
+        for key, (default, spec) in keys.items():
+            if spec.type is bool:
+                yield section, key, "false" if default == "true" else "true"
+            for value in spec.choices or ():
+                if value != default:
+                    yield section, key, value
+
+
+def _recipe_values():
+    """(section, key, value) triples the presets and the recipe files set:
+    a ``("section", "key"): "value"`` dict entry, a "section.key=value"
+    string (a ``--set`` argument), or, for an entry whose value is computed
+    (a loop variable), every string constant of the same file."""
+    found = {(*k, v) for preset in config.PRESETS.values() for k, v in preset.items()}
+    for path in sorted(p for pattern in RECIPE_FILES for p in ROOT.glob(pattern)):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        strings = {n.value for n in ast.walk(tree) if isinstance(n, ast.Constant) and isinstance(n.value, str)}
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Dict):
+                continue
+            for k, v in zip(node.keys, node.values):
+                pair = _string_pair(k.elts) if isinstance(k, ast.Tuple) and len(k.elts) == 2 else None
+                if pair is None:
+                    continue
+                if isinstance(v, ast.Constant) and isinstance(v.value, str):
+                    found.add((*pair, v.value))
+                else:
+                    found.update((*pair, value) for value in strings)
+        for string in strings:
+            m = re.fullmatch(r"(\w+)\.(\w+)=(.*)", string)
+            if m:
+                found.add(m.groups())
+    return found
+
+
+def test_every_non_default_value_is_set_by_a_recipe():
+    values = set(_non_default_values())
+    set_by_recipes = _recipe_values()
+    unset = sorted(v for v in values - set_by_recipes if v not in UNSET_VALUES_ALLOWED)
+    assert unset == [], "set by no preset, demo, benchmark workload or acceptance criterion"
+    # the allowlist names only values of the schema that no recipe sets
+    assert sorted(v for v in UNSET_VALUES_ALLOWED if v not in values or v in set_by_recipes) == []

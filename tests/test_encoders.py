@@ -11,7 +11,7 @@ from awekit.autodiff import Tensor
 from awekit.corpus import FeatureTable, Lexicon, Vocabulary
 
 
-def pool_segment(outputs, start, end, mode, attention_vector=None):
+def pool_segment(outputs, start, end, mode):
     """Per-segment pooling oracle: pre-projection embedding of one
     [start, end) slice of (T, W) frame outputs, forward direction in
     columns [:W/2], backward in [W/2:]."""
@@ -25,12 +25,7 @@ def pool_segment(outputs, start, end, mode, attention_vector=None):
         fw = ad.getitem(outputs, (end - 1, slice(0, h)))
         bw = ad.getitem(outputs, (start, slice(h, W)))
         return ad.concat([fw, bw], axis=0)
-    if mode == "mean":
-        return ad.mean(ad.getitem(outputs, slice(start, end)), axis=0)
-    rows = ad.getitem(outputs, slice(start, end))
-    scores = ad.matmul(rows, ad.reshape(attention_vector, (W, 1)))
-    weights = ad.softmax(ad.reshape(scores, (end - start,)), axis=0)
-    return ad.reshape(ad.matmul(ad.reshape(weights, (1, end - start)), rows), (W,))
+    return ad.mean(ad.getitem(outputs, slice(start, end)), axis=0)
 
 
 def encode_utterance(f, frames):
@@ -101,10 +96,9 @@ class TestEncodeUtterance:
         assert rows.tolist() == [0] and starts.tolist() == [1] and lengths.tolist() == [2]
 
 
-def pool_one(pooling, rows, start, end, attention=None):
+def pool_one(pooling, rows, start, end):
     """``pool_spans`` of one [start, end) slice of (T, W) frame outputs."""
-    r = None if attention is None else Tensor(attention)
-    return enc.pool_spans(Tensor(rows[None]), [0], [start], [end - start], pooling, r).values[0]
+    return enc.pool_spans(Tensor(rows[None]), [0], [start], [end - start], pooling).values[0]
 
 
 class TestPoolSegment:
@@ -112,18 +106,9 @@ class TestPoolSegment:
         rows = np.tile([1.0, 2.0, 3.0, 4.0], (5, 1))
         np.testing.assert_allclose(pool_one("mean", rows, 1, 4), [1, 2, 3, 4])
 
-    def test_single_frame_mean_and_attention(self):
-        rng = np.random.default_rng(3)
-        rows = rng.standard_normal((4, 6))
-        r = rng.standard_normal(6)
+    def test_single_frame_mean(self):
+        rows = np.random.default_rng(3).standard_normal((4, 6))
         np.testing.assert_allclose(pool_one("mean", rows, 2, 3), rows[2])
-        np.testing.assert_allclose(pool_one("attention", rows, 2, 3, r), rows[2], atol=1e-12)
-
-    def test_attention_with_zero_vector_equals_mean(self):
-        rng = np.random.default_rng(4)
-        rows = rng.standard_normal((6, 4))
-        got = pool_one("attention", rows, 1, 5, np.zeros(4))
-        np.testing.assert_allclose(got, pool_one("mean", rows, 1, 5), atol=1e-12)
 
     def test_concat_picks_boundary_states(self):
         rows = np.arange(24, dtype=float).reshape(4, 6)
@@ -149,38 +134,31 @@ class TestPoolSpans:
     }
 
     @staticmethod
-    def _batch(mode, seed=0):
-        rng = np.random.default_rng(seed)
-        out = Tensor(rng.standard_normal((3, 6, 4)))
-        r = Tensor(rng.standard_normal(4)) if mode == "attention" else None
-        return out, r
+    def _batch(seed=0):
+        return Tensor(np.random.default_rng(seed).standard_normal((3, 6, 4)))
 
     @pytest.mark.parametrize("case", sorted(SPANS))
-    @pytest.mark.parametrize("mode", ["concat", "mean", "attention"])
+    @pytest.mark.parametrize("mode", ["concat", "mean"])
     def test_matches_per_segment_oracle(self, mode, case):
-        out, r = self._batch(mode)
+        out = self._batch()
         rows, starts, ends = np.array(self.SPANS[case]).T
-        pooled = enc.pool_spans(out, rows, starts, ends - starts, mode, r).values
-        want = np.stack([pool_segment(out.values[b], s, e, mode, r).values for b, s, e in self.SPANS[case]])
-        if mode == "attention":
-            np.testing.assert_allclose(pooled, want, rtol=1e-12, atol=1e-15)
-        else:
-            np.testing.assert_array_equal(pooled, want)
+        pooled = enc.pool_spans(out, rows, starts, ends - starts, mode).values
+        want = np.stack([pool_segment(out.values[b], s, e, mode).values for b, s, e in self.SPANS[case]])
+        np.testing.assert_array_equal(pooled, want)
 
-    @pytest.mark.parametrize("mode", ["concat", "mean", "attention"])
+    @pytest.mark.parametrize("mode", ["concat", "mean"])
     def test_gradients(self, mode):
         """Repeated and overlapping spans sum their gradients into the
         frames they share."""
-        out, r = self._batch(mode, seed=1)
+        out = self._batch(seed=1)
         rows, starts, ends = np.array(self.SPANS["overlapping-repeated"]).T
         w = np.random.default_rng(2).standard_normal((len(rows), 4))
-        leaves = [out] + ([r] if r is not None else [])
 
         def loss():
-            pooled = enc.pool_spans(out, rows, starts, ends - starts, mode, r)
+            pooled = enc.pool_spans(out, rows, starts, ends - starts, mode)
             return ad.sum_(ad.tanh(ad.mul_const(pooled, w)))
 
-        assert ad.grad_check(loss, leaves, eps=1e-5) <= 1e-6
+        assert ad.grad_check(loss, [out], eps=1e-5) <= 1e-6
 
 
 class TestPoolSegmentGrid:
@@ -194,8 +172,6 @@ class TestPoolSegmentGrid:
     def _batch(self, pooling, seed=0):
         f = small_acoustic(pooling=pooling, hidden=2)
         rng = np.random.default_rng(seed)
-        if pooling == "attention":
-            f.attention_vector.values[...] = rng.standard_normal(4)
         out = Tensor(rng.standard_normal((3, 6, 4)))  # T = 6 > 5: padding past every row
         return f, out
 
@@ -204,15 +180,14 @@ class TestPoolSegmentGrid:
         s0, b, t = np.nonzero(grid.transpose(2, 0, 1) >= 0)
         return f.pool(out, b, t, s0 + 1)
 
-    @pytest.mark.parametrize("pooling", ["concat", "mean", "attention"])
+    @pytest.mark.parametrize("pooling", ["concat", "mean"])
     def test_matches_per_segment_oracle(self, pooling):
         f, out = self._batch(pooling)
         grid = seg.segment_grid(self.LENGTHS, 3)
         pooled = self._pool_grid(f, out, grid).values
         assert pooled.shape == (np.count_nonzero(grid >= 0), 4)
-        r = f.attention_vector.tensor if f.attention_vector is not None else None
         for b, t, s0 in zip(*np.nonzero(grid >= 0)):
-            want = pool_segment(out.values[b], t, t + s0 + 1, pooling, r).values
+            want = pool_segment(out.values[b], t, t + s0 + 1, pooling).values
             np.testing.assert_allclose(pooled[grid[b, t, s0]], want, rtol=1e-12, atol=1e-15)
 
     @pytest.mark.parametrize("pooling", ["concat", "mean"])
@@ -228,14 +203,13 @@ class TestPoolSegmentGrid:
             valid = alone_grid[0] >= 0
             np.testing.assert_array_equal(pooled[grid[b, :T][valid]], alone[alone_grid[0][valid]])
 
-    @pytest.mark.parametrize("pooling", ["concat", "mean", "attention"])
+    @pytest.mark.parametrize("pooling", ["concat", "mean"])
     def test_gradients_reach_only_real_frames(self, pooling):
         f, out = self._batch(pooling, seed=2)
         grid = seg.segment_grid(self.LENGTHS, 3)
         w = np.random.default_rng(3).standard_normal((np.count_nonzero(grid >= 0), 4))
-        leaves = [out] + ([f.attention_vector.tensor] if f.attention_vector is not None else [])
         assert ad.grad_check(lambda: ad.sum_(ad.mul_const(self._pool_grid(f, out, grid), w)),
-                             leaves, eps=1e-5) <= 1e-6
+                             [out], eps=1e-5) <= 1e-6
         for b, T in enumerate(self.LENGTHS):
             np.testing.assert_array_equal(out.grad[b, T:], 0.0)
 

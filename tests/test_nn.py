@@ -1,5 +1,8 @@
 """Recurrent cells and layers, optimizers, schedulers, checkpoint format."""
 
+import struct
+import warnings
+
 import numpy as np
 import pytest
 
@@ -432,22 +435,6 @@ class TestPlateauScheduler:
         assert s.update(0.45).decayed
 
 
-class TestLossPlateauHeuristic:
-    def test_three_consecutive_plateaus_decay(self):
-        h = nn.LossPlateauHeuristic(lr=0.1)
-        for loss in [1.0, 1.0, 1.0]:  # warmup window
-            assert h.update(loss) == 0.1
-        for i, loss in enumerate([1.05, 1.05, 1.05]):
-            lr = h.update(loss)
-        np.testing.assert_allclose(lr, 0.01)
-
-    def test_improvement_resets_the_streak(self):
-        h = nn.LossPlateauHeuristic(lr=0.1)
-        for loss in [1.0, 1.0, 1.0, 1.05, 1.05, 0.5, 1.05, 1.05]:
-            lr = h.update(loss)
-        assert lr == 0.1
-
-
 class TestCheckpoint:
     def test_round_trip_bit_exact(self, tmp_path):
         rng = np.random.default_rng(11)
@@ -494,6 +481,18 @@ class TestCheckpoint:
             cut.write_bytes(data[:n])
             with pytest.raises(nn.CheckpointError):
                 nn.load_checkpoint(cut)
+
+    @pytest.mark.parametrize("bits", [0x7F800001, 0x7F800000], ids=["signalling-nan", "inf"])
+    def test_non_finite_weight_rejected_without_a_warning(self, tmp_path, bits):
+        path = tmp_path / "model.cadp"
+        nn.save_checkpoint(path, [nn.Parameter("w", np.ones((2, 3))), nn.Parameter("b", np.ones(3))])
+        data = bytearray(path.read_bytes())
+        data[-8:-4] = struct.pack("<I", bits)  # the middle float32 of "b"
+        path.write_bytes(bytes(data))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(nn.CheckpointError, match="b: non-finite weights"):
+                nn.load_checkpoint(path)
 
     def test_assign_shape_mismatch_rejected(self, tmp_path):
         p = nn.Parameter("w", np.zeros((2, 2)))

@@ -316,33 +316,26 @@ class TestScoreSegments:
         for row in st.packed.values:
             np.testing.assert_allclose(row, want, atol=1e-12)
 
-    @pytest.mark.parametrize("pooling", ["concat", "mean", "attention"])
+    @pytest.mark.parametrize("pooling", ["concat", "mean"])
     def test_matches_per_segment_oracle(self, pooling):
         enc, pl = self._make(pooling)
-        if pooling == "attention":
-            enc.attention_vector.values[...] = np.random.default_rng(1).standard_normal(4)
         H = Tensor(np.random.default_rng(2).standard_normal((1, 5, 4)))
         st = seg.score_segments(enc, H, [5], pl, max_len=3)
         dense = dense_lattice(st)
-        r = enc.attention_vector.tensor if enc.attention_vector is not None else None
         for t in range(5):
             for s in range(1, 4):
                 if t + s > 5:
                     continue
-                pooled = pool_segment(H.values[0], t, t + s, pooling, r)
+                pooled = pool_segment(H.values[0], t, t + s, pooling)
                 emb = enc.project(Tensor(pooled.values[None, :])).values[0]
                 want = pl.w.values @ emb + pl.b.values
                 np.testing.assert_allclose(dense[t, s - 1], want, atol=1e-10)
 
-    @pytest.mark.parametrize("pooling", ["concat", "mean", "attention"])
+    @pytest.mark.parametrize("pooling", ["concat", "mean"])
     def test_end_to_end_gradients(self, pooling):
         enc, pl = self._make(pooling)
-        if pooling == "attention":
-            enc.attention_vector.values[...] = 0.3 * np.random.default_rng(3).standard_normal(4)
         H = Tensor(np.random.default_rng(4).standard_normal((1, 4, 4)))
         leaves = [H, pl.w.tensor, pl.b.tensor, enc.proj_w.tensor, enc.proj_b.tensor]
-        if enc.attention_vector is not None:
-            leaves.append(enc.attention_vector.tensor)
 
         def f():
             st = seg.score_segments(enc, H, [4], pl, max_len=3)
@@ -469,17 +462,12 @@ class TestBatchedLattice:
             assert all(p.segments == tuple((t, 1, 0) for t in range(T))
                        for p, T in zip(paths, self.LENGTHS))
 
-    @pytest.mark.parametrize("pooling", ["concat", "mean", "attention"])
+    @pytest.mark.parametrize("pooling", ["concat", "mean"])
     def test_end_to_end_gradients_of_a_ragged_batch(self, pooling):
         enc, pl = TestScoreSegments()._make(pooling)
-        rng = np.random.default_rng(19)
-        if pooling == "attention":
-            enc.attention_vector.values[...] = 0.3 * rng.standard_normal(4)
-        H = Tensor(rng.standard_normal((3, 5, 4)))
+        H = Tensor(np.random.default_rng(19).standard_normal((3, 5, 4)))
         lengths, transcripts = [4, 2, 5], [[1, 0], [2], [0, 2, 1]]
         leaves = [H, pl.w.tensor, pl.b.tensor, enc.proj_w.tensor, enc.proj_b.tensor]
-        if enc.attention_vector is not None:
-            leaves.append(enc.attention_vector.tensor)
 
         def f():
             return seg.seg_loss(seg.score_segments(enc, H, lengths, pl, max_len=3), transcripts)
