@@ -132,3 +132,17 @@ def test_removed_values_exit_2_and_old_checkpoints_evaluate(zero_epoch_run, tmp_
     report = tmp_path / "ap" / "ap.json"
     assert main(["eval-ap", *args, "--checkpoint", str(ckpt), "--out", str(report)]) == code
     assert report.exists() == (code == 0)
+
+
+@pytest.mark.parametrize("setting", [
+    "[encoder]\npooling = attention\n", "[objective]\nspans = true\n", "[scheduler]\nrule = loss-heuristic\n",
+], ids=["pooling-attention", "objective-spans", "scheduler-rule"])
+def test_removed_values_in_a_config_file_exit_2_before_data_or_output(tmp_path, data_args, capsys, setting):
+    """A config file written for the removed values is refused as a whole,
+    as the same settings given by --set are."""
+    ini = tmp_path / "old.ini"
+    ini.write_text(setting, encoding="utf-8")
+    out = tmp_path / "run"
+    assert main(["train-embed", "--seed", "9", "--config", str(ini), *data_args, "--out", str(out)]) == 2
+    assert setting.split("\n")[1].split(" =")[0] in capsys.readouterr().err
+    assert not out.exists()

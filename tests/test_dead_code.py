@@ -27,8 +27,11 @@ count, so a new value either joins a recipe or is kept on purpose.
 
 import ast
 import collections
+import dataclasses
 import pathlib
 import re
+
+import pytest
 
 from awekit import config
 
@@ -230,3 +233,14 @@ def test_every_non_default_value_is_set_by_a_recipe():
     assert unset == [], "set by no preset, demo, benchmark workload or acceptance criterion"
     # the allowlist names only values of the schema that no recipe sets
     assert sorted(v for v in UNSET_VALUES_ALLOWED if v not in values or v in set_by_recipes) == []
+
+
+def test_a_value_no_recipe_sets_is_flagged(monkeypatch):
+    """The check above fails on a choice that only unit tests could run,
+    here a third pooling mode, and names it."""
+    default, spec = config.SCHEMA["encoder"]["pooling"]
+    wider = dataclasses.replace(spec, choices=(*spec.choices, "attention"))
+    monkeypatch.setitem(config.SCHEMA, "encoder", {**config.SCHEMA["encoder"], "pooling": (default, wider)})
+    assert ("encoder", "pooling", "attention") in set(_non_default_values()) - _recipe_values()
+    with pytest.raises(AssertionError, match="attention"):
+        test_every_non_default_value_is_set_by_a_recipe()

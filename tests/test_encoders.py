@@ -147,6 +147,25 @@ class TestPoolSpans:
         np.testing.assert_array_equal(pooled, want)
 
     @pytest.mark.parametrize("mode", ["concat", "mean"])
+    def test_frames_outside_the_spans_are_not_read(self, mode):
+        """Concat reads the two boundary frames of a span and mean every
+        frame inside it; changing any other frame leaves the rows as they
+        were, bit for bit."""
+        out = self._batch(seed=3)
+        rows, starts, ends = np.array(self.SPANS["mixed-lengths"]).T
+        pooled = enc.pool_spans(out, rows, starts, ends - starts, mode).values
+        read = np.zeros(out.values.shape[:2], dtype=bool)
+        for b, s, e in self.SPANS["mixed-lengths"]:
+            if mode == "concat":
+                read[b, [s, e - 1]] = True
+            else:
+                read[b, s:e] = True
+        changed = out.values.copy()
+        changed[~read] = 1e6
+        repooled = enc.pool_spans(Tensor(changed), rows, starts, ends - starts, mode).values
+        np.testing.assert_array_equal(repooled, pooled)
+
+    @pytest.mark.parametrize("mode", ["concat", "mean"])
     def test_gradients(self, mode):
         """Repeated and overlapping spans sum their gradients into the
         frames they share."""

@@ -434,6 +434,22 @@ class TestPlateauScheduler:
         assert s.update(0.4).improved
         assert s.update(0.45).decayed
 
+    def test_improvement_restarts_the_patience_count(self):
+        s = nn.PlateauScheduler(lr=0.1, patience=2, factor=0.1, min_lr=1e-6)
+        decisions = [s.update(m) for m in [0.5, 0.4, 0.6, 0.5, 0.5]]
+        assert [d.improved for d in decisions] == [True, False, True, False, False]
+        assert [d.decayed for d in decisions] == [False, False, False, False, True]
+
+    def test_each_patience_window_decays_again(self):
+        s = nn.PlateauScheduler(lr=1.0, patience=2, factor=0.5, min_lr=1e-6)
+        lrs = [s.update(0.5).lr for _ in range(7)]
+        assert lrs == [1.0, 1.0, 0.5, 0.5, 0.25, 0.25, 0.125]
+        assert s.best == 0.5
+
+    def test_unknown_mode_rejected(self):
+        with pytest.raises(ValueError, match="mode"):
+            nn.PlateauScheduler(lr=0.1, patience=1, factor=0.5, min_lr=1e-9, mode="loss")
+
 
 class TestCheckpoint:
     def test_round_trip_bit_exact(self, tmp_path):
@@ -482,7 +498,8 @@ class TestCheckpoint:
             with pytest.raises(nn.CheckpointError):
                 nn.load_checkpoint(cut)
 
-    @pytest.mark.parametrize("bits", [0x7F800001, 0x7F800000], ids=["signalling-nan", "inf"])
+    @pytest.mark.parametrize("bits", [0x7F800001, 0x7F800000, 0x7FC00000, 0xFF800000, 0xFFFFFFFF],
+                             ids=["signalling-nan", "inf", "quiet-nan", "minus-inf", "negative-nan"])
     def test_non_finite_weight_rejected_without_a_warning(self, tmp_path, bits):
         path = tmp_path / "model.cadp"
         nn.save_checkpoint(path, [nn.Parameter("w", np.ones((2, 3))), nn.Parameter("b", np.ones(3))])
@@ -493,6 +510,17 @@ class TestCheckpoint:
             warnings.simplefilter("error")
             with pytest.raises(nn.CheckpointError, match="b: non-finite weights"):
                 nn.load_checkpoint(path)
+
+    def test_extreme_finite_weights_load_bit_exact(self, tmp_path):
+        # the largest float32, its negation, the smallest subnormal and -0.0
+        bits = np.array([0x7F7FFFFF, 0xFF7FFFFF, 0x00000001, 0x80000000], dtype="<u4")
+        values = bits.view("<f4").astype(np.float64)
+        path = tmp_path / "model.cadp"
+        nn.save_checkpoint(path, [nn.Parameter("w", values)])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            loaded = nn.load_checkpoint(path)["w"]
+        assert loaded.astype("<f4").view("<u4").tolist() == bits.tolist()
 
     def test_assign_shape_mismatch_rejected(self, tmp_path):
         p = nn.Parameter("w", np.zeros((2, 2)))

@@ -119,8 +119,8 @@ class TestConfig:
     @pytest.mark.parametrize("setting", [
         "[recognizer]\nvocab_sample = 8\n", "[recognizer]\nunk_row_init = zero\n",
         "[recognizer]\nfreeze_encoder = true\n", "[search]\nmin_ratio = 0.5\n",
-        "[search]\nmax_ratio = 1.5\n"],
-        ids=["vocab_sample", "unk_row_init", "freeze_encoder", "min_ratio", "max_ratio"])
+        "[search]\nmax_ratio = 1.5\n", "[objective]\nspans = false\n", "[scheduler]\nrule = metric\n"],
+        ids=["vocab_sample", "unk_row_init", "freeze_encoder", "min_ratio", "max_ratio", "spans", "rule"])
     def test_removed_key_exits_with_config_error(self, tmp_path, setting):
         from awekit.cli import main
 
@@ -482,6 +482,15 @@ class TestRecognition:
         assert ks == [6, 5, 4, 3] + [3] * (len(ks) - 4)
         assert len(ks) == 10  # 40 utterances in batches of 8, two epochs
 
+    def test_flat_dev_wer_decays_the_learning_rate_every_patience_epochs(self, corpus_dir, tmp_path,
+                                                                          monkeypatch):
+        monkeypatch.setattr(recognition, "dev_wer", lambda *args, **kwargs: 0.5)
+        cfg = small_cfg(corpus_dir, {("scheduler", "patience"): "1", ("scheduler", "factor"): "0.5",
+                                     ("training", "epochs"): "3"})
+        report = recognition.train_asr(cfg, tmp_path / "asr")
+        lr = cfg.getfloat("optimizer", "lr")
+        assert [h["lr"] for h in report["history"]] == [lr, lr * 0.5, lr * 0.25]
+
     def test_regularizer_reaches_the_loss_on_every_batch(self, corpus_dir, tmp_path, monkeypatch):
         emb = pipelines.train_embed(small_cfg(corpus_dir, {("training", "epochs"): "0"}), tmp_path / "emb")
         reg_losses, combined = [], []
@@ -767,6 +776,36 @@ class TestCli:
         err = capsys.readouterr().err
         assert "non-finite weights" in err and "Traceback" not in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["query", "decode", "export-embeddings"])
+    def test_inf_weight_exits_3_before_any_output(self, corpus_dir, embed_checkpoint, tmp_path, capsys, command):
+        from awekit.cli import main
+
+        cfg = small_cfg(corpus_dir, {("training", "epochs"): "0"})
+        good = embed_checkpoint
+        if command == "decode":
+            good = recognition.train_asr(cfg, tmp_path / "asr")["checkpoint"]
+        ckpt = tmp_path / "bad" / "model.cadp"
+        ckpt.parent.mkdir()
+        data = bytearray(open(good, "rb").read())
+        data[-4:] = b"\x00\x00\x80\xff"  # float32 -inf in the last weight
+        ckpt.write_bytes(bytes(data))
+        (tmp_path / "bad" / "model.cadp.json").write_bytes(open(good + ".json", "rb").read())
+        out = tmp_path / "out"
+        if command == "query":
+            index = tmp_path / "dev.cadi"
+            pipelines.build_search_index(cfg, embed_checkpoint, corpus_dir["dev"], index)
+            args = ["--index", str(index), "--queries", corpus_dir["dev"],
+                    "--query-align", corpus_dir["dev_align"], "--out", str(out / "q.json")]
+        elif command == "decode":
+            args = ["--archive", corpus_dir["dev"], "--out", str(out / "dec.json")]
+        else:
+            args = ["--archive", corpus_dir["dev"], "--align", corpus_dir["dev_align"],
+                    "--out", str(out / "embs.tsv")]
+        assert main([command, *_data_args(corpus_dir), "--checkpoint", str(ckpt), *args]) == 3
+        err = capsys.readouterr().err
+        assert "non-finite weights" in err and "Traceback" not in err
+        assert not out.exists() or list(out.iterdir()) == []
 
     @pytest.mark.parametrize("damage,code", [
         (lambda text: text[:50], 3), (lambda text: "{}", 3), (lambda text: "[]", 3),
