@@ -91,7 +91,6 @@ SCHEMA = {
                  "stop_at_wer": ("0", Spec(float, ge=0))},
     "recognizer": {
         "kind": ("ctc", Spec(choices=("ctc", "segmental"))),
-        "lexicon_mode": ("static", Spec(choices=("static", "dynamic"))),
         "training_mode": ("baseline", Spec(choices=("baseline", "pretrain", "joint"))),
         "freeze": ("false", BOOL), "unit_normalize": ("true", BOOL), "unk": ("false", BOOL),
         "lambda_emb": ("0.0", FRACTION), "lambda_reg": ("0.0", FRACTION),
@@ -99,8 +98,7 @@ SCHEMA = {
         "init_checkpoint": ("", PATH), "vocab_file": ("", PATH)},
     "search": {"bits": ("1024", Spec(int, ge=1, le=srch.MAX_BITS)),
                "permutations": ("16", Spec(int, ge=1, le=srch.MAX_PERMUTATIONS)),
-               "beamwidth": ("50", SIZE), "stride": ("5", SIZE), "window_sizes": ("", Spec(tuple, ge=1)),
-               "exhaustive": ("false", BOOL)},
+               "beamwidth": ("50", SIZE), "stride": ("5", SIZE), "window_sizes": ("", Spec(tuple, ge=1))},
     # an index file stores the seed as a signed 64-bit integer
     "run": {"seed": ("", Spec(int, ge=0, le=2**63 - 1)), "threads": ("1", SIZE)},
 }

@@ -331,75 +331,38 @@ class WrittenEncoder:
 
 
 class PredictionLayer:
-    """Word scoring matrix W (|V| x d) and bias b (|V|).
+    """Word scoring matrix W (|V| x d) of free rows (optionally frozen
+    after init) and bias b (|V|)."""
 
-    static: rows are free parameters (optionally frozen after init).
-    dynamic: rows are produced by the written encoder on demand, so
-    gradients flow into it and the vocabulary can be rebuilt at any time;
-    the reserved UNK row, if any, is a free parameter.
-    """
-
-    def __init__(self, vocab: Vocabulary, embed_dim: int, rng: np.random.Generator, mode: str = "static",
+    def __init__(self, vocab: Vocabulary, embed_dim: int, rng: np.random.Generator,
                  unit_normalized: bool = False):
         self.vocab = vocab
-        self.embed_dim = embed_dim
-        self.mode = mode
         self.unit_normalized = unit_normalized
-        self.written_encoder: WrittenEncoder | None = None
-        self.lexicon: Lexicon | None = None
-        self.w = self.unk_row = None
-        if mode == "static":
-            w = nn.normal_init(rng, (vocab.size, embed_dim)) / np.sqrt(embed_dim)
-            self.w = nn.Parameter("pred.w", w)
-        elif vocab.unk_token is not None:
-            self.unk_row = nn.Parameter("pred.unk", nn.normal_init(rng, embed_dim) / np.sqrt(embed_dim))
+        self.w = nn.Parameter("pred.w", nn.normal_init(rng, (vocab.size, embed_dim)) / np.sqrt(embed_dim))
         self.b = nn.Parameter("pred.b", np.zeros(vocab.size))
         self.base_size = vocab.size  # rows beyond this are extension rows
 
     @staticmethod
     def from_written_encoder(vocab: Vocabulary, g: WrittenEncoder, lexicon: Lexicon | None,
-                             mode: str, rng: np.random.Generator,
-                             unit_normalize: bool = True) -> "PredictionLayer":
-        """Initialize from written-view embeddings.
-
-        static: rows are copies of g(v) (unit-normalized when requested);
-        reserved UNK rows are random. dynamic: rows are produced by g live.
-        """
-        pl = PredictionLayer(vocab, g.config.embed_dim, rng, mode=mode, unit_normalized=unit_normalize)
-        pl.written_encoder = g
-        pl.lexicon = lexicon
-        if mode == "static":
-            embeddable = [v for v in vocab.labels if v != vocab.unk_token]
-            embs = g.embed_words(embeddable, lexicon).values
-            if unit_normalize:
-                embs = unit_rows(embs)
-                pl.w.values[...] = unit_rows(pl.w.values)
-            for word, row in zip(embeddable, embs):
-                pl.w.values[vocab.index(word)] = row
+                             rng: np.random.Generator, unit_normalize: bool = True) -> "PredictionLayer":
+        """Rows are copies of g(v) (unit-normalized when requested); reserved
+        UNK rows are random."""
+        pl = PredictionLayer(vocab, g.config.embed_dim, rng, unit_normalized=unit_normalize)
+        embeddable = [v for v in vocab.labels if v != vocab.unk_token]
+        embs = g.embed_words(embeddable, lexicon).values
+        if unit_normalize:
+            embs = unit_rows(embs)
+            pl.w.values[...] = unit_rows(pl.w.values)
+        for word, row in zip(embeddable, embs):
+            pl.w.values[vocab.index(word)] = row
         return pl
 
     def parameters(self) -> list[nn.Parameter]:
-        out = [self.w, self.b] if self.mode == "static" else [self.b]
-        if self.unk_row is not None:
-            out.append(self.unk_row)
-        return out
+        return [self.w, self.b]
 
     def freeze(self):
         """Freeze the weight rows (biases stay trainable)."""
-        if self.mode != "static":
-            raise EncoderError("only a static layer can be frozen")
         self.w.frozen = True
-
-    def weight_tensor(self) -> Tensor:
-        """The (|V|, d) weight matrix as an autodiff tensor."""
-        if self.mode == "static":
-            return self.w.tensor
-        embs = self.written_encoder.embed_words(
-            [v for v in self.vocab.labels if v != self.vocab.unk_token], self.lexicon
-        )
-        if self.unk_row is None:
-            return embs
-        return ad.concat([embs, ad.reshape(self.unk_row.tensor, (1, self.embed_dim))], axis=0)
 
 
 def extend_vocabulary(pl: PredictionLayer, g: WrittenEncoder, new_words,
@@ -413,13 +376,8 @@ def extend_vocabulary(pl: PredictionLayer, g: WrittenEncoder, new_words,
             raise EncoderError(f"word {w!r} already in the vocabulary")
     if len(set(new_words)) != len(new_words):
         raise EncoderError("duplicate words in the extension")
-    if pl.mode != "static":
-        raise EncoderError("extension applies to static (frozen) layers")
-    lexicon = lexicon if lexicon is not None else pl.lexicon
     out = copy.copy(pl)  # chained extensions keep the original base_size
     out.vocab = _extended_vocab(pl.vocab, new_words)
-    out.written_encoder = g
-    out.lexicon = lexicon
     rows = pl.w.values
     if new_words:
         new_rows = g.embed_words(new_words, lexicon).values

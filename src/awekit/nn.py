@@ -469,8 +469,12 @@ def load_checkpoint(path) -> dict[str, np.ndarray]:
 
 
 def assign_from_checkpoint(params: list[Parameter], loaded: dict[str, np.ndarray], strict: bool = True):
-    """Copy loaded arrays into matching parameters by name."""
+    """Copy loaded arrays into matching parameters by name. ``strict``:
+    every array must name a parameter and every parameter an array."""
     byname = {p.name: p for p in params}
+    missing = [name for name in byname if name not in loaded]
+    if strict and missing:
+        raise CheckpointError(f"no weights for {', '.join(missing)}")
     for name, arr in loaded.items():
         p = byname.get(name)
         if p is None:

@@ -3,8 +3,8 @@
 Covers the word-classifier cross entropy, single-view triplets (uniform,
 confusion-matrix, and most-offending negative selection, all scored by
 ``triplet_loss`` from one distance matrix over a batch), the multi-view
-contrastive objective with its three terms and hard/semi-hard/uniform
-negative sampling, the square-root per-term variant, the written-embedding
+contrastive objective with its three terms and hard/semi-hard negative
+selection, the square-root per-term variant, the written-embedding
 regularizer for prediction layers, and joint-objective combination.
 
 Distances are cosine throughout. For a segment embedding f(X) with label
@@ -30,7 +30,7 @@ class ObjectiveError(Exception):
 
 
 # The negative-selection strategies each embedding loss runs.
-STRATEGIES = {"multiview": ("hard", "semi-hard", "uniform"),
+STRATEGIES = {"multiview": ("hard", "semi-hard"),
               "triplet": ("uniform", "confusion", "offending")}
 
 
@@ -137,21 +137,15 @@ class ConfusionMatrix:
 
 
 def _select_topk(dist: np.ndarray, candidates: np.ndarray, k: int, semi_hard: bool,
-                 pos: float, uniform: bool, rng) -> np.ndarray:
+                 pos: float) -> np.ndarray:
     """Pick up to k candidate indices by the configured strategy.
 
     hard: the k smallest distances; semi-hard: the k smallest among
-    candidates farther than the positive; uniform: k without replacement.
-    Ties break lexicographically by (distance, candidate index).
+    candidates farther than the positive. Ties break lexicographically by
+    (distance, candidate index).
     """
     if semi_hard:
         candidates = candidates[dist[candidates] > pos]
-    if len(candidates) == 0:
-        return candidates
-    if uniform:
-        take = min(k, len(candidates))
-        picked = rng.choice(len(candidates), size=take, replace=False)
-        return np.sort(candidates[picked])
     order = np.lexsort((candidates, dist[candidates]))
     return candidates[order[:k]]
 
@@ -166,7 +160,6 @@ def multiview_loss(
     strategy: str = "hard",
     terms=(0, 2),
     sqrt_variant: bool = False,
-    rng: np.random.Generator | None = None,
 ) -> Tensor:
     """Contrastive multi-view objective over a batch.
 
@@ -175,7 +168,7 @@ def multiview_loss(
     batch ``vocab``, which contains every label (``batch_vocabulary``).
     Sums the selected loss ``terms`` (distinct members of {0, 1, 2}) over
     items; each term averages its hinge values over up to ``k`` negatives
-    picked by ``strategy`` (hard, semi-hard or uniform; empty sets
+    picked by ``strategy`` (hard or semi-hard; empty sets
     contribute 0). With ``sqrt_variant`` each per-item term value is taken
     to the power 0.5.
     ``isolated`` vs ``contextual`` training differ only in how the batch's
@@ -183,10 +176,8 @@ def multiview_loss(
     inside utterances); this function sees only the embeddings.
     """
     terms = tuple(terms)
-    if strategy == "confusion":
-        raise ObjectiveError("confusion sampling applies to single-view triplets only")
-    if strategy == "uniform" and rng is None:
-        raise ObjectiveError("uniform sampling needs an rng")
+    if strategy not in STRATEGIES["multiview"]:
+        raise ObjectiveError(f"strategy {strategy!r}: the multiview loss runs {STRATEGIES['multiview']}")
     n = len(labels)
     if n == 0:
         raise ObjectiveError("empty batch")
@@ -199,7 +190,6 @@ def multiview_loss(
     pos = ad.getitem(d_aw, (np.arange(n), label_idx))  # (n,)
 
     semi = strategy == "semi-hard"
-    uni = strategy == "uniform"
     pieces = []  # per term: (hinge values weighted by 1/k, per-item slot)
     for ti, term in enumerate(terms):
         picked, sels = [], []
@@ -211,7 +201,7 @@ def multiview_loss(
             else:
                 cand = np.nonzero(labels_arr != labels[i])[0]
                 dvec = d_aw.values[:, li]
-            sel = _select_topk(dvec, cand, k, semi, float(pos.values[i]), uni, rng)
+            sel = _select_topk(dvec, cand, k, semi, float(pos.values[i]))
             if len(sel):
                 picked.append(i)
                 sels.append(sel)

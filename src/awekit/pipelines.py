@@ -347,7 +347,7 @@ class Objective:
         vocab_words = obj.batch_vocabulary(labels, full_vocab, self.extras, rng)
         word_embs = g.embed_words(vocab_words, lexicon)
         loss = obj.multiview_loss(acoustic, labels, vocab_words, word_embs, self.margin, k, self.strategy,
-                                  self.terms, self.sqrt_variant, rng)
+                                  self.terms, self.sqrt_variant)
         return ad.scale(loss, 1.0 / max(1, len(labels)))
 
 
@@ -739,8 +739,8 @@ def query_search_index(cfg: ExperimentConfig, checkpoint: str, index_path: str,
 
     Queries are embedded in batches with ``embed_frames``. Each query's
     candidate windows and their cosine scores come from beamwidth lookup
-    in the permuted index (with [search] exhaustive = true the beam covers
-    every window); each utterance's score is its best admissible window's
+    in the permuted index (a beam at least the index size takes every
+    window); each utterance's score is its best admissible window's
     score, -1 when it contributed none (``search.utterance_scores``). With
     ground-truth alignments for the search collection, FOM / OTWV / P@10
     and the decision metrics are reported, aggregated per query type
@@ -749,7 +749,6 @@ def query_search_index(cfg: ExperimentConfig, checkpoint: str, index_path: str,
     index = srch.load_index(index_path)
     wcfg = _window_config(cfg)
     beam = cfg.getint("search", "beamwidth")
-    exhaustive = cfg.getbool("search", "exhaustive")
     queries = cp.load_feature_archive(query_archive)
     q_align = cp.load_alignments(query_align_path)
     utt_ids = sorted({r.utterance_id for r in index.refs})
@@ -757,7 +756,6 @@ def query_search_index(cfg: ExperimentConfig, checkpoint: str, index_path: str,
     entry_utt = np.array([utt_pos[r.utterance_id] for r in index.refs], dtype=np.intp)
     entry_size = np.array([r.size for r in index.refs], dtype=np.intp)
     q_embs = embed_frames(f, [q.frames for q in queries], cfg.threads)
-    lookup_beam = index.size if exhaustive else beam
     # each lookup is a few small numpy calls that hold the interpreter lock:
     # a thread pool would only add hand-off, so they run on this thread
     size_slots = max(entry_size.max(), wcfg.sizes[-1]) + 1  # admissibility is a table by window size
@@ -765,14 +763,13 @@ def query_search_index(cfg: ExperimentConfig, checkpoint: str, index_path: str,
     for q_fm, q_emb in zip(queries, q_embs):
         admissible = np.zeros(size_slots, dtype=bool)
         admissible[list(wcfg.admissible_sizes(q_fm.num_frames))] = True
-        hits = srch.query_index(q_emb, index, lookup_beam)
+        hits = srch.query_index(q_emb, index, beam)
         results.append(srch.utterance_scores(hits, entry_utt, entry_size, admissible, len(utt_ids)))
     score_matrix = np.stack([r[0] for r in results])
     q_ids = [q.utterance_id for q in queries]
     q_terms = {q.utterance_id: " ".join(v for _, _, v in q_align[q.utterance_id].entries) for q in queries}
 
-    report = {"num_queries": len(q_ids), "num_utterances": len(utt_ids),
-              "beamwidth": beam, "exhaustive": exhaustive,
+    report = {"num_queries": len(q_ids), "num_utterances": len(utt_ids), "beamwidth": beam,
               "config": cfg.resolved(), "version": SCHEMA_VERSION}
     hits_path = os.path.splitext(out_path)[0] + "_hits.tsv"
     with cp.open_artifact(hits_path) as fh:

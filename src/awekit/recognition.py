@@ -5,9 +5,8 @@ Training modes: "baseline" initializes everything randomly; "pretrain"
 loads an embedding checkpoint, copies the acoustic encoder, builds the
 prediction layer from written-view embeddings (optionally frozen), and
 can regularize rows toward the (fixed) written embeddings; "joint" adds
-the contrastive embedding loss with a live written encoder. Lexicon mode
-"static" keeps the prediction rows as free parameters; "dynamic" rebuilds
-them from the written encoder every batch. ``train_asr`` runs the shared
+the contrastive embedding loss with a live written encoder. In every mode
+the prediction rows are free parameters. ``train_asr`` runs the shared
 loop ``pipelines.train_epochs`` with the recognizer's batch loss and its
 dev WER. One batch loss, ``asr_batch_loss``, serves both recognizers: it
 encodes the batch, then sums the per-utterance CTC losses or takes the
@@ -124,9 +123,8 @@ def build_recognizer(cfg: ExperimentConfig, ds: Dataset, input_dim: int):
         cfg = _merge_encoder_config(cfg, load_model_meta(init_ckpt))
     f = build_acoustic_encoder(cfg, input_dim, init_rng)
     g = None
-    if pretrained or cfg.get("recognizer", "lexicon_mode") == "dynamic":
-        g = build_written_encoder(cfg, ds.lexicon, ds.feature_table, labels, f, init_rng)
     if pretrained:
+        g = build_written_encoder(cfg, ds.lexicon, ds.feature_table, labels, f, init_rng)
         nn.assign_from_checkpoint(f.parameters() + g.parameters(), nn.load_checkpoint(init_ckpt),
                                   strict=False)
     model = _assemble(cfg, kind, f, g, vocab, ds.lexicon, written_rows=pretrained)
@@ -137,21 +135,17 @@ def build_recognizer(cfg: ExperimentConfig, ds: Dataset, input_dim: int):
 def _assemble(cfg: ExperimentConfig, kind: str, f, g, vocab, lexicon, written_rows: bool):
     """The recognizer over encoders ``f`` and ``g``, for training and reload:
     its prediction layer and, for CTC, its blank row. With ``written_rows``
-    (pretraining) static rows start as g's written embeddings and may be
+    (pretraining) the rows start as g's written embeddings and may be
     frozen; otherwise they are random, as a baseline starts and as a reload
     builds them before the checkpoint overwrites them."""
-    lexicon_mode = cfg.get("recognizer", "lexicon_mode")
-    freeze = written_rows and cfg.getbool("recognizer", "freeze")
-    if freeze and lexicon_mode != "static":
-        raise ConfigError("[recognizer] freeze needs lexicon_mode static")
     unit = cfg.getbool("recognizer", "unit_normalize")
     pred_rng = component_rng(cfg.seed, "pred-init")
-    if written_rows or lexicon_mode == "dynamic":
-        pl = enc.PredictionLayer.from_written_encoder(vocab, g, lexicon, lexicon_mode, pred_rng, unit)
+    if written_rows:
+        pl = enc.PredictionLayer.from_written_encoder(vocab, g, lexicon, pred_rng, unit)
+        if cfg.getbool("recognizer", "freeze"):
+            pl.freeze()
     else:
         pl = enc.PredictionLayer(vocab, f.config.embed_dim, rng=pred_rng, unit_normalized=unit)
-    if freeze:
-        pl.freeze()
     blank_w = blank_b = None
     if kind == "ctc":
         d = f.config.embed_dim
@@ -207,8 +201,7 @@ def _ctc_frame_logits(model, out: Tensor):
     """Project frame outputs and score against [rows; blank]."""
     B, T, W = out.values.shape
     proj = model.f.project(ad.reshape(out, (B * T, W)))  # (B*T, d)
-    w_full = ad.concat([model.pl.weight_tensor(),
-                        ad.reshape(model.blank_w.tensor, (1, -1))], axis=0)
+    w_full = ad.concat([model.pl.w.tensor, ad.reshape(model.blank_w.tensor, (1, -1))], axis=0)
     b_full = ad.concat([model.pl.b.tensor, model.blank_b.tensor], axis=0)
     logits = ad.affine(proj, ad.transpose(w_full), b_full)
     return proj, ad.log_softmax(logits, axis=1), T
@@ -257,7 +250,7 @@ def joint_embedding_loss(model, objective: Objective, out, fms, alignments, wind
 def regularizer_loss(model, fms, alignments, live: bool):
     words = sorted({v for fm in fms for v in alignments[fm.utterance_id].labels()
                     if v in model.vocab and v != model.vocab.unk_token})
-    if not words or model.pl.mode != "static":
+    if not words:
         return None
     idx = np.array([model.vocab.index(w) for w in words], dtype=np.intp)
     rows = ad.getitem(model.pl.w.tensor, idx)
@@ -337,7 +330,7 @@ def train_asr(cfg: ExperimentConfig, outdir: str) -> dict:
     s_max = cfg.getint("recognizer", "s_max")
     stop_at = cfg.getfloat("training", "stop_at_wer")
 
-    frozen_snapshot = model.pl.w.values.copy() if model.pl.mode == "static" else None
+    frozen_snapshot = model.pl.w.values.copy()
 
     def batch_loss(batch_ids, batches_done):
         fms = [ds.train[i] for i in batch_ids]
@@ -347,8 +340,7 @@ def train_asr(cfg: ExperimentConfig, outdir: str) -> dict:
         if mode == "joint" and lam_emb > 0:
             emb_loss = joint_embedding_loss(model, objective, out, fms, ds.train_align, window,
                                             objective.k_at(batches_done), sample_rng)
-        if mode in ("pretrain", "joint") and lam_reg > 0 and model.pl.mode == "static" \
-                and not model.pl.w.frozen:
+        if mode in ("pretrain", "joint") and lam_reg > 0 and not model.pl.w.frozen:
             reg_loss = regularizer_loss(model, fms, ds.train_align, live=(mode == "joint"))
         return obj.combine_joint(asr, emb_loss, reg_loss, lam_emb, lam_reg, scheme)
 
@@ -358,7 +350,7 @@ def train_asr(cfg: ExperimentConfig, outdir: str) -> dict:
 
     best_wer, history = train_epochs(cfg, outdir, params, [fm.num_frames for fm in ds.train],
                                      batch_loss, evaluate, "min")
-    if frozen_snapshot is not None and model.pl.w.frozen:
+    if model.pl.w.frozen:
         assert np.array_equal(model.pl.w.values, frozen_snapshot), "freeze contract violated"
 
     ckpt = os.path.join(outdir, "asr.cadp")
@@ -385,28 +377,30 @@ def rebuild_recognizer(checkpoint: str):
     vocab = cp.Vocabulary(vocab_words, unk_token=meta["unk"])
     cfg, f, g, lexicon = rebuild_encoders(meta, vocab_words if meta["has_written"] else None)
     model = _assemble(cfg, meta["kind"], f, g, vocab, lexicon, written_rows=False)
-    nn.assign_from_checkpoint(model.parameters(), nn.load_checkpoint(checkpoint), strict=False)
+    nn.assign_from_checkpoint(model.parameters(), nn.load_checkpoint(checkpoint))
     return model, meta, cfg
 
 
 def decode_archive(cfg: ExperimentConfig, checkpoint: str, archive_path: str, out_path: str,
                    align_path: str | None = None, extend_words_path: str | None = None) -> dict:
-    """Decode an archive; optionally rescore UNK spans against an extended
-    vocabulary, and report WER when reference alignments are given."""
+    """Decode an archive; optionally rescore a CTC model's UNK spans against
+    an extended vocabulary, and report WER when reference alignments are
+    given."""
     model, meta, _ = rebuild_recognizer(checkpoint)
-    fms = cp.load_feature_archive(archive_path)
-    s_max = cfg.getint("recognizer", "s_max")
     extended = None
     if extend_words_path:
-        if model.g is None:
-            raise ConfigError("vocabulary extension needs a written encoder in the checkpoint")
+        if model.kind != "ctc" or model.vocab.unk_index is None or model.g is None:
+            raise ConfigError("--extend-words rescores UNK spans: it needs a CTC checkpoint trained "
+                              "with [recognizer] unk = true and a written encoder")
         with open(extend_words_path, encoding="utf-8") as fh:
             new_words = [w.strip() for w in fh if w.strip()]
         extended = enc.extend_vocabulary(model.pl, model.g, new_words, model.lexicon)
+    fms = cp.load_feature_archive(archive_path)
+    s_max = cfg.getint("recognizer", "s_max")
 
     hyps = []
     for words, spans, frame_emb in decode_utterances(model, fms, s_max, cfg.threads):
-        if extended is not None and model.kind == "ctc" and model.vocab.unk_index is not None:
+        if extended is not None:
             toks = ctc_mod.unk_rescore(spans, frame_emb, extended, model.vocab.unk_index)
             words = [extended.vocab.label(t) for t in toks]
         hyps.append(words)

@@ -3,7 +3,7 @@ explicit forward/backward recursions, and Viterbi decoding, each run over
 a whole batch of utterances at once.
 
 A segmentation tiles frames [0, T) with segments (t, s, v): start t,
-length s in [1, S], label v, consecutive and exhaustive. Segment scores
+length s in [1, S], label v, consecutive and covering every frame. Segment scores
 u_{t,s,v} live in the log domain; the marginal log loss is
 
     -log(sum over label-matching segmentations of exp(path score))
@@ -81,8 +81,7 @@ def score_segments(encoder, outputs: Tensor, lengths, prediction_layer, max_len:
     grid = segment_grid(lengths, max_len)
     s0, b, t = np.nonzero(grid.transpose(2, 0, 1) >= 0)  # the segment of each packed row
     embedded = encoder.project(encoder.pool(outputs, b, t, s0 + 1))  # (n, d)
-    w = prediction_layer.weight_tensor()  # (V, d)
-    packed = ad.affine(embedded, ad.transpose(w), prediction_layer.b.tensor)
+    packed = ad.affine(embedded, ad.transpose(prediction_layer.w.tensor), prediction_layer.b.tensor)
     return ScoreTensor(packed, grid)
 
 

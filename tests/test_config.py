@@ -109,7 +109,9 @@ def zero_epoch_run(tmp_path_factory):
     ("encoder", "pooling", "attention", "attention", 2),  # a value that was removed
     ("objective", "spans", "true", "true", 0),  # removed keys, even at their old defaults
     ("scheduler", "rule", "metric", "loss-heuristic", 0),
-], ids=["pooling-attention", "objective-spans", "scheduler-rule"])
+    ("recognizer", "lexicon_mode", "static", "static", 0),
+    ("search", "exhaustive", "false", "false", 0),
+], ids=["pooling-attention", "objective-spans", "scheduler-rule", "recognizer-lexicon_mode", "search-exhaustive"])
 def test_removed_values_exit_2_and_old_checkpoints_evaluate(zero_epoch_run, tmp_path, section, key, value,
                                                             echoed, code):
     """A config that names a removed key, or sets a removed value, exits
@@ -136,7 +138,8 @@ def test_removed_values_exit_2_and_old_checkpoints_evaluate(zero_epoch_run, tmp_
 
 @pytest.mark.parametrize("setting", [
     "[encoder]\npooling = attention\n", "[objective]\nspans = true\n", "[scheduler]\nrule = loss-heuristic\n",
-], ids=["pooling-attention", "objective-spans", "scheduler-rule"])
+    "[objective]\nstrategy = uniform\nkind = multiview\n",
+], ids=["pooling-attention", "objective-spans", "scheduler-rule", "multiview-uniform"])
 def test_removed_values_in_a_config_file_exit_2_before_data_or_output(tmp_path, data_args, capsys, setting):
     """A config file written for the removed values is refused as a whole,
     as the same settings given by --set are."""
@@ -146,3 +149,36 @@ def test_removed_values_in_a_config_file_exit_2_before_data_or_output(tmp_path, 
     assert main(["train-embed", "--seed", "9", "--config", str(ini), *data_args, "--out", str(out)]) == 2
     assert setting.split("\n")[1].split(" =")[0] in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_checkpoints_echoing_removed_recognizer_and_search_keys_decode_and_query(zero_epoch_run, tmp_path):
+    """Checkpoints whose echoed config holds ``[recognizer] lexicon_mode =
+    static`` and ``[search] exhaustive = false``, as they did before those
+    keys were removed, decode and query as the same checkpoints without
+    them."""
+    import json
+
+    args, embed = zero_epoch_run
+    data = dict(item.split("=", 1) for item in args[3::2])
+    assert main(["train-asr", *args, "--out", str(tmp_path / "asr")]) == 0
+    checkpoints = {"new": {"embed": embed, "asr": str(tmp_path / "asr" / "asr.cadp")}, "old": {}}
+    for name, source in checkpoints["new"].items():
+        ckpt = tmp_path / "old" / f"{name}.cadp"
+        ckpt.parent.mkdir(exist_ok=True)
+        ckpt.write_bytes(open(source, "rb").read())
+        meta = json.load(open(source + ".json", encoding="utf-8"))
+        meta["config"]["recognizer"]["lexicon_mode"] = "static"
+        meta["config"]["search"]["exhaustive"] = "false"
+        (tmp_path / "old" / f"{name}.cadp.json").write_text(json.dumps(meta), encoding="utf-8")
+        checkpoints["old"][name] = str(ckpt)
+    for age, ckpt in checkpoints.items():
+        out = tmp_path / age
+        assert main(["decode", *args, "--checkpoint", ckpt["asr"], "--archive", data["data.dev"],
+                     "--out", str(out / "dec.json")]) == 0
+        assert main(["index", *args, "--checkpoint", ckpt["embed"], "--archive", data["data.dev"],
+                     "--out", str(out / "dev.cadi")]) == 0
+        assert main(["query", *args, "--checkpoint", ckpt["embed"], "--index", str(out / "dev.cadi"),
+                     "--queries", data["data.dev"], "--query-align", data["data.dev_align"],
+                     "--out", str(out / "q.json")]) == 0
+    for name in ("dec_hyp.tsv", "dev.cadi", "q_hits.tsv"):
+        assert (tmp_path / "old" / name).read_bytes() == (tmp_path / "new" / name).read_bytes()

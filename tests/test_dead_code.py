@@ -60,14 +60,10 @@ RECIPE_FILES = ("demos/*.py", "benchmarks/awebench/workloads.py", "tests/test_ac
 UNSET_VALUES_ALLOWED = {
     ("written", "mode", "feature"): "distinctive-feature written input, for multilingual training "
                                     "(ROADMAP item 5)",
-    ("objective", "strategy", "uniform"): "the plain triplet and uniform multi-view negatives, the "
-                                          "one-draw case of offending and hard sampling",
-    ("recognizer", "lexicon_mode", "dynamic"): "prediction rows generated by the written encoder "
-                                               "on every batch",
+    ("objective", "strategy", "uniform"): "the plain triplet, the one-draw case of offending",
     ("recognizer", "unit_normalize", "false"): "criterion 8b's probes set it (ROADMAP item 0)",
     ("recognizer", "scheme", "convex"): "criterion 4 grad-checks objectives.combine_joint with it, "
                                         "called directly rather than through the config",
-    ("search", "exhaustive", "true"): "the exact-search baseline that beamwidth lookup approximates",
 }
 
 

@@ -292,11 +292,11 @@ class TestWrittenEncoder:
 
 
 class TestPredictionLayer:
-    def _setup(self, mode="static", unk=True):
+    def _setup(self, unk=True):
         vocab = Vocabulary(["cab", "dad", "egg"], unk_token="<unk>" if unk else None)
         g = small_written(seed=10)
         rng = np.random.default_rng(11)
-        pl = enc.PredictionLayer.from_written_encoder(vocab, g, None, mode, rng)
+        pl = enc.PredictionLayer.from_written_encoder(vocab, g, None, rng)
         return vocab, g, pl
 
     def test_static_rows_are_unit_normalized_embeddings(self):
@@ -305,16 +305,6 @@ class TestPredictionLayer:
             e = embed_word(g, w)
             np.testing.assert_allclose(pl.w.values[vocab.index(w)], e / np.linalg.norm(e), atol=1e-12)
         np.testing.assert_allclose(np.linalg.norm(pl.w.values, axis=1), 1.0)
-
-    def test_dynamic_rows_track_the_encoder(self):
-        vocab, g, pl = self._setup(mode="dynamic")
-        rows = pl.weight_tensor().values
-        for w in ["cab", "dad", "egg"]:
-            np.testing.assert_allclose(rows[vocab.index(w)], embed_word(g, w), atol=1e-12)
-        g.embed_table.values += 0.1
-        rows2 = pl.weight_tensor().values
-        assert np.abs(rows2[:3] - rows[:3]).max() > 1e-6
-        np.testing.assert_allclose(rows2[vocab.index("cab")], embed_word(g, "cab"), atol=1e-12)
 
     def test_freeze_contract(self):
         _, _, pl = self._setup()

@@ -529,3 +529,13 @@ class TestCheckpoint:
         q = nn.Parameter("w", np.zeros((3, 2)))
         with pytest.raises(nn.CheckpointError):
             nn.assign_from_checkpoint([q], nn.load_checkpoint(path))
+
+    def test_strict_assign_refuses_a_missing_parameter(self):
+        loaded = {"w": np.ones((2, 2))}
+        w, b = nn.Parameter("w", np.zeros((2, 2))), nn.Parameter("b", np.zeros(2))
+        with pytest.raises(nn.CheckpointError, match="no weights for b"):
+            nn.assign_from_checkpoint([w, b], loaded)
+        np.testing.assert_array_equal(w.values, 0.0)  # refused before any copy
+        nn.assign_from_checkpoint([w, b], loaded, strict=False)
+        np.testing.assert_array_equal(w.values, 1.0)
+        np.testing.assert_array_equal(b.values, 0.0)

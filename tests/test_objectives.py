@@ -257,12 +257,6 @@ class TestMultiView:
         loss = obj.multiview_loss(Tensor(A), ["a"], ["a", "b"], Tensor(W), 0.4, 5, "semi-hard", terms=(0,))
         assert float(loss.values) == 0.0
 
-    def test_uniform_sampling_seeded(self):
-        batch, *_ = _random_batch(13)
-        a = float(obj.multiview_loss(*batch, 0.4, 2, "uniform", terms=(0, 2), rng=np.random.default_rng(5)).values)
-        b = float(obj.multiview_loss(*batch, 0.4, 2, "uniform", terms=(0, 2), rng=np.random.default_rng(5)).values)
-        assert a == pytest.approx(b)
-
     def test_confusion_strategy_rejected(self):
         batch, *_ = _random_batch(14)
         with pytest.raises(obj.ObjectiveError):

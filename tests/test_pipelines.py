@@ -119,8 +119,10 @@ class TestConfig:
     @pytest.mark.parametrize("setting", [
         "[recognizer]\nvocab_sample = 8\n", "[recognizer]\nunk_row_init = zero\n",
         "[recognizer]\nfreeze_encoder = true\n", "[search]\nmin_ratio = 0.5\n",
-        "[search]\nmax_ratio = 1.5\n", "[objective]\nspans = false\n", "[scheduler]\nrule = metric\n"],
-        ids=["vocab_sample", "unk_row_init", "freeze_encoder", "min_ratio", "max_ratio", "spans", "rule"])
+        "[search]\nmax_ratio = 1.5\n", "[objective]\nspans = false\n", "[scheduler]\nrule = metric\n",
+        "[recognizer]\nlexicon_mode = static\n", "[search]\nexhaustive = false\n"],
+        ids=["vocab_sample", "unk_row_init", "freeze_encoder", "min_ratio", "max_ratio", "spans", "rule",
+             "lexicon_mode", "exhaustive"])
     def test_removed_key_exits_with_config_error(self, tmp_path, setting):
         from awekit.cli import main
 
@@ -403,25 +405,6 @@ class TestEvalAndSearch:
         assert "min_cnxe" in qrep and qrep["min_cnxe"] <= 1.0
         assert os.path.exists(tmp_path / "query_report_hits.tsv")
 
-    def test_beam_covering_index_matches_exhaustive(self, trained, corpus_dir, tmp_path):
-        cfg, ckpt = trained
-        base = {("search", "window_sizes"): "8,12,16,20", ("search", "stride"): "4",
-                ("search", "bits"): "64", ("search", "permutations"): "2"}
-        cfg_beam = small_cfg(corpus_dir, {**base, ("search", "beamwidth"): "100000"})
-        cfg_exh = small_cfg(corpus_dir, {**base, ("search", "exhaustive"): "true"})
-        idx_path = tmp_path / "i.cadi"
-        pipelines.build_search_index(cfg_beam, ckpt, corpus_dir["dev"], idx_path)
-        a = pipelines.query_search_index(cfg_beam, ckpt, idx_path, corpus_dir["dev"],
-                                         corpus_dir["dev_align"], tmp_path / "a.json",
-                                         truth_align_path=corpus_dir["dev_align"])
-        b = pipelines.query_search_index(cfg_exh, ckpt, idx_path, corpus_dir["dev"],
-                                         corpus_dir["dev_align"], tmp_path / "b.json",
-                                         truth_align_path=corpus_dir["dev_align"])
-        for key in ("fom", "otwv", "p_at_10"):
-            assert a[key] == pytest.approx(b[key])
-        assert (tmp_path / "a_hits.tsv").read_bytes() == (tmp_path / "b_hits.tsv").read_bytes()
-
-
     def test_query_outputs_do_not_depend_on_threads(self, trained, corpus_dir, tmp_path):
         cfg, ckpt = trained
         base = {("search", "window_sizes"): "8,12,16,20", ("search", "stride"): "4",
@@ -519,12 +502,6 @@ class TestRecognition:
         assert combined[:5] == [None] * 5 and all(a is b for a, b in zip(combined[5:], reg_losses))
         assert checkpoints["0.0"] != checkpoints["0.5"]
 
-    def test_dynamic_lexicon_trains(self, corpus_dir, tmp_path):
-        cfg = small_cfg(corpus_dir, {("recognizer", "lexicon_mode"): "dynamic",
-                                       ("training", "epochs"): "1"})
-        report = recognition.train_asr(cfg, tmp_path / "dyn")
-        assert os.path.exists(report["checkpoint"])
-
     def test_frozen_rows_unchanged_after_training(self, corpus_dir, tmp_path):
         emb_cfg = small_cfg(corpus_dir, {("training", "epochs"): "1"})
         emb = pipelines.train_embed(emb_cfg, tmp_path / "emb")
@@ -549,9 +526,8 @@ class TestRecognition:
 
     @pytest.mark.parametrize("kind,extra", [
         ("ctc", {("recognizer", "unk"): "true"}),
-        ("ctc", {("recognizer", "unk"): "true", ("recognizer", "lexicon_mode"): "dynamic"}),
         ("segmental", {("recognizer", "s_max"): "24"}),
-    ], ids=["ctc-static-unk", "ctc-dynamic-unk", "segmental"])
+    ], ids=["ctc-static-unk", "segmental"])
     def test_reload_rebuilds_the_trained_model(self, corpus_dir, tmp_path, monkeypatch, kind, extra):
         from awekit import nn
 
@@ -807,6 +783,58 @@ class TestCli:
         assert "non-finite weights" in err and "Traceback" not in err
         assert not out.exists() or list(out.iterdir()) == []
 
+    @pytest.mark.parametrize("damage", ["renamed-row", "dynamic-era"])
+    def test_recognizer_checkpoint_missing_a_parameter_exits_3_before_any_output(self, corpus_dir, tmp_path,
+                                                                                 capsys, damage):
+        """A CTC checkpoint whose prediction rows are missing, renamed
+        (``pred.x``) or stored as the free UNK row of a layer generated by the
+        written encoder (``pred.unk``, no ``pred.w``), is refused rather than
+        decoded with random rows."""
+        from awekit import nn
+        from awekit.cli import main
+
+        cfg = small_cfg(corpus_dir, {("training", "epochs"): "0", ("recognizer", "unk"): "true"})
+        good = recognition.train_asr(cfg, tmp_path / "asr")["checkpoint"]
+        params = [nn.Parameter(name, values) for name, values in nn.load_checkpoint(good).items()]
+        meta = json.loads(open(good + ".json", encoding="utf-8").read())
+        if damage == "renamed-row":
+            params = [nn.Parameter("pred.x" if p.name == "pred.w" else p.name, p.values) for p in params]
+        else:
+            params = [p for p in params if p.name != "pred.w"]
+            params.append(nn.Parameter("pred.unk", np.ones(int(meta["config"]["encoder"]["embed_dim"]))))
+            meta["config"]["recognizer"]["lexicon_mode"] = "dynamic"
+        ckpt = tmp_path / "bad" / "asr.cadp"
+        nn.save_checkpoint(ckpt, params)
+        (tmp_path / "bad" / "asr.cadp.json").write_text(json.dumps(meta), encoding="utf-8")
+        out = tmp_path / "out"
+        assert main(["decode", *_data_args(corpus_dir), "--checkpoint", str(ckpt), "--archive", corpus_dir["dev"],
+                     "--out", str(out / "dec.json")]) == 3
+        err = capsys.readouterr().err
+        assert "pred.w" in err and "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("kind,unk", [("ctc", "false"), ("segmental", "true")],
+                             ids=["ctc-without-unk", "segmental-with-unk"])
+    def test_extend_words_on_a_model_without_ctc_unk_spans_exits_2(self, corpus_dir, embed_checkpoint, tmp_path,
+                                                                   kind, unk):
+        """--extend-words only rescores a CTC model's UNK spans; any other
+        pretrained recognizer is refused before any output, not decoded as
+        if the word list were not there."""
+        from awekit.cli import main
+
+        cfg = small_cfg(corpus_dir, {("training", "epochs"): "0", ("recognizer", "kind"): kind,
+                                     ("recognizer", "unk"): unk, ("recognizer", "training_mode"): "pretrain",
+                                     ("recognizer", "freeze"): "true",
+                                     ("recognizer", "init_checkpoint"): embed_checkpoint})
+        asr = recognition.train_asr(cfg, tmp_path / "asr")["checkpoint"]
+        words = tmp_path / "new_words.txt"
+        words.write_text("zzz\n")
+        args = ["decode", *_data_args(corpus_dir), "--checkpoint", asr, "--archive", corpus_dir["dev"]]
+        out = tmp_path / "out"
+        assert main([*args, "--extend-words", str(words), "--out", str(out / "dec.json")]) == 2
+        assert not out.exists()
+        assert main([*args, "--out", str(out / "dec.json")]) == 0
+
     @pytest.mark.parametrize("damage,code", [
         (lambda text: text[:50], 3), (lambda text: "{}", 3), (lambda text: "[]", 3),
         (lambda text: text.replace('"train_labels"', '"labels"'), 3),
@@ -874,16 +902,15 @@ class TestCli:
         ("train-embed", ["encoder.dropout=1.5", "encoder.layers=2"]),
         ("train-asr", ["recognizer.lambda_emb=2"]),
         ("train-asr", ["recognizer.scheme=bogus"]),
-        ("train-asr", ["recognizer.training_mode=pretrain", "recognizer.lexicon_mode=dynamic",
-                       "recognizer.freeze=true"]),
-        ("train-asr", ["recognizer.lexicon_mode=bogus"]),
+        ("train-asr", ["recognizer.training_mode=joint", "objective.strategy=uniform"]),
+        ("train-asr", ["recognizer.kind=bogus"]),
         ("train-asr", ["recognizer.training_mode=bogus"]),
     ])
     def test_bad_config_value_exits_with_config_error(self, corpus_dir, tmp_path, command, settings):
         from awekit.cli import main
 
         args = [command, "--seed", "9", "--out", str(tmp_path / "run")]
-        if "recognizer.training_mode=pretrain" in settings:
+        if "recognizer.training_mode=joint" in settings:
             cfg = small_cfg(corpus_dir, {("training", "epochs"): "0"})
             emb = pipelines.train_embed(cfg, tmp_path / "emb")
             settings = [*settings, f"recognizer.init_checkpoint={emb['checkpoint']}"]

@@ -295,7 +295,7 @@ class TestScoreSegments:
         rng = np.random.default_rng(16)
         enc = AcousticEncoder(cfg, rng)
         vocab = Vocabulary(["a", "b", "c"])
-        pl = PredictionLayer(vocab, 4, mode="static", rng=rng)
+        pl = PredictionLayer(vocab, 4, rng=rng)
         return enc, pl
 
     def test_zero_weights_zero_scores(self):
