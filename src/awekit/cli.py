@@ -172,7 +172,7 @@ def main(argv=None) -> int:
         print(f"configuration error: {e}", file=sys.stderr)
         return EXIT_CONFIG
     except (pipelines.DataError, cp.CorpusError, nn.CheckpointError, search.SearchError,
-            ctc.CtcError, segmental.SegmentalError, encoders.EncoderError, FileNotFoundError) as e:
+            ctc.CtcError, segmental.SegmentalError, encoders.EncoderError, OSError) as e:
         print(f"data error: {e}", file=sys.stderr)
         return EXIT_DATA
     except (FloatingPointError, ZeroDivisionError, OverflowError) as e:

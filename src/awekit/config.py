@@ -204,16 +204,18 @@ class ExperimentConfig:
                 values[section][key] = v
         if path is not None:
             parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
-            read = parser.read(path)
-            if not read:
-                raise ConfigError(f"cannot read config file {path}")
-            for section in parser.sections():
-                if section not in values:
-                    raise ConfigError(f"unknown config section [{section}]")
-                for key, v in parser.items(section):
-                    if key not in values[section]:
-                        raise ConfigError(f"unknown key {key!r} in [{section}]")
-                    values[section][key] = v
+            try:  # items() interpolates '%', so it can raise too
+                if not parser.read(path, encoding="utf-8"):
+                    raise ConfigError(f"cannot read config file {path}")
+                for section in parser.sections():
+                    if section not in values:
+                        raise ConfigError(f"unknown config section [{section}]")
+                    for key, v in parser.items(section):
+                        if key not in values[section]:
+                            raise ConfigError(f"unknown key {key!r} in [{section}]")
+                        values[section][key] = v
+            except (configparser.Error, UnicodeDecodeError) as e:
+                raise ConfigError(f"{path}: not a valid config file: {e}") from None
         for (section, key), v in (overrides or {}).items():
             if section not in values or key not in values[section]:
                 raise ConfigError(f"unknown override [{section}] {key}")

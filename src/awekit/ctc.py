@@ -78,28 +78,16 @@ def _entering(emit: np.ndarray, skip: np.ndarray) -> np.ndarray:
     return enter
 
 
-def _alphas(log_probs: np.ndarray, labels: np.ndarray):
-    """(z, emissions, alpha, log Z); alpha[t, s] is the prefix mass of state s through frame t."""
+def _forward_backward(log_probs: np.ndarray, labels: np.ndarray):
+    """(z, alpha, beta, log Z). alpha[t, s] is the prefix mass of state s through frame t.
+    beta[t, s], the suffix mass from state s over emissions t+1..T-1, is the entering
+    mass of the lattice reversed in time and in states, whose skips are those of the
+    reversed expansion."""
     z = _expand(labels, log_probs.shape[1] - 1)
     emit = log_probs[:, z]
     alpha = _entering(emit, _skips(z)) + emit
-    return z, emit, alpha, np.logaddexp(alpha[-1, -1], alpha[-1, -2])
-
-
-def _forward_backward(log_probs: np.ndarray, labels: np.ndarray):
-    """(z, alpha, beta, log Z). beta[t, s], the suffix mass from state s over emissions
-    t+1..T-1, is the entering mass of the lattice reversed in time and in states, whose
-    skips are those of the reversed expansion."""
-    z, emit, alpha, log_z = _alphas(log_probs, labels)
     beta = _entering(emit[::-1, ::-1], _skips(z[::-1]))[::-1, ::-1]
-    return z, alpha, beta, log_z
-
-
-def ctc_loss_value(log_probs: np.ndarray, labels) -> float:
-    """-log P(labels | frames) from a (T, V+1) log-probability matrix."""
-    log_probs = np.asarray(log_probs, dtype=np.float64)
-    labels = _check_inputs(log_probs, labels)
-    return float(-_alphas(log_probs, labels)[3])
+    return z, alpha, beta, np.logaddexp(alpha[-1, -1], alpha[-1, -2])
 
 
 def ctc_loss(log_probs: Tensor, labels) -> Tensor:

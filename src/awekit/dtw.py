@@ -12,8 +12,8 @@ and a pair-first distance cube, built a block of pairs at a time: one
 batched product of the block's padded frames (which can round differently
 from a pair's own product, so a cost can move in its last bits with its
 block mates), then the division by per-sequence norm tables. Callers sort
-pairs by length before chunking, so little is padded. ``dtw_cost`` runs
-the kernel on one pair.
+pairs by length before chunking, so little is padded; a single pair is a
+batch of one.
 """
 from __future__ import annotations
 
@@ -22,16 +22,6 @@ import numpy as np
 from .autodiff import zero_norm_events
 
 _BLOCK = 128  # pairs per distance-cube product: bounds its temporaries
-
-
-def dtw_cost(x: np.ndarray, y: np.ndarray) -> float:
-    """Raw optimal monotone alignment cost between two frame sequences: the
-    batch kernel on one pair.
-
-    Zero-norm frames score distance 1 against everything and bump the
-    shared zero-norm event counter.
-    """
-    return float(dtw_cost_batch([(x, y)])[0][0])
 
 
 def dtw_cost_batch(pairs, chunk: int = 2048) -> tuple[np.ndarray, np.ndarray]:

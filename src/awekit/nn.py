@@ -25,7 +25,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .corpus import open_artifact
+from .corpus import BinaryReader, open_artifact, pack_name
 
 CHECKPOINT_MAGIC = b"CADP"
 CHECKPOINT_VERSION = 1
@@ -365,8 +365,7 @@ def zero_grads(params: list[Parameter]):
 class SchedulerDecision:
     lr: float
     improved: bool
-    decayed: bool
-    reset_to_best: bool
+    reset_to_best: bool  # lr was just decayed: go back to the best weights
     stop: bool
 
 
@@ -399,13 +398,13 @@ class PlateauScheduler:
         if better:
             self.best = metric
             self.bad_count = 0
-            return SchedulerDecision(self.lr, True, False, False, False)
+            return SchedulerDecision(self.lr, True, False, False)
         self.bad_count += 1
         if self.bad_count >= self.patience:
             self.lr *= self.factor
             self.bad_count = 0
-            return SchedulerDecision(self.lr, False, True, True, self.lr < self.min_lr)
-        return SchedulerDecision(self.lr, False, False, False, False)
+            return SchedulerDecision(self.lr, False, True, self.lr < self.min_lr)
+        return SchedulerDecision(self.lr, False, False, False)
 
 
 # ---------------------------------------------------------------------------
@@ -417,14 +416,10 @@ def save_checkpoint(path, params: list[Parameter]):
     shape, and little-endian f32 payload. Bit-exact round trip for float32
     parameters. Written whole or not at all (``corpus.open_artifact``)."""
     with open_artifact(path, "wb") as f:
-        f.write(CHECKPOINT_MAGIC)
-        f.write(struct.pack("<II", CHECKPOINT_VERSION, len(params)))
+        f.write(CHECKPOINT_MAGIC + struct.pack("<II", CHECKPOINT_VERSION, len(params)))
         for p in params:
-            name = p.name.encode("utf-8")
-            f.write(struct.pack("<H", len(name)))
-            f.write(name)
-            f.write(struct.pack("<I", p.values.ndim))
-            f.write(struct.pack(f"<{p.values.ndim}I", *p.values.shape))
+            shape = p.values.shape
+            f.write(pack_name(p.name) + struct.pack(f"<I{len(shape)}I", len(shape), *shape))
             f.write(p.values.astype("<f4").tobytes())
 
 
@@ -434,37 +429,19 @@ class CheckpointError(Exception):
 
 def load_checkpoint(path) -> dict[str, np.ndarray]:
     """Read a parameter archive back as name -> float64 array."""
-    with open(path, "rb") as f:
-        data = f.read()
-    if data[:4] != CHECKPOINT_MAGIC:
-        raise CheckpointError("bad magic")
-    # every read past the end of a truncated file raises struct.error or
-    # ValueError (short name, short payload)
-    try:
-        version, count = struct.unpack_from("<II", data, 4)
-        if version != CHECKPOINT_VERSION:
-            raise CheckpointError(f"unsupported version {version}")
-        off = 12
-        out: dict[str, np.ndarray] = {}
-        for _ in range(count):
-            (nlen,) = struct.unpack_from("<H", data, off)
-            off += 2
-            name = data[off : off + nlen].decode("utf-8")
-            off += nlen
-            (ndim,) = struct.unpack_from("<I", data, off)
-            off += 4
-            shape = struct.unpack_from(f"<{ndim}I", data, off)
-            off += 4 * ndim
-            n = int(np.prod(shape)) if ndim else 1
-            arr = np.frombuffer(data, dtype="<f4", count=n, offset=off).reshape(shape)
-            off += 4 * n
-            if not np.isfinite(arr).all():  # before the cast, which warns on a signalling NaN
-                raise CheckpointError(f"{name}: non-finite weights")
-            out[name] = arr.astype(np.float64)
-    except (struct.error, ValueError) as e:
-        raise CheckpointError(f"truncated or corrupt checkpoint: {e}") from e
-    if off != len(data):
-        raise CheckpointError("trailing bytes in checkpoint")
+    r = BinaryReader(path, CHECKPOINT_MAGIC, CheckpointError)
+    version, count = r.unpack("<II")
+    if version != CHECKPOINT_VERSION:
+        raise CheckpointError(f"{path}: unsupported version {version}")
+    out: dict[str, np.ndarray] = {}
+    for _ in range(count):
+        name = r.name()
+        (ndim,) = r.unpack("<I")
+        arr = r.floats(r.unpack(f"<{ndim}I"))
+        if not np.isfinite(arr).all():  # before the cast, which warns on a signalling NaN
+            raise CheckpointError(f"{name}: non-finite weights")
+        out[name] = arr.astype(np.float64)
+    r.finish()
     return out
 
 

@@ -108,9 +108,7 @@ def build_recognizer(cfg: ExperimentConfig, ds: Dataset, input_dim: int):
     use_unk = cfg.getbool("recognizer", "unk")
     vocab_file = cfg.get("recognizer", "vocab_file")
     if vocab_file:
-        # restricted vocabulary: training words outside it map to UNK
-        with open(vocab_file, encoding="utf-8") as fh:
-            labels = sorted({w.strip() for w in fh if w.strip()})
+        labels = sorted(set(cp.load_words(vocab_file)))  # training words outside it map to UNK
     else:
         labels = sorted({v for al in ds.train_align.values() for v in al.labels()})
     vocab = cp.Vocabulary(labels, unk_token=UNK_TOKEN if use_unk else None)
@@ -392,9 +390,7 @@ def decode_archive(cfg: ExperimentConfig, checkpoint: str, archive_path: str, ou
         if model.kind != "ctc" or model.vocab.unk_index is None or model.g is None:
             raise ConfigError("--extend-words rescores UNK spans: it needs a CTC checkpoint trained "
                               "with [recognizer] unk = true and a written encoder")
-        with open(extend_words_path, encoding="utf-8") as fh:
-            new_words = [w.strip() for w in fh if w.strip()]
-        extended = enc.extend_vocabulary(model.pl, model.g, new_words, model.lexicon)
+        extended = enc.extend_vocabulary(model.pl, model.g, cp.load_words(extend_words_path), model.lexicon)
     fms = cp.load_feature_archive(archive_path)
     s_max = cfg.getint("recognizer", "s_max")
 

@@ -6,9 +6,10 @@ lexicographically under P random bit permutations, and a query reads the
 B entries on each side of its insertion point in every sorted list.
 Everything but the refs and the embeddings follows from the seed, so an
 index file (CADI version 2) stores only its header, the refs and the
-float32 embeddings, and ``load_index`` rebuilds the rest through
-``build_index``, which rounds embeddings to float32 before it signs them:
-an index in memory equals its reload. Candidates are scored once, in
+float32 embeddings, and ``load_index`` reads them with
+``corpus.BinaryReader`` and rebuilds the rest through ``build_index``,
+which rounds embeddings to float32 before it signs them: an index in
+memory equals its reload. Candidates are scored once, in
 ``query_index``, by exact cosine similarity against the stored
 embeddings; a beam covering the index scores every entry. The ranked
 candidates come back as ``Hits``: entry ids and scores as arrays, read
@@ -25,7 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .corpus import open_artifact
+from .corpus import BinaryReader, open_artifact, pack_name
 
 INDEX_MAGIC = b"CADI"
 INDEX_VERSION = 2
@@ -100,10 +101,6 @@ def sign_embed(vector: np.ndarray, planes: HyperplaneSet) -> np.ndarray:
     if np.linalg.norm(v) == 0:
         raise SearchError("cannot sign a zero vector")
     return (planes.planes @ v >= 0).astype(np.uint8)
-
-
-def hamming_fraction(sig_a: np.ndarray, sig_b: np.ndarray) -> float:
-    return float(np.count_nonzero(sig_a != sig_b) / len(sig_a))
 
 
 # ---------------------------------------------------------------------------
@@ -244,53 +241,30 @@ def save_index(path, index: PermutedSignatureIndex):
     seed, N, d), the N refs, then the N x d float32 embeddings."""
     N, d = index.embeddings.shape
     with open_artifact(path, "wb") as f:
-        f.write(INDEX_MAGIC)
-        f.write(struct.pack("<IIIqII", INDEX_VERSION, index.planes.bits, index.num_permutations,
-                            index.planes.seed, N, d))
+        f.write(INDEX_MAGIC + struct.pack("<IIIqII", INDEX_VERSION, index.planes.bits,
+                                          index.num_permutations, index.planes.seed, N, d))
         for ref in index.refs:
-            uid = ref.utterance_id.encode("utf-8")
-            f.write(struct.pack("<H", len(uid)))
-            f.write(uid)
-            f.write(struct.pack("<II", ref.start, ref.size))
+            f.write(pack_name(ref.utterance_id) + struct.pack("<II", ref.start, ref.size))
         f.write(index.embeddings.astype("<f4").tobytes())
 
 
 def load_index(path) -> PermutedSignatureIndex:
     """Parse a CADI version 2 file and rebuild its index with
     ``build_index``. The header is checked before anything is drawn."""
-    with open(path, "rb") as f:
-        data = f.read()
-    if data[:4] != INDEX_MAGIC:
-        raise SearchError("not an index file")
-    # every read past the end of a truncated file raises struct.error or
-    # ValueError (short id, short array)
-    try:
-        version, b, P, seed, N, d = struct.unpack_from("<IIIqII", data, 4)
-        if version != INDEX_VERSION:
-            raise SearchError(f"unsupported index version {version}; rebuild the file with `awekit index`")
-        if seed < 0:  # stored signed; SeedSequence takes only non-negative seeds
-            raise SearchError(f"corrupt index file: negative hyperplane seed {seed}")
-        if N == 0:  # never written; only N >= 1 ties d to the file size
-            raise SearchError(f"corrupt index file: {N} entries")
-        # bounded: nothing else in the file ties b or P to its size
-        if not 1 <= b <= MAX_BITS:
-            raise SearchError(f"corrupt index file: {b} bits, not in [1, {MAX_BITS}]")
-        if not 1 <= P <= MAX_PERMUTATIONS:
-            raise SearchError(f"corrupt index file: {P} permutations, not in [1, {MAX_PERMUTATIONS}]")
-        off = 4 + struct.calcsize("<IIIqII")
-        refs = []
-        for _ in range(N):
-            (nlen,) = struct.unpack_from("<H", data, off)
-            off += 2
-            uid = data[off : off + nlen].decode("utf-8")
-            off += nlen
-            start, size = struct.unpack_from("<II", data, off)
-            off += 8
-            refs.append(SegmentKey(uid, start, size))
-        emb = np.frombuffer(data, dtype="<f4", count=N * d, offset=off).reshape(N, d)
-        off += 4 * N * d
-    except (struct.error, ValueError) as e:
-        raise SearchError(f"truncated or corrupt index file: {e}") from e
-    if off != len(data):
-        raise SearchError("trailing bytes in index file")
+    r = BinaryReader(path, INDEX_MAGIC, SearchError)
+    version, b, P, seed, N, d = r.unpack("<IIIqII")
+    if version != INDEX_VERSION:
+        raise SearchError(f"unsupported index version {version}; rebuild the file with `awekit index`")
+    if seed < 0:  # stored signed; SeedSequence takes only non-negative seeds
+        raise SearchError(f"corrupt index file: negative hyperplane seed {seed}")
+    if N == 0:  # never written; only N >= 1 ties d to the file size
+        raise SearchError(f"corrupt index file: {N} entries")
+    # bounded: nothing else in the file ties b or P to its size
+    if not 1 <= b <= MAX_BITS:
+        raise SearchError(f"corrupt index file: {b} bits, not in [1, {MAX_BITS}]")
+    if not 1 <= P <= MAX_PERMUTATIONS:
+        raise SearchError(f"corrupt index file: {P} permutations, not in [1, {MAX_PERMUTATIONS}]")
+    refs = [SegmentKey(r.name(), *r.unpack("<II")) for _ in range(N)]
+    emb = r.floats((N, d))
+    r.finish()
     return build_index(emb, refs, b, P, seed)

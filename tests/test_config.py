@@ -151,6 +151,18 @@ def test_removed_values_in_a_config_file_exit_2_before_data_or_output(tmp_path, 
     assert not out.exists()
 
 
+@pytest.mark.parametrize("text", [
+    b"seed = 9\n", b"[run]\nseed = 9\nseed = 10\n", b"[run]\nseed = 9 \xff\n", b"[objective]\nmargin = 50%\n",
+], ids=["no-section-header", "duplicate-key", "not-utf-8", "bare-percent"])
+def test_malformed_config_file_exits_2_before_data_or_output(tmp_path, data_args, capsys, text):
+    ini = tmp_path / "bad.ini"
+    ini.write_bytes(text)
+    out = tmp_path / "run"
+    assert main(["train-embed", "--seed", "9", "--config", str(ini), *data_args, "--out", str(out)]) == 2
+    assert f"configuration error: {ini}: not a valid config file" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_checkpoints_echoing_removed_recognizer_and_search_keys_decode_and_query(zero_epoch_run, tmp_path):
     """Checkpoints whose echoed config holds ``[recognizer] lexicon_mode =
     static`` and ``[search] exhaustive = false``, as they did before those

@@ -88,6 +88,18 @@ class TestFeatureArchive:
         with pytest.raises(corpus.TruncatedPayloadError):
             corpus.load_feature_archive(path)
 
+    def test_truncated_file_rejected_at_every_offset(self, tmp_path):
+        fms = [FrameMatrix("utt\u00e9", np.ones((3, 2))), FrameMatrix("u2", np.zeros((1, 4)))]
+        path = tmp_path / "a.cadf"
+        corpus.save_feature_archive(path, fms)
+        data = path.read_bytes()
+        cut = tmp_path / "cut.cadf"
+        for n in range(len(data)):
+            cut.write_bytes(data[:n])
+            # a cut magic is a header fault; a cut anywhere after it is a short file
+            with pytest.raises(corpus.MalformedHeaderError if n < 4 else corpus.TruncatedPayloadError):
+                corpus.load_feature_archive(cut)
+
     def test_malformed_header_error(self, tmp_path):
         path = tmp_path / "m.cadf"
         path.write_bytes(b"NOPE" + b"\0" * 20)

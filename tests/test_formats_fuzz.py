@@ -1,12 +1,12 @@
-"""Seeded byte-flip fuzz of the three binary formats and of checkpoint
-metadata.
+"""Seeded byte-flip fuzz of the three binary formats, the three TSV
+formats and checkpoint metadata.
 
-A small CADF feature archive, CADP checkpoint, CADI index and a
-checkpoint's JSON metadata each get 1-3 random bytes replaced, a few
-hundred times. Every load must either succeed or raise the format's
-documented error, which the CLI maps to exit code 3 (or, for a metadata
-config value outside the schema, to exit code 2); anything else would
-end in a traceback.
+A small CADF feature archive, CADP checkpoint, CADI index, alignment,
+lexicon and feature-table TSV, and a checkpoint's JSON metadata each get
+1-3 random bytes replaced, a few hundred times. Every load must either
+succeed or raise the format's documented error, which the CLI maps to exit
+code 3 (or, for a metadata config value outside the schema, to exit code
+2); anything else would end in a traceback.
 """
 
 import json
@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from awekit import config, corpus, nn, pipelines, search
-from awekit.corpus import FrameMatrix
+from awekit.corpus import FeatureTable, FrameMatrix, Lexicon, WordAlignment
 from awekit.search import SegmentKey
 
 TRIALS = 300
@@ -43,6 +43,23 @@ def _cadi(path):
     return search.load_index, search.SearchError
 
 
+def _alignments(path):
+    corpus.save_alignments(path, [WordAlignment("u0", ((0, 3, "ab"), (5, 12, "cd"))),
+                                  WordAlignment("u1", ((2, 9, "ab"),))])
+    return corpus.load_alignments, corpus.CorpusError
+
+
+def _lexicon(path):
+    corpus.save_lexicon(path, Lexicon.from_dict({"ab": ("a", "b"), "cd": ("k", "a", "d")}))
+    return corpus.load_lexicon, corpus.CorpusError
+
+
+def _feature_table(path):
+    corpus.save_feature_table(path, FeatureTable.from_dict(("voiced", "place=lab", "nasal"), {
+        "a": (1, 0, 0), "b": (1, 1, 0), "m": (1, 1, 1)}))
+    return corpus.load_feature_table, corpus.CorpusError
+
+
 def _sidecar(path):
     cfg = config.ExperimentConfig.load(None, preset="ch5-multiview", overrides={("run", "seed"): "1"})
     meta = {"version": config.SCHEMA_VERSION, "model": "embed", "objective": "multiview", "input_dim": 3,
@@ -56,7 +73,8 @@ def _sidecar(path):
     return load, (nn.CheckpointError, config.ConfigError)
 
 
-@pytest.mark.parametrize("write", [_cadf, _cadp, _cadi, _sidecar], ids=["cadf", "cadp", "cadi", "sidecar"])
+@pytest.mark.parametrize("write", [_cadf, _cadp, _cadi, _alignments, _lexicon, _feature_table, _sidecar],
+                         ids=["cadf", "cadp", "cadi", "alignments", "lexicon", "feature-table", "sidecar"])
 def test_flipped_bytes_load_or_raise_the_documented_error(tmp_path, write):
     path = tmp_path / "original"
     load, error = write(path)

@@ -413,32 +413,31 @@ class TestPlateauScheduler:
         s = nn.PlateauScheduler(lr=0.1, patience=2, factor=0.1, min_lr=1e-6)
         for m in [0.1, 0.2, 0.3, 0.4]:
             d = s.update(m)
-            assert d.lr == 0.1 and not d.decayed
+            assert d.lr == 0.1 and not d.reset_to_best
 
     def test_flat_history_decays_once(self):
         s = nn.PlateauScheduler(lr=0.1, patience=3, factor=0.1, min_lr=1e-6)
         decisions = [s.update(0.5) for _ in range(4)]
-        assert [d.decayed for d in decisions] == [False, False, False, True]
-        assert decisions[-1].reset_to_best
+        assert [d.reset_to_best for d in decisions] == [False, False, False, True]
         np.testing.assert_allclose(s.lr, 0.01)
 
     def test_stop_when_below_min_lr(self):
         s = nn.PlateauScheduler(lr=1e-5, patience=1, factor=0.1, min_lr=1e-5)
         s.update(1.0)
         d = s.update(0.5)
-        assert d.decayed and d.stop
+        assert d.reset_to_best and d.stop
 
     def test_min_mode_for_error_rates(self):
         s = nn.PlateauScheduler(lr=0.1, patience=1, factor=0.5, min_lr=1e-9, mode="min")
         assert s.update(0.5).improved
         assert s.update(0.4).improved
-        assert s.update(0.45).decayed
+        assert s.update(0.45).reset_to_best
 
     def test_improvement_restarts_the_patience_count(self):
         s = nn.PlateauScheduler(lr=0.1, patience=2, factor=0.1, min_lr=1e-6)
         decisions = [s.update(m) for m in [0.5, 0.4, 0.6, 0.5, 0.5]]
         assert [d.improved for d in decisions] == [True, False, True, False, False]
-        assert [d.decayed for d in decisions] == [False, False, False, False, True]
+        assert [d.reset_to_best for d in decisions] == [False, False, False, False, True]
 
     def test_each_patience_window_decays_again(self):
         s = nn.PlateauScheduler(lr=1.0, patience=2, factor=0.5, min_lr=1e-6)

@@ -868,17 +868,24 @@ class TestCli:
         assert main(args) == 4
         assert not any(name.endswith(".cadp") for name in os.listdir(tmp_path / "run"))
 
-    @pytest.mark.parametrize("command,settings", [
-        ("train-embed", ["objective.terms=0,5"]),
-        ("train-embed", ["objective.terms=0,0"]),
-        ("train-embed", ["objective.k=0"]),
-        ("train-embed", ["objective.strategy=bogus"]),
-        ("train-embed", ["objective.kind=triplet"]),
-        ("train-embed", ["objective.kind=triplet", "objective.strategy=semi-hard"]),
-        ("train-embed", ["objective.strategy=offending"]),
-        ("train-asr", ["recognizer.training_mode=joint", "objective.strategy=confusion"]),
-    ])
-    def test_bad_objective_exits_with_config_error(self, corpus_dir, tmp_path, command, settings):
+    # each case's message names the key or the check that refuses it, so a
+    # case cannot keep passing for another reason
+    BAD_OBJECTIVES = [
+        ("train-embed", ["objective.terms=0,5"], "[objective] terms = '0,5' must be >= 0 and <= 2"),
+        ("train-embed", ["objective.terms=0,0"], "[objective] terms = '0,0' must be integers in increasing order"),
+        ("train-embed", ["objective.k=0"], "[objective] k = '0' must be >= 1"),
+        ("train-embed", ["objective.strategy=bogus"], "[objective] strategy = 'bogus' must be one of"),
+        ("train-embed", ["objective.kind=triplet"], "[objective] strategy 'hard': the triplet loss runs"),
+        ("train-embed", ["objective.kind=triplet", "objective.strategy=semi-hard"],
+         "[objective] strategy 'semi-hard': the triplet loss runs"),
+        ("train-embed", ["objective.strategy=offending"], "[objective] strategy 'offending': the multiview loss runs"),
+        ("train-asr", ["recognizer.training_mode=joint", "objective.strategy=confusion"],
+         "[objective] strategy 'confusion': the multiview loss runs"),
+    ]
+
+    @pytest.mark.parametrize("command,settings,message", BAD_OBJECTIVES,
+                             ids=[f"{c}-settings{i}" for i, (c, _, _) in enumerate(BAD_OBJECTIVES)])
+    def test_bad_objective_exits_with_config_error(self, corpus_dir, tmp_path, capsys, command, settings, message):
         from awekit.cli import main
 
         args = [command, "--seed", "9", "--out", str(tmp_path / "run")]
@@ -891,22 +898,28 @@ class TestCli:
         for key in ("train", "train_align", "dev", "dev_align", "lexicon"):
             args += ["--set", f"data.{key}={corpus_dir[key]}"]
         assert main(args) == 2
+        assert f"configuration error: {message}" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("command,settings", [
-        ("train-embed", ["training.min_frames=0"]),
-        ("train-embed", ["scheduler.factor=0"]),
-        ("train-embed", ["encoder.cell=foo"]),
-        ("train-embed", ["encoder.pooling=foo"]),
-        ("train-embed", ["encoder.subsample=0"]),
-        ("train-embed", ["written.mode=bogus"]),
-        ("train-embed", ["encoder.dropout=1.5", "encoder.layers=2"]),
-        ("train-asr", ["recognizer.lambda_emb=2"]),
-        ("train-asr", ["recognizer.scheme=bogus"]),
-        ("train-asr", ["recognizer.training_mode=joint", "objective.strategy=uniform"]),
-        ("train-asr", ["recognizer.kind=bogus"]),
-        ("train-asr", ["recognizer.training_mode=bogus"]),
-    ])
-    def test_bad_config_value_exits_with_config_error(self, corpus_dir, tmp_path, command, settings):
+    BAD_VALUES = [
+        ("train-embed", ["training.min_frames=0"], "[training] min_frames = '0' must be >= 1"),
+        ("train-embed", ["scheduler.factor=0"], "[scheduler] factor = '0' must be finite and > 0"),
+        ("train-embed", ["encoder.cell=foo"], "[encoder] cell = 'foo' must be one of"),
+        ("train-embed", ["encoder.pooling=foo"], "[encoder] pooling = 'foo' must be one of"),
+        ("train-embed", ["encoder.subsample=0"], "[encoder] subsample = '0' must be >= 1"),
+        ("train-embed", ["written.mode=bogus"], "[written] mode = 'bogus' must be one of"),
+        ("train-embed", ["encoder.dropout=1.5", "encoder.layers=2"], "[encoder] dropout = '1.5' must be finite"),
+        ("train-asr", ["recognizer.lambda_emb=2"], "[recognizer] lambda_emb = '2' must be finite"),
+        ("train-asr", ["recognizer.scheme=bogus"], "[recognizer] scheme = 'bogus' must be one of"),
+        ("train-asr", ["recognizer.training_mode=joint", "objective.strategy=uniform"],
+         "[objective] strategy 'uniform': the multiview loss runs"),
+        ("train-asr", ["recognizer.kind=bogus"], "[recognizer] kind = 'bogus' must be one of"),
+        ("train-asr", ["recognizer.training_mode=bogus"], "[recognizer] training_mode = 'bogus' must be one of"),
+    ]
+
+    @pytest.mark.parametrize("command,settings,message", BAD_VALUES,
+                             ids=[f"{c}-settings{i}" for i, (c, _, _) in enumerate(BAD_VALUES)])
+    def test_bad_config_value_exits_with_config_error(self, corpus_dir, tmp_path, capsys, command, settings,
+                                                      message):
         from awekit.cli import main
 
         args = [command, "--seed", "9", "--out", str(tmp_path / "run")]
@@ -919,6 +932,7 @@ class TestCli:
         for key in ("train", "train_align", "dev", "dev_align", "lexicon"):
             args += ["--set", f"data.{key}={corpus_dir[key]}"]
         assert main(args) == 2
+        assert f"configuration error: {message}" in capsys.readouterr().err
 
     def test_k_end_above_k_exits_with_config_error_before_any_data(self, corpus_dir, tmp_path, monkeypatch):
         from awekit.cli import main
@@ -948,6 +962,31 @@ class TestCli:
         args = ["train-embed", *_data_args(corpus_dir), "--out", str(tmp_path / "run"),
                 "--set", f"data.feature_table={corpus_dir['feature_table']}", "--set", f"data.{key}={bad}"]
         assert main(args) == 3
+
+    @pytest.mark.parametrize("command,key", [("dtw-ap", "data.dev_align"), ("train-asr", "recognizer.vocab_file")])
+    def test_non_utf8_text_exits_with_data_error_before_any_output(self, corpus_dir, tmp_path, capsys, command,
+                                                                   key):
+        from awekit.cli import main
+
+        words = sorted(cp.load_lexicon(corpus_dir["lexicon"]).pronunciations)
+        text = open(corpus_dir["dev_align"], "rb").read() if command == "dtw-ap" else "\n".join(words).encode()
+        bad = tmp_path / "bad.txt"
+        bad.write_bytes(text.replace(b"\n", b"\xff\n", 2))  # the second line ends in a byte UTF-8 never has
+        out = tmp_path / "run"
+        args = [command, *_data_args(corpus_dir), "--out", str(out), "--set", f"{key}={bad}"]
+        for item in ("encoder.layers=1", "encoder.hidden=8", "training.epochs=1"):
+            args += ["--set", item]
+        assert main(args) == 3
+        assert f"data error: {bad}: not UTF-8 text" in capsys.readouterr().err
+        assert not [p for p in out.rglob("*") if p.is_file()]  # train-asr makes its directory before any read
+
+    def test_directory_given_as_an_input_file_exits_with_data_error(self, corpus_dir, tmp_path, capsys):
+        from awekit.cli import main
+
+        out = tmp_path / "dtw.json"
+        assert main(["dtw-ap", *_data_args(corpus_dir), "--out", str(out), "--set", f"data.dev_align={tmp_path}"]) == 3
+        assert "Is a directory" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("command", ["train-embed", "train-asr"])
     @pytest.mark.parametrize("value", ["0", "-3"])

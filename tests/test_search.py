@@ -64,7 +64,7 @@ class TestSignatures:
             u = rng.standard_normal(16)
             v = rng.standard_normal(16)
             ang = np.arccos(np.clip(u @ v / (np.linalg.norm(u) * np.linalg.norm(v)), -1, 1))
-            ham = search.hamming_fraction(search.sign_embed(u, planes), search.sign_embed(v, planes))
+            ham = np.mean(search.sign_embed(u, planes) != search.sign_embed(v, planes))  # Hamming fraction
             errs.append(abs(ham - ang / np.pi))
         assert np.mean(errs) <= 0.02
 
