@@ -37,22 +37,19 @@ err = ad.grad_check(
 print(f"   LSTM layer:      max rel err {err:.2e}")
 
 print("\n== the CTC loss marginalizes over blank-interleaved paths")
-logits = Tensor(rng.standard_normal((5, 3)))  # 2 words + blank
-labels = [0, 1]
-err = ad.grad_check(lambda: ctc.ctc_loss(ad.log_softmax(logits, axis=1), labels), [logits])
-loss = ctc.ctc_loss(ad.log_softmax(logits, axis=1), labels)
+logits = Tensor(rng.standard_normal((1, 5, 3)))  # a batch of one: 5 frames, 2 words + blank
+labels = [[0, 1]]
+err = ad.grad_check(lambda: ctc.ctc_loss(ad.log_softmax(logits, axis=2), [5], labels), [logits])
+loss = ctc.ctc_loss(ad.log_softmax(logits, axis=2), [5], labels)
 print(f"   -log P(labels) = {float(loss.values):.4f}; grad vs FD: {err:.2e}")
 
 print("\n== the segmental loss marginalizes over segmentations instead")
-U = rng.standard_normal((6, 3, 2))  # frames x max segment length x vocab
-loss, grad = segmental.seg_gradient_value(U, [0, 1])
-path = segmental.viterbi_decode(U)[0]
-path_score = path.score(U)
-print(f"   marginal loss {loss:.4f}; best path {path.segments} scoring {path_score:.3f}")
-eps = 1e-5
-up, dn = U.copy(), U.copy()
-up[2, 1, 0] += eps
-dn[2, 1, 0] -= eps
-fd = (segmental.seg_marginal_loss_value(up, [0, 1])
-      - segmental.seg_marginal_loss_value(dn, [0, 1])) / (2 * eps)
-print(f"   one lattice cell: explicit grad {grad[2, 1, 0]:.6f} vs FD {fd:.6f}")
+grid = segmental.segment_grid([6], 3)  # 6 frames, segments of up to 3: (1, T, S) map to packed rows
+rows = Tensor(rng.standard_normal((int((grid >= 0).sum()), 2)))  # one score row per segment, 2 words
+lattice = segmental.ScoreTensor(rows, grid)
+err = ad.grad_check(lambda: segmental.seg_loss(lattice, [[0, 1]]), [rows])
+loss = segmental.seg_loss(lattice, [[0, 1]])
+path = segmental.viterbi_decode(lattice)[0]
+path_score = sum(rows.values[grid[0, t, s - 1], v] for t, s, v in path.segments)
+print(f"   marginal loss {float(loss.values):.4f}; grad vs FD: {err:.2e}")
+print(f"   best path (start, length, word) {path.segments} scoring {path_score:.3f}")

@@ -6,7 +6,8 @@ computed in log space over the expanded state sequence [blank, l1, blank,
 l2, ..., lK, blank]. One time recursion, ``_entering``, gives the alphas;
 the betas are the same recursion on the lattice reversed in time and in
 states, and the gradient is formed from the state posteriors. The blank
-symbol is the last column of the frame log-probability matrix.
+symbol is the last column of the frame log-probabilities. ``ctc_loss``
+scores a padded batch as one tape node; one utterance is a batch of one.
 """
 
 from __future__ import annotations
@@ -42,8 +43,6 @@ def _expand(labels, blank: int) -> np.ndarray:
 
 def _check_inputs(log_probs: np.ndarray, labels) -> np.ndarray:
     labels = np.asarray(labels, dtype=np.intp)
-    if log_probs.ndim != 2:
-        raise CtcError("log_probs must be (T, V+1)")
     T, width = log_probs.shape
     blank = width - 1
     if labels.ndim != 1 or len(labels) < 1:
@@ -90,19 +89,22 @@ def _forward_backward(log_probs: np.ndarray, labels: np.ndarray):
     return z, alpha, beta, np.logaddexp(alpha[-1, -1], alpha[-1, -2])
 
 
-def ctc_loss(log_probs: Tensor, labels) -> Tensor:
-    """Autodiff-wrapped CTC loss over a (T, V+1) log-probability tensor.
-    The gradient with respect to the log-probabilities is minus the state
-    posteriors, summed over the states of each symbol."""
+def ctc_loss(log_probs: Tensor, lengths, transcripts) -> Tensor:
+    """Autodiff-wrapped CTC loss of a batch: the sum, in order, of the
+    losses of row b's first ``lengths[b]`` frames of the (B, T, V+1)
+    ``log_probs`` against ``transcripts[b]``. The gradient is minus the
+    state posteriors summed over each symbol's states, and 0 on padding."""
     lp = np.asarray(log_probs.values, dtype=np.float64)
-    labels = _check_inputs(lp, labels)
-    z, alpha, beta, log_z = _forward_backward(lp, labels)
     grad = np.zeros_like(lp)
-    with np.errstate(invalid="ignore"):
-        gamma = np.exp(alpha + beta - log_z)  # posterior over states per frame
-    for s, j in enumerate(z):
-        grad[:, j] -= gamma[:, s]
-    out = Tensor(float(-log_z))
+    losses = []
+    for b, (T, labels) in enumerate(zip(lengths, transcripts)):
+        z, alpha, beta, log_z = _forward_backward(lp[b, :T], _check_inputs(lp[b, :T], labels))
+        with np.errstate(invalid="ignore"):
+            gamma = np.exp(alpha + beta - log_z)  # posterior over states per frame
+        for s, j in enumerate(z):
+            grad[b, :T, j] -= gamma[:, s]
+        losses.append(float(-log_z))
+    out = Tensor(sum(losses))
     return ad._record(out, (log_probs,), lambda g: (g * grad,))
 
 

@@ -104,12 +104,24 @@ def load_dataset(cfg: ExperimentConfig) -> Dataset:
     lexicon = cp.load_lexicon(cfg.data_path("lexicon")) if lex_path else None
     ft_path = cfg.get("data", "feature_table")
     feature_table = cp.load_feature_table(cfg.data_path("feature_table")) if ft_path else None
-    for fms, als in ((train, train_align), (dev, dev_align)):
-        for fm in fms:
-            if fm.utterance_id not in als:
-                raise DataError(f"no alignment for utterance {fm.utterance_id!r}")
-            als[fm.utterance_id].check_bounds(fm)
+    alignments_for(train, train_align)
+    alignments_for(dev, dev_align)
     return Dataset(train, train_align, dev, dev_align, lexicon, feature_table)
+
+
+def alignments_for(utterances, alignments: dict) -> list:
+    """The alignment of each of ``utterances``, in order: utterance ids, or
+    FrameMatrix objects, whose frames the caller slices by the entries and
+    which must cover them. DataError names the first without an alignment."""
+    out = []
+    for u in utterances:
+        uid = getattr(u, "utterance_id", u)
+        if uid not in alignments:
+            raise DataError(f"no alignment for utterance {uid!r}")
+        if not isinstance(u, str):
+            alignments[uid].check_bounds(u)
+        out.append(alignments[uid])
+    return out
 
 
 def _frame_window(cfg: ExperimentConfig) -> tuple[int, int]:
@@ -450,6 +462,7 @@ def train_epochs(cfg: ExperimentConfig, outdir: str, params, lengths, batch_loss
     best_metric = None
     batches_done = 0
     history = []
+    os.makedirs(outdir, exist_ok=True)
     with open(os.path.join(outdir, "train_log.jsonl"), "w", encoding="utf-8") as log_file:
         for epoch in range(cfg.getint("training", "epochs")):
             epoch_loss = 0.0
@@ -496,7 +509,6 @@ def train_embed(cfg: ExperimentConfig, outdir: str) -> dict:
     if kind != "classifier":
         objective.check_strategy(kind)
     min_f, max_f = _frame_window(cfg)
-    os.makedirs(outdir, exist_ok=True)
     ds = load_dataset(cfg)
     use_augment = cfg.getbool("training", "spec_augment")
 
@@ -767,7 +779,8 @@ def query_search_index(cfg: ExperimentConfig, checkpoint: str, index_path: str,
         results.append(srch.utterance_scores(hits, entry_utt, entry_size, admissible, len(utt_ids)))
     score_matrix = np.stack([r[0] for r in results])
     q_ids = [q.utterance_id for q in queries]
-    q_terms = {q.utterance_id: " ".join(v for _, _, v in q_align[q.utterance_id].entries) for q in queries}
+    q_terms = {u: " ".join(al.labels()) for u, al in zip(q_ids, alignments_for(q_ids, q_align))}
+    truth_align = alignments_for(utt_ids, cp.load_alignments(truth_align_path)) if truth_align_path else None
 
     report = {"num_queries": len(q_ids), "num_utterances": len(utt_ids), "beamwidth": beam,
               "config": cfg.resolved(), "version": SCHEMA_VERSION}
@@ -782,13 +795,12 @@ def query_search_index(cfg: ExperimentConfig, checkpoint: str, index_path: str,
                 fh.write(f"{q}\t{utt_ids[pos]}\t{score_matrix[qi][pos]:.6f}\t{ws}\t{wz}\n")
 
     if truth_align_path:
-        truth_align = cp.load_alignments(truth_align_path)
         hours = 0.0
         if search_archive:
             fms = cp.load_feature_archive(search_archive)
             hours = sum(fm.num_frames / fm.frames_per_second for fm in fms) / 3600.0
         hours = hours or 1.0
-        labels = [[v for _, _, v in truth_align[u].entries] for u in utt_ids]
+        labels = [al.labels() for al in truth_align]
         # one truth row per distinct query term, shared by the term's queries
         contains = {t: [_contains_subsequence(ls, t.split(" ")) for ls in labels]
                     for t in set(q_terms.values())}

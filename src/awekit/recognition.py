@@ -9,9 +9,9 @@ the contrastive embedding loss with a live written encoder. In every mode
 the prediction rows are free parameters. ``train_asr`` runs the shared
 loop ``pipelines.train_epochs`` with the recognizer's batch loss and its
 dev WER. One batch loss, ``asr_batch_loss``, serves both recognizers: it
-encodes the batch, then sums the per-utterance CTC losses or takes the
-segmental loss of the whole batch, whose lattices are scored, summed over
-and differentiated in one pass (see ``segmental``). Decoding encodes,
+encodes the batch, then takes the CTC loss of its padded frame
+log-probabilities or the segmental loss of its lattices, either one tape
+node per batch (see ``ctc`` and ``segmental``). Decoding encodes,
 scores and Viterbi-decodes length-sorted batches. Word spans for joint
 training and projection rescaling are embedded through
 ``encoders.pool_spans``: a CTC model projects every frame and mean-pools
@@ -43,6 +43,7 @@ from .pipelines import (
     _dump_json,
     _frame_window,
     _write_report,
+    alignments_for,
     build_acoustic_encoder,
     build_written_encoder,
     embed_frames,
@@ -196,13 +197,13 @@ def _span_embeddings(model, out: Tensor, spans) -> Tensor:
 
 
 def _ctc_frame_logits(model, out: Tensor):
-    """Project frame outputs and score against [rows; blank]."""
+    """(B*T, d) projected frames and their (B, T, V+1) log-probabilities against [rows; blank]."""
     B, T, W = out.values.shape
     proj = model.f.project(ad.reshape(out, (B * T, W)))  # (B*T, d)
     w_full = ad.concat([model.pl.w.tensor, ad.reshape(model.blank_w.tensor, (1, -1))], axis=0)
     b_full = ad.concat([model.pl.b.tensor, model.blank_b.tensor], axis=0)
     logits = ad.affine(proj, ad.transpose(w_full), b_full)
-    return proj, ad.log_softmax(logits, axis=1), T
+    return proj, ad.reshape(ad.log_softmax(logits, axis=1), (B, T, -1))
 
 
 def _transcript_ids(model, al: cp.WordAlignment):
@@ -215,9 +216,10 @@ def _transcript_ids(model, al: cp.WordAlignment):
 
 def asr_batch_loss(model, fms, alignments, s_max: int, rng):
     """(recognizer loss summed over a training batch, transcript words,
-    encoder output). CTC adds each utterance's loss; the segmental loss is
-    one marginal loss over the batch's lattices with the batch's segment
-    cap (at most ``s_max``)."""
+    encoder output). Either loss is one tape node for the whole batch: the
+    CTC loss over the batch's padded frame log-probabilities, or the
+    segmental loss over the batch's lattices with the batch's segment cap
+    (at most ``s_max``)."""
     out, lengths = model.f.encode([fm.frames for fm in fms], train=True, rng=rng)
     transcripts = [_transcript_ids(model, alignments[fm.utterance_id]) for fm in fms]
     n = sum(len(ids) for ids in transcripts)
@@ -225,12 +227,8 @@ def asr_batch_loss(model, fms, alignments, s_max: int, rng):
         s_cap = segm.batch_segment_cap(lengths, [len(ids) for ids in transcripts], s_max)
         scores = segm.score_segments(model.f, out, lengths, model.pl, s_cap)
         return segm.seg_loss(scores, transcripts), n, out
-    _, log_probs, T = _ctc_frame_logits(model, out)
-    total = None
-    for i, ids in enumerate(transcripts):
-        piece = ctc_mod.ctc_loss(ad.getitem(log_probs, slice(i * T, i * T + int(lengths[i]))), ids)
-        total = piece if total is None else ad.add(total, piece)
-    return total, n, out
+    _, log_probs = _ctc_frame_logits(model, out)
+    return ctc_mod.ctc_loss(log_probs, lengths, transcripts), n, out
 
 
 def joint_embedding_loss(model, objective: Objective, out, fms, alignments, window, k, sample_rng):
@@ -272,25 +270,26 @@ def decode_utterances(model, fms, s_max: int, threads: int) -> list:
             paths = segm.viterbi_decode(segm.score_segments(model.f, out, lengths, model.pl, s_max))
             return [([model.vocab.label(v) for v in path.labels()],
                      [(v, t, t + s) for t, s, v in path.segments], None) for path in paths]
-        proj, log_probs, Tpad = _ctc_frame_logits(model, out)
+        proj, log_probs = _ctc_frame_logits(model, out)
+        frame_embs = proj.values.reshape(*log_probs.values.shape[:2], -1)
         results = []
         for r, T in enumerate(lengths.tolist()):
-            rows = slice(r * Tpad, r * Tpad + T)
-            spans = ctc_mod.ctc_greedy_decode_with_spans(log_probs.values[rows])
+            lp = log_probs.values[r, :T]
+            spans = ctc_mod.ctc_greedy_decode_with_spans(lp)
             if model.vocab.unk_index is not None:
-                spans = ctc_mod.widen_unk_spans(log_probs.values[rows], spans, model.vocab.unk_index)
-            results.append(([model.vocab.label(tok) for tok, _, _ in spans], spans, proj.values[rows]))
+                spans = ctc_mod.widen_unk_spans(lp, spans, model.vocab.unk_index)
+            results.append(([model.vocab.label(tok) for tok, _, _ in spans], spans, frame_embs[r, :T]))
         return results
 
     return map_sorted_batches(run, fms, [fm.num_frames for fm in fms], threads)
 
 
-def _wer_totals(fms, hyps, alignments) -> dict:
+def _wer_totals(refs, hyps) -> dict:
     """Corpus WER and its substitutions, deletions and insertions, summed
-    over utterances, against the reference words in ``alignments``."""
+    over utterances, against the reference words of alignments ``refs``."""
     subs = dels = ins = total = 0
-    for fm, words in zip(fms, hyps):
-        ref = alignments[fm.utterance_id].labels()
+    for al, words in zip(refs, hyps):
+        ref = al.labels()
         r = mx.wer(ref, words)
         subs += r.substitutions
         dels += r.deletions
@@ -302,7 +301,7 @@ def _wer_totals(fms, hyps, alignments) -> dict:
 
 def dev_wer(model, fms, alignments, threads: int, s_max: int) -> float:
     hyps = [words for words, _, _ in decode_utterances(model, fms, s_max, threads)]
-    return _wer_totals(fms, hyps, alignments)["wer"]
+    return _wer_totals([alignments[fm.utterance_id] for fm in fms], hyps)["wer"]
 
 
 # ---------------------------------------------------------------------------
@@ -319,7 +318,6 @@ def train_asr(cfg: ExperimentConfig, outdir: str) -> dict:
     lam_emb = cfg.getfloat("recognizer", "lambda_emb")
     lam_reg = cfg.getfloat("recognizer", "lambda_reg")
     scheme = cfg.get("recognizer", "scheme")
-    os.makedirs(outdir, exist_ok=True)
     ds = load_dataset(cfg)
     model, cfg = build_recognizer(cfg, ds, ds.train[0].dim)
     params = model.parameters()
@@ -392,6 +390,7 @@ def decode_archive(cfg: ExperimentConfig, checkpoint: str, archive_path: str, ou
                               "with [recognizer] unk = true and a written encoder")
         extended = enc.extend_vocabulary(model.pl, model.g, cp.load_words(extend_words_path), model.lexicon)
     fms = cp.load_feature_archive(archive_path)
+    refs = alignments_for([fm.utterance_id for fm in fms], cp.load_alignments(align_path)) if align_path else None
     s_max = cfg.getint("recognizer", "s_max")
 
     hyps = []
@@ -409,7 +408,7 @@ def decode_archive(cfg: ExperimentConfig, checkpoint: str, archive_path: str, ou
     report = {"num_utterances": len(fms), "transcripts": os.path.basename(trans_path),
               "config": cfg.resolved(), "version": SCHEMA_VERSION}
     if align_path:
-        report.update(_wer_totals(fms, hyps, cp.load_alignments(align_path)))
+        report.update(_wer_totals(refs, hyps))
     _write_report(out_path, report)
     return report
 
@@ -420,14 +419,12 @@ def export_embeddings(checkpoint: str, archive_path: str, out_path: str,
     utterances when no alignment is given)."""
     f, _, _, _ = rebuild_embed_model(checkpoint)
     fms = cp.load_feature_archive(archive_path)
-    align = cp.load_alignments(align_path) if align_path else None
-    items = []
-    for fm in fms:
-        if align is None:
-            items.append((f"{fm.utterance_id}", "", fm.frames))
-        else:
-            for s, e, lab in align[fm.utterance_id].entries:
-                items.append((f"{fm.utterance_id}:{s}-{e}", lab, fm.frames[s:e]))
+    if align_path is None:
+        items = [(fm.utterance_id, "", fm.frames) for fm in fms]
+    else:
+        items = [(f"{fm.utterance_id}:{s}-{e}", lab, fm.frames[s:e])
+                 for fm, al in zip(fms, alignments_for(fms, cp.load_alignments(align_path)))
+                 for s, e, lab in al.entries]
     d = f.config.embed_dim
     flat = embed_frames(f, [fr for _, _, fr in items], threads)
     with cp.open_artifact(out_path) as fh:

@@ -21,9 +21,7 @@ utterance, computes the alphas of every utterance. Transcripts are
 padded to the longest: column k reads only column k-1, so padding
 columns never reach real ones. The betas are the same recursion on each
 utterance's own time-reversed grid, and the gradient is formed from both
-rather than by taping the DP. Dense (T, S, V) arrays are accepted at the
-single-utterance entry points and packed as a batch of one; their
-out-of-range cells are never read.
+rather than by taping the DP.
 """
 
 from __future__ import annotations
@@ -120,16 +118,6 @@ def _pad_labels(labels) -> tuple[np.ndarray, np.ndarray]:
     return lab, counts
 
 
-def _pack(U) -> tuple[np.ndarray, np.ndarray]:
-    """A dense (T, S, V) lattice as a batch of one: (packed rows, grid)."""
-    U = np.asarray(U, dtype=np.float64)
-    grid = segment_grid([U.shape[0]], U.shape[1])
-    valid = grid[0] >= 0
-    P = np.empty((np.count_nonzero(valid), U.shape[2]))
-    P[grid[0][valid]] = U[valid]
-    return P, grid
-
-
 def _with_sentinel(P: np.ndarray) -> np.ndarray:
     """``P`` plus a last row of -inf, the row a grid's -1 cells read."""
     return np.concatenate([P, np.full((1, P.shape[1]), NEG_INF)])
@@ -147,9 +135,9 @@ def _reversed(grid: np.ndarray, lengths: np.ndarray) -> np.ndarray:
 def _logsumexp(a, axis):
     """log(sum(exp(a))) over ``axis``, -inf where every entry is -inf; the
     caller ignores numpy's divide and invalid warnings."""
-    m = np.max(a, axis=axis, keepdims=True)
+    m = a.max(axis=axis, keepdims=True)
     m = np.where(m > NEG_INF, m, 0.0)
-    return np.squeeze(np.log(np.sum(np.exp(a - m), axis=axis, keepdims=True)) + m, axis=axis)
+    return (np.log(np.exp(a - m).sum(axis=axis, keepdims=True)) + m).squeeze(axis)
 
 
 def _forward(P: np.ndarray, grid: np.ndarray, lab: np.ndarray):
@@ -219,25 +207,6 @@ def _loss_and_grad(P: np.ndarray, grid: np.ndarray, labels) -> tuple[np.ndarray,
     return z_d - z_n, grad
 
 
-def seg_marginal_loss_value(U: np.ndarray, labels) -> float:
-    """Marginal log loss -log a_n[T, K] + log a_d[T] on a dense lattice."""
-    P, grid = _pack(U)
-    _check_feasible(grid, [labels])
-    lab, K = _pad_labels([labels])
-    log_an, log_ad = _forward(P, grid, lab)
-    return float(log_ad[0, -1] - log_an[0, -1, K[0]])
-
-
-def seg_gradient_value(U: np.ndarray, labels) -> tuple[float, np.ndarray]:
-    """Loss plus d(loss)/dU on a dense lattice; out-of-range cells get 0."""
-    P, grid = _pack(U)
-    losses, packed_grad = _loss_and_grad(P, grid, [labels])
-    valid = grid[0] >= 0
-    grad = np.zeros((*grid.shape[1:], P.shape[1]))
-    grad[valid] = packed_grad[grid[0][valid]]
-    return float(losses[0]), grad
-
-
 def seg_loss(score_tensor: ScoreTensor, labels) -> Tensor:
     """Autodiff-wrapped marginal loss of a batch lattice, summed over its
     utterances in order, as one tape node; ``labels`` holds one transcript
@@ -273,19 +242,12 @@ class SegPath:
     def labels(self) -> list[int]:
         return [v for _, _, v in self.segments]
 
-    def score(self, U: np.ndarray) -> float:
-        return float(sum(U[t, s - 1, v] for t, s, v in self.segments))
 
-
-def viterbi_decode(U) -> list[SegPath]:
-    """Highest-scoring segmentation of each utterance of a ScoreTensor, or
-    of a dense (T, S, V) lattice as a batch of one. Ties prefer the
-    smaller segment length, then the smaller label index."""
-    if isinstance(U, ScoreTensor):
-        P, grid = U.packed.values, U.index
-    else:
-        P, grid = _pack(U)
-    P = _with_sentinel(P)
+def viterbi_decode(score_tensor: ScoreTensor) -> list[SegPath]:
+    """Highest-scoring segmentation of each utterance of a batch lattice.
+    Ties prefer the smaller segment length, then the smaller label index."""
+    grid = score_tensor.index
+    P = _with_sentinel(score_tensor.packed.values)
     B, T, S = grid.shape
     V = P.shape[1]
     best = np.full((B, T + 1), NEG_INF)

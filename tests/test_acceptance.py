@@ -74,8 +74,8 @@ def test_criterion_2_ctc_oracle():
         got = loss_value(lp, labels)
         want = brute_force_loss(lp, labels)
         worst_rel = max(worst_rel, abs(got - want) / max(abs(want), 1e-12))
-        logits = Tensor(rng.standard_normal((T, V + 1)))
-        err = ad.grad_check(lambda: ctc_mod.ctc_loss(ad.log_softmax(logits, axis=1), labels),
+        logits = Tensor(rng.standard_normal((1, T, V + 1)))
+        err = ad.grad_check(lambda: ctc_mod.ctc_loss(ad.log_softmax(logits, axis=2), [T], [labels]),
                             [logits], eps=1e-5)
         worst_grad = max(worst_grad, err)
         done += 1
@@ -88,7 +88,8 @@ def test_criterion_2_ctc_oracle():
 
 
 def test_criterion_3_segmental_oracle():
-    from test_segmental import enum_denominator, enum_numerator, enum_viterbi_score
+    from test_segmental import (enum_denominator, enum_numerator, enum_viterbi_score, loss_and_gradient,
+                                loss_value, path_score, viterbi)
 
     rng = np.random.default_rng(303)
     worst_loss = worst_vit = worst_grad = worst_complete = 0.0
@@ -101,13 +102,12 @@ def test_criterion_3_segmental_oracle():
         labels = rng.integers(0, V, size=K)
         U = rng.standard_normal((T, S, V))
         want = -np.log(enum_numerator(U, labels)) + np.log(enum_denominator(U))
-        got = segmental.seg_marginal_loss_value(U, labels)
+        got, grad = loss_and_gradient(U, labels)
         worst_loss = max(worst_loss, abs(got - want) / max(abs(want), 1e-9))
-        vit = segmental.viterbi_decode(U)[0].score(U)
+        vit = path_score(viterbi(U), U)
         vit_want = enum_viterbi_score(U)
         worst_vit = max(worst_vit, abs(vit - vit_want) / max(abs(vit_want), 1e-9))
         # gradient vs central differences
-        _, grad = segmental.seg_gradient_value(U, labels)
         eps = 1e-5
         for t in range(T):
             for s in range(min(S, T - t)):
@@ -115,8 +115,7 @@ def test_criterion_3_segmental_oracle():
                     up, dn = U.copy(), U.copy()
                     up[t, s, v] += eps
                     dn[t, s, v] -= eps
-                    num = (segmental.seg_marginal_loss_value(up, labels)
-                           - segmental.seg_marginal_loss_value(dn, labels)) / (2 * eps)
+                    num = (loss_value(up, labels) - loss_value(dn, labels)) / (2 * eps)
                     rel = abs(grad[t, s, v] - num) / max(abs(num), abs(grad[t, s, v]), 1.0)
                     worst_grad = max(worst_grad, rel)
         # completeness: exp(-loss) over all transcripts sums to 1
@@ -124,7 +123,7 @@ def test_criterion_3_segmental_oracle():
             total = 0.0
             for k in range(max(1, K_lo), T + 1):
                 for lab in itertools.product(range(V), repeat=k):
-                    total += np.exp(-segmental.seg_marginal_loss_value(U, list(lab)))
+                    total += np.exp(-loss_value(U, list(lab)))
             worst_complete = max(worst_complete, abs(total - 1.0))
     ok = worst_loss <= 1e-6 and worst_vit <= 1e-6 and worst_grad <= 1e-4 and worst_complete <= 1e-6
     report(3, ok, f"200 tensors: loss rel {worst_loss:.2e}, viterbi rel {worst_vit:.2e}, "
@@ -169,9 +168,9 @@ def test_criterion_4_every_loss_gradient():
     G = Tensor(rng.standard_normal((3, 5)))
     worst["regularizer"] = ad.grad_check(lambda: obj.agwe_regularizer(P, G), [P, G], eps=1e-5)
 
-    frame_logits = Tensor(rng.standard_normal((6, 4)))
+    frame_logits = Tensor(rng.standard_normal((1, 6, 4)))
     def joint_fn(scheme):
-        asr = ctc_mod.ctc_loss(ad.log_softmax(frame_logits, axis=1), [1, 0])
+        asr = ctc_mod.ctc_loss(ad.log_softmax(frame_logits, axis=2), [6], [[1, 0]])
         emb = obj.multiview_loss(A, labels, vocab, W, 0.41, 2, terms=(0, 2))
         reg = obj.agwe_regularizer(P, G)
         return obj.combine_joint(asr, emb, reg, 0.5, 0.25, scheme)

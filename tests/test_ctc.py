@@ -7,12 +7,24 @@ import pytest
 
 from awekit import autodiff as ad
 from awekit import ctc
-from awekit.autodiff import Tensor
+from awekit.autodiff import Tape, Tensor
 
 
 def loss_value(log_probs, labels):
-    """The value of the package's CTC loss on a (T, V+1) log-probability matrix."""
-    return float(ctc.ctc_loss(Tensor(log_probs), labels).values)
+    """The value of the package's CTC loss on a (T, V+1) log-probability
+    matrix, as a batch of one."""
+    return float(ctc.ctc_loss(Tensor(log_probs[None]), [len(log_probs)], [labels]).values)
+
+
+def loss_and_gradient(log_probs, lengths, transcripts):
+    """The CTC loss of a (B, T, V+1) batch and its gradient with respect to
+    the log-probabilities, through a tape."""
+    leaf = Tensor(log_probs)
+    with Tape() as tape:
+        loss = ctc.ctc_loss(leaf, lengths, transcripts)
+    assert len(tape.nodes) == 1
+    tape.backward(loss)
+    return float(loss.values), leaf.grad
 
 
 def greedy_decode(log_probs):
@@ -185,10 +197,10 @@ class TestCtcLoss:
             labels = rng.integers(0, 2, size=rng.integers(1, 3))
             if T < ctc.min_frames_required(labels):
                 continue
-            logits = Tensor(rng.standard_normal((T, 3)))
+            logits = Tensor(rng.standard_normal((1, T, 3)))
 
             def f():
-                return ctc.ctc_loss(ad.log_softmax(logits, axis=1), labels)
+                return ctc.ctc_loss(ad.log_softmax(logits, axis=2), [T], [labels])
 
             assert ad.grad_check(f, [logits], eps=1e-5) <= 1e-4
 
@@ -199,6 +211,54 @@ class TestCtcLoss:
             labels = rng.integers(0, 2, size=2)
             loss = loss_value(lp, labels)
             assert 0.0 < np.exp(-loss) <= 1.0
+
+
+class TestBatchLoss:
+    """One call scores a ragged batch: each row's first lengths[b] frames
+    against its own transcript, then padding. Its value and gradient equal
+    those of each utterance as a batch of one, bit for bit."""
+
+    LENGTHS = [5, 2, 7, 1, 4]
+    LABELS = [[2, 0, 2], [1], [0, 0, 1], [2], [1, 1]]
+    V = 3
+
+    def _batch(self, seed):
+        rng = np.random.default_rng(seed)
+        lp = np.stack([random_log_probs(rng, max(self.LENGTHS), self.V) for _ in self.LENGTHS])
+        for b, T in enumerate(self.LENGTHS):
+            lp[b, T:] = rng.standard_normal((lp.shape[1] - T, self.V + 1))  # padding the loss never reads
+        return lp
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_loss_and_gradient_equal_batch_of_one(self, seed):
+        lp = self._batch(seed)
+        loss, grad = loss_and_gradient(lp, self.LENGTHS, self.LABELS)
+        alone = []
+        for b, (T, labels) in enumerate(zip(self.LENGTHS, self.LABELS)):
+            value, row_grad = loss_and_gradient(lp[b : b + 1, :T], [T], [labels])
+            alone.append(value)
+            np.testing.assert_array_equal(grad[b, :T], row_grad[0])
+            np.testing.assert_array_equal(grad[b, T:], 0.0)
+            assert value == pytest.approx(brute_force_loss(lp[b, :T], labels), rel=1e-9)
+        assert loss == sum(alone)
+
+    def test_gradient_of_a_ragged_batch_matches_finite_differences(self):
+        rng = np.random.default_rng(20)
+        logits = Tensor(rng.standard_normal((3, 5, 3)))
+        lengths, transcripts = [5, 2, 4], [[0, 1], [1], [0, 0]]
+
+        def f():
+            return ctc.ctc_loss(ad.log_softmax(logits, axis=2), lengths, transcripts)
+
+        assert ad.grad_check(f, [logits], eps=1e-5) <= 1e-4
+        np.testing.assert_array_equal(logits.grad[1, 2:], 0.0)
+        np.testing.assert_array_equal(logits.grad[2, 4:], 0.0)
+
+    def test_infeasible_utterance_in_a_batch_raises(self):
+        labels = [list(ids) for ids in self.LABELS]
+        labels[1] = [0, 0]  # a repeat needs 3 frames; row 1 has 2
+        with pytest.raises(ctc.InfeasibleAlignmentError):
+            ctc.ctc_loss(Tensor(self._batch(5)), self.LENGTHS, labels)
 
 
 class TestGreedyDecode:

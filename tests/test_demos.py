@@ -9,7 +9,7 @@ ROOT = pathlib.Path(__file__).resolve().parents[1]
 
 
 def test_autodiff_tour_runs():
-    # demo 05 is the quick one; it calls the dense segmental entry points
+    # demo 05 is the quick one; it grad-checks the batch CTC and segmental losses
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
     proc = subprocess.run([sys.executable, str(ROOT / "demos" / "05_autodiff_tour.py")],

@@ -567,6 +567,23 @@ class TestRecognition:
         assert out.read_text() == (tmp_path / "dump2.tsv").read_text()
 
 
+    @pytest.mark.parametrize("kind", ["ctc", "segmental"])
+    def test_batch_loss_is_one_tape_node_at_any_batch_size(self, corpus_dir, kind):
+        """The recognizer loss adds one node per batch, not one per
+        utterance: batches of 2 and of 4 utterances of the same lengths
+        (so the same segment cap) record the same number of nodes."""
+        cfg = small_cfg(corpus_dir, {("recognizer", "kind"): kind, ("recognizer", "s_max"): "24"})
+        ds = pipelines.load_dataset(cfg)
+        model, _ = recognition.build_recognizer(cfg, ds, ds.train[0].dim)
+        counts = []
+        for fms in (ds.train[:2], ds.train[:2] * 2):
+            with ad.Tape() as tape:
+                loss, _, _ = recognition.asr_batch_loss(model, fms, ds.train_align, 24, np.random.default_rng(0))
+            counts.append(len(tape.nodes))
+            assert tape.nodes[-1][0] is loss
+        assert counts[0] == counts[1]
+
+
 class TestSortedBatchInference:
     @staticmethod
     def _sorted_batches(lengths):
@@ -963,13 +980,17 @@ class TestCli:
                 "--set", f"data.feature_table={corpus_dir['feature_table']}", "--set", f"data.{key}={bad}"]
         assert main(args) == 3
 
-    @pytest.mark.parametrize("command,key", [("dtw-ap", "data.dev_align"), ("train-asr", "recognizer.vocab_file")])
+    @pytest.mark.parametrize("command,key", [("dtw-ap", "data.dev_align"), ("train-embed", "data.train_align"),
+                                             ("train-asr", "recognizer.vocab_file")])
     def test_non_utf8_text_exits_with_data_error_before_any_output(self, corpus_dir, tmp_path, capsys, command,
                                                                    key):
         from awekit.cli import main
 
         words = sorted(cp.load_lexicon(corpus_dir["lexicon"]).pronunciations)
-        text = open(corpus_dir["dev_align"], "rb").read() if command == "dtw-ap" else "\n".join(words).encode()
+        if key.startswith("data."):
+            text = open(corpus_dir[key[len("data."):]], "rb").read()
+        else:
+            text = "\n".join(words).encode()
         bad = tmp_path / "bad.txt"
         bad.write_bytes(text.replace(b"\n", b"\xff\n", 2))  # the second line ends in a byte UTF-8 never has
         out = tmp_path / "run"
@@ -978,7 +999,53 @@ class TestCli:
             args += ["--set", item]
         assert main(args) == 3
         assert f"data error: {bad}: not UTF-8 text" in capsys.readouterr().err
-        assert not [p for p in out.rglob("*") if p.is_file()]  # train-asr makes its directory before any read
+        assert not out.exists()
+
+    ALIGNMENT_FLAGS = [("query", "--query-align", False), ("query", "--truth-align", False),
+                       ("decode", "--align", False), ("export-embeddings", "--align", False),
+                       ("export-embeddings", "--align", True)]
+
+    @pytest.mark.parametrize("command,flag,past_end", ALIGNMENT_FLAGS,
+                             ids=["query-align", "truth-align", "decode-align", "export-align",
+                                  "export-align-past-end"])
+    def test_utterance_without_its_alignment_exits_3_before_any_output(self, corpus_dir, embed_checkpoint,
+                                                                        tmp_path, capsys, command, flag, past_end):
+        """An utterance missing from an alignment file, or an entry past the
+        end of the utterance whose frames it slices, is a data error
+        naming the utterance, found before anything is written."""
+        from awekit.cli import main
+
+        index = tmp_path / "dev.cadi"
+        pipelines.build_search_index(small_cfg(corpus_dir), embed_checkpoint, corpus_dir["dev"], index)
+        uid = search.load_index(index).refs[0].utterance_id  # a query, an indexed and a decoded utterance
+        fm = next(fm for fm in cp.load_feature_archive(corpus_dir["dev"]) if fm.utterance_id == uid)
+        align = cp.load_alignments(corpus_dir["dev_align"])
+        if past_end:
+            start, _, word = align[uid].entries[-1]
+            align[uid] = cp.WordAlignment(uid, ((start, fm.num_frames + 5, word),))
+            message = f"{uid}: alignment exceeds {fm.num_frames} frames"
+        else:
+            del align[uid]
+            message = f"no alignment for utterance {uid!r}"
+        bad = tmp_path / "bad_align.tsv"
+        cp.save_alignments(bad, list(align.values()))
+        out = tmp_path / "out"
+        if command == "query":
+            args = ["--checkpoint", embed_checkpoint, "--index", str(index), "--queries", corpus_dir["dev"],
+                    "--query-align", corpus_dir["dev_align"], "--truth-align", corpus_dir["dev_align"],
+                    "--out", str(out / "q.json")]
+        elif command == "decode":
+            cfg = small_cfg(corpus_dir, {("training", "epochs"): "0"})
+            asr = recognition.train_asr(cfg, tmp_path / "asr")["checkpoint"]
+            args = ["--checkpoint", asr, "--archive", corpus_dir["dev"], "--align", "", "--out", str(out / "dec.json")]
+        else:
+            args = ["--checkpoint", embed_checkpoint, "--archive", corpus_dir["dev"], "--align", "",
+                    "--out", str(out / "embs.tsv")]
+        args[args.index(flag) + 1] = str(bad)
+        assert main([command, *_data_args(corpus_dir), *args]) == 3
+        err = capsys.readouterr().err
+        assert f"data error: {message}" in err and "Traceback" not in err
+        assert not out.exists()
 
     def test_directory_given_as_an_input_file_exits_with_data_error(self, corpus_dir, tmp_path, capsys):
         from awekit.cli import main

@@ -69,6 +69,45 @@ def random_scores(rng, T, S, V, scale=1.0):
     return scale * rng.standard_normal((T, S, V))
 
 
+def packed(U):
+    """A dense (T, S, V) lattice as a batch-of-one ScoreTensor; cells with
+    t + s > T are left out."""
+    U = np.asarray(U, dtype=np.float64)
+    grid = seg.segment_grid([U.shape[0]], U.shape[1])
+    valid = grid[0] >= 0
+    P = np.empty((np.count_nonzero(valid), U.shape[2]))
+    P[grid[0][valid]] = U[valid]
+    return seg.ScoreTensor(Tensor(P), grid)
+
+
+def loss_value(U, labels):
+    """The package's marginal loss of a dense lattice."""
+    return float(seg.seg_loss(packed(U), [labels]).values)
+
+
+def loss_and_gradient(U, labels):
+    """The marginal loss of a dense lattice and d(loss)/dU, taken through
+    a tape on its packed rows; out-of-range cells get 0."""
+    st = packed(U)
+    with Tape() as tape:
+        loss = seg.seg_loss(st, [labels])
+    tape.backward(loss)
+    valid = st.index[0] >= 0
+    grad = np.zeros(np.shape(U))
+    grad[valid] = st.packed.grad[st.index[0][valid]]
+    return float(loss.values), grad
+
+
+def viterbi(U):
+    """The package's best path through a dense lattice."""
+    return seg.viterbi_decode(packed(U))[0]
+
+
+def path_score(path, U):
+    """The score of a decoded path on a dense lattice: its segments' cells."""
+    return float(sum(U[t, s - 1, v] for t, s, v in path.segments))
+
+
 def dense_lattice(st, b=0):
     """(T_b, S, V) expansion of utterance b of a packed ScoreTensor through
     its grid; out-of-range cells (t + s > T_b) hold NaN, which no kernel
@@ -80,16 +119,16 @@ def dense_lattice(st, b=0):
     return out
 
 
-def betas(P, grid, labels):
+def betas(st, labels):
     """log a_d and log b_d of a batch-of-one lattice."""
-    _, _, _, _, log_ad, _, ad_rev = seg._recursions(P, grid, [labels])
+    _, _, _, _, log_ad, _, ad_rev = seg._recursions(st.packed.values, st.index, [labels])
     return log_ad[0], ad_rev[0, ::-1]
 
 
 class TestMarginalLoss:
     def test_single_cell_loss_zero(self):
         U = np.array([[[0.7]]])  # T=S=V=1: numerator is the only path
-        assert seg.seg_marginal_loss_value(U, [0]) == pytest.approx(0.0)
+        assert loss_value(U, [0]) == pytest.approx(0.0)
 
     def test_two_frame_hand_enumeration(self):
         rng = np.random.default_rng(0)
@@ -99,7 +138,7 @@ class TestMarginalLoss:
         num = np.exp(U[0, 1, 0])
         den = np.exp(U[0, 1, :]).sum() + np.exp(U[0, 0, :])[:, None] @ np.exp(U[1, 0, :])[None, :]
         want = -np.log(num) + np.log(np.exp(U[0, 1, :]).sum() + np.exp(U[0, 0, :]).sum() * np.exp(U[1, 0, :]).sum())
-        assert seg.seg_marginal_loss_value(U, [0]) == pytest.approx(want, rel=1e-12)
+        assert loss_value(U, [0]) == pytest.approx(want, rel=1e-12)
 
     @pytest.mark.parametrize("seed", range(8))
     def test_matches_enumeration(self, seed):
@@ -114,22 +153,22 @@ class TestMarginalLoss:
         labels = rng.integers(0, V, size=K)
         U = random_scores(rng, T, S, V)
         want = -np.log(enum_numerator(U, labels)) + np.log(enum_denominator(U))
-        got = seg.seg_marginal_loss_value(U, labels)
+        got = loss_value(U, labels)
         assert got == pytest.approx(want, rel=1e-6)
 
     def test_infeasible_raises(self):
         U = np.zeros((3, 1, 2))
         with pytest.raises(seg.InfeasibleSegmentationError):
-            seg.seg_marginal_loss_value(U, [0])  # K*S = 1 < T
+            loss_value(U, [0])  # K*S = 1 < T
         with pytest.raises(seg.InfeasibleSegmentationError):
-            seg.seg_marginal_loss_value(U, [0, 1, 0, 1])  # K > T
+            loss_value(U, [0, 1, 0, 1])  # K > T
 
     def test_log_space_matches_direct_arithmetic(self):
         rng = np.random.default_rng(9)
         U = random_scores(rng, 4, 2, 2, scale=0.5)
         labels = [0, 1]
         want = -np.log(enum_numerator(U, labels) / enum_denominator(U))
-        assert seg.seg_marginal_loss_value(U, labels) == pytest.approx(want, abs=1e-9)
+        assert loss_value(U, labels) == pytest.approx(want, abs=1e-9)
 
     def test_completeness_numerators_sum_to_denominator(self):
         import itertools
@@ -149,7 +188,7 @@ class TestMarginalLoss:
             for labels in itertools.product(range(2), repeat=K):
                 if K * 3 < 5:
                     continue
-                prob += np.exp(-seg.seg_marginal_loss_value(U, list(labels)))
+                prob += np.exp(-loss_value(U, list(labels)))
         assert prob == pytest.approx(1.0, abs=1e-9)
 
     def test_exp_neg_loss_is_probability(self):
@@ -157,14 +196,14 @@ class TestMarginalLoss:
         for _ in range(10):
             U = random_scores(rng, 6, 3, 2)
             labels = rng.integers(0, 2, size=3)
-            p = np.exp(-seg.seg_marginal_loss_value(U, labels))
+            p = np.exp(-loss_value(U, labels))
             assert 0.0 < p <= 1.0
 
 
 class TestGradient:
     def test_single_path_gradient_zero(self):
         U = np.array([[[0.3]]])
-        loss, grad = seg.seg_gradient_value(U, [0])
+        loss, grad = loss_and_gradient(U, [0])
         assert loss == pytest.approx(0.0)
         np.testing.assert_allclose(grad, 0.0, atol=1e-12)
 
@@ -175,7 +214,7 @@ class TestGradient:
         U = random_scores(rng, T, S, V)
         K = int(rng.integers(2, 4))
         labels = rng.integers(0, V, size=K)
-        _, grad = seg.seg_gradient_value(U, labels)
+        _, grad = loss_and_gradient(U, labels)
         eps = 1e-5
         for t in range(T):
             for s in range(min(S, T - t)):
@@ -184,8 +223,7 @@ class TestGradient:
                     up[t, s, v] += eps
                     dn = U.copy()
                     dn[t, s, v] -= eps
-                    num = (seg.seg_marginal_loss_value(up, labels)
-                           - seg.seg_marginal_loss_value(dn, labels)) / (2 * eps)
+                    num = (loss_value(up, labels) - loss_value(dn, labels)) / (2 * eps)
                     rel = abs(grad[t, s, v] - num) / max(abs(num), abs(grad[t, s, v]), 1.0)
                     assert rel <= 1e-4
 
@@ -195,7 +233,7 @@ class TestGradient:
         T, S, V = 6, 3, 2
         U = random_scores(rng, T, S, V)
         labels = [0, 1, 0]
-        log_ad, log_bd = betas(*seg._pack(U), labels)
+        log_ad, log_bd = betas(packed(U), labels)
         for tau in range(1, T + 1):  # boundary between frames tau-1 and tau
             total = 0.0
             for t in range(T):
@@ -209,7 +247,7 @@ class TestGradient:
         T, S, V = 5, 2, 2
         U = random_scores(rng, T, S, V)
         labels = [0]
-        log_ad, log_bd = betas(*seg._pack(U), labels)
+        log_ad, log_bd = betas(packed(U), labels)
         total = 0.0
         for t in range(T):
             for s in range(1, min(S, T - t) + 1):
@@ -230,7 +268,7 @@ class TestGradient:
 class TestViterbi:
     def test_tie_break_prefers_short_then_small_label(self):
         U = np.zeros((3, 3, 2))  # every path scores 0 per segment
-        path = seg.viterbi_decode(U)[0]
+        path = viterbi(U)
         assert path.segments == ((0, 1, 0), (1, 1, 0), (2, 1, 0))
 
     @pytest.mark.parametrize("seed", range(8))
@@ -238,16 +276,16 @@ class TestViterbi:
         rng = np.random.default_rng(seed)
         T, S, V = 5, 2, 2
         U = random_scores(rng, T, S, V)
-        path = seg.viterbi_decode(U)[0]
-        assert path.score(U) == pytest.approx(enum_viterbi_score(U), abs=1e-9)
+        path = viterbi(U)
+        assert path_score(path, U) == pytest.approx(enum_viterbi_score(U), abs=1e-9)
 
     def test_constant_shift_changes_only_by_path_length(self):
         rng = np.random.default_rng(14)
         T, S, V = 6, 3, 2
         U = random_scores(rng, T, S, V)
         c = 0.37
-        base = seg.viterbi_decode(U)[0]
-        shifted = seg.viterbi_decode(U + c)[0]
+        base = viterbi(U)
+        shifted = viterbi(U + c)
         # among fixed-length paths the argmax is invariant; check via
         # enumeration restricted to the base path's segment count
         K = len(base.segments)
@@ -260,12 +298,12 @@ class TestViterbi:
              for comp in compositions(T, S) if len(comp) == K),
         )
         assert best_fixed_shifted == pytest.approx(best_fixed + c * K, abs=1e-9)
-        assert shifted.score(U + c) >= base.score(U + c) - 1e-12
+        assert path_score(shifted, U + c) >= path_score(base, U + c) - 1e-12
 
     def test_viterbi_beats_random_paths(self):
         rng = np.random.default_rng(15)
         U = random_scores(rng, 7, 3, 3)
-        best = seg.viterbi_decode(U)[0].score(U)
+        best = path_score(viterbi(U), U)
         for comp in list(compositions(7, 3))[:50]:
             t = 0
             score = 0.0
@@ -345,8 +383,10 @@ class TestScoreSegments:
 
 
 class TestPackedLattice:
-    """The packed path (score_segments -> seg_loss / viterbi_decode) equals
-    the dense entry points on the same lattice, bit for bit."""
+    """The dense lattices the oracle tests use reach the package through
+    ``packed``: a round trip of score_segments' rows through
+    ``dense_lattice`` gives back the same rows, loss, gradient and path,
+    bit for bit."""
 
     def _lattice(self, max_len, seed):
         enc, pl = TestScoreSegments()._make("mean")
@@ -364,7 +404,9 @@ class TestPackedLattice:
         with Tape() as tape:
             loss = seg.seg_loss(leaf, [labels])
         tape.backward(loss)
-        want_loss, want_grad = seg.seg_gradient_value(dense_lattice(st), labels)
+        dense = dense_lattice(st)
+        np.testing.assert_array_equal(packed(dense).packed.values, st.packed.values)
+        want_loss, want_grad = loss_and_gradient(dense, labels)
         assert float(loss.values) == want_loss
         valid = st.index[0] >= 0
         np.testing.assert_array_equal(leaf.packed.grad[st.index[0][valid]], want_grad[valid])
@@ -373,7 +415,7 @@ class TestPackedLattice:
     @pytest.mark.parametrize("max_len", [2, 3, 7])
     def test_viterbi_packed_equals_dense(self, max_len):
         st = self._lattice(max_len, 18)
-        assert seg.viterbi_decode(st) == seg.viterbi_decode(dense_lattice(st))
+        assert seg.viterbi_decode(st) == [viterbi(dense_lattice(st))]
 
 
 class TestBatchedLattice:
@@ -456,8 +498,8 @@ class TestBatchedLattice:
             Pb, alone, _ = self._alone(P, grid, b)
             assert path == seg.viterbi_decode(seg.ScoreTensor(Tensor(Pb), alone))[0]
             U = dense_lattice(st, b)
-            assert path == seg.viterbi_decode(U)[0]
-            assert path.score(U) == pytest.approx(enum_viterbi_score(U), abs=1e-12)
+            assert path == viterbi(U)
+            assert path_score(path, U) == pytest.approx(enum_viterbi_score(U), abs=1e-12)
         if not P.any():  # every path ties: all length-1 segments of label 0
             assert all(p.segments == tuple((t, 1, 0) for t in range(T))
                        for p, T in zip(paths, self.LENGTHS))
