@@ -15,6 +15,7 @@ import math
 import os
 import struct
 import uuid
+import zlib
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -45,7 +46,7 @@ class UnknownPhoneError(CorpusError):
 
 
 ARCHIVE_MAGIC = b"CADF"
-ARCHIVE_VERSION = 1
+ARCHIVE_VERSION = 2
 _F32 = np.dtype("<f4")  # the binary formats' float: little-endian float32
 
 
@@ -168,9 +169,6 @@ class Lexicon:
     def __getitem__(self, word):
         return self.pronunciations[word]
 
-    def symbols(self) -> list[str]:
-        return sorted(self.inventory)
-
 
 @dataclass(frozen=True)
 class FeatureTable:
@@ -275,40 +273,63 @@ def pack_name(text: str) -> bytes:
     return struct.pack("<H", len(raw)) + raw
 
 
+@contextlib.contextmanager
+def open_binary(path, magic: bytes, version: int):
+    """``open_artifact`` for a binary file: ``magic``, the ``<I`` version, the
+    block's ``write(data)`` calls, then their ``<I`` CRC32, kept as they stream."""
+    crc = 0
+    with open_artifact(path, "wb") as fh:
+        def write(data):
+            nonlocal crc
+            crc = zlib.crc32(data, crc)
+            fh.write(data)
+        write(magic + struct.pack("<I", version))
+        yield write
+        fh.write(struct.pack("<I", crc))
+
+
 class BinaryReader:
-    """One binary file read whole and parsed front to back: a 4-byte magic,
-    then little-endian fields, ``pack_name`` names and float32 arrays.
+    """One binary file (``open_binary``) read whole and parsed front to
+    back: little-endian fields, UTF-8 texts and float32 arrays. A wrong
+    magic or version (the message then ends in ``remedy``) or a text that
+    is not UTF-8 raises ``error``. A CRC32 mismatch, checked before any
+    field is read, a read past the end or bytes left over at ``finish``
+    raises ``truncated`` (``error`` when not given). Messages name the file."""
 
-    A wrong magic or a name that is not UTF-8 raises ``error``; a read past
-    the end, or bytes left over at ``finish``, raises ``truncated``
-    (``error`` when not given). Each of these messages names the file."""
-
-    def __init__(self, path, magic: bytes, error, truncated=None):
+    def __init__(self, path, magic: bytes, version: int, remedy: str, error, truncated=None):
         with open(path, "rb") as f:
             self.data = f.read()
         self.path, self.error, self.truncated = path, error, truncated or error
         if self.data[:4] != magic:
             raise error(f"{path}: not a {magic.decode()} file")
-        self.off = 4
+        self.off, self.end = 4, len(self.data)
+        (found,) = self.unpack("<I")
+        if found != version:
+            raise error(f"{path}: unsupported {magic.decode()} version {found}; {remedy}")
+        self.end -= 4  # the CRC32 trailer, checked on a view: no copy of the file
+        crc = zlib.crc32(memoryview(self.data)[: self.end])
+        if self.end < 8 or crc != int.from_bytes(self.data[self.end :], "little"):
+            raise self.truncated(f"{path}: CRC32 mismatch: the file is truncated or corrupt")
 
     def _advance(self, n: int) -> int:
         """The offset of the next ``n`` bytes, which are then consumed."""
         at = self.off
-        if at + n > len(self.data):
-            raise self.truncated(f"{self.path}: truncated: {n} bytes wanted at byte {at} of {len(self.data)}")
+        if at + n > self.end:
+            raise self.truncated(f"{self.path}: truncated: {n} bytes wanted at byte {at} of {self.end}")
         self.off = at + n
         return at
 
     def unpack(self, fmt: str) -> tuple:
         return struct.unpack_from(fmt, self.data, self._advance(struct.calcsize(fmt)))
 
-    def name(self) -> str:
-        (n,) = self.unpack("<H")
+    def text(self, count: str = "<H") -> str:
+        """The next UTF-8 text after its byte count of format ``count``."""
+        (n,) = self.unpack(count)
         at = self._advance(n)
         try:
             return self.data[at : at + n].decode("utf-8")
         except UnicodeDecodeError as e:
-            raise self.error(f"{self.path}: name at byte {at} is not UTF-8") from e
+            raise self.error(f"{self.path}: text at byte {at} is not UTF-8") from e
 
     def floats(self, shape: tuple) -> np.ndarray:
         """The next float32 array of ``shape``, as a read-only view of the file."""
@@ -317,32 +338,28 @@ class BinaryReader:
         return np.ndarray(shape, _F32, self.data, self._advance(4 * math.prod(shape)))
 
     def finish(self):
-        if self.off != len(self.data):
-            raise self.truncated(f"{self.path}: {len(self.data) - self.off} trailing bytes")
+        if self.off != self.end:
+            raise self.truncated(f"{self.path}: {self.end - self.off} trailing bytes")
 
 
 def save_feature_archive(path, fms: list[FrameMatrix]):
-    with open_artifact(path, "wb") as f:
-        f.write(ARCHIVE_MAGIC + struct.pack("<II", ARCHIVE_VERSION, len(fms)))
+    with open_binary(path, ARCHIVE_MAGIC, ARCHIVE_VERSION) as write:
+        write(struct.pack("<I", len(fms)))
         for fm in fms:
-            f.write(pack_name(fm.utterance_id) + struct.pack("<IIf", fm.num_frames, fm.dim, fm.frames_per_second))
-            f.write(fm.frames.astype("<f4").tobytes())
+            write(pack_name(fm.utterance_id) + struct.pack("<IIf", fm.num_frames, fm.dim, fm.frames_per_second))
+            write(fm.frames.astype("<f4").tobytes())
 
 
 def load_feature_archive(path) -> list[FrameMatrix]:
-    """Read a feature archive; order is preserved.
-
-    Raises MalformedHeaderError (magic, version, names),
-    TruncatedPayloadError (a short file, trailing bytes) or
-    NonFiniteValueError (frames).
-    """
-    r = BinaryReader(path, ARCHIVE_MAGIC, MalformedHeaderError, TruncatedPayloadError)
-    version, count = r.unpack("<II")
-    if version != ARCHIVE_VERSION:
-        raise MalformedHeaderError(f"{path}: unsupported version {version}")
+    """Read a feature archive; order is preserved. Raises MalformedHeaderError
+    (magic, version, names), TruncatedPayloadError (a CRC32 mismatch, a short
+    file, trailing bytes) or NonFiniteValueError (frames)."""
+    r = BinaryReader(path, ARCHIVE_MAGIC, ARCHIVE_VERSION, "regenerate the archive", MalformedHeaderError,
+                     TruncatedPayloadError)
+    (count,) = r.unpack("<I")
     out = []
     for _ in range(count):
-        uid = r.name()
+        uid = r.text()
         T, D, fps = r.unpack("<IIf")
         frames = r.floats((T, D))
         if not np.isfinite(frames).all():

@@ -25,10 +25,10 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .corpus import BinaryReader, open_artifact, pack_name
+from .corpus import BinaryReader, open_binary, pack_name
 
 CHECKPOINT_MAGIC = b"CADP"
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 RECURRENT_DTYPE = np.float32  # the dtype of the encoders' recurrent weights
 
 
@@ -411,53 +411,50 @@ class PlateauScheduler:
 # Checkpoints
 
 
-def save_checkpoint(path, params: list[Parameter]):
-    """Named-parameter archive: magic, version, then per-parameter name,
-    shape, and little-endian f32 payload. Bit-exact round trip for float32
-    parameters. Written whole or not at all (``corpus.open_artifact``)."""
-    with open_artifact(path, "wb") as f:
-        f.write(CHECKPOINT_MAGIC + struct.pack("<II", CHECKPOINT_VERSION, len(params)))
+def save_checkpoint(path, params: list[Parameter], meta: str):
+    """CADP version 2 (``corpus.open_binary``): the ``<I``-counted UTF-8
+    metadata text ``meta`` (``pipelines.checkpoint_meta``), the parameter
+    count, then each parameter's name, shape and float32 payload."""
+    block = meta.encode("utf-8")
+    with open_binary(path, CHECKPOINT_MAGIC, CHECKPOINT_VERSION) as write:
+        write(struct.pack("<I", len(block)) + block + struct.pack("<I", len(params)))
         for p in params:
             shape = p.values.shape
-            f.write(pack_name(p.name) + struct.pack(f"<I{len(shape)}I", len(shape), *shape))
-            f.write(p.values.astype("<f4").tobytes())
+            write(pack_name(p.name) + struct.pack(f"<I{len(shape)}I", len(shape), *shape))
+            write(p.values.astype("<f4").tobytes())
 
 
 class CheckpointError(Exception):
     pass
 
 
-def load_checkpoint(path) -> dict[str, np.ndarray]:
-    """Read a parameter archive back as name -> float64 array."""
-    r = BinaryReader(path, CHECKPOINT_MAGIC, CheckpointError)
-    version, count = r.unpack("<II")
-    if version != CHECKPOINT_VERSION:
-        raise CheckpointError(f"{path}: unsupported version {version}")
+def load_checkpoint(path) -> tuple[str, dict[str, np.ndarray]]:
+    """A CADP file's metadata text, and its parameters as name -> float64."""
+    r = BinaryReader(path, CHECKPOINT_MAGIC, CHECKPOINT_VERSION, "retrain the model", CheckpointError)
+    meta = r.text("<I")
     out: dict[str, np.ndarray] = {}
-    for _ in range(count):
-        name = r.name()
+    for _ in range(r.unpack("<I")[0]):
+        name = r.text()
         (ndim,) = r.unpack("<I")
         arr = r.floats(r.unpack(f"<{ndim}I"))
         if not np.isfinite(arr).all():  # before the cast, which warns on a signalling NaN
             raise CheckpointError(f"{name}: non-finite weights")
         out[name] = arr.astype(np.float64)
     r.finish()
-    return out
+    return meta, out
 
 
-def assign_from_checkpoint(params: list[Parameter], loaded: dict[str, np.ndarray], strict: bool = True):
-    """Copy loaded arrays into matching parameters by name. ``strict``:
-    every array must name a parameter and every parameter an array."""
+def assign_from_checkpoint(params: list[Parameter], loaded: dict[str, np.ndarray]):
+    """Copy loaded arrays into the parameters of the same names: every
+    array must name a parameter and every parameter an array."""
     byname = {p.name: p for p in params}
     missing = [name for name in byname if name not in loaded]
-    if strict and missing:
+    if missing:
         raise CheckpointError(f"no weights for {', '.join(missing)}")
     for name, arr in loaded.items():
         p = byname.get(name)
         if p is None:
-            if strict:
-                raise CheckpointError(f"no parameter named {name}")
-            continue
+            raise CheckpointError(f"no parameter named {name}")
         if p.values.shape != arr.shape:
             raise CheckpointError(f"shape mismatch for {name}: {p.values.shape} vs {arr.shape}")
         p.values[...] = arr

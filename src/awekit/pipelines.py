@@ -48,7 +48,7 @@ from . import nn
 from . import objectives as obj
 from . import search as srch
 from .autodiff import Tape, Tensor
-from .config import DEFAULTS, SCHEMA_VERSION, ConfigError, ExperimentConfig, component_rng
+from .config import DEFAULTS, PATH, SCHEMA, SCHEMA_VERSION, ConfigError, ExperimentConfig, component_rng
 
 
 class DataError(Exception):
@@ -100,10 +100,8 @@ def load_dataset(cfg: ExperimentConfig) -> Dataset:
     train_align = cp.load_alignments(cfg.data_path("train_align"))
     dev = cp.load_feature_archive(cfg.data_path("dev"))
     dev_align = cp.load_alignments(cfg.data_path("dev_align"))
-    lex_path = cfg.get("data", "lexicon")
-    lexicon = cp.load_lexicon(cfg.data_path("lexicon")) if lex_path else None
-    ft_path = cfg.get("data", "feature_table")
-    feature_table = cp.load_feature_table(cfg.data_path("feature_table")) if ft_path else None
+    lexicon = cp.load_lexicon(cfg.data_path("lexicon")) if cfg.get("data", "lexicon") else None
+    feature_table = cp.load_feature_table(cfg.data_path("feature_table")) if cfg.get("data", "feature_table") else None
     alignments_for(train, train_align)
     alignments_for(dev, dev_align)
     return Dataset(train, train_align, dev, dev_align, lexicon, feature_table)
@@ -186,20 +184,26 @@ def build_acoustic_encoder(cfg: ExperimentConfig, input_dim: int, rng) -> enc.Ac
     return enc.AcousticEncoder(config, rng)
 
 
-def _symbol_inventory(lexicon, labels) -> list:
-    if lexicon is not None:
-        chars = {ch for w in lexicon.pronunciations for ch in w}
-    else:
-        chars = set()
-    chars.update(ch for w in labels for ch in w)
-    return sorted(chars)
-
-
-def build_written_encoder(cfg: ExperimentConfig, lexicon, feature_table, labels, f: enc.AcousticEncoder,
-                          rng):
+def written_inventory(cfg: ExperimentConfig, lexicon, feature_table, labels) -> tuple:
+    """(symbols, feature table) of a new written encoder: the letters of the
+    lexicon's words and ``labels`` (char mode), its symbols (phone) or the table."""
     mode = cfg.get("written", "mode")
+    if mode == "char":
+        words = [*(lexicon.pronunciations if lexicon is not None else ()), *labels]
+        return sorted({ch for w in words for ch in w}), None
+    if mode == "phone":
+        if lexicon is None:
+            raise ConfigError("phone mode needs [data] lexicon")
+        return sorted(lexicon.inventory), None
+    if feature_table is None:
+        raise ConfigError("feature mode needs [data] feature_table")
+    return None, feature_table
+
+
+def build_written_encoder(cfg: ExperimentConfig, inventory: tuple, f: enc.AcousticEncoder, rng):
+    """The written encoder over ``inventory``, (symbols, feature table)."""
     wcfg = enc.WrittenEncoderConfig(
-        mode=mode,
+        mode=cfg.get("written", "mode"),
         symbol_embed_dim=cfg.getint("written", "symbol_embed_dim"),
         hidden=cfg.getint("written", "hidden"),
         embed_dim=cfg.getint("encoder", "embed_dim"),
@@ -207,17 +211,7 @@ def build_written_encoder(cfg: ExperimentConfig, lexicon, feature_table, labels,
     shared = None
     if 2 * wcfg.hidden == f.frame_width and not f.fc:
         shared = (f.proj_w, f.proj_b)
-    symbols = None
-    if mode == "char":
-        symbols = _symbol_inventory(lexicon, labels)
-    elif mode == "phone":
-        if lexicon is None:
-            raise ConfigError("phone mode needs [data] lexicon")
-        symbols = lexicon.symbols()
-    elif feature_table is None:
-        raise ConfigError("feature mode needs [data] feature_table")
-    return enc.WrittenEncoder(wcfg, rng, symbols=symbols, feature_table=feature_table,
-                              shared_projection=shared)
+    return enc.WrittenEncoder(wcfg, rng, *inventory, shared_projection=shared)
 
 
 def build_optimizer(cfg: ExperimentConfig):
@@ -240,16 +234,31 @@ def _dump_json(path, value):
         json.dump(value, fh, indent=1, sort_keys=True)
 
 
-def save_model(path, params, meta: dict):
-    nn.save_checkpoint(path, params)
-    _dump_json(str(path) + ".json", meta)
+# ---------------------------------------------------------------------------
+# Checkpoints
+
+# Each model's metadata fields besides "model", "config" and "written", and their types (a list holds strings)
+META_FIELDS = {"embed": {"objective": str, "input_dim": int},
+               "asr": {"kind": str, "input_dim": int, "vocab": list, "unk": (str, type(None))}}
+# Where a run's inputs were and how many threads it ran change no weight, so a
+# checkpoint's config leaves these keys out, and a reload sets them to their defaults.
+UNECHOED = {("run", "threads")} | {(s, k) for s, keys in SCHEMA.items() for k, (_, spec) in keys.items()
+                                   if spec is PATH}
 
 
-# The fields a checkpoint's metadata holds, by model, and their types; a
-# list holds strings.
-META_FIELDS = {"embed": {"objective": str, "input_dim": int, "train_labels": list},
-               "asr": {"kind": str, "input_dim": int, "vocab": list, "unk": (str, type(None)),
-                       "has_written": bool}}
+def checkpoint_meta(model: str, cfg: ExperimentConfig, g, **fields) -> str:
+    """A ``model`` ("embed" or "asr") checkpoint's metadata as JSON, keys
+    sorted so reruns write the same bytes: its META_FIELDS, the config but
+    UNECHOED, and as "written" the written encoder ``g``'s inventory."""
+    written = None
+    if g is not None and g.feature_table is not None:
+        ft = g.feature_table
+        written = {"feature_names": list(ft.feature_names), "table": {p: v.tolist() for p, v in ft.table.items()}}
+    elif g is not None:
+        written = {"symbols": g.symbols}
+    config = {s: {k: v for k, v in kv.items() if (s, k) not in UNECHOED} for s, kv in cfg.resolved().items()}
+    meta = {"version": SCHEMA_VERSION, "model": model, "config": config, "written": written, **fields}
+    return json.dumps(meta, sort_keys=True)
 
 
 def _meta_type_ok(value, kind) -> bool:
@@ -258,57 +267,53 @@ def _meta_type_ok(value, kind) -> bool:
     return isinstance(value, kind)
 
 
-def load_model_meta(path) -> dict:
-    """A checkpoint's sidecar metadata, its echoed config reduced to the
-    keys of DEFAULTS (removed keys are ignored). CheckpointError when the
-    sidecar is not JSON, lacks a config key or lacks a field of the right
-    type; ConfigError when a config value breaks the schema."""
+def load_model(path, model: str) -> tuple[dict, dict]:
+    """(metadata, arrays) of a ``model`` checkpoint, the config reduced to the
+    keys of DEFAULTS (removed keys are ignored), "written" to (symbols, feature
+    table) or None. CheckpointError when the file holds another model or a
+    field is missing or mistyped; ConfigError for a config value off the schema."""
+    text, arrays = nn.load_checkpoint(path)
     try:
-        with open(str(path) + ".json", encoding="utf-8") as f:
-            meta = json.load(f)
-        fields = META_FIELDS[meta["model"]].items()
-        bad = [field for field, kind in fields if not _meta_type_ok(meta.get(field), kind)]
-        config = {s: {k: str(meta["config"][s][k]) for k in keys} for s, keys in DEFAULTS.items()}
-    except (ValueError, KeyError, TypeError) as e:  # JSONDecodeError and UnicodeDecodeError are ValueErrors
-        raise nn.CheckpointError(f"{path}.json: not checkpoint metadata, {e!r}") from e
+        meta = json.loads(text)
+        if meta.get("model") != model:
+            raise nn.CheckpointError(f"{path} holds a {meta.get('model')!r} model; this command needs {model!r}")
+        bad = [field for field, kind in META_FIELDS[model].items() if not _meta_type_ok(meta.get(field), kind)]
+        config = {s: {k: DEFAULTS[s][k] if (s, k) in UNECHOED else str(meta["config"][s][k]) for k in keys}
+                  for s, keys in DEFAULTS.items()}
+        written = meta["written"]
+        if written is not None and "table" in written:
+            written = None, cp.FeatureTable.from_dict(written["feature_names"], written["table"])
+        elif written is not None:
+            written = written["symbols"], None
+            bad += [] if _meta_type_ok(written[0], list) else ["written symbols"]
+    except (ValueError, KeyError, TypeError, AttributeError, OverflowError, cp.CorpusError) as e:
+        raise nn.CheckpointError(f"{path}: not checkpoint metadata, {e!r}") from e
     if bad:
-        raise nn.CheckpointError(f"{path}.json: no {', '.join(bad)} of the right type")
+        raise nn.CheckpointError(f"{path}: no {', '.join(bad)} of the right type")
     try:
         ExperimentConfig(config).check()
     except ConfigError as e:
-        raise ConfigError(f"{path}.json: {e}") from e
-    return {**meta, "config": config}
+        raise ConfigError(f"{path}: {e}") from e
+    return {**meta, "config": config, "written": written}, arrays
 
 
-def _load_if_exists(cfg: ExperimentConfig, key: str, load):
-    """``load`` the [data] file ``key`` of a checkpoint's config; None when
-    it is unset or not on this machine."""
-    path = cfg.get("data", key)
-    return load(path) if path and os.path.exists(path) else None
-
-
-def rebuild_encoders(meta: dict, written_labels):
-    """(config, acoustic encoder, written encoder, lexicon) described by
-    a checkpoint's metadata, before its weights are assigned. The written
-    encoder is built over ``written_labels``, or is None when they are."""
+def rebuild_encoders(checkpoint: str, model: str, written: bool):
+    """(metadata, arrays, config, acoustic encoder, written encoder) of a ``model``
+    checkpoint, unassigned; no written encoder unless ``written`` and it has one."""
+    meta, arrays = load_model(checkpoint, model)
     cfg = ExperimentConfig(meta["config"])
     rng = component_rng(cfg.seed, "init")
     f = build_acoustic_encoder(cfg, meta["input_dim"], rng)
-    lexicon = _load_if_exists(cfg, "lexicon", cp.load_lexicon)
-    g = None
-    if written_labels is not None:
-        feature_table = _load_if_exists(cfg, "feature_table", cp.load_feature_table)
-        g = build_written_encoder(cfg, lexicon, feature_table, written_labels, f, rng)
-    return cfg, f, g, lexicon
+    g = build_written_encoder(cfg, meta["written"], f, rng) if written and meta["written"] else None
+    return meta, arrays, cfg, f, g
 
 
-def rebuild_embed_model(checkpoint: str):
-    """Reconstruct encoders from a checkpoint and its sidecar metadata."""
-    meta = load_model_meta(checkpoint)
-    written = meta["train_labels"] if meta["objective"] == "multiview" else None
-    cfg, f, g, _ = rebuild_encoders(meta, written)
+def rebuild_embed_model(checkpoint: str, written: bool = True):
+    """(acoustic encoder, written encoder or None, metadata, config) of an
+    embedding checkpoint; without ``written`` the g.* arrays are skipped."""
+    meta, arrays, cfg, f, g = rebuild_encoders(checkpoint, "embed", written)
     params = f.parameters() + (g.parameters() if g is not None else [])
-    nn.assign_from_checkpoint(params, nn.load_checkpoint(checkpoint))
+    nn.assign_from_checkpoint(params, {n: a for n, a in arrays.items() if g is not None or not n.startswith("g.")})
     return f, g, meta, cfg
 
 
@@ -527,7 +532,8 @@ def train_embed(cfg: ExperimentConfig, outdir: str) -> dict:
     params = f.parameters()
     g = None
     if kind == "multiview":
-        g = build_written_encoder(cfg, ds.lexicon, ds.feature_table, train_labels, f, init_rng)
+        g = build_written_encoder(cfg, written_inventory(cfg, ds.lexicon, ds.feature_table, train_labels), f,
+                                  init_rng)
         params = params + g.parameters()
     elif kind == "classifier" and f.config.embed_dim != len(train_labels):
         raise ConfigError(
@@ -584,15 +590,7 @@ def train_embed(cfg: ExperimentConfig, outdir: str) -> dict:
     best_metric, history = train_epochs(cfg, outdir, params, lengths, batch_loss, evaluate, "max")
 
     ckpt = os.path.join(outdir, "embed.cadp")
-    meta = {
-        "version": SCHEMA_VERSION,
-        "model": "embed",
-        "objective": kind,
-        "input_dim": input_dim,
-        "config": cfg.resolved(),
-        "train_labels": train_labels,
-    }
-    save_model(ckpt, params, meta)
+    nn.save_checkpoint(ckpt, params, checkpoint_meta("embed", cfg, g, objective=kind, input_dim=input_dim))
     report = {
         "checkpoint": ckpt,
         "best_metric": best_metric,
@@ -723,7 +721,7 @@ def _window_config(cfg: ExperimentConfig) -> srch.WindowConfig:
 
 
 def build_search_index(cfg: ExperimentConfig, checkpoint: str, archive_path: str, out_path: str) -> dict:
-    f, _, _, _ = rebuild_embed_model(checkpoint)
+    f, _, _, _ = rebuild_embed_model(checkpoint, written=False)
     fms = cp.load_feature_archive(archive_path)
     wcfg = _window_config(cfg)
     windows = [srch.generate_windows(fm.num_frames, wcfg) for fm in fms]
@@ -757,7 +755,7 @@ def query_search_index(cfg: ExperimentConfig, checkpoint: str, index_path: str,
     ground-truth alignments for the search collection, FOM / OTWV / P@10
     and the decision metrics are reported, aggregated per query type
     (median and max)."""
-    f, _, _, _ = rebuild_embed_model(checkpoint)
+    f, _, _, _ = rebuild_embed_model(checkpoint, written=False)
     index = srch.load_index(index_path)
     wcfg = _window_config(cfg)
     beam = cfg.getint("search", "beamwidth")
@@ -781,6 +779,9 @@ def query_search_index(cfg: ExperimentConfig, checkpoint: str, index_path: str,
     q_ids = [q.utterance_id for q in queries]
     q_terms = {u: " ".join(al.labels()) for u, al in zip(q_ids, alignments_for(q_ids, q_align))}
     truth_align = alignments_for(utt_ids, cp.load_alignments(truth_align_path)) if truth_align_path else None
+    hours = 0.0
+    if truth_align_path and search_archive:  # reduced to its hours at once, before any output
+        hours = sum(fm.num_frames / fm.frames_per_second for fm in cp.load_feature_archive(search_archive)) / 3600
 
     report = {"num_queries": len(q_ids), "num_utterances": len(utt_ids), "beamwidth": beam,
               "config": cfg.resolved(), "version": SCHEMA_VERSION}
@@ -795,17 +796,12 @@ def query_search_index(cfg: ExperimentConfig, checkpoint: str, index_path: str,
                 fh.write(f"{q}\t{utt_ids[pos]}\t{score_matrix[qi][pos]:.6f}\t{ws}\t{wz}\n")
 
     if truth_align_path:
-        hours = 0.0
-        if search_archive:
-            fms = cp.load_feature_archive(search_archive)
-            hours = sum(fm.num_frames / fm.frames_per_second for fm in fms) / 3600.0
-        hours = hours or 1.0
         labels = [al.labels() for al in truth_align]
         # one truth row per distinct query term, shared by the term's queries
         contains = {t: [_contains_subsequence(ls, t.split(" ")) for ls in labels]
                     for t in set(q_terms.values())}
         truth = np.array([contains[q_terms[q]] for q in q_ids], dtype=bool).reshape(len(q_ids), len(utt_ids))
-        qrs = mx.QueryResultSet(q_ids, utt_ids, score_matrix, truth, q_terms, hours)
+        qrs = mx.QueryResultSet(q_ids, utt_ids, score_matrix, truth, q_terms, hours or 1.0)
         fom_q = mx.fom_per_query(qrs)
         otwv_q = mx.otwv_per_query(qrs)
         p10_q = mx.p_at_k_per_query(qrs, 10)

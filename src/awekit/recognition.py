@@ -46,14 +46,14 @@ from .pipelines import (
     alignments_for,
     build_acoustic_encoder,
     build_written_encoder,
+    checkpoint_meta,
     embed_frames,
     load_dataset,
-    load_model_meta,
+    load_model,
     map_sorted_batches,
     parallel_map,  # unused here; the benchmark tracer patches recognition.parallel_map
     rebuild_embed_model,
     rebuild_encoders,
-    save_model,
     train_epochs,
     word_span_items,
 )
@@ -74,7 +74,6 @@ class RecognizerModel:
     blank_w: nn.Parameter | None
     blank_b: nn.Parameter | None
     vocab: cp.Vocabulary
-    lexicon: cp.Lexicon | None
 
     def parameters(self):
         out = list(self.f.parameters())
@@ -119,13 +118,15 @@ def build_recognizer(cfg: ExperimentConfig, ds: Dataset, input_dim: int):
     if pretrained:
         if not init_ckpt:
             raise ConfigError(f"training_mode {mode!r} needs [recognizer] init_checkpoint")
-        cfg = _merge_encoder_config(cfg, load_model_meta(init_ckpt))
+        meta, arrays = load_model(init_ckpt, "embed")
+        if meta["written"] is None:
+            raise nn.CheckpointError(f"{init_ckpt}: {meta['objective']} models have no written encoder to {mode}")
+        cfg = _merge_encoder_config(cfg, meta)
     f = build_acoustic_encoder(cfg, input_dim, init_rng)
     g = None
     if pretrained:
-        g = build_written_encoder(cfg, ds.lexicon, ds.feature_table, labels, f, init_rng)
-        nn.assign_from_checkpoint(f.parameters() + g.parameters(), nn.load_checkpoint(init_ckpt),
-                                  strict=False)
+        g = build_written_encoder(cfg, meta["written"], f, init_rng)
+        nn.assign_from_checkpoint(f.parameters() + g.parameters(), arrays)
     model = _assemble(cfg, kind, f, g, vocab, ds.lexicon, written_rows=pretrained)
     _rescale_projection(model, ds)
     return model, cfg
@@ -150,7 +151,7 @@ def _assemble(cfg: ExperimentConfig, kind: str, f, g, vocab, lexicon, written_ro
         d = f.config.embed_dim
         blank_w = nn.Parameter("blank.w", nn.normal_init(component_rng(cfg.seed, "blank-init"), d) / np.sqrt(d))
         blank_b = nn.Parameter("blank.b", np.zeros(1))
-    return RecognizerModel(kind, f, g, pl, blank_w, blank_b, vocab, lexicon)
+    return RecognizerModel(kind, f, g, pl, blank_w, blank_b, vocab)
 
 
 def _rescale_projection(model, ds: Dataset):
@@ -231,7 +232,7 @@ def asr_batch_loss(model, fms, alignments, s_max: int, rng):
     return ctc_mod.ctc_loss(log_probs, lengths, transcripts), n, out
 
 
-def joint_embedding_loss(model, objective: Objective, out, fms, alignments, window, k, sample_rng):
+def joint_embedding_loss(model, objective: Objective, out, fms, alignments, lexicon, window, k, sample_rng):
     """Contrastive multi-view loss with ``k`` negatives over the batch's
     word segments whose length is in ``window`` = (min, max) frames."""
     entries = [alignments[fm.utterance_id].entries for fm in fms]
@@ -239,21 +240,20 @@ def joint_embedding_loss(model, objective: Objective, out, fms, alignments, wind
     if not items:
         return None
     full_vocab = [v for v in model.vocab.labels if v != model.vocab.unk_token]
-    return objective.multiview_loss(_span_embeddings(model, out, items), labels, model.g, model.lexicon,
-                                    full_vocab, k, sample_rng)
+    return objective.multiview_loss(_span_embeddings(model, out, items), labels, model.g, lexicon, full_vocab, k,
+                                    sample_rng)
 
 
-def regularizer_loss(model, fms, alignments, live: bool):
+def regularizer_loss(model, fms, alignments, lexicon, live: bool):
     words = sorted({v for fm in fms for v in alignments[fm.utterance_id].labels()
                     if v in model.vocab and v != model.vocab.unk_token})
     if not words:
         return None
     idx = np.array([model.vocab.index(w) for w in words], dtype=np.intp)
     rows = ad.getitem(model.pl.w.tensor, idx)
-    if live:
-        written = model.g.embed_words(words, model.lexicon)
-    else:
-        written = Tensor(model.g.embed_words(words, model.lexicon).values)
+    written = model.g.embed_words(words, lexicon)
+    if not live:
+        written = Tensor(written.values)
     return obj.agwe_regularizer(rows, written)
 
 
@@ -334,10 +334,10 @@ def train_asr(cfg: ExperimentConfig, outdir: str) -> dict:
         asr = ad.scale(asr, 1.0 / max(1, n_tok))
         emb_loss = reg_loss = None
         if mode == "joint" and lam_emb > 0:
-            emb_loss = joint_embedding_loss(model, objective, out, fms, ds.train_align, window,
+            emb_loss = joint_embedding_loss(model, objective, out, fms, ds.train_align, ds.lexicon, window,
                                             objective.k_at(batches_done), sample_rng)
         if mode in ("pretrain", "joint") and lam_reg > 0 and not model.pl.w.frozen:
-            reg_loss = regularizer_loss(model, fms, ds.train_align, live=(mode == "joint"))
+            reg_loss = regularizer_loss(model, fms, ds.train_align, ds.lexicon, live=(mode == "joint"))
         return obj.combine_joint(asr, emb_loss, reg_loss, lam_emb, lam_reg, scheme)
 
     def evaluate():
@@ -350,17 +350,8 @@ def train_asr(cfg: ExperimentConfig, outdir: str) -> dict:
         assert np.array_equal(model.pl.w.values, frozen_snapshot), "freeze contract violated"
 
     ckpt = os.path.join(outdir, "asr.cadp")
-    meta = {
-        "version": SCHEMA_VERSION,
-        "model": "asr",
-        "kind": model.kind,
-        "input_dim": ds.train[0].dim,
-        "config": cfg.resolved(),
-        "vocab": model.vocab.labels,
-        "unk": model.vocab.unk_token,
-        "has_written": model.g is not None,
-    }
-    save_model(ckpt, params, meta)
+    nn.save_checkpoint(ckpt, params, checkpoint_meta("asr", cfg, model.g, kind=model.kind, input_dim=ds.train[0].dim,
+                                                     vocab=model.vocab.labels, unk=model.vocab.unk_token))
     report = {"checkpoint": ckpt, "best_wer": best_wer, "epochs_run": len(history),
               "history": history, "config": cfg.resolved(), "version": SCHEMA_VERSION}
     _dump_json(os.path.join(outdir, "train_report.json"), report)
@@ -368,12 +359,11 @@ def train_asr(cfg: ExperimentConfig, outdir: str) -> dict:
 
 
 def rebuild_recognizer(checkpoint: str):
-    meta = load_model_meta(checkpoint)
-    vocab_words = [w for w in meta["vocab"] if w != meta["unk"]]
-    vocab = cp.Vocabulary(vocab_words, unk_token=meta["unk"])
-    cfg, f, g, lexicon = rebuild_encoders(meta, vocab_words if meta["has_written"] else None)
-    model = _assemble(cfg, meta["kind"], f, g, vocab, lexicon, written_rows=False)
-    nn.assign_from_checkpoint(model.parameters(), nn.load_checkpoint(checkpoint))
+    """(model, metadata, config) of a recognizer checkpoint."""
+    meta, arrays, cfg, f, g = rebuild_encoders(checkpoint, "asr", written=True)
+    vocab = cp.Vocabulary([w for w in meta["vocab"] if w != meta["unk"]], unk_token=meta["unk"])
+    model = _assemble(cfg, meta["kind"], f, g, vocab, None, written_rows=False)
+    nn.assign_from_checkpoint(model.parameters(), arrays)
     return model, meta, cfg
 
 
@@ -388,7 +378,8 @@ def decode_archive(cfg: ExperimentConfig, checkpoint: str, archive_path: str, ou
         if model.kind != "ctc" or model.vocab.unk_index is None or model.g is None:
             raise ConfigError("--extend-words rescores UNK spans: it needs a CTC checkpoint trained "
                               "with [recognizer] unk = true and a written encoder")
-        extended = enc.extend_vocabulary(model.pl, model.g, cp.load_words(extend_words_path), model.lexicon)
+        lexicon = cp.load_lexicon(cfg.data_path("lexicon")) if cfg.get("data", "lexicon") else None
+        extended = enc.extend_vocabulary(model.pl, model.g, cp.load_words(extend_words_path), lexicon)
     fms = cp.load_feature_archive(archive_path)
     refs = alignments_for([fm.utterance_id for fm in fms], cp.load_alignments(align_path)) if align_path else None
     s_max = cfg.getint("recognizer", "s_max")
@@ -417,7 +408,7 @@ def export_embeddings(checkpoint: str, archive_path: str, out_path: str,
                       align_path: str | None = None, threads: int = 1) -> dict:
     """Dump (id, label, vector) rows for aligned segments (or whole
     utterances when no alignment is given)."""
-    f, _, _, _ = rebuild_embed_model(checkpoint)
+    f, _, _, _ = rebuild_embed_model(checkpoint, written=False)
     fms = cp.load_feature_archive(archive_path)
     if align_path is None:
         items = [(fm.utterance_id, "", fm.frames) for fm in fms]

@@ -5,8 +5,8 @@ random-hyperplane bit signatures: the signatures are sorted
 lexicographically under P random bit permutations, and a query reads the
 B entries on each side of its insertion point in every sorted list.
 Everything but the refs and the embeddings follows from the seed, so an
-index file (CADI version 2) stores only its header, the refs and the
-float32 embeddings, and ``load_index`` reads them with
+index file (CADI version 3) stores only its header, the refs, the
+float32 embeddings and a CRC32, and ``load_index`` reads them with
 ``corpus.BinaryReader`` and rebuilds the rest through ``build_index``,
 which rounds embeddings to float32 before it signs them: an index in
 memory equals its reload. Candidates are scored once, in
@@ -26,10 +26,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .corpus import BinaryReader, open_artifact, pack_name
+from .corpus import BinaryReader, open_binary, pack_name
 
 INDEX_MAGIC = b"CADI"
-INDEX_VERSION = 2
+INDEX_VERSION = 3
 MAX_BITS = 4096  # the most hyperplanes an index may have: 4x the paper's 1024
 MAX_PERMUTATIONS = 64  # the most bit permutations an index may have: 4x the default 16
 
@@ -237,24 +237,22 @@ def utterance_scores(hits: Hits, entry_utterance: np.ndarray, entry_size: np.nda
 
 
 def save_index(path, index: PermutedSignatureIndex):
-    """CADI version 2: magic, the header (version, bits, permutations,
-    seed, N, d), the N refs, then the N x d float32 embeddings."""
+    """CADI version 3: magic, the header (version, bits, permutations,
+    seed, N, d), the N refs, the N x d float32 embeddings, then a CRC32
+    trailer (``corpus.open_binary``)."""
     N, d = index.embeddings.shape
-    with open_artifact(path, "wb") as f:
-        f.write(INDEX_MAGIC + struct.pack("<IIIqII", INDEX_VERSION, index.planes.bits,
-                                          index.num_permutations, index.planes.seed, N, d))
+    with open_binary(path, INDEX_MAGIC, INDEX_VERSION) as write:
+        write(struct.pack("<IIqII", index.planes.bits, index.num_permutations, index.planes.seed, N, d))
         for ref in index.refs:
-            f.write(pack_name(ref.utterance_id) + struct.pack("<II", ref.start, ref.size))
-        f.write(index.embeddings.astype("<f4").tobytes())
+            write(pack_name(ref.utterance_id) + struct.pack("<II", ref.start, ref.size))
+        write(index.embeddings.astype("<f4").tobytes())
 
 
 def load_index(path) -> PermutedSignatureIndex:
-    """Parse a CADI version 2 file and rebuild its index with
+    """Parse a CADI version 3 file and rebuild its index with
     ``build_index``. The header is checked before anything is drawn."""
-    r = BinaryReader(path, INDEX_MAGIC, SearchError)
-    version, b, P, seed, N, d = r.unpack("<IIIqII")
-    if version != INDEX_VERSION:
-        raise SearchError(f"unsupported index version {version}; rebuild the file with `awekit index`")
+    r = BinaryReader(path, INDEX_MAGIC, INDEX_VERSION, "rebuild the file with `awekit index`", SearchError)
+    b, P, seed, N, d = r.unpack("<IIqII")
     if seed < 0:  # stored signed; SeedSequence takes only non-negative seeds
         raise SearchError(f"corrupt index file: negative hyperplane seed {seed}")
     if N == 0:  # never written; only N >= 1 ties d to the file size
@@ -264,7 +262,7 @@ def load_index(path) -> PermutedSignatureIndex:
         raise SearchError(f"corrupt index file: {b} bits, not in [1, {MAX_BITS}]")
     if not 1 <= P <= MAX_PERMUTATIONS:
         raise SearchError(f"corrupt index file: {P} permutations, not in [1, {MAX_PERMUTATIONS}]")
-    refs = [SegmentKey(r.name(), *r.unpack("<II")) for _ in range(N)]
+    refs = [SegmentKey(r.text(), *r.unpack("<II")) for _ in range(N)]
     emb = r.floats((N, d))
     r.finish()
     return build_index(emb, refs, b, P, seed)

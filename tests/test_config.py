@@ -7,6 +7,7 @@ import pytest
 from awekit import config, corpus
 from awekit.cli import main
 from awekit.config import ConfigError, ExperimentConfig
+from test_nn import edit_checkpoint
 
 
 def outside(spec, default) -> list:
@@ -118,19 +119,17 @@ def test_removed_values_exit_2_and_old_checkpoints_evaluate(zero_epoch_run, tmp_
     with code 2 and writes nothing. A checkpoint whose echoed config holds
     a removed key still evaluates, since only the keys of DEFAULTS are read;
     one that echoes a removed value fails the schema check."""
-    import json
-
     args, checkpoint = zero_epoch_run
     out = tmp_path / "run"
     assert main(["train-embed", *args, "--set", f"{section}.{key}={value}", "--out", str(out)]) == 2
     assert not out.exists()
 
+    def echo(meta):
+        meta["config"][section][key] = echoed
+        return meta
+
     ckpt = tmp_path / "old" / "embed.cadp"
-    ckpt.parent.mkdir()
-    ckpt.write_bytes(open(checkpoint, "rb").read())
-    meta = json.load(open(checkpoint + ".json", encoding="utf-8"))
-    meta["config"][section][key] = echoed
-    (tmp_path / "old" / "embed.cadp.json").write_text(json.dumps(meta), encoding="utf-8")
+    edit_checkpoint(checkpoint, ckpt, meta=echo)
     report = tmp_path / "ap" / "ap.json"
     assert main(["eval-ap", *args, "--checkpoint", str(ckpt), "--out", str(report)]) == code
     assert report.exists() == (code == 0)
@@ -168,20 +167,19 @@ def test_checkpoints_echoing_removed_recognizer_and_search_keys_decode_and_query
     static`` and ``[search] exhaustive = false``, as they did before those
     keys were removed, decode and query as the same checkpoints without
     them."""
-    import json
-
     args, embed = zero_epoch_run
     data = dict(item.split("=", 1) for item in args[3::2])
     assert main(["train-asr", *args, "--out", str(tmp_path / "asr")]) == 0
     checkpoints = {"new": {"embed": embed, "asr": str(tmp_path / "asr" / "asr.cadp")}, "old": {}}
-    for name, source in checkpoints["new"].items():
-        ckpt = tmp_path / "old" / f"{name}.cadp"
-        ckpt.parent.mkdir(exist_ok=True)
-        ckpt.write_bytes(open(source, "rb").read())
-        meta = json.load(open(source + ".json", encoding="utf-8"))
+
+    def echo_removed_keys(meta):
         meta["config"]["recognizer"]["lexicon_mode"] = "static"
         meta["config"]["search"]["exhaustive"] = "false"
-        (tmp_path / "old" / f"{name}.cadp.json").write_text(json.dumps(meta), encoding="utf-8")
+        return meta
+
+    for name, source in checkpoints["new"].items():
+        ckpt = tmp_path / "old" / f"{name}.cadp"
+        edit_checkpoint(source, ckpt, meta=echo_removed_keys)
         checkpoints["old"][name] = str(ckpt)
     for age, ckpt in checkpoints.items():
         out = tmp_path / age

@@ -1,5 +1,8 @@
 """Corpus data model, file formats, and segment operations."""
 
+import struct
+import zlib
+
 import numpy as np
 import pytest
 
@@ -11,6 +14,11 @@ from awekit.corpus import (
     Vocabulary,
     WordAlignment,
 )
+
+
+def with_crc(body: bytes) -> bytes:
+    """``body`` followed by the CRC32 trailer every binary format ends in."""
+    return body + struct.pack("<I", zlib.crc32(body))
 
 
 def _fm(uid="u1", T=10, D=3, seed=0):
@@ -110,10 +118,38 @@ class TestFeatureArchive:
         fm = _fm(T=2)
         path = tmp_path / "n.cadf"
         corpus.save_feature_archive(path, [fm])
-        data = bytearray(path.read_bytes())
-        data[-4:] = np.array([np.inf], dtype="<f4").tobytes()
-        path.write_bytes(bytes(data))
+        data = bytearray(path.read_bytes()[:-4])
+        data[-4:] = np.array([np.inf], dtype="<f4").tobytes()  # the last frame value
+        path.write_bytes(with_crc(bytes(data)))
         with pytest.raises(corpus.NonFiniteValueError):
+            corpus.load_feature_archive(path)
+
+    def test_file_ends_in_the_crc32_of_the_bytes_before_it(self, tmp_path):
+        path = tmp_path / "a.cadf"
+        corpus.save_feature_archive(path, [_fm("a"), _fm("b", T=3)])
+        data = path.read_bytes()
+        assert data == with_crc(data[:-4])
+        assert data[:8] == corpus.ARCHIVE_MAGIC + struct.pack("<I", corpus.ARCHIVE_VERSION)
+
+    @pytest.mark.parametrize("at", [4, 8, 12, -5, -1], ids=["version", "count", "name", "frame", "crc"])
+    def test_flipped_byte_fails_the_crc32_before_any_field_is_read(self, tmp_path, at):
+        path = tmp_path / "a.cadf"
+        corpus.save_feature_archive(path, [_fm("a")])
+        data = bytearray(path.read_bytes())
+        data[at] ^= 0x01  # version 2 reads 3, which its own check refuses
+        path.write_bytes(bytes(data))
+        error, message = ((corpus.MalformedHeaderError, "unsupported CADF version 3; regenerate the archive")
+                          if at == 4 else (corpus.TruncatedPayloadError, "CRC32 mismatch"))
+        with pytest.raises(error, match=message):
+            corpus.load_feature_archive(path)
+
+    def test_version_1_archive_rejected_with_a_regenerate_hint(self, tmp_path):
+        # the version-1 layout: magic, <II> version and count, the utterances, no CRC32
+        fm = _fm("a", T=2, D=1)
+        path = tmp_path / "old.cadf"
+        path.write_bytes(corpus.ARCHIVE_MAGIC + struct.pack("<II", 1, 1) + corpus.pack_name("a")
+                         + struct.pack("<IIf", 2, 1, 100.0) + fm.frames.astype("<f4").tobytes())
+        with pytest.raises(corpus.MalformedHeaderError, match="version 1; regenerate the archive"):
             corpus.load_feature_archive(path)
 
 

@@ -381,9 +381,9 @@ class TestFloat32Checkpoint:
         assert {q.values.dtype for q in recurrent} == {np.dtype(np.float32)}
 
         path = tmp_path / "model.cadp"
-        nn.save_checkpoint(path, params)
+        nn.save_checkpoint(path, params, "{}")
         f2, g2 = small_acoustic(cell=cell, layers=2, hidden=4, seed=7), small_written(seed=8)
-        nn.assign_from_checkpoint(f2.parameters() + g2.parameters(), nn.load_checkpoint(path))
+        nn.assign_from_checkpoint(f2.parameters() + g2.parameters(), nn.load_checkpoint(path)[1])
         # the float32 recurrent weights reload exactly, so the frame outputs do
         recurrent2 = [q for fw, bw in f2.cells for q in fw.parameters() + bw.parameters()]
         recurrent2 += g2.fw.parameters() + g2.bw.parameters()

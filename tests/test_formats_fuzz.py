@@ -2,15 +2,17 @@
 formats and checkpoint metadata.
 
 A small CADF feature archive, CADP checkpoint, CADI index, alignment,
-lexicon and feature-table TSV, and a checkpoint's JSON metadata each get
-1-3 random bytes replaced, a few hundred times. Every load must either
+lexicon and feature-table TSV, and a checkpoint's JSON metadata block each
+get 1-3 random bytes replaced, a few hundred times. Every load must either
 succeed or raise the format's documented error, which the CLI maps to exit
 code 3 (or, for a metadata config value outside the schema, to exit code
-2); anything else would end in a traceback.
+2); anything else would end in a traceback. A CRC32 trailer guards each
+binary file whole, so a flipped binary file that still loads is a failure
+too. The metadata block is sealed into a checkpoint with a matching CRC32
+after its flips, so they reach the checks of ``pipelines.load_model``.
 """
 
-import json
-import shutil
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -18,6 +20,7 @@ import pytest
 from awekit import config, corpus, nn, pipelines, search
 from awekit.corpus import FeatureTable, FrameMatrix, Lexicon, WordAlignment
 from awekit.search import SegmentKey
+from test_nn import checkpoint_bytes
 
 TRIALS = 300
 
@@ -31,7 +34,7 @@ def _cadf(path):
 
 def _cadp(path):
     nn.save_checkpoint(path, [nn.Parameter("enc.w", np.ones((3, 4))), nn.Parameter("b", np.zeros(4)),
-                              nn.Parameter("scalar", np.float64(0.5))])
+                              nn.Parameter("scalar", np.float64(0.5))], '{"model": "embed", "written": null}')
     return nn.load_checkpoint, nn.CheckpointError
 
 
@@ -60,26 +63,27 @@ def _feature_table(path):
     return corpus.load_feature_table, corpus.CorpusError
 
 
-def _sidecar(path):
+def _cadp_metadata(path):
     cfg = config.ExperimentConfig.load(None, preset="ch5-multiview", overrides={("run", "seed"): "1"})
-    meta = {"version": config.SCHEMA_VERSION, "model": "embed", "objective": "multiview", "input_dim": 3,
-            "config": cfg.resolved(), "train_labels": ["ab", "cd"]}
-    path.write_text(json.dumps(meta, indent=1, sort_keys=True), encoding="utf-8")
+    g = SimpleNamespace(feature_table=None, symbols=["a", "b", "d", "k"])  # a phone-mode written encoder
+    path.write_text(pipelines.checkpoint_meta("embed", cfg, g, objective="multiview", input_dim=3), encoding="utf-8")
 
-    def load(p):  # load_model_meta reads <checkpoint>.json
-        shutil.copyfile(p, f"{p}.json")
-        return pipelines.load_model_meta(p)
+    def load(p):
+        ckpt = p.with_suffix(".cadp")
+        ckpt.write_bytes(checkpoint_bytes(p.read_bytes()))
+        return pipelines.load_model(ckpt, "embed")
 
     return load, (nn.CheckpointError, config.ConfigError)
 
 
-@pytest.mark.parametrize("write", [_cadf, _cadp, _cadi, _alignments, _lexicon, _feature_table, _sidecar],
-                         ids=["cadf", "cadp", "cadi", "alignments", "lexicon", "feature-table", "sidecar"])
+@pytest.mark.parametrize("write", [_cadf, _cadp, _cadi, _alignments, _lexicon, _feature_table, _cadp_metadata],
+                         ids=["cadf", "cadp", "cadi", "alignments", "lexicon", "feature-table", "cadp-metadata"])
 def test_flipped_bytes_load_or_raise_the_documented_error(tmp_path, write):
     path = tmp_path / "original"
     load, error = write(path)
     load(path)
     data = path.read_bytes()
+    crc_guarded = data[:4] in (corpus.ARCHIVE_MAGIC, nn.CHECKPOINT_MAGIC, search.INDEX_MAGIC)
     rng = np.random.default_rng(7)
     mutated = tmp_path / "mutated"
     for _ in range(TRIALS):
@@ -91,6 +95,8 @@ def test_flipped_bytes_load_or_raise_the_documented_error(tmp_path, write):
         try:
             load(mutated)
         except error:
-            pass
+            continue
         except Exception as e:  # any other error would end the CLI in a traceback
             pytest.fail(f"bytes {sorted(at.tolist())} of {len(buf)} flipped: {e!r}")
+        if crc_guarded:
+            pytest.fail(f"bytes {sorted(at.tolist())} of {len(buf)} flipped, and the file loads")

@@ -1,5 +1,6 @@
 """Recurrent cells and layers, optimizers, schedulers, checkpoint format."""
 
+import json
 import struct
 import warnings
 
@@ -9,6 +10,7 @@ import pytest
 from awekit import autodiff as ad
 from awekit import nn
 from awekit.autodiff import Tape, Tensor
+from test_corpus import with_crc
 
 # One recurrent step composed from autodiff primitives: the reference that
 # the fused layers in ``nn`` must match bit for bit.
@@ -450,6 +452,28 @@ class TestPlateauScheduler:
             nn.PlateauScheduler(lr=0.1, patience=1, factor=0.5, min_lr=1e-9, mode="loss")
 
 
+def checkpoint_bytes(block: bytes) -> bytes:
+    """A CADP file without parameters whose metadata block is ``block``,
+    byte for byte, with a matching CRC32."""
+    return with_crc(nn.CHECKPOINT_MAGIC + struct.pack("<II", nn.CHECKPOINT_VERSION, len(block)) + block
+                    + struct.pack("<I", 0))
+
+
+def edit_checkpoint(src, dst, meta=None, arrays=None, text=None):
+    """Write checkpoint ``src`` to ``dst`` with each given edit applied:
+    ``meta`` to its metadata as a dict, then ``text`` to the metadata's
+    JSON text, and ``arrays`` to its name -> array dict. Each edit returns
+    what is saved."""
+    block, a = nn.load_checkpoint(src)
+    if meta:
+        block = json.dumps(meta(json.loads(block)), sort_keys=True)
+    if text:
+        block = text(block)
+    if arrays:
+        a = arrays(a)
+    nn.save_checkpoint(dst, [nn.Parameter(name, values) for name, values in a.items()], block)
+
+
 class TestCheckpoint:
     def test_round_trip_bit_exact(self, tmp_path):
         rng = np.random.default_rng(11)
@@ -459,37 +483,65 @@ class TestCheckpoint:
             nn.Parameter("scalar", np.float32(0.25).astype(np.float64)),
         ]
         path = tmp_path / "model.cadp"
-        nn.save_checkpoint(path, params)
-        loaded = nn.load_checkpoint(path)
+        meta = '{"model": "embed", "written": {"symbols": ["b", "a\u00e9"]}}'
+        nn.save_checkpoint(path, params, meta)
+        loaded_meta, loaded = nn.load_checkpoint(path)
+        assert loaded_meta == meta
         for p in params:
             np.testing.assert_array_equal(loaded[p.name], p.values)
         # re-serialize: identical bytes
         params2 = [nn.Parameter(k, v) for k, v in loaded.items()]
         path2 = tmp_path / "model2.cadp"
-        nn.save_checkpoint(path2, params2)
+        nn.save_checkpoint(path2, params2, loaded_meta)
         assert path.read_bytes() == path2.read_bytes()
+
+    def test_layout_metadata_block_then_arrays_then_crc32(self, tmp_path):
+        path = tmp_path / "model.cadp"
+        meta = '{"model": "asr", "\u00e9": [1]}'  # stored as UTF-8, its byte count first
+        nn.save_checkpoint(path, [nn.Parameter("w", np.ones((2, 3)))], meta)
+        block = meta.encode("utf-8")
+        data = path.read_bytes()
+        assert data[:12 + len(block)] == (nn.CHECKPOINT_MAGIC + struct.pack("<II", nn.CHECKPOINT_VERSION, len(block))
+                                          + block)
+        assert data[12 + len(block) : 16 + len(block)] == struct.pack("<I", 1)
+        assert data == with_crc(data[:-4])
+
+    def test_metadata_that_is_not_utf8_rejected(self, tmp_path):
+        path = tmp_path / "model.cadp"
+        path.write_bytes(checkpoint_bytes(b"\xff{}"))
+        with pytest.raises(nn.CheckpointError, match="text at byte 12 is not UTF-8"):
+            nn.load_checkpoint(path)
+
+    def test_version_1_checkpoint_rejected_with_a_retrain_hint(self, tmp_path):
+        # the version-1 layout: magic, <II> version and count, the arrays, no metadata or CRC32
+        path = tmp_path / "old.cadp"
+        path.write_bytes(nn.CHECKPOINT_MAGIC + struct.pack("<II", 1, 1) + struct.pack("<H", 1) + b"w"
+                         + struct.pack("<II", 1, 1) + np.ones(1, "<f4").tobytes())
+        with pytest.raises(nn.CheckpointError, match="unsupported CADP version 1; retrain the model"):
+            nn.load_checkpoint(path)
 
     def test_writer_raising_halfway_keeps_the_earlier_checkpoint(self, tmp_path):
         path = tmp_path / "model.cadp"
-        nn.save_checkpoint(path, [nn.Parameter("w", np.ones((2, 3))), nn.Parameter("b", np.ones(3))])
+        nn.save_checkpoint(path, [nn.Parameter("w", np.ones((2, 3))), nn.Parameter("b", np.ones(3))], "{}")
         before = path.read_bytes()
         # the second name cannot be encoded, so the writer raises after the first parameter
         with pytest.raises(UnicodeEncodeError):
-            nn.save_checkpoint(path, [nn.Parameter("w", np.zeros((2, 3))), nn.Parameter("b\ud800", np.zeros(3))])
+            nn.save_checkpoint(path, [nn.Parameter("w", np.zeros((2, 3))), nn.Parameter("b\ud800", np.zeros(3))],
+                               "{}")
         assert path.read_bytes() == before
         assert [p.name for p in tmp_path.iterdir()] == ["model.cadp"]
 
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "junk.cadp"
         path.write_bytes(b"XXXX" + b"\0" * 16)
-        with pytest.raises(nn.CheckpointError):
+        with pytest.raises(nn.CheckpointError, match="not a CADP file"):
             nn.load_checkpoint(path)
 
     def test_truncated_file_rejected_at_every_offset(self, tmp_path):
         params = [nn.Parameter("enc.w\u00e9", np.ones((3, 4))), nn.Parameter("b", np.zeros(4)),
                   nn.Parameter("scalar", np.float64(0.5))]
         path = tmp_path / "model.cadp"
-        nn.save_checkpoint(path, params)
+        nn.save_checkpoint(path, params, '{"model": "embed"}')
         data = path.read_bytes()
         cut = tmp_path / "cut.cadp"
         for n in range(len(data)):
@@ -501,10 +553,10 @@ class TestCheckpoint:
                              ids=["signalling-nan", "inf", "quiet-nan", "minus-inf", "negative-nan"])
     def test_non_finite_weight_rejected_without_a_warning(self, tmp_path, bits):
         path = tmp_path / "model.cadp"
-        nn.save_checkpoint(path, [nn.Parameter("w", np.ones((2, 3))), nn.Parameter("b", np.ones(3))])
-        data = bytearray(path.read_bytes())
+        nn.save_checkpoint(path, [nn.Parameter("w", np.ones((2, 3))), nn.Parameter("b", np.ones(3))], "{}")
+        data = bytearray(path.read_bytes()[:-4])
         data[-8:-4] = struct.pack("<I", bits)  # the middle float32 of "b"
-        path.write_bytes(bytes(data))
+        path.write_bytes(with_crc(bytes(data)))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(nn.CheckpointError, match="b: non-finite weights"):
@@ -515,19 +567,19 @@ class TestCheckpoint:
         bits = np.array([0x7F7FFFFF, 0xFF7FFFFF, 0x00000001, 0x80000000], dtype="<u4")
         values = bits.view("<f4").astype(np.float64)
         path = tmp_path / "model.cadp"
-        nn.save_checkpoint(path, [nn.Parameter("w", values)])
+        nn.save_checkpoint(path, [nn.Parameter("w", values)], "{}")
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            loaded = nn.load_checkpoint(path)["w"]
+            loaded = nn.load_checkpoint(path)[1]["w"]
         assert loaded.astype("<f4").view("<u4").tolist() == bits.tolist()
 
     def test_assign_shape_mismatch_rejected(self, tmp_path):
         p = nn.Parameter("w", np.zeros((2, 2)))
         path = tmp_path / "m.cadp"
-        nn.save_checkpoint(path, [p])
+        nn.save_checkpoint(path, [p], "{}")
         q = nn.Parameter("w", np.zeros((3, 2)))
         with pytest.raises(nn.CheckpointError):
-            nn.assign_from_checkpoint([q], nn.load_checkpoint(path))
+            nn.assign_from_checkpoint([q], nn.load_checkpoint(path)[1])
 
     def test_strict_assign_refuses_a_missing_parameter(self):
         loaded = {"w": np.ones((2, 2))}
@@ -535,6 +587,5 @@ class TestCheckpoint:
         with pytest.raises(nn.CheckpointError, match="no weights for b"):
             nn.assign_from_checkpoint([w, b], loaded)
         np.testing.assert_array_equal(w.values, 0.0)  # refused before any copy
-        nn.assign_from_checkpoint([w, b], loaded, strict=False)
-        np.testing.assert_array_equal(w.values, 1.0)
-        np.testing.assert_array_equal(b.values, 0.0)
+        with pytest.raises(nn.CheckpointError, match="no parameter named w"):
+            nn.assign_from_checkpoint([b], {"w": np.ones((2, 2)), "b": np.ones(2)})

@@ -13,6 +13,8 @@ from awekit import autodiff as ad
 from awekit import corpus as cp
 from awekit import objectives, pipelines, recognition, search, synth
 from awekit.config import ConfigError, ExperimentConfig
+from test_corpus import with_crc
+from test_nn import edit_checkpoint
 
 
 @pytest.fixture(scope="module")
@@ -29,6 +31,12 @@ def corpus_dir(tmp_path_factory):
 def embed_checkpoint(corpus_dir, tmp_path_factory):
     cfg = small_cfg(corpus_dir, {("training", "epochs"): "0"})
     return pipelines.train_embed(cfg, tmp_path_factory.mktemp("emb0"))["checkpoint"]
+
+
+def _last_weight(arrays: dict, value) -> dict:
+    """``arrays`` with the last value of the last one set to ``value``."""
+    arrays[list(arrays)[-1]].flat[-1] = value
+    return arrays
 
 
 def _data_args(paths):
@@ -194,6 +202,15 @@ class TestTrainEmbed:
         for p, q in zip(fresh.parameters(), f.parameters()):
             np.testing.assert_array_equal(
                 p.values.astype(np.float32), q.values.astype(np.float32))
+
+    def test_checkpoint_bytes_do_not_depend_on_where_the_inputs_are(self, corpus_dir, tmp_path):
+        import shutil
+
+        moved = {key: shutil.copy(path, tmp_path / os.path.basename(path)) for key, path in corpus_dir.items()}
+        extra = {("training", "epochs"): "0", ("run", "threads"): "2"}
+        here = pipelines.train_embed(small_cfg(corpus_dir, {("training", "epochs"): "0"}), tmp_path / "here")
+        there = pipelines.train_embed(small_cfg(moved, extra), tmp_path / "there")
+        assert open(here["checkpoint"], "rb").read() == open(there["checkpoint"], "rb").read()
 
     def test_same_seed_same_checkpoint_and_log(self, corpus_dir, tmp_path):
         cfg = small_cfg(corpus_dir, {("training", "epochs"): "2"})
@@ -545,7 +562,7 @@ class TestRecognition:
         model, _, _ = recognition.rebuild_recognizer(report["checkpoint"])
         layout = [(p.name, p.values.shape) for p in model.parameters()]
         assert layout == [(p.name, p.values.shape) for p in built[0].parameters()]
-        saved = nn.load_checkpoint(report["checkpoint"])
+        saved = nn.load_checkpoint(report["checkpoint"])[1]
         assert list(saved) == [name for name, _ in layout]
         for p in model.parameters():
             np.testing.assert_array_equal(p.values, saved[p.name])
@@ -702,7 +719,7 @@ class TestCli:
         report = json.loads((tmp_path / "ap.json").read_text())
         assert "acoustic_ap" in report and "config" in report
 
-    def test_truncated_checkpoint_and_index_exit_code(self, corpus_dir, tmp_path):
+    def test_truncated_checkpoint_and_index_exit_code(self, corpus_dir, tmp_path, capsys):
         from awekit.cli import main
 
         cfg = small_cfg(corpus_dir, {("training", "epochs"): "0"})
@@ -721,17 +738,21 @@ class TestCli:
         version_1[4:8] = (1).to_bytes(4, "little")
         index.write_bytes(bytes(version_1))
         assert main(query) == 3
+        assert "version 1; rebuild the file" in capsys.readouterr().err
         index.write_bytes(good[:-3])
         assert main(query) == 3
-        negative_seed = bytearray(good)
+        assert "CRC32 mismatch" in capsys.readouterr().err
+        negative_seed = bytearray(good[:-4])
         negative_seed[16:24] = (-1).to_bytes(8, "little", signed=True)
-        index.write_bytes(bytes(negative_seed))
+        index.write_bytes(with_crc(bytes(negative_seed)))
         assert main(query) == 3
-        zero_entry = bytearray(good)
-        first_embedding = len(good) - 4 * n * d
+        assert "negative hyperplane seed" in capsys.readouterr().err
+        zero_entry = bytearray(good[:-4])
+        first_embedding = len(zero_entry) - 4 * n * d
         zero_entry[first_embedding : first_embedding + 4 * d] = bytes(4 * d)
-        index.write_bytes(bytes(zero_entry))
+        index.write_bytes(with_crc(bytes(zero_entry)))
         assert main(query) == 3
+        assert "zero or non-finite norm" in capsys.readouterr().err
         with open(ckpt, "r+b") as fh:
             fh.truncate(100)
         assert main(["eval-ap", *common, "--checkpoint", ckpt, "--out", str(tmp_path / "ap.json")]) == 3
@@ -743,9 +764,13 @@ class TestCli:
 
         cfg = small_cfg(corpus_dir, {("training", "epochs"): "0"})
         ckpt = pipelines.train_embed(cfg, tmp_path / "emb")["checkpoint"]
-        params = [nn.Parameter(name, values) for name, values in nn.load_checkpoint(ckpt).items()]
-        params[0].values.flat[0] = np.nan
-        nn.save_checkpoint(ckpt, params)
+        first = next(iter(nn.load_checkpoint(ckpt)[1]))
+
+        def nan_first(arrays):
+            arrays[first].flat[0] = np.nan
+            return arrays
+
+        edit_checkpoint(ckpt, ckpt, arrays=nan_first)
         args = ["--seed", "9"]
         for key in ("train", "train_align", "dev", "dev_align", "lexicon"):
             args += ["--set", f"data.{key}={corpus_dir[key]}"]
@@ -754,16 +779,13 @@ class TestCli:
         assert main(["index", *args, "--checkpoint", ckpt, "--archive", corpus_dir["dev"],
                      "--out", str(out / "dev.cadi")]) == 3
         assert list(out.iterdir()) == []
-        assert f"{params[0].name}: non-finite weights" in capsys.readouterr().err
+        assert f"{first}: non-finite weights" in capsys.readouterr().err
 
     def test_eval_ap_on_an_inf_weight_exits_3(self, corpus_dir, embed_checkpoint, tmp_path, capsys):
         from awekit.cli import main
 
         ckpt = tmp_path / "embed.cadp"
-        data = bytearray(open(embed_checkpoint, "rb").read())
-        data[-4:] = b"\x00\x00\x80\x7f"  # float32 +inf in the last weight
-        ckpt.write_bytes(bytes(data))
-        (tmp_path / "embed.cadp.json").write_bytes(open(embed_checkpoint + ".json", "rb").read())
+        edit_checkpoint(embed_checkpoint, ckpt, arrays=lambda arrays: _last_weight(arrays, np.inf))
         out = tmp_path / "ap.json"
         assert main(["eval-ap", *_data_args(corpus_dir), "--checkpoint", str(ckpt), "--out", str(out)]) == 3
         err = capsys.readouterr().err
@@ -779,11 +801,7 @@ class TestCli:
         if command == "decode":
             good = recognition.train_asr(cfg, tmp_path / "asr")["checkpoint"]
         ckpt = tmp_path / "bad" / "model.cadp"
-        ckpt.parent.mkdir()
-        data = bytearray(open(good, "rb").read())
-        data[-4:] = b"\x00\x00\x80\xff"  # float32 -inf in the last weight
-        ckpt.write_bytes(bytes(data))
-        (tmp_path / "bad" / "model.cadp.json").write_bytes(open(good + ".json", "rb").read())
+        edit_checkpoint(good, ckpt, arrays=lambda arrays: _last_weight(arrays, -np.inf))
         out = tmp_path / "out"
         if command == "query":
             index = tmp_path / "dev.cadi"
@@ -812,17 +830,19 @@ class TestCli:
 
         cfg = small_cfg(corpus_dir, {("training", "epochs"): "0", ("recognizer", "unk"): "true"})
         good = recognition.train_asr(cfg, tmp_path / "asr")["checkpoint"]
-        params = [nn.Parameter(name, values) for name, values in nn.load_checkpoint(good).items()]
-        meta = json.loads(open(good + ".json", encoding="utf-8").read())
-        if damage == "renamed-row":
-            params = [nn.Parameter("pred.x" if p.name == "pred.w" else p.name, p.values) for p in params]
-        else:
-            params = [p for p in params if p.name != "pred.w"]
-            params.append(nn.Parameter("pred.unk", np.ones(int(meta["config"]["encoder"]["embed_dim"]))))
+        embed_dim = cfg.getint("encoder", "embed_dim")
+
+        def dynamic_era(meta):
             meta["config"]["recognizer"]["lexicon_mode"] = "dynamic"
+            return meta
+
+        def arrays(arrays):
+            if damage == "renamed-row":
+                return {"pred.x" if name == "pred.w" else name: values for name, values in arrays.items()}
+            return {**{name: v for name, v in arrays.items() if name != "pred.w"}, "pred.unk": np.ones(embed_dim)}
+
         ckpt = tmp_path / "bad" / "asr.cadp"
-        nn.save_checkpoint(ckpt, params)
-        (tmp_path / "bad" / "asr.cadp.json").write_text(json.dumps(meta), encoding="utf-8")
+        edit_checkpoint(good, ckpt, meta=dynamic_era if damage == "dynamic-era" else None, arrays=arrays)
         out = tmp_path / "out"
         assert main(["decode", *_data_args(corpus_dir), "--checkpoint", str(ckpt), "--archive", corpus_dir["dev"],
                      "--out", str(out / "dec.json")]) == 3
@@ -854,22 +874,25 @@ class TestCli:
 
     @pytest.mark.parametrize("damage,code", [
         (lambda text: text[:50], 3), (lambda text: "{}", 3), (lambda text: "[]", 3),
-        (lambda text: text.replace('"train_labels"', '"labels"'), 3),
+        (lambda text: text.replace('"written"', '"inventory"'), 3),
         (lambda text: text.replace('"input_dim": ', '"input_dim": "x", "old_input_dim": '), 3),
-        (lambda text: text.replace('"train_labels": [', '"train_labels": [5, '), 3),
+        (lambda text: text.replace('"symbols": [', '"symbols": [5, '), 3),
+        (lambda text: text.replace('"symbols": [', '"symbols": 5, "old_symbols": ['), 3),
         (lambda text: text.replace('"cell": "lstm"', '"cell": "foo"'), 2),
         (lambda text: text.replace('"bits": "1024"', '"bits": "1000000"'), 2),
         (lambda text: text.replace('"k_end": "0"', '"k_end": "50"'), 0),  # trainable no longer, still evaluates
-    ], ids=["cut-to-50-bytes", "empty-object", "list", "no-train-labels", "input-dim-string",
-        "train-label-int", "cell-foo", "bits-above-bound", "k-end-above-k"])
+    ], ids=["cut-to-50-bytes", "empty-object", "list", "no-written", "input-dim-string",
+        "symbol-int", "symbols-int", "cell-foo", "bits-above-bound", "k-end-above-k"])
     def test_corrupt_checkpoint_metadata_exit_code(self, corpus_dir, embed_checkpoint, tmp_path, damage, code):
         from awekit.cli import main
 
         ckpt = tmp_path / "embed.cadp"
-        ckpt.write_bytes(open(embed_checkpoint, "rb").read())
-        meta = open(embed_checkpoint + ".json", encoding="utf-8").read()
-        assert damage(meta) != meta
-        (tmp_path / "embed.cadp.json").write_text(damage(meta), encoding="utf-8")
+
+        def checked(text):
+            assert damage(text) != text
+            return damage(text)
+
+        edit_checkpoint(embed_checkpoint, ckpt, text=checked)
         out = tmp_path / "ap.json"
         assert main(["eval-ap", *_data_args(corpus_dir), "--checkpoint", str(ckpt), "--out", str(out)]) == code
         assert out.exists() == (code == 0)
@@ -1205,6 +1228,131 @@ class TestCli:
         assert main([command, *common, *args]) == 0
         for name in written:
             assert (new / name).is_file()
+
+    def test_query_with_a_missing_search_archive_exits_3_before_any_output(self, corpus_dir, embed_checkpoint,
+                                                                           tmp_path, capsys):
+        from awekit.cli import main
+
+        index = tmp_path / "dev.cadi"
+        pipelines.build_search_index(small_cfg(corpus_dir), embed_checkpoint, corpus_dir["dev"], index)
+        out = tmp_path / "out"
+        assert main(["query", *_data_args(corpus_dir), "--checkpoint", embed_checkpoint, "--index", str(index),
+                     "--queries", corpus_dir["dev"], "--query-align", corpus_dir["dev_align"],
+                     "--truth-align", corpus_dir["dev_align"], "--search-archive", str(tmp_path / "missing.cadf"),
+                     "--out", str(out / "q.json")]) == 3
+        assert "missing.cadf" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.fixture(scope="class")
+    def asr_checkpoint(self, corpus_dir, tmp_path_factory):
+        cfg = small_cfg(corpus_dir, {("training", "epochs"): "0"})
+        return recognition.train_asr(cfg, tmp_path_factory.mktemp("asr0"))["checkpoint"]
+
+    @pytest.mark.parametrize("command", ["eval-ap", "index", "query", "export-embeddings", "decode", "train-asr"])
+    def test_checkpoint_of_the_other_model_kind_exits_3_before_any_output(self, corpus_dir, embed_checkpoint,
+                                                                          asr_checkpoint, tmp_path, capsys,
+                                                                          command):
+        """Each command names the model kind it needs: an embedding model,
+        but for decode, and for train-asr's pretraining init_checkpoint."""
+        from awekit.cli import main
+
+        out = tmp_path / "out"
+        wrong, found, needed = asr_checkpoint, "asr", "embed"
+        if command == "eval-ap":
+            args = ["--checkpoint", wrong, "--out", str(out / "ap.json")]
+        elif command == "index":
+            args = ["--checkpoint", wrong, "--archive", corpus_dir["dev"], "--out", str(out / "dev.cadi")]
+        elif command == "query":
+            index = tmp_path / "dev.cadi"
+            pipelines.build_search_index(small_cfg(corpus_dir), embed_checkpoint, corpus_dir["dev"], index)
+            args = ["--checkpoint", wrong, "--index", str(index), "--queries", corpus_dir["dev"],
+                    "--query-align", corpus_dir["dev_align"], "--out", str(out / "q.json")]
+        elif command == "export-embeddings":
+            args = ["--checkpoint", wrong, "--archive", corpus_dir["dev"], "--out", str(out / "embs.tsv")]
+        elif command == "decode":
+            wrong, found, needed = embed_checkpoint, "embed", "asr"
+            args = ["--checkpoint", wrong, "--archive", corpus_dir["dev"], "--out", str(out / "dec.json")]
+        else:
+            args = ["--set", "recognizer.training_mode=pretrain", "--set", f"recognizer.init_checkpoint={wrong}",
+                    "--out", str(out)]
+        assert main([command, *_data_args(corpus_dir), *args]) == 3
+        err = capsys.readouterr().err
+        assert f"{wrong} holds a {found!r} model; this command needs {needed!r}" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    def test_pretraining_from_an_embedding_without_a_written_encoder_exits_3(self, corpus_dir, tmp_path, capsys):
+        from awekit.cli import main
+
+        triplet = {("training", "epochs"): "0", ("objective", "kind"): "triplet", ("objective", "strategy"): "uniform"}
+        emb = pipelines.train_embed(small_cfg(corpus_dir, triplet), tmp_path / "emb")
+        out = tmp_path / "asr"
+        assert main(["train-asr", *_data_args(corpus_dir), "--set", "recognizer.training_mode=pretrain",
+                     "--set", f"recognizer.init_checkpoint={emb['checkpoint']}", "--out", str(out)]) == 3
+        assert "triplet models have no written encoder to pretrain" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_phone_mode_checkpoint_serves_acoustic_commands_without_its_training_lexicon(self, corpus_dir,
+                                                                                          tmp_path):
+        """index, query and export-embeddings never run the written encoder,
+        and its inventory is in the checkpoint: deleting the training
+        lexicon changes none of their output bytes."""
+        import shutil
+
+        from awekit.cli import main
+
+        lexicon = tmp_path / "train_lexicon.tsv"
+        shutil.copyfile(corpus_dir["lexicon"], lexicon)
+        cfg = ExperimentConfig.load(None, preset="ch5-multiview", overrides={
+            **{("data", key): corpus_dir[key] for key in ("train", "train_align", "dev", "dev_align")},
+            ("data", "lexicon"): str(lexicon), ("encoder", "layers"): "1", ("encoder", "hidden"): "16",
+            ("encoder", "embed_dim"): "12", ("written", "hidden"): "16", ("written", "symbol_embed_dim"): "8",
+            ("training", "epochs"): "1", ("training", "batch_size"): "8", ("run", "seed"): "9"})
+        ckpt = pipelines.train_embed(cfg, tmp_path / "emb")["checkpoint"]
+
+        def outputs():  # into one directory, since reports name their paths
+            out = tmp_path / "out"
+            common = ["--seed", "9", "--checkpoint", ckpt]
+            assert main(["index", *common, "--archive", corpus_dir["dev"], "--out", str(out / "dev.cadi")]) == 0
+            assert main(["query", *common, "--index", str(out / "dev.cadi"), "--queries", corpus_dir["dev"],
+                         "--query-align", corpus_dir["dev_align"], "--out", str(out / "q.json")]) == 0
+            assert main(["export-embeddings", *common, "--archive", corpus_dir["dev"],
+                         "--align", corpus_dir["dev_align"], "--out", str(out / "embs.tsv")]) == 0
+            written = {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+            shutil.rmtree(out)
+            return written
+
+        present = outputs()
+        lexicon.unlink()
+        absent = outputs()
+        assert list(absent) == ["dev.cadi", "dev.cadi.report.json", "dev.cadi.report.tsv", "embs.tsv",
+                                "q.json", "q.tsv", "q_hits.tsv"]
+        assert absent == present
+
+    def test_char_mode_pretraining_takes_the_inventory_from_the_checkpoint(self, corpus_dir, tmp_path):
+        """A recognizer vocabulary whose words use fewer letters than the
+        embedding's, and no lexicon: the written encoder is rebuilt over
+        the checkpoint's inventory, so the weights load and it trains."""
+        from awekit import nn
+        from awekit.cli import main
+
+        emb = pipelines.train_embed(small_cfg(corpus_dir, {("training", "epochs"): "0"}), tmp_path / "emb")
+        words = sorted(cp.load_lexicon(corpus_dir["lexicon"]).pronunciations)[:3]
+        vocab = tmp_path / "vocab.txt"
+        vocab.write_text("\n".join(words) + "\n", encoding="utf-8")
+        symbols = json.loads(nn.load_checkpoint(emb["checkpoint"])[0])["written"]["symbols"]
+        assert len({ch for w in words for ch in w}) < len(symbols)
+        settings = [*(f"data.{key}={corpus_dir[key]}" for key in ("train", "train_align", "dev", "dev_align")),
+                    "encoder.layers=1", "encoder.hidden=8", "training.epochs=1", "recognizer.unk=true",
+                    "recognizer.training_mode=pretrain", f"recognizer.init_checkpoint={emb['checkpoint']}",
+                    f"recognizer.vocab_file={vocab}"]
+        args = ["--seed", "9"]
+        for item in settings:
+            args += ["--set", item]
+        assert main(["train-asr", *args, "--out", str(tmp_path / "asr")]) == 0
+        model, _, _ = recognition.rebuild_recognizer(str(tmp_path / "asr" / "asr.cadp"))
+        assert model.vocab.labels == [*words, recognition.UNK_TOKEN]
+        assert model.g.symbols == symbols
 
     def test_data_error_exit_code(self, tmp_path):
         from awekit.cli import main

@@ -8,6 +8,7 @@ import pytest
 
 from awekit import search
 from awekit.search import SegmentKey, WindowConfig
+from test_corpus import with_crc
 
 
 class TestWindows:
@@ -208,10 +209,10 @@ class TestIndex:
         emb, refs = _random_db(rng, n=6, d=4)
         path = tmp_path / "segments.cadi"
         search.save_index(path, search.build_index(emb, refs, bits=16, permutations=2, seed=1))
-        data = bytearray(path.read_bytes())
+        data = bytearray(path.read_bytes()[:-4])
         # header: magic, then u4 version, bits, permutations, i8 seed
         data[16:24] = (-5).to_bytes(8, "little", signed=True)
-        path.write_bytes(bytes(data))
+        path.write_bytes(with_crc(bytes(data)))
         with pytest.raises(search.SearchError, match="negative hyperplane seed"):
             search.load_index(path)
 
@@ -221,11 +222,11 @@ class TestIndex:
         emb, refs = _random_db(rng, n=6, d=4)
         path = tmp_path / "segments.cadi"
         search.save_index(path, search.build_index(emb, refs, bits=16, permutations=2, seed=1))
-        data = bytearray(path.read_bytes())
-        # the file ends with N*d f4 embedding values; entry 0's come first
+        data = bytearray(path.read_bytes()[:-4])
+        # the N*d f4 embedding values precede the CRC32; entry 0's come first
         at = len(data) - 4 * 6 * 4
         data[at : at + 4 * 4] = np.full(4, value, dtype="<f4").tobytes()
-        path.write_bytes(bytes(data))
+        path.write_bytes(with_crc(bytes(data)))
         with pytest.raises(search.SearchError, match="zero or non-finite norm"):
             search.load_index(path)
 
@@ -247,7 +248,7 @@ class TestIndex:
         # bits and dim this large must be refused before any hyperplane is
         # drawn; with no entries the file is the header alone
         path = tmp_path / "empty.cadi"
-        path.write_bytes(search.INDEX_MAGIC + struct.pack("<IIIqII", search.INDEX_VERSION, b, P, 1, N, d))
+        path.write_bytes(with_crc(search.INDEX_MAGIC + struct.pack("<IIIqII", search.INDEX_VERSION, b, P, 1, N, d)))
         with pytest.raises(search.SearchError, match="0 entries"):
             search.load_index(path)
 
@@ -291,10 +292,10 @@ def _one_entry_index(path, bits, permutations):
     """A sound one-entry CADI file whose header asks for ``bits``
     hyperplanes and ``permutations`` bit permutations."""
     uid = b"u0"
-    path.write_bytes(search.INDEX_MAGIC
-                     + struct.pack("<IIIqII", search.INDEX_VERSION, bits, permutations, 1, 1, 2)
-                     + struct.pack("<H", len(uid)) + uid + struct.pack("<II", 0, 10)
-                     + np.array([1.0, 0.0], "<f4").tobytes())
+    path.write_bytes(with_crc(search.INDEX_MAGIC
+                              + struct.pack("<IIIqII", search.INDEX_VERSION, bits, permutations, 1, 1, 2)
+                              + struct.pack("<H", len(uid)) + uid + struct.pack("<II", 0, 10)
+                              + np.array([1.0, 0.0], "<f4").tobytes()))
     return path
 
 
