@@ -34,8 +34,8 @@ class ZeroNormCounter:
     makes the event observable (e.g. silence-only segments). Each pair of
     a distance matrix counts, scored or not: a triplet batch takes one
     (m, m) matrix over its segments, so every pair of it with a zero-norm
-    row counts, the diagonal included. Worker threads add to it, so
-    ``add`` holds a lock.
+    row counts, the diagonal included. ``dtw_ap``'s worker threads add to
+    it, so ``add`` holds a lock.
     """
 
     def __init__(self):

@@ -30,7 +30,7 @@ def _common(parser: argparse.ArgumentParser):
     parser.add_argument("--config", default=None, help="experiment config file (key=value INI)")
     parser.add_argument("--preset", default=None, help="named hyperparameter preset")
     parser.add_argument("--seed", type=int, default=None, help="master seed (overrides config)")
-    parser.add_argument("--threads", type=int, default=None, help="worker threads for parallel maps")
+    parser.add_argument("--threads", type=int, default=None, help="worker threads for the DTW baseline (dtw-ap)")
     parser.add_argument("--set", action="append", default=[], metavar="SECTION.KEY=VALUE",
                         help="override any config value")
 
@@ -158,7 +158,7 @@ def run(args) -> dict:
                                             extend_words_path=args.extend_words)
     else:  # export-embeddings; argparse admits no other command
         report = recognition.export_embeddings(args.checkpoint, args.archive, args.out,
-                                               align_path=args.align, threads=cfg.threads)
+                                               align_path=args.align)
     summary = {k: v for k, v in report.items() if isinstance(v, (int, float, str))}
     print(json.dumps(summary, indent=1, sort_keys=True))
     return report

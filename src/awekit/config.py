@@ -99,7 +99,7 @@ SCHEMA = {
     "search": {"bits": ("1024", Spec(int, ge=1, le=srch.MAX_BITS)),
                "permutations": ("16", Spec(int, ge=1, le=srch.MAX_PERMUTATIONS)),
                "beamwidth": ("50", SIZE), "stride": ("5", SIZE), "window_sizes": ("", Spec(tuple, ge=1))},
-    # an index file stores the seed as a signed 64-bit integer
+    # an index file stores the seed as a signed 64-bit integer; threads are dtw-ap's workers
     "run": {"seed": ("", Spec(int, ge=0, le=2**63 - 1)), "threads": ("1", SIZE)},
 }
 DEFAULTS = {section: {key: default for key, (default, _) in keys.items()} for section, keys in SCHEMA.items()}

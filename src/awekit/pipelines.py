@@ -11,10 +11,10 @@ Isolated segments go through ``embed_frames`` (also used by
 ``export_embeddings`` and for queries) and spans inside utterances through
 ``_embed_utterance_spans`` (also used by the index build). Every encoding
 without training, decoding included, goes through ``map_sorted_batches``:
-inputs sorted by length, in batches of INFER_BATCH. ``Objective`` holds the
-[objective] section, read once per run, with its k schedule and the
-multi-view batch loss; ``train_embed`` and joint recognizer training
-take their loss settings from it.
+inputs sorted by length, in batches of INFER_BATCH, on the calling thread.
+``Objective`` holds the [objective] section, read once per run, with its k
+schedule and the multi-view batch loss; ``train_embed`` and joint
+recognizer training take their loss settings from it.
 
 ``train_epochs`` is the one training loop, run by ``train_embed`` and
 ``recognition.train_asr``: length-bucketed batches, the optimizer step
@@ -26,8 +26,9 @@ embeds its segments once and scores every triplet, mirrors included,
 from their one cosine distance matrix.
 
 Every pipeline is deterministic given (config, seed, inputs): random
-streams derive from the master seed per component, batch formation is
-independent of the thread count, and parallel maps preserve order.
+streams derive from the master seed per component and batch formation
+depends only on the inputs. Only ``dtw_ap`` spreads its pair chunks over
+[run] threads workers (``parallel_map``, which preserves order).
 """
 
 from __future__ import annotations
@@ -58,25 +59,22 @@ class DataError(Exception):
 INFER_BATCH = 16  # items per inference batch; 64 raised the recognizers' peak memory
 
 
-def parallel_map(fn, items, threads: int):
-    """Order-preserving map, optionally on a thread pool."""
+def parallel_map(fn, items, workers: int):
+    """Order-preserving map, on ``workers`` threads; ``dtw_ap``'s chunks are its one use."""
     items = list(items)
-    if threads <= 1 or len(items) <= 1:
+    if workers <= 1 or len(items) <= 1:
         return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
+    with ThreadPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, items))
 
 
-def map_sorted_batches(fn, items, lengths, threads: int) -> list:
-    """One result per item, in input order, from ``fn`` mapped over the
-    length-sorted batches of up to INFER_BATCH items; ``fn`` returns one
-    result per item of its batch. The batches depend only on the inputs,
-    so the results do not depend on the thread count."""
-    batches = _length_sorted_batches(lengths, INFER_BATCH)
-    results = parallel_map(lambda ids: fn([items[i] for i in ids]), batches, threads)
+def map_sorted_batches(fn, items, lengths) -> list:
+    """One result per item, in input order, from ``fn`` mapped on the
+    calling thread over the length-sorted batches of up to INFER_BATCH
+    items; ``fn`` returns one result per item of its batch."""
     out = [None] * len(items)
-    for ids, batch_results in zip(batches, results):
-        for i, r in zip(ids, batch_results):
+    for ids in _length_sorted_batches(lengths, INFER_BATCH):
+        for i, r in zip(ids, fn([items[i] for i in ids])):
             out[i] = r
     return out
 
@@ -92,7 +90,6 @@ class Dataset:
     dev: list
     dev_align: dict
     lexicon: cp.Lexicon | None
-    feature_table: cp.FeatureTable | None
 
 
 def load_dataset(cfg: ExperimentConfig) -> Dataset:
@@ -101,10 +98,9 @@ def load_dataset(cfg: ExperimentConfig) -> Dataset:
     dev = cp.load_feature_archive(cfg.data_path("dev"))
     dev_align = cp.load_alignments(cfg.data_path("dev_align"))
     lexicon = cp.load_lexicon(cfg.data_path("lexicon")) if cfg.get("data", "lexicon") else None
-    feature_table = cp.load_feature_table(cfg.data_path("feature_table")) if cfg.get("data", "feature_table") else None
     alignments_for(train, train_align)
     alignments_for(dev, dev_align)
-    return Dataset(train, train_align, dev, dev_align, lexicon, feature_table)
+    return Dataset(train, train_align, dev, dev_align, lexicon)
 
 
 def alignments_for(utterances, alignments: dict) -> list:
@@ -184,9 +180,10 @@ def build_acoustic_encoder(cfg: ExperimentConfig, input_dim: int, rng) -> enc.Ac
     return enc.AcousticEncoder(config, rng)
 
 
-def written_inventory(cfg: ExperimentConfig, lexicon, feature_table, labels) -> tuple:
+def written_inventory(cfg: ExperimentConfig, lexicon, labels) -> tuple:
     """(symbols, feature table) of a new written encoder: the letters of the
-    lexicon's words and ``labels`` (char mode), its symbols (phone) or the table."""
+    lexicon's words and ``labels`` (char mode), its symbols (phone) or the
+    [data] feature_table (feature mode), which nothing else reads."""
     mode = cfg.get("written", "mode")
     if mode == "char":
         words = [*(lexicon.pronunciations if lexicon is not None else ()), *labels]
@@ -195,9 +192,9 @@ def written_inventory(cfg: ExperimentConfig, lexicon, feature_table, labels) -> 
         if lexicon is None:
             raise ConfigError("phone mode needs [data] lexicon")
         return sorted(lexicon.inventory), None
-    if feature_table is None:
+    if not cfg.get("data", "feature_table"):
         raise ConfigError("feature mode needs [data] feature_table")
-    return None, feature_table
+    return None, cp.load_feature_table(cfg.data_path("feature_table"))
 
 
 def build_written_encoder(cfg: ExperimentConfig, inventory: tuple, f: enc.AcousticEncoder, rng):
@@ -372,15 +369,14 @@ class Objective:
 # Embedding a split
 
 
-def embed_frames(f: enc.AcousticEncoder, frames, threads: int) -> np.ndarray:
+def embed_frames(f: enc.AcousticEncoder, frames) -> np.ndarray:
     """Embed isolated frame arrays without recording: (n, d), in input
     order, from length-sorted batches (``map_sorted_batches``)."""
-    rows = map_sorted_batches(lambda batch: f.embed_segments_isolated(batch).values, frames,
-                              [len(x) for x in frames], threads)
+    rows = map_sorted_batches(lambda batch: f.embed_segments_isolated(batch).values, frames, [len(x) for x in frames])
     return np.array(rows).reshape(len(frames), f.config.embed_dim)
 
 
-def _embed_utterance_spans(f: enc.AcousticEncoder, jobs, threads: int) -> list:
+def _embed_utterance_spans(f: enc.AcousticEncoder, jobs) -> list:
     """For each (frames, spans) job, the (len(spans), d) embeddings of its
     (start, end) input-frame spans. A length-sorted batch of utterances is
     encoded once, and its spans pooled and projected together."""
@@ -389,11 +385,11 @@ def _embed_utterance_spans(f: enc.AcousticEncoder, jobs, threads: int) -> list:
         embs = f.span_embeddings(out, [(r, s, e) for r, (_, spans) in enumerate(batch) for s, e in spans])
         return np.split(embs.values, np.cumsum([len(spans) for _, spans in batch])[:-1])
 
-    return map_sorted_batches(run, jobs, [len(x) for x, _ in jobs], threads)
+    return map_sorted_batches(run, jobs, [len(x) for x, _ in jobs])
 
 
 def embed_split(f: enc.AcousticEncoder, objective: Objective, fms, alignments, min_frames: int,
-                max_frames: int, threads: int) -> tuple[np.ndarray, list]:
+                max_frames: int) -> tuple[np.ndarray, list]:
     """(embeddings, labels) of every aligned word segment of a split whose
     length is in [min_frames, max_frames].
 
@@ -403,10 +399,10 @@ def embed_split(f: enc.AcousticEncoder, objective: Objective, fms, alignments, m
     if objective.contextual and objective.kind != "classifier":
         segs = [cp.extract_segments(fm, alignments[fm.utterance_id], min_frames, max_frames) for fm in fms]
         jobs = [(fm.frames, [(s.start, s.end) for s in ss]) for fm, ss in zip(fms, segs) if ss]
-        embs = np.concatenate([np.zeros((0, f.config.embed_dim))] + _embed_utterance_spans(f, jobs, threads))
+        embs = np.concatenate([np.zeros((0, f.config.embed_dim))] + _embed_utterance_spans(f, jobs))
         return embs, [s.label for ss in segs for s in ss]
     segments = collect_segments(fms, alignments, min_frames, max_frames)
-    embs = embed_frames(f, _segment_frames(segments), threads)
+    embs = embed_frames(f, _segment_frames(segments))
     if objective.kind == "classifier":
         z = embs - embs.max(axis=1, keepdims=True)
         e = np.exp(z)
@@ -414,11 +410,10 @@ def embed_split(f: enc.AcousticEncoder, objective: Objective, fms, alignments, m
     return embs, [s.label for _, s in segments]
 
 
-def dev_ap(f: enc.AcousticEncoder, g, objective: Objective, ds: Dataset, min_frames: int,
-           max_frames: int, threads: int) -> dict:
+def dev_ap(f: enc.AcousticEncoder, g, objective: Objective, ds: Dataset, min_frames: int, max_frames: int) -> dict:
     """Acoustic AP of the dev split and, with a written encoder ``g``,
     cross-view AP against the written embeddings of its labels."""
-    embs, labels = embed_split(f, objective, ds.dev, ds.dev_align, min_frames, max_frames, threads)
+    embs, labels = embed_split(f, objective, ds.dev, ds.dev_align, min_frames, max_frames)
     out = {"acoustic_ap": mx.acoustic_ap(embs, labels), "num_segments": len(labels)}
     if g is not None:
         uniq = sorted(set(labels))
@@ -532,8 +527,7 @@ def train_embed(cfg: ExperimentConfig, outdir: str) -> dict:
     params = f.parameters()
     g = None
     if kind == "multiview":
-        g = build_written_encoder(cfg, written_inventory(cfg, ds.lexicon, ds.feature_table, train_labels), f,
-                                  init_rng)
+        g = build_written_encoder(cfg, written_inventory(cfg, ds.lexicon, train_labels), f, init_rng)
         params = params + g.parameters()
     elif kind == "classifier" and f.config.embed_dim != len(train_labels):
         raise ConfigError(
@@ -576,7 +570,7 @@ def train_embed(cfg: ExperimentConfig, outdir: str) -> dict:
                                         objective.k_at(batches_done), rngs["sampling"])
 
     def evaluate():
-        ap = dev_ap(f, g, objective, ds, min_f, max_f, cfg.threads)
+        ap = dev_ap(f, g, objective, ds, min_f, max_f)
         if confusion is not None:
             confusion.reset()
         acoustic, xv = ap["acoustic_ap"], ap.get("cross_view_ap")
@@ -662,7 +656,7 @@ def eval_ap(cfg: ExperimentConfig, checkpoint: str, out_path: str) -> dict:
     f, g, _, train_cfg = rebuild_embed_model(checkpoint)
     ds = load_dataset(cfg)
     dev_segments(ds, min_f, max_f)
-    report = dev_ap(f, g, Objective(train_cfg), ds, min_f, max_f, cfg.threads)
+    report = dev_ap(f, g, Objective(train_cfg), ds, min_f, max_f)
     report.update({"config": cfg.resolved(), "version": SCHEMA_VERSION})
     _write_report(out_path, report)
     return report
@@ -730,7 +724,7 @@ def build_search_index(cfg: ExperimentConfig, checkpoint: str, archive_path: str
     if not refs:
         raise DataError("no windows generated; utterances shorter than the smallest window?")
     jobs = [(fm.frames, [(s, s + size) for s, size in wins]) for fm, wins in zip(fms, windows) if wins]
-    index = srch.build_index(np.concatenate(_embed_utterance_spans(f, jobs, cfg.threads), axis=0), refs,
+    index = srch.build_index(np.concatenate(_embed_utterance_spans(f, jobs), axis=0), refs,
                              bits=cfg.getint("search", "bits"),
                              permutations=cfg.getint("search", "permutations"),
                              seed=cfg.seed)
@@ -765,7 +759,7 @@ def query_search_index(cfg: ExperimentConfig, checkpoint: str, index_path: str,
     utt_pos = {u: i for i, u in enumerate(utt_ids)}
     entry_utt = np.array([utt_pos[r.utterance_id] for r in index.refs], dtype=np.intp)
     entry_size = np.array([r.size for r in index.refs], dtype=np.intp)
-    q_embs = embed_frames(f, [q.frames for q in queries], cfg.threads)
+    q_embs = embed_frames(f, [q.frames for q in queries])
     # each lookup is a few small numpy calls that hold the interpreter lock:
     # a thread pool would only add hand-off, so they run on this thread
     size_slots = max(entry_size.max(), wcfg.sizes[-1]) + 1  # admissibility is a table by window size

@@ -261,7 +261,7 @@ def regularizer_loss(model, fms, alignments, lexicon, live: bool):
 # Decoding
 
 
-def decode_utterances(model, fms, s_max: int, threads: int) -> list:
+def decode_utterances(model, fms, s_max: int) -> list:
     """(words, spans, frame embeddings or None) of each utterance, in input
     order, from length-sorted batches that are each encoded once."""
     def run(batch):
@@ -281,7 +281,14 @@ def decode_utterances(model, fms, s_max: int, threads: int) -> list:
             results.append(([model.vocab.label(tok) for tok, _, _ in spans], spans, frame_embs[r, :T]))
         return results
 
-    return map_sorted_batches(run, fms, [fm.num_frames for fm in fms], threads)
+    return map_sorted_batches(run, fms, [fm.num_frames for fm in fms])
+
+
+def _check_reference_words(refs, source: str):
+    """DataError unless alignments ``refs`` hold a word: WER divides by
+    their count."""
+    if not any(al.entries for al in refs):
+        raise DataError(f"{source}: no reference words to score WER against")
 
 
 def _wer_totals(refs, hyps) -> dict:
@@ -299,8 +306,8 @@ def _wer_totals(refs, hyps) -> dict:
             "deletions": dels, "insertions": ins, "ref_words": total}
 
 
-def dev_wer(model, fms, alignments, threads: int, s_max: int) -> float:
-    hyps = [words for words, _, _ in decode_utterances(model, fms, s_max, threads)]
+def dev_wer(model, fms, alignments, s_max: int) -> float:
+    hyps = [words for words, _, _ in decode_utterances(model, fms, s_max)]
     return _wer_totals([alignments[fm.utterance_id] for fm in fms], hyps)["wer"]
 
 
@@ -319,6 +326,9 @@ def train_asr(cfg: ExperimentConfig, outdir: str) -> dict:
     lam_reg = cfg.getfloat("recognizer", "lambda_reg")
     scheme = cfg.get("recognizer", "scheme")
     ds = load_dataset(cfg)
+    if not ds.train:
+        raise DataError(f"{cfg.get('data', 'train')}: no training utterances")
+    _check_reference_words([ds.dev_align[fm.utterance_id] for fm in ds.dev], cfg.get("data", "dev"))
     model, cfg = build_recognizer(cfg, ds, ds.train[0].dim)
     params = model.parameters()
     dropout_rng = component_rng(cfg.seed, "dropout")
@@ -341,7 +351,7 @@ def train_asr(cfg: ExperimentConfig, outdir: str) -> dict:
         return obj.combine_joint(asr, emb_loss, reg_loss, lam_emb, lam_reg, scheme)
 
     def evaluate():
-        wer = dev_wer(model, ds.dev, ds.dev_align, cfg.threads, s_max=s_max)
+        wer = dev_wer(model, ds.dev, ds.dev_align, s_max)
         return wer, {"dev_wer": wer}, stop_at > 0 and wer <= stop_at
 
     best_wer, history = train_epochs(cfg, outdir, params, [fm.num_frames for fm in ds.train],
@@ -381,11 +391,14 @@ def decode_archive(cfg: ExperimentConfig, checkpoint: str, archive_path: str, ou
         lexicon = cp.load_lexicon(cfg.data_path("lexicon")) if cfg.get("data", "lexicon") else None
         extended = enc.extend_vocabulary(model.pl, model.g, cp.load_words(extend_words_path), lexicon)
     fms = cp.load_feature_archive(archive_path)
-    refs = alignments_for([fm.utterance_id for fm in fms], cp.load_alignments(align_path)) if align_path else None
+    refs = None
+    if align_path:
+        refs = alignments_for([fm.utterance_id for fm in fms], cp.load_alignments(align_path))
+        _check_reference_words(refs, archive_path)
     s_max = cfg.getint("recognizer", "s_max")
 
     hyps = []
-    for words, spans, frame_emb in decode_utterances(model, fms, s_max, cfg.threads):
+    for words, spans, frame_emb in decode_utterances(model, fms, s_max):
         if extended is not None:
             toks = ctc_mod.unk_rescore(spans, frame_emb, extended, model.vocab.unk_index)
             words = [extended.vocab.label(t) for t in toks]
@@ -404,8 +417,7 @@ def decode_archive(cfg: ExperimentConfig, checkpoint: str, archive_path: str, ou
     return report
 
 
-def export_embeddings(checkpoint: str, archive_path: str, out_path: str,
-                      align_path: str | None = None, threads: int = 1) -> dict:
+def export_embeddings(checkpoint: str, archive_path: str, out_path: str, align_path: str | None = None) -> dict:
     """Dump (id, label, vector) rows for aligned segments (or whole
     utterances when no alignment is given)."""
     f, _, _, _ = rebuild_embed_model(checkpoint, written=False)
@@ -417,7 +429,7 @@ def export_embeddings(checkpoint: str, archive_path: str, out_path: str,
                  for fm, al in zip(fms, alignments_for(fms, cp.load_alignments(align_path)))
                  for s, e, lab in al.entries]
     d = f.config.embed_dim
-    flat = embed_frames(f, [fr for _, _, fr in items], threads)
+    flat = embed_frames(f, [fr for _, _, fr in items])
     with cp.open_artifact(out_path) as fh:
         fh.write("id\tlabel\t" + "\t".join(f"v{i}" for i in range(d)) + "\n")
         for (uid, lab, _), row in zip(items, flat):

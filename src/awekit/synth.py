@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .config import ConfigError
 from .corpus import (
     FeatureTable,
     FrameMatrix,
@@ -47,10 +48,21 @@ class SyntheticSpec:
     num_feature_values: int = 16
 
     def __post_init__(self):
-        if self.vocab_size < 2:
-            raise ValueError("vocabulary must have at least 2 words")
+        """ConfigError names the first field out of range."""
+        for name, low in (("vocab_size", 2), ("dim", 1), ("num_speakers", 1), ("num_train", 0),
+                          ("num_eval", 0), ("num_feature_values", 1)):
+            if getattr(self, name) < low:
+                raise ConfigError(f"synthetic corpus: {name} must be >= {low}, not {getattr(self, name)}")
+        for name in ("base_duration", "words_per_utterance", "label_length"):
+            low, high = getattr(self, name)
+            if not 1 <= low <= high:
+                raise ConfigError(f"synthetic corpus: {name} must be (min, max) with 1 <= min <= max, "
+                                  f"not ({low}, {high})")
+        for name in ("noise", "duration_jitter", "speaker_scale"):
+            if not np.isfinite(getattr(self, name)):
+                raise ConfigError(f"synthetic corpus: {name} must be finite, not {getattr(self, name)}")
         if self.noise < 0:
-            raise ValueError("noise must be >= 0")
+            raise ConfigError(f"synthetic corpus: noise must be >= 0, not {self.noise}")
 
 
 @dataclass

@@ -613,7 +613,7 @@ class TestSortedBatchInference:
         segments = pipelines.collect_segments(fms, cp.load_alignments(corpus_dir["train_align"]), 1, 1000)
         return [fm.frames[s.start : s.end] for fm, s in segments]
 
-    def test_results_come_back_in_input_order_at_any_thread_count(self):
+    def test_results_come_back_in_input_order(self):
         rng = np.random.default_rng(3)
         items = [np.arange(n) for n in rng.integers(1, 30, size=45)]
         lengths = [len(x) for x in items]
@@ -623,24 +623,56 @@ class TestSortedBatchInference:
             batches.append([len(x) for x in batch])
             return [x * 2 for x in batch]
 
-        one = pipelines.map_sorted_batches(fn, items, lengths, 1)
+        one = pipelines.map_sorted_batches(fn, items, lengths)
         assert [len(b) for b in batches] == [16, 16, 13]
         assert sum(batches, []) == sorted(lengths)
-        two = pipelines.map_sorted_batches(fn, items, lengths, 2)
+        two = pipelines.map_sorted_batches(fn, items, lengths)
         for a, b, x in zip(one, two, items):
             assert a.tobytes() == b.tobytes() == (x * 2).tobytes()
-        assert pipelines.map_sorted_batches(fn, [], [], 2) == []
+        assert pipelines.map_sorted_batches(fn, [], []) == []
 
     def test_embed_frames_equals_the_sorted_batches_embedded_together(self, corpus_dir, embed_checkpoint):
         f, _, _, _ = pipelines.rebuild_embed_model(embed_checkpoint)
         frames = self._train_segment_frames(corpus_dir)
-        got = pipelines.embed_frames(f, frames, 1)
-        assert got.tobytes() == pipelines.embed_frames(f, frames, 2).tobytes()
+        got = pipelines.embed_frames(f, frames)
+        assert got.tobytes() == pipelines.embed_frames(f, frames).tobytes()
         batches = self._sorted_batches([len(x) for x in frames])
         assert len(batches) > 2
         for ids in batches:
             want = f.embed_segments_isolated([frames[i] for i in ids]).values
             assert got[ids].tobytes() == want.tobytes()
+
+    def test_only_dtw_reaches_the_thread_pool(self, corpus_dir, embed_checkpoint, tmp_path, monkeypatch):
+        """At two threads every inference pass, training's dev evaluations
+        included, runs on the calling thread: ``dtw_ap`` makes the one
+        ``parallel_map`` call."""
+        calls = []
+        orig = pipelines.parallel_map
+
+        def parallel_map(fn, items, workers):
+            calls.append(workers)
+            return orig(fn, items, workers)
+
+        monkeypatch.setattr(pipelines, "parallel_map", parallel_map)
+        monkeypatch.setattr(recognition, "parallel_map", parallel_map)
+        two = {("run", "threads"): "2"}
+        cfg = small_cfg(corpus_dir, {**two, ("search", "stride"): "4", ("search", "window_sizes"): "8,12,16"})
+        pipelines.train_embed(cfg, tmp_path / "emb")
+        pipelines.eval_ap(cfg, embed_checkpoint, tmp_path / "ap.json")
+        index = tmp_path / "dev.cadi"
+        pipelines.build_search_index(cfg, embed_checkpoint, corpus_dir["dev"], index)
+        pipelines.query_search_index(cfg, embed_checkpoint, index, corpus_dir["dev"], corpus_dir["dev_align"],
+                                     tmp_path / "q.json", truth_align_path=corpus_dir["dev_align"])
+        recognition.export_embeddings(embed_checkpoint, corpus_dir["dev"], tmp_path / "embs.tsv",
+                                      align_path=corpus_dir["dev_align"])
+        for kind in ("ctc", "segmental"):
+            asr_cfg = small_cfg(corpus_dir, {**two, ("recognizer", "kind"): kind, ("recognizer", "s_max"): "24"})
+            ckpt = recognition.train_asr(asr_cfg, tmp_path / kind)["checkpoint"]
+            recognition.decode_archive(asr_cfg, ckpt, corpus_dir["dev"], tmp_path / f"{kind}.json",
+                                       align_path=corpus_dir["dev_align"])
+        assert calls == []
+        pipelines.dtw_ap(cfg, tmp_path / "dtw.json")
+        assert calls == [2]
 
     def test_index_is_thread_independent_and_matches_per_utterance_encoding(
             self, corpus_dir, embed_checkpoint, tmp_path, monkeypatch):
@@ -697,6 +729,51 @@ class TestCli:
         assert os.path.exists(tmp_path / "c" / "train.cadf")
         # missing seed -> config error
         assert main(["make-synth", "--out", str(tmp_path / "d")]) == 2
+
+    @pytest.mark.parametrize("args", [
+        ["--vocab", "1"], ["--speakers", "0"], ["--dim", "0"], ["--noise", "-1"], ["--max-words", "0"],
+        ["--min-words", "3", "--max-words", "1"], ["--min-duration", "0", "--max-duration", "0"],
+        ["--min-duration", "50", "--max-duration", "10"], ["--train", "-1"], ["--speaker-scale", "inf"]],
+        ids=["vocab-1", "speakers-0", "dim-0", "noise-negative", "max-words-0", "words-min-above-max",
+             "duration-0", "duration-min-above-max", "train-negative", "speaker-scale-inf"])
+    def test_make_synth_bad_argument_exits_2_before_any_output(self, tmp_path, capsys, args):
+        from awekit.cli import main
+
+        out = tmp_path / "c"
+        assert main(["make-synth", "--out", str(out), "--seed", "4", *args]) == 2
+        assert "configuration error" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.fixture(scope="class")
+    def wordless(self, tmp_path_factory):
+        """An archive with no utterances and its alignment file, with no words."""
+        out = tmp_path_factory.mktemp("wordless")
+        cp.save_feature_archive(out / "empty.cadf", [])
+        cp.save_alignments(out / "empty_align.tsv", [])
+        return str(out / "empty.cadf"), str(out / "empty_align.tsv")
+
+    @pytest.mark.parametrize("split", ["train", "dev"])
+    def test_train_asr_on_a_split_without_words_exits_3_before_any_output(self, corpus_dir, wordless, tmp_path,
+                                                                          capsys, split):
+        from awekit.cli import main
+
+        out = tmp_path / "asr"
+        archive, align = wordless
+        assert main(["train-asr", *_data_args(corpus_dir), "--set", f"data.{split}={archive}",
+                     "--set", f"data.{split}_align={align}", "--set", "training.epochs=1", "--out", str(out)]) == 3
+        assert archive in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_decode_against_no_reference_words_exits_3_before_any_output(self, corpus_dir, asr_checkpoint, wordless,
+                                                                         tmp_path, capsys):
+        from awekit.cli import main
+
+        archive, align = wordless
+        assert main(["decode", *_data_args(corpus_dir), "--checkpoint", asr_checkpoint, "--archive", archive,
+                     "--align", align, "--out", str(tmp_path / "dec.json")]) == 3
+        assert "no reference words" in capsys.readouterr().err
+        assert not (tmp_path / "dec_hyp.tsv").exists()
+        assert not (tmp_path / "dec.json").exists()
 
     def test_cli_train_and_eval(self, corpus_dir, tmp_path):
         from awekit.cli import main
@@ -999,9 +1076,24 @@ class TestCli:
         bad = tmp_path / f"bad_{key}.tsv"
         bad.write_text(damage(text), encoding="utf-8")
         assert bad.read_text(encoding="utf-8") != text
-        args = ["train-embed", *_data_args(corpus_dir), "--out", str(tmp_path / "run"),
+        args = ["train-embed", *_data_args(corpus_dir), "--out", str(tmp_path / "run"), "--set", "written.mode=feature",
                 "--set", f"data.feature_table={corpus_dir['feature_table']}", "--set", f"data.{key}={bad}"]
         assert main(args) == 3
+
+    @pytest.mark.parametrize("command", ["eval-ap", "dtw-ap", "train-asr"])
+    def test_char_mode_commands_never_read_the_feature_table(self, corpus_dir, embed_checkpoint, tmp_path, command):
+        """The feature table that fails feature-mode training above goes unread."""
+        from awekit.cli import main
+
+        bad = tmp_path / "bad_feature_table.tsv"
+        bad.write_text(open(corpus_dir["feature_table"], encoding="utf-8").read().replace("=1", "=q", 1),
+                       encoding="utf-8")
+        args = [command, *_data_args(corpus_dir), "--set", f"data.feature_table={bad}", "--out", str(tmp_path / "out")]
+        if command == "eval-ap":
+            args += ["--checkpoint", embed_checkpoint]
+        elif command == "train-asr":
+            args += ["--set", "training.epochs=0", "--set", "encoder.layers=1", "--set", "encoder.hidden=8"]
+        assert main(args) == 0
 
     @pytest.mark.parametrize("command,key", [("dtw-ap", "data.dev_align"), ("train-embed", "data.train_align"),
                                              ("train-asr", "recognizer.vocab_file")])
