@@ -7,23 +7,25 @@ returns ``(embeddings, labels)`` for a split under any objective
 (classifier posteriors, contextual spans pooled inside utterances, or
 isolated segments), and ``dev_ap`` scores it: ``train_embed`` selects its
 best epoch by that AP and ``eval_ap`` reports it for the checkpoint.
-Isolated segments go through ``embed_frames`` (also used by
-``export_embeddings`` and for queries) and spans inside utterances through
-``_embed_utterance_spans`` (also used by the index build). Every encoding
-without training, decoding included, goes through ``map_sorted_batches``:
-inputs sorted by length, in batches of INFER_BATCH, on the calling thread.
+Isolated segments go through ``embed_frames`` (export and queries), each
+one whole span of ``_embed_utterance_spans``, which also embeds spans
+inside utterances and the index build's windows. Every encoding without
+training, decoding included, goes through ``map_sorted_batches``: inputs
+sorted by length, in batches of INFER_BATCH, on the calling thread.
 ``Objective`` holds the [objective] section, read once per run, with its k
 schedule and the multi-view batch loss; ``train_embed`` and joint
 recognizer training take their loss settings from it.
 
 ``train_epochs`` is the one training loop, run by ``train_embed`` and
-``recognition.train_asr``: length-bucketed batches, the optimizer step
-(a non-finite batch loss raises FloatingPointError first), the
-plateau scheduler, reset-to-best on a plateau, ``train_log.jsonl``, and
-the best epoch's weights at the end. Each trainer passes in its batch
-lengths, its batch loss and its per-epoch dev evaluation. A triplet batch
-embeds its segments once and scores every triplet, mirrors included,
-from their one cosine distance matrix.
+``recognition.train_asr``: length-bucketed batches, the optimizer step (a
+non-finite batch loss raises FloatingPointError first), the plateau
+scheduler, reset-to-best on a plateau, and the best epoch's weights at the
+end. It writes no file: each trainer then hands the finished run to
+``save_run``, the one writer of ``train_log.jsonl``, the checkpoint and
+``train_report.json``. Like every command, a trainer reads and computes
+before its first write, so a failed run writes no file. A triplet batch
+embeds its segments once and scores every triplet, mirrors included, from
+their one cosine distance matrix.
 
 Every pipeline is deterministic given (config, seed, inputs): random
 streams derive from the master seed per component and batch formation
@@ -371,21 +373,22 @@ class Objective:
 
 def embed_frames(f: enc.AcousticEncoder, frames) -> np.ndarray:
     """Embed isolated frame arrays without recording: (n, d), in input
-    order, from length-sorted batches (``map_sorted_batches``)."""
-    rows = map_sorted_batches(lambda batch: f.embed_segments_isolated(batch).values, frames, [len(x) for x in frames])
-    return np.array(rows).reshape(len(frames), f.config.embed_dim)
+    order, each array one whole span (``_embed_utterance_spans``)."""
+    return _embed_utterance_spans(f, [(x, [(0, len(x))]) for x in frames])
 
 
-def _embed_utterance_spans(f: enc.AcousticEncoder, jobs) -> list:
-    """For each (frames, spans) job, the (len(spans), d) embeddings of its
-    (start, end) input-frame spans. A length-sorted batch of utterances is
-    encoded once, and its spans pooled and projected together."""
+def _embed_utterance_spans(f: enc.AcousticEncoder, jobs) -> np.ndarray:
+    """The (n, d) embeddings of the (start, end) input-frame spans of every
+    (frames, spans) job, job by job. A length-sorted batch of utterances
+    (``map_sorted_batches``) is encoded once, and its spans pooled and
+    projected together."""
     def run(batch):
         out, _ = f.encode([x for x, _ in batch])
         embs = f.span_embeddings(out, [(r, s, e) for r, (_, spans) in enumerate(batch) for s, e in spans])
         return np.split(embs.values, np.cumsum([len(spans) for _, spans in batch])[:-1])
 
-    return map_sorted_batches(run, jobs, [len(x) for x, _ in jobs])
+    parts = map_sorted_batches(run, jobs, [len(x) for x, _ in jobs])
+    return np.concatenate([np.zeros((0, f.config.embed_dim)), *parts])
 
 
 def embed_split(f: enc.AcousticEncoder, objective: Objective, fms, alignments, min_frames: int,
@@ -399,8 +402,7 @@ def embed_split(f: enc.AcousticEncoder, objective: Objective, fms, alignments, m
     if objective.contextual and objective.kind != "classifier":
         segs = [cp.extract_segments(fm, alignments[fm.utterance_id], min_frames, max_frames) for fm in fms]
         jobs = [(fm.frames, [(s.start, s.end) for s in ss]) for fm, ss in zip(fms, segs) if ss]
-        embs = np.concatenate([np.zeros((0, f.config.embed_dim))] + _embed_utterance_spans(f, jobs))
-        return embs, [s.label for ss in segs for s in ss]
+        return _embed_utterance_spans(f, jobs), [s.label for ss in segs for s in ss]
     segments = collect_segments(fms, alignments, min_frames, max_frames)
     embs = embed_frames(f, _segment_frames(segments))
     if objective.kind == "classifier":
@@ -438,8 +440,7 @@ def word_span_items(entries, min_frames: int, max_frames: int):
     return items, labels
 
 
-def train_epochs(cfg: ExperimentConfig, outdir: str, params, lengths, batch_loss, evaluate,
-                 mode: str) -> tuple:
+def train_epochs(cfg: ExperimentConfig, params, lengths, batch_loss, evaluate, mode: str) -> tuple:
     """Train ``params`` for [training] epochs and leave the best epoch's
     weights in them; returns (best dev metric or None, log entries).
 
@@ -449,10 +450,9 @@ def train_epochs(cfg: ExperimentConfig, outdir: str, params, lengths, batch_loss
     raises FloatingPointError before it reaches the weights. Then
     ``evaluate()`` returns ``(metric, fields, stop)``: the dev metric
     (higher is better with ``mode`` "max", lower with "min"), the fields
-    it adds to the epoch's ``train_log.jsonl`` line, and whether to stop.
-    The learning rate follows the plateau scheduler on that metric; the
-    first epoch with the best metric is kept, and a metric plateau resets
-    to it."""
+    it adds to the epoch's log entry, and whether to stop. The learning
+    rate follows the plateau scheduler on that metric; the first epoch
+    with the best metric is kept, and a metric plateau resets to it."""
     optimizer = build_optimizer(cfg)
     scheduler = nn.PlateauScheduler(optimizer.lr, cfg.getint("scheduler", "patience"),
                                     cfg.getfloat("scheduler", "factor"), cfg.getfloat("scheduler", "min_lr"), mode)
@@ -462,39 +462,50 @@ def train_epochs(cfg: ExperimentConfig, outdir: str, params, lengths, batch_loss
     best_metric = None
     batches_done = 0
     history = []
-    os.makedirs(outdir, exist_ok=True)
-    with open(os.path.join(outdir, "train_log.jsonl"), "w", encoding="utf-8") as log_file:
-        for epoch in range(cfg.getint("training", "epochs")):
-            epoch_loss = 0.0
-            batches = _length_sorted_batches(lengths, batch_size)
-            shuffle_rng.shuffle(batches)
-            for batch_ids in batches:
-                nn.zero_grads(params)
-                with Tape() as tape:
-                    loss = batch_loss(batch_ids, batches_done)
-                value = float(loss.values)
-                if not np.isfinite(value):
-                    raise FloatingPointError(f"training loss {value} at batch {batches_done}")
-                tape.backward(loss)
-                optimizer.step(params)
-                epoch_loss += value
-                batches_done += 1
-            mean_loss = epoch_loss / max(1, len(batches))
-            metric, fields, stop = evaluate()
-            decision = scheduler.update(metric)
-            optimizer.lr = decision.lr
-            if decision.improved or best_metric is None:
-                best_metric = metric
-                best_snap = _snapshot(params)
-            elif decision.reset_to_best:
-                _restore(params, best_snap)
-            entry = {"epoch": epoch, "loss": mean_loss, **fields, "lr": optimizer.lr}
-            history.append(entry)
-            log_file.write(json.dumps(entry, sort_keys=True) + "\n")
-            if decision.stop or stop:
-                break
+    for epoch in range(cfg.getint("training", "epochs")):
+        epoch_loss = 0.0
+        batches = _length_sorted_batches(lengths, batch_size)
+        shuffle_rng.shuffle(batches)
+        for batch_ids in batches:
+            nn.zero_grads(params)
+            with Tape() as tape:
+                loss = batch_loss(batch_ids, batches_done)
+            value = float(loss.values)
+            if not np.isfinite(value):
+                raise FloatingPointError(f"training loss {value} at batch {batches_done}")
+            tape.backward(loss)
+            optimizer.step(params)
+            epoch_loss += value
+            batches_done += 1
+        mean_loss = epoch_loss / max(1, len(batches))
+        metric, fields, stop = evaluate()
+        decision = scheduler.update(metric)
+        optimizer.lr = decision.lr
+        if decision.improved or best_metric is None:
+            best_metric = metric
+            best_snap = _snapshot(params)
+        elif decision.reset_to_best:
+            _restore(params, best_snap)
+        history.append({"epoch": epoch, "loss": mean_loss, **fields, "lr": optimizer.lr})
+        if decision.stop or stop:
+            break
     _restore(params, best_snap)
     return best_metric, history
+
+
+def save_run(cfg: ExperimentConfig, outdir, name: str, params, meta: str, epochs: list, **fields) -> dict:
+    """Write a finished run into ``outdir``: ``train_log.jsonl`` (one JSON
+    line per entry of ``epochs``), then the checkpoint ``name``, then
+    ``train_report.json``. Returns the report: ``fields`` plus the
+    checkpoint path, the epoch count, the config and the version."""
+    with cp.open_artifact(os.path.join(outdir, "train_log.jsonl")) as fh:
+        fh.writelines(json.dumps(entry, sort_keys=True) + "\n" for entry in epochs)
+    ckpt = os.path.join(outdir, name)
+    nn.save_checkpoint(ckpt, params, meta)
+    report = {**fields, "checkpoint": ckpt, "epochs_run": len(epochs), "config": cfg.resolved(),
+              "version": SCHEMA_VERSION}
+    _dump_json(os.path.join(outdir, "train_report.json"), report)
+    return report
 
 
 # ---------------------------------------------------------------------------
@@ -581,20 +592,10 @@ def train_embed(cfg: ExperimentConfig, outdir: str) -> dict:
         lengths = [fm.num_frames for fm in ds.train]
     else:
         lengths = [s.length for _, s in train_segments]
-    best_metric, history = train_epochs(cfg, outdir, params, lengths, batch_loss, evaluate, "max")
-
-    ckpt = os.path.join(outdir, "embed.cadp")
-    nn.save_checkpoint(ckpt, params, checkpoint_meta("embed", cfg, g, objective=kind, input_dim=input_dim))
-    report = {
-        "checkpoint": ckpt,
-        "best_metric": best_metric,
-        "epochs_run": len(history),
-        "final": history[-1] if history else None,
-        "config": cfg.resolved(),
-        "version": SCHEMA_VERSION,
-    }
-    _dump_json(os.path.join(outdir, "train_report.json"), report)
-    return report
+    best_metric, history = train_epochs(cfg, params, lengths, batch_loss, evaluate, "max")
+    meta = checkpoint_meta("embed", cfg, g, objective=kind, input_dim=input_dim)
+    return save_run(cfg, outdir, "embed.cadp", params, meta, history, best_metric=best_metric,
+                    final=history[-1] if history else None)
 
 
 def _triplet_batch_loss(objective, f, train_segments, batch_ids, by_label, label_index, confusion, rngs):
@@ -724,7 +725,7 @@ def build_search_index(cfg: ExperimentConfig, checkpoint: str, archive_path: str
     if not refs:
         raise DataError("no windows generated; utterances shorter than the smallest window?")
     jobs = [(fm.frames, [(s, s + size) for s, size in wins]) for fm, wins in zip(fms, windows) if wins]
-    index = srch.build_index(np.concatenate(_embed_utterance_spans(f, jobs), axis=0), refs,
+    index = srch.build_index(_embed_utterance_spans(f, jobs), refs,
                              bits=cfg.getint("search", "bits"),
                              permutations=cfg.getint("search", "permutations"),
                              seed=cfg.seed)
@@ -774,7 +775,7 @@ def query_search_index(cfg: ExperimentConfig, checkpoint: str, index_path: str,
     q_terms = {u: " ".join(al.labels()) for u, al in zip(q_ids, alignments_for(q_ids, q_align))}
     truth_align = alignments_for(utt_ids, cp.load_alignments(truth_align_path)) if truth_align_path else None
     hours = 0.0
-    if truth_align_path and search_archive:  # reduced to its hours at once, before any output
+    if truth_align_path and search_archive:  # reduced to its hours at once
         hours = sum(fm.num_frames / fm.frames_per_second for fm in cp.load_feature_archive(search_archive)) / 3600
 
     report = {"num_queries": len(q_ids), "num_utterances": len(utt_ids), "beamwidth": beam,

@@ -3,20 +3,20 @@ embedding export.
 
 Training modes: "baseline" initializes everything randomly; "pretrain"
 loads an embedding checkpoint, copies the acoustic encoder, builds the
-prediction layer from written-view embeddings (optionally frozen), and
-can regularize rows toward the (fixed) written embeddings; "joint" adds
-the contrastive embedding loss with a live written encoder. In every mode
-the prediction rows are free parameters. ``train_asr`` runs the shared
-loop ``pipelines.train_epochs`` with the recognizer's batch loss and its
-dev WER. One batch loss, ``asr_batch_loss``, serves both recognizers: it
-encodes the batch, then takes the CTC loss of its padded frame
-log-probabilities or the segmental loss of its lattices, either one tape
-node per batch (see ``ctc`` and ``segmental``). Decoding encodes,
-scores and Viterbi-decodes length-sorted batches. Word spans for joint
-training and projection rescaling are embedded through
-``encoders.pool_spans``: a CTC model projects every frame and mean-pools
-the span's output frames, a segmental model pools with its configured
-mode and then projects.
+prediction layer from written-view embeddings (optionally frozen), and can
+regularize rows toward the (fixed) written embeddings; "joint" adds the
+contrastive embedding loss with a live written encoder. In every mode the
+prediction rows are free parameters. ``train_asr`` runs the shared loop
+``pipelines.train_epochs`` with the recognizer's batch loss and its dev
+WER, then ``pipelines.save_run``. One batch loss, ``asr_batch_loss``,
+serves both recognizers, on transcripts mapped to ids once: it encodes the
+batch, then takes the CTC loss of its padded frame log-probabilities or
+the segmental loss of its lattices, either one tape node per batch (see
+``ctc`` and ``segmental``). Decoding encodes, scores and Viterbi-decodes
+length-sorted batches. Word spans for joint training and projection
+rescaling are embedded through ``encoders.pool_spans``: a CTC model
+projects every frame and mean-pools the span's output frames, a segmental
+model pools with its configured mode and then projects.
 """
 
 from __future__ import annotations
@@ -40,7 +40,6 @@ from .pipelines import (
     DataError,
     Dataset,
     Objective,
-    _dump_json,
     _frame_window,
     _write_report,
     alignments_for,
@@ -54,6 +53,7 @@ from .pipelines import (
     parallel_map,  # unused here; the benchmark tracer patches recognition.parallel_map
     rebuild_embed_model,
     rebuild_encoders,
+    save_run,
     train_epochs,
     word_span_items,
 )
@@ -207,22 +207,23 @@ def _ctc_frame_logits(model, out: Tensor):
     return proj, ad.reshape(ad.log_softmax(logits, axis=1), (B, T, -1))
 
 
-def _transcript_ids(model, al: cp.WordAlignment):
+def _transcript_ids(model, al: cp.WordAlignment) -> list:
+    """The vocabulary ids of ``al``'s words; DataError names its utterance
+    when a word is outside the vocabulary."""
     try:
         return [model.vocab.index(v) for v in al.labels()]
     except KeyError as e:
         raise DataError(f"{al.utterance_id}: word {e.args[0]!r} not in the vocabulary "
-                        "(enable [recognizer] unk or extend the training set)") from e
+                        "(add it to [recognizer] vocab_file or enable [recognizer] unk)") from e
 
 
-def asr_batch_loss(model, fms, alignments, s_max: int, rng):
+def asr_batch_loss(model, fms, transcripts, s_max: int, rng):
     """(recognizer loss summed over a training batch, transcript words,
-    encoder output). Either loss is one tape node for the whole batch: the
-    CTC loss over the batch's padded frame log-probabilities, or the
-    segmental loss over the batch's lattices with the batch's segment cap
-    (at most ``s_max``)."""
+    encoder output) of ``fms`` and their word ids ``transcripts``. Either
+    loss is one tape node for the whole batch: the CTC loss over the batch's
+    padded frame log-probabilities, or the segmental loss over the batch's
+    lattices with the batch's segment cap (at most ``s_max``)."""
     out, lengths = model.f.encode([fm.frames for fm in fms], train=True, rng=rng)
-    transcripts = [_transcript_ids(model, alignments[fm.utterance_id]) for fm in fms]
     n = sum(len(ids) for ids in transcripts)
     if model.kind != "ctc":
         s_cap = segm.batch_segment_cap(lengths, [len(ids) for ids in transcripts], s_max)
@@ -330,6 +331,7 @@ def train_asr(cfg: ExperimentConfig, outdir: str) -> dict:
         raise DataError(f"{cfg.get('data', 'train')}: no training utterances")
     _check_reference_words([ds.dev_align[fm.utterance_id] for fm in ds.dev], cfg.get("data", "dev"))
     model, cfg = build_recognizer(cfg, ds, ds.train[0].dim)
+    transcripts = [_transcript_ids(model, ds.train_align[fm.utterance_id]) for fm in ds.train]
     params = model.parameters()
     dropout_rng = component_rng(cfg.seed, "dropout")
     sample_rng = component_rng(cfg.seed, "sampling")
@@ -340,7 +342,7 @@ def train_asr(cfg: ExperimentConfig, outdir: str) -> dict:
 
     def batch_loss(batch_ids, batches_done):
         fms = [ds.train[i] for i in batch_ids]
-        asr, n_tok, out = asr_batch_loss(model, fms, ds.train_align, s_max, dropout_rng)
+        asr, n_tok, out = asr_batch_loss(model, fms, [transcripts[i] for i in batch_ids], s_max, dropout_rng)
         asr = ad.scale(asr, 1.0 / max(1, n_tok))
         emb_loss = reg_loss = None
         if mode == "joint" and lam_emb > 0:
@@ -354,18 +356,12 @@ def train_asr(cfg: ExperimentConfig, outdir: str) -> dict:
         wer = dev_wer(model, ds.dev, ds.dev_align, s_max)
         return wer, {"dev_wer": wer}, stop_at > 0 and wer <= stop_at
 
-    best_wer, history = train_epochs(cfg, outdir, params, [fm.num_frames for fm in ds.train],
-                                     batch_loss, evaluate, "min")
+    best_wer, history = train_epochs(cfg, params, [fm.num_frames for fm in ds.train], batch_loss, evaluate, "min")
     if model.pl.w.frozen:
         assert np.array_equal(model.pl.w.values, frozen_snapshot), "freeze contract violated"
-
-    ckpt = os.path.join(outdir, "asr.cadp")
-    nn.save_checkpoint(ckpt, params, checkpoint_meta("asr", cfg, model.g, kind=model.kind, input_dim=ds.train[0].dim,
-                                                     vocab=model.vocab.labels, unk=model.vocab.unk_token))
-    report = {"checkpoint": ckpt, "best_wer": best_wer, "epochs_run": len(history),
-              "history": history, "config": cfg.resolved(), "version": SCHEMA_VERSION}
-    _dump_json(os.path.join(outdir, "train_report.json"), report)
-    return report
+    meta = checkpoint_meta("asr", cfg, model.g, kind=model.kind, input_dim=ds.train[0].dim,
+                           vocab=model.vocab.labels, unk=model.vocab.unk_token)
+    return save_run(cfg, outdir, "asr.cadp", params, meta, history, best_wer=best_wer, history=history)
 
 
 def rebuild_recognizer(checkpoint: str):

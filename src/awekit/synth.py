@@ -179,7 +179,6 @@ def write_corpus(corpus: SyntheticCorpus, outdir):
     """Emit the archive/alignment/lexicon/feature-table files."""
     import os
 
-    os.makedirs(outdir, exist_ok=True)
     paths = {
         "train": os.path.join(outdir, "train.cadf"),
         "train_align": os.path.join(outdir, "train_align.tsv"),

@@ -1,7 +1,9 @@
 """Corpus data model, file formats, and segment operations."""
 
+import ast
 import struct
 import zlib
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -234,6 +236,40 @@ def test_writer_raising_halfway_leaves_no_partial_file(tmp_path, kind, earlier):
     assert [p.name for p in tmp_path.iterdir()] == (["out"] if earlier else [])
     if earlier:
         assert path.read_bytes() == before
+
+
+def _file_writes(source: str) -> list:
+    """(innermost function, call) of each call in ``source`` that makes a
+    directory (``makedirs``, ``mkdir``) or may open a file to write: an
+    ``open`` given a mode that holds w, a, x or +, or one that is not a
+    string literal."""
+    found = []
+
+    def visit(node, owner):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Call):
+                func = child.func
+                called = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+                modes = [*child.args[1:], *(child.args[:1] if isinstance(func, ast.Attribute) else []),
+                         *(k.value for k in child.keywords if k.arg == "mode")]
+                if called in ("makedirs", "mkdir"):
+                    found.append((owner, called))
+                elif called == "open" and any(not isinstance(m, ast.Constant) or not isinstance(m.value, str)
+                                              or set(m.value) & set("wax+") for m in modes):
+                    found.append((owner, called))
+            visit(child, child.name if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)) else owner)
+
+    visit(ast.parse(source), None)
+    return found
+
+
+def test_only_open_artifact_writes_files():
+    """Every file the package writes goes through ``corpus.open_artifact``,
+    the one place that makes an output directory."""
+    package = Path(corpus.__file__).parent
+    writes = {f"{path.stem}.{owner}: {call}" for path in sorted(package.glob("*.py"))
+              for owner, call in _file_writes(path.read_text(encoding="utf-8"))}
+    assert writes == {"corpus.open_artifact: makedirs", "corpus.open_artifact: open"}
 
 
 class TestExtractSegments:

@@ -3,6 +3,8 @@ search, decoding, and determinism across reruns and thread counts."""
 
 import json
 import os
+import re
+import shutil
 import signal
 from types import SimpleNamespace
 
@@ -368,7 +370,7 @@ class TestNonFiniteLoss:
         with pytest.raises(FloatingPointError):
             pipelines.train_embed(small_cfg(corpus_dir), tmp_path / "run")
         assert steps == [1]
-        assert (tmp_path / "run" / "train_log.jsonl").read_text() == ""
+        assert not (tmp_path / "run" / "train_log.jsonl").exists()
         assert not (tmp_path / "run" / "embed.cadp").exists()
 
     @pytest.mark.parametrize("kind", ["ctc", "segmental"])
@@ -519,6 +521,30 @@ class TestRecognition:
         assert combined[:5] == [None] * 5 and all(a is b for a, b in zip(combined[5:], reg_losses))
         assert checkpoints["0.0"] != checkpoints["0.5"]
 
+    def test_out_of_vocabulary_training_word_fails_before_any_batch(self, corpus_dir, tmp_path, monkeypatch):
+        """With unk = false, a training word missing from vocab_file is a
+        DataError that names the first utterance holding it in archive
+        order, before any tape is entered and before any file is written."""
+        align = cp.load_alignments(corpus_dir["train_align"])
+        uids = [fm.utterance_id for fm in cp.load_feature_archive(corpus_dir["train"])]
+        first = {}
+        for uid in uids:
+            for word in align[uid].labels():
+                first.setdefault(word, uid)
+        dropped = max(first, key=lambda w: uids.index(first[w]))  # the word heard last for the first time
+        assert first[dropped] != uids[0]
+        vocab = tmp_path / "vocab.txt"
+        vocab.write_text("\n".join(w for w in sorted(first) if w != dropped) + "\n", encoding="utf-8")
+        tapes = []
+        enter = ad.Tape.__enter__
+        monkeypatch.setattr(ad.Tape, "__enter__", lambda tape: tapes.append(tape) or enter(tape))
+        cfg = small_cfg(corpus_dir, {("recognizer", "vocab_file"): str(vocab)})
+        message = f"{first[dropped]}: word '{dropped}' not in the vocabulary (add it to [recognizer] vocab_file"
+        with pytest.raises(pipelines.DataError, match="^" + re.escape(message)):
+            recognition.train_asr(cfg, tmp_path / "run")
+        assert tapes == []
+        assert not (tmp_path / "run").exists()
+
     def test_frozen_rows_unchanged_after_training(self, corpus_dir, tmp_path):
         emb_cfg = small_cfg(corpus_dir, {("training", "epochs"): "1"})
         emb = pipelines.train_embed(emb_cfg, tmp_path / "emb")
@@ -595,7 +621,8 @@ class TestRecognition:
         counts = []
         for fms in (ds.train[:2], ds.train[:2] * 2):
             with ad.Tape() as tape:
-                loss, _, _ = recognition.asr_batch_loss(model, fms, ds.train_align, 24, np.random.default_rng(0))
+                ids = [recognition._transcript_ids(model, ds.train_align[fm.utterance_id]) for fm in fms]
+                loss, _, _ = recognition.asr_batch_loss(model, fms, ids, 24, np.random.default_rng(0))
             counts.append(len(tape.nodes))
             assert tape.nodes[-1][0] is loss
         assert counts[0] == counts[1]
@@ -983,7 +1010,62 @@ class TestCli:
         for key in ("train", "train_align", "dev", "dev_align", "lexicon"):
             args += ["--set", f"data.{key}={corpus_dir[key]}"]
         assert main(args) == 4
-        assert not any(name.endswith(".cadp") for name in os.listdir(tmp_path / "run"))
+        assert not (tmp_path / "run").exists()
+
+    TINY = ["--set", "encoder.layers=1", "--set", "encoder.hidden=8", "--set", "training.epochs=1",
+            "--set", "training.batch_size=8"]
+
+    @pytest.fixture(scope="class")
+    def finished_runs(self, corpus_dir, tmp_path_factory):
+        """A --out holding a finished run of each trainer, as {command: path}."""
+        from awekit.cli import main
+
+        runs = {}
+        for command in ("train-embed", "train-asr"):
+            runs[command] = tmp_path_factory.mktemp("finished") / "run"
+            assert main([command, *_data_args(corpus_dir), *self.TINY, "--out", str(runs[command])]) == 0
+            assert sorted(os.listdir(runs[command])) == sorted(
+                [{"train-embed": "embed.cadp", "train-asr": "asr.cadp"}[command], "train_log.jsonl",
+                 "train_report.json"])
+        return runs
+
+    MID_TRAINING_FAILURES = {
+        "vocab-file-lacks-a-training-word": ("train-asr", ["recognizer.unk=false"], 3),
+        "ctc-oversized-subsample": ("train-asr", ["recognizer.kind=ctc", "encoder.subsample=40"], 3),
+        "segmental-small-s-max": ("train-asr", ["recognizer.kind=segmental", "recognizer.s_max=2"], 3),
+        "nan-loss": ("train-embed", [], 4),
+    }
+
+    @pytest.mark.parametrize("case", list(MID_TRAINING_FAILURES))
+    @pytest.mark.parametrize("out", ["fresh", "finished"])
+    def test_failed_training_writes_no_file(self, corpus_dir, finished_runs, tmp_path, monkeypatch, case, out):
+        """A run that fails in training makes no fresh --out, and leaves the
+        files of a finished run in its --out byte for byte as they were."""
+        import shutil
+
+        from awekit.cli import main
+
+        command, settings, code = self.MID_TRAINING_FAILURES[case]
+        if case == "nan-loss":
+            _nan_on_second_call(monkeypatch, pipelines.Objective, "multiview_loss")
+        if case.startswith("vocab"):
+            words = sorted({w for al in cp.load_alignments(corpus_dir["train_align"]).values() for w in al.labels()})
+            vocab = tmp_path / "vocab.txt"
+            vocab.write_text("\n".join(words[1:]) + "\n", encoding="utf-8")
+            settings = [*settings, f"recognizer.vocab_file={vocab}"]
+        run = tmp_path / "run"
+        before = {}
+        if out == "finished":
+            shutil.copytree(finished_runs[command], run)
+            before = {name: (run / name).read_bytes() for name in os.listdir(run)}
+        args = [command, *_data_args(corpus_dir), *self.TINY]
+        for item in settings:
+            args += ["--set", item]
+        assert main([*args, "--out", str(run)]) == code
+        if out == "fresh":
+            assert not run.exists()
+        else:
+            assert {name: (run / name).read_bytes() for name in os.listdir(run)} == before
 
     # each case's message names the key or the check that refuses it, so a
     # case cannot keep passing for another reason
